@@ -61,14 +61,13 @@ class RunConfig:
     lambda_points: int = 48
     find_mode: bool = False
     emit_spectra: bool = False
-    jobs: int = 1
     seed: int = 0
     out: str = "out"
     canonical: bool = False        # drop timings for byte-stable reports
 
     def validate(self):
         for name in ("n_r", "n_theta", "n_r_tail", "n_x", "n", "n_s", "n_per_period",
-                     "lambda_points", "jobs"):
+                     "lambda_points"):
             if int(getattr(self, name)) <= 0:
                 raise ConfigError("%s must be positive" % name)
         for name in ("tol_tail", "tol_cons", "tol_sym", "tol_residual", "tol_validate"):
@@ -112,7 +111,6 @@ _KEYMAP = {
     "lambda.points": "lambda_points",
     "run.find_mode": "find_mode",
     "run.emit_spectra": "emit_spectra",
-    "run.jobs": "jobs",
     "run.seed": "seed",
     "run.out": "out",
     "run.canonical": "canonical",
@@ -298,7 +296,7 @@ def _run_sweep(cfg, state, quad):
     opts = _eval_options(cfg, generic_tol_sym=None if state.homogeneous else 1e-4)
     w = 2.0 * np.pi / state.period
     grid = np.geomspace(cfg.lambda_min * w, cfg.lambda_max * w, cfg.lambda_points)
-    sw = sweep(state, basis, quad, cfg.n, grid, opts, tol_eig=cfg.tol_eig, jobs=cfg.jobs)
+    sw = sweep(state, basis, quad, cfg.n, grid, opts, tol_eig=cfg.tol_eig)
     return basis, opts, sw
 
 
@@ -496,7 +494,6 @@ def _make_parser():
     p.add_argument("--lambda-max", type=float, dest="lambda_max")
     p.add_argument("--find-mode", action="store_true", default=None)
     p.add_argument("--emit-spectra", action="store_true", default=None)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out", help="output directory (VMSPEC_OUT overrides)")
     p.add_argument("--canonical", action="store_true", default=None,
                    help="byte-stable reports (no timings)")
@@ -520,7 +517,7 @@ def _config_from_args(args):
     overrides = {"profile": "profile_name", "epsilon": "epsilon", "period": "period",
                  "n": "n", "n_x": "n_x", "lambda_min": "lambda_min",
                  "lambda_max": "lambda_max", "find_mode": "find_mode",
-                 "emit_spectra": "emit_spectra", "jobs": "jobs", "out": "out",
+                 "emit_spectra": "emit_spectra", "out": "out",
                  "canonical": "canonical"}
     for arg_name, cfg_name in overrides.items():
         val = getattr(args, arg_name, None)

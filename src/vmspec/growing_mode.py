@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VmspecError
-from .operators import EvalOptions, node_moments, species_pair_moments
+from .operators import EvalOptions, assembly_kernel, species_pair_moments
 
 
 def _half_spectrum(basis, coeffs):
@@ -93,40 +93,29 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
                        e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi)
 
     kmax = basis.n_modes // 2
+    kernel = assembly_kernel(state, quad, kmax, x)
     c_phi = _half_spectrum(basis, phi_coeffs)
     c_psi = _half_spectrum(basis, psi_coeffs)
-    n_x, n_v = x.size, quad.n_nodes
-    fplus = np.empty((n_x, n_v))
-    fminus = np.empty((n_x, n_v))
-    vh1 = quad.v1 / quad.e
-    vh2 = quad.v2 / quad.e
+    vh1, vh2 = kernel.vh1, kernel.vh2
 
+    # q[s] = Q phi - Q(v2hat psi) - b Q v1hat on the (x, v) grid
     if state.homogeneous and not opts.force_generic:
-        # path moments factor into an x-phase times a node kernel, so the
-        # whole grid reconstructs with two matrix products
-        m0, m1, mv1 = node_moments(state, -1, lam, quad, kmax, 0.0, opts)
-        omega = basis.omega
-        phase = np.exp(1j * np.arange(kmax + 1)[None, :] * omega * x[:, None])
-        q_phi = np.real((phase * c_phi[None, :]) @ m0)
-        q_v2psi = np.real((phase * c_psi[None, :]) @ m1)
-        for sign, store in ((-1, fminus), (+1, fplus)):
-            mu_e = state.profile.mu_e(sign, quad.e, quad.v2)
-            mu_p = state.profile.mu_p(sign, quad.e, quad.v2)
-            store[:] = sign * (mu_e[None, :] * phi_v[:, None]
-                               + mu_p[None, :] * psi_v[:, None]
-                               - mu_e[None, :] * (q_phi - q_v2psi - mode.b * mv1[None, :]))
+        # path moments factor into an x-phase times the kernel's filter, so
+        # the whole grid reconstructs with real matrix products
+        re, im = kernel.filter(lam)
+        p_phi = kernel.phases.T * c_phi[None, :]
+        p_psi = kernel.phases.T * c_psi[None, :]
+        q = p_phi.real @ re - p_phi.imag @ im
+        q -= (p_psi.real @ re - p_psi.imag @ im) * vh2[None, :] + mode.b * vh1[None, :]
+        q = {-1: q, +1: q}
     else:
+        q = {sign: np.empty((x.size, quad.n_nodes)) for sign in (-1, +1)}
         for m, xm in enumerate(x):
             pair = species_pair_moments(state, lam, quad, kmax, xm, opts)
-            for sign, store in ((-1, fminus), (+1, fplus)):
-                p = quad.v2 + sign * float(state.psi0(xm))
-                mu_e = state.profile.mu_e(sign, quad.e, p)
-                mu_p = state.profile.mu_p(sign, quad.e, p)
-                m0, m1, mv1 = pair[sign]
-                q_phi = np.real(c_phi @ m0)
-                q_v2psi = np.real(c_psi @ m1)
-                store[m] = sign * (mu_e * phi_v[m] + mu_p * psi_v[m]
-                                   - mu_e * (q_phi - q_v2psi - mode.b * mv1))
+            for sign, (m0, m1, mv1) in pair.items():
+                q[sign][m] = np.real(c_phi @ m0) - np.real(c_psi @ m1) - mode.b * mv1
+    fminus, fplus = (sign * (kernel.mu[sign][0] * (phi_v[:, None] - q[sign])
+                             + kernel.mu[sign][1] * psi_v[:, None]) for sign in (-1, +1))
 
     diff = fplus - fminus
     mode.fplus, mode.fminus = fplus, fminus
@@ -332,10 +321,9 @@ def physical_defect_coeffs(state, mode, basis, quad):
 
     vh1 = quad.v1 / quad.e
     drop1 = drop2 = 0.0
+    kernel = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
     for sign in (-1, +1):
-        p = quad.v2[None, :] + sign * state.psi0(basis.x_grid)[:, None]
-        mu_e = state.profile.mu_e(sign, quad.e[None, :], p)
-        mu_p = state.profile.mu_p(sign, quad.e[None, :], p)
+        mu_e, mu_p = kernel.mu[sign]
         drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
         drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)

@@ -374,29 +374,16 @@ def _node_moments_generic(state, sign, lam, quad, kmax, x, opts):
     return m0, m1, mv1
 
 
-def _node_moments_translation(state, sign, lam, quad, kmax, x):
-    """Closed forms for straight-line paths: X(s) = x + v1hat * s."""
-    del sign                        # both species share the free flow
-    vh1 = quad.v1 / quad.e
-    vh2 = quad.v2 / quad.e
-    omega = 2.0 * np.pi / state.period
-    ks = np.arange(kmax + 1)[:, None]
-    if lam == 0.0:
-        g = (ks == 0).astype(complex) * np.ones_like(vh1)[None, :]
-    else:
-        g = lam / (lam + 1j * ks * omega * vh1[None, :])
-    phase = np.exp(1j * ks * omega * float(x))
-    m0 = g * phase
-    m1 = vh2[None, :] * m0
-    return m0, m1, vh1.copy()
-
-
 def node_moments(state, species, lam, quad, kmax, x, opts=None):
     """Per-velocity-node path moments at one collocation position."""
     sign = normalize_species(species)
     opts = opts or EvalOptions()
     if state.homogeneous and not opts.force_generic:
-        return _node_moments_translation(state, sign, lam, quad, kmax, x)
+        # straight-line paths X(s) = x + v1hat * s: the kernel's filter times the x-phase
+        kernel = assembly_kernel(state, quad, kmax, [x])
+        re, im = kernel.filter(lam)
+        m0 = (re + 1j * im) * kernel.phases
+        return m0, kernel.vh2[None, :] * m0, kernel.vh1
     return _node_moments_generic(state, sign, lam, quad, kmax, x, opts)
 
 
@@ -424,6 +411,69 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
 # ---------------------------------------------------------------------------
 
 @dataclass
+class AssemblyKernel:
+    """The lam-independent part of the assembly on one state and grid.
+
+    ``mu[s]`` holds species s's (mu_e, mu_p) at the M collocation points
+    and m_e, m_vp, m_p the local moments.  Straight-line (homogeneous)
+    states also keep the species-summed W = [mu_e w, mu_e vh2^2 w,
+    mu_e vh2 w], the avg(V1hat) integrals c, d, lint and a = k w vh1, so a
+    rate costs one real filter and two products.  Magnetized orbits are
+    not cached: a single-rate assembly would not reuse them.
+    """
+
+    vh1: np.ndarray
+    vh2: np.ndarray
+    phases: np.ndarray             # exp(i k w x_m), (kmax+1, M)
+    mu: dict
+    m_e: np.ndarray
+    m_vp: np.ndarray
+    m_p: np.ndarray
+    a: np.ndarray = None
+    W: np.ndarray = None
+    c: float = 0.0
+    d: float = 0.0
+    lint: float = 0.0
+
+    def filter(self, lam):
+        """lam/(lam + i a) = lam^2/(lam^2 + a^2) (1 - i a/lam), as (real, imag)."""
+        if lam == 0.0:
+            re = np.zeros_like(self.a)
+            re[0] = 1.0
+            return re, np.zeros_like(self.a)
+        re = lam * lam / (lam * lam + self.a * self.a)
+        return re, -(self.a / lam) * re
+
+
+def assembly_kernel(state, quad, kmax, x_grid):
+    """Evaluate the profile once; build per state, quadrature, grid and kmax."""
+    x_grid = np.asarray(x_grid, dtype=float)
+    M = x_grid.size
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    ks = np.arange(kmax + 1)[:, None] * (2.0 * np.pi / state.period)
+    # without a potential the fields do not depend on x: one row, viewed M times
+    rows = x_grid[:1] if state.homogeneous else x_grid
+    kern = AssemblyKernel(vh1=vh1, vh2=vh2, phases=np.exp(1j * ks * x_grid[None, :]), mu={},
+                          m_e=0.0, m_vp=0.0, m_p=0.0)
+    for sign in (-1, +1):
+        p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
+        mu_e = state.profile.mu_e(sign, quad.e[None, :], p)
+        mu_p = state.profile.mu_p(sign, quad.e[None, :], p)
+        kern.mu[sign] = (np.broadcast_to(mu_e, (M, quad.n_nodes)),
+                         np.broadcast_to(mu_p, (M, quad.n_nodes)))
+        kern.m_e = kern.m_e + np.sum(mu_e * quad.w, axis=1)
+        kern.m_vp = kern.m_vp + np.sum(vh2 * mu_p * quad.w, axis=1)
+        kern.m_p = kern.m_p + np.sum(mu_p * quad.w, axis=1)
+    if state.homogeneous:
+        we = (kern.mu[-1][0][0] + kern.mu[+1][0][0]) * quad.w      # species-summed mu_e w
+        kern.a, kern.W = ks * vh1[None, :], np.column_stack([we, we * vh2 * vh2, we * vh2])
+        kern.c, kern.d, kern.lint = (float(np.sum(we * f)) for f in (vh1, vh2 * vh1, vh1 * vh1))
+    kern.m_e, kern.m_vp, kern.m_p = (np.broadcast_to(v, M)
+                                     for v in (kern.m_e, kern.m_vp, kern.m_p))
+    return kern
+
+
+@dataclass
 class MomentProfiles:
     """Velocity integrals of the path moments on the collocation grid.
 
@@ -447,74 +497,37 @@ class MomentProfiles:
     m_p: np.ndarray
 
 
-def _species_fields(state, sign, quad, x):
-    p = quad.v2 + sign * float(state.psi0(x))
-    mu_e = state.profile.mu_e(sign, quad.e, p)
-    mu_p = state.profile.mu_p(sign, quad.e, p)
-    return mu_e, mu_p
-
-
-def moment_profiles(state, lam, quad, kmax, x_grid, opts=None):
+def moment_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
+    """Moment profiles at one rate; ``kernel`` is built here when not given."""
     opts = opts or EvalOptions()
+    if kernel is None:
+        kernel = assembly_kernel(state, quad, kmax, x_grid)
     M = x_grid.size
-    vh1 = quad.v1 / quad.e
-    vh2 = quad.v2 / quad.e
-    out = MomentProfiles(
-        T1=np.zeros((kmax + 1, M), dtype=complex), T2=np.zeros((kmax + 1, M), dtype=complex),
-        T3=np.zeros((kmax + 1, M), dtype=complex), T4=np.zeros((kmax + 1, M), dtype=complex),
-        c=np.zeros(M), d=np.zeros(M), lint=np.zeros(M),
-        m_e=np.zeros(M), m_vp=np.zeros(M), m_p=np.zeros(M))
 
     if state.homogeneous and not opts.force_generic:
         # translation invariance: velocity integrals once, phases per x
-        omega = 2.0 * np.pi / state.period
-        ks = np.arange(kmax + 1)[:, None]
-        if lam == 0.0:
-            g = (ks == 0).astype(complex) * np.ones_like(vh1)[None, :]
-        else:
-            g = lam / (lam + 1j * ks * omega * vh1[None, :])
-        tau1 = np.zeros(kmax + 1, dtype=complex)
-        tau2 = np.zeros(kmax + 1, dtype=complex)
-        tau3 = np.zeros(kmax + 1, dtype=complex)
-        c0 = d0 = l0 = 0.0
-        for sign in (-1, +1):
-            mu_e, mu_p = _species_fields(state, sign, quad, 0.0)
-            tau1 += g @ (mu_e * quad.w)
-            tau2 += g @ (mu_e * vh2 * vh2 * quad.w)
-            tau3 += g @ (mu_e * vh2 * quad.w)
-            c0 += float(np.sum(mu_e * vh1 * quad.w))
-            d0 += float(np.sum(vh2 * mu_e * vh1 * quad.w))
-            l0 += float(np.sum(vh1 * mu_e * vh1 * quad.w))
-            out.m_e += float(np.sum(mu_e * quad.w))
-            out.m_vp += float(np.sum(vh2 * mu_p * quad.w))
-            out.m_p += float(np.sum(mu_p * quad.w))
-        phases = np.exp(1j * np.arange(kmax + 1)[:, None] * omega * x_grid[None, :])
-        out.T1 = tau1[:, None] * phases
-        out.T2 = tau2[:, None] * phases
-        out.T3 = tau3[:, None] * phases
-        out.T4 = tau3[:, None] * phases
-        out.c += c0
-        out.d += d0
-        out.lint += l0
-        return out
+        re, im = kernel.filter(lam)
+        tau = re @ kernel.W + 1j * (im @ kernel.W)
+        T1, T2, T3 = (tau[:, j:j + 1] * kernel.phases for j in range(3))
+        return MomentProfiles(T1, T2, T3, T3, np.full(M, kernel.c), np.full(M, kernel.d),
+                              np.full(M, kernel.lint), kernel.m_e, kernel.m_vp, kernel.m_p)
 
+    vh1, vh2 = kernel.vh1, kernel.vh2
+    T = np.zeros((4, kmax + 1, M), dtype=complex)
+    c, d, lint = np.zeros(M), np.zeros(M), np.zeros(M)
     for m, x in enumerate(x_grid):
         pair = species_pair_moments(state, lam, quad, kmax, x, opts)
         for sign in (-1, +1):
-            mu_e, mu_p = _species_fields(state, sign, quad, x)
             m0, m1, mv1 = pair[sign]
-            we = mu_e * quad.w
-            out.T1[:, m] += m0 @ we
-            out.T2[:, m] += m1 @ (we * vh2)
-            out.T3[:, m] += m1 @ we
-            out.T4[:, m] += m0 @ (we * vh2)
-            out.c[m] += float(np.sum(we * mv1))
-            out.d[m] += float(np.sum(we * vh2 * mv1))
-            out.lint[m] += float(np.sum(we * vh1 * mv1))
-            out.m_e[m] += float(np.sum(we))
-            out.m_vp[m] += float(np.sum(vh2 * mu_p * quad.w))
-            out.m_p[m] += float(np.sum(mu_p * quad.w))
-    return out
+            we = kernel.mu[sign][0][m] * quad.w
+            T[0, :, m] += m0 @ we
+            T[1, :, m] += m1 @ (we * vh2)
+            T[2, :, m] += m1 @ we
+            T[3, :, m] += m0 @ (we * vh2)
+            c[m] += float(np.sum(we * mv1))
+            d[m] += float(np.sum(we * vh2 * mv1))
+            lint[m] += float(np.sum(we * vh1 * mv1))
+    return MomentProfiles(*T, c, d, lint, kernel.m_e, kernel.m_vp, kernel.m_p)
 
 
 @dataclass
@@ -563,8 +576,12 @@ def _symmetrize(Mx, name, tol_sym, defects):
     return 0.5 * (Mx + Mx.T)
 
 
-def assemble_blocks(state, lam, basis, quad, opts=None):
-    """All operator blocks at a single growth parameter lam >= 0."""
+def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
+    """All operator blocks at a single growth parameter lam >= 0.
+
+    ``kernel`` is the state's ``AssemblyKernel`` on this basis and
+    quadrature; callers that assemble at many rates build it once.
+    """
     if basis.mean_zero:
         raise VmspecError("assemble_blocks needs the full basis (constant included)")
     if lam < 0:
@@ -573,7 +590,7 @@ def assemble_blocks(state, lam, basis, quad, opts=None):
     kmax = basis.n_modes // 2
     x = basis.x_grid
     w = basis.quad_weight
-    prof = moment_profiles(state, lam, quad, kmax, x, opts)
+    prof = moment_profiles(state, lam, quad, kmax, x, opts, kernel)
 
     Uf = basis.values                       # (M, N+1)
     mz = [j for j in range(basis.n_functions) if basis.k_index[j] > 0]

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .errors import HypothesisError, SpuriousIntervalError, VmspecError
-from .operators import EvalOptions, ModalBasis, assemble_M, assemble_blocks
+from .operators import (EvalOptions, ModalBasis, assemble_M, assemble_blocks,
+                        assembly_kernel)
 
 UNSTABLE_T1 = "UNSTABLE_T1"
 UNSTABLE_T2 = "UNSTABLE_T2"
@@ -176,6 +176,7 @@ class SweepResult:
     k_count: int                   # n - neg(A1) + neg(A2) + neg(l0)
     modal: ModalBasis = field(repr=False, default=None)
     blocks0: object = field(repr=False, default=None)
+    assembly: object = field(repr=False, default=None)     # the AssemblyKernel
 
     def count_at(self, i):
         return self.counts[i]
@@ -187,7 +188,7 @@ def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
     return np.geomspace(lo * w, hi * w, n_points)
 
 
-def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None, jobs=1):
+def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     """Counts of negative eigenvalues of the truncated matrix across lam.
 
     Records the full spectra, the per-lam distance to a kernel, and every
@@ -198,18 +199,12 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None, jobs=1):
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
             or np.any(np.diff(lam_grid) <= 0):
         raise VmspecError("lam grid must be ascending and strictly positive")
-    blocks0 = assemble_blocks(state, 0.0, basis, quad, opts)
+    kernel = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
+    blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
     modal = modal_truncation(blocks0, tol_eig)
-
-    def spectrum(lam):
-        blocks = assemble_blocks(state, lam, basis, quad, opts)
-        return symmetric_eigen(assemble_M(blocks, n, modal, opts.tol_zero)).values
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            spectra = list(pool.map(spectrum, lam_grid))
-    else:
-        spectra = [spectrum(lam) for lam in lam_grid]
+    spectra = [symmetric_eigen(assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel),
+                                          n, modal, opts.tol_zero)).values
+               for lam in lam_grid]
     eigenvalues = np.column_stack(spectra)
     counts = [count_eigenvalues(eigenvalues[:, i], tol_eig) for i in range(lam_grid.size)]
     min_abs = np.min(np.abs(eigenvalues), axis=0)
@@ -225,7 +220,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None, jobs=1):
     return SweepResult(lam_grid=lam_grid, eigenvalues=eigenvalues, counts=counts,
                        min_abs=min_abs, crossings=crossings, n=n, l0=blocks0.l,
                        neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count,
-                       modal=modal, blocks0=blocks0)
+                       modal=modal, blocks0=blocks0, assembly=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +302,7 @@ def locate_kernel_for_state(state, basis, quad, sweep_result, interval_index=0,
     modal = sweep_result.modal
 
     def assemble_fn(lam):
-        blocks = assemble_blocks(state, lam, basis, quad, opts)
+        blocks = assemble_blocks(state, lam, basis, quad, opts, sweep_result.assembly)
         return assemble_M(blocks, sweep_result.n, modal, opts.tol_zero)
 
     return locate_kernel(assemble_fn, iv["lam_lo"], iv["lam_hi"],

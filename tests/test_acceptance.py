@@ -7,10 +7,13 @@ expected to fail and are left failing on purpose, in three sub-checks:
 c2.neg_a2_at_least_one, c2.verdict_unstable and c4.crossing_exists.  Any
 other [FAIL] line is a bug.  The analysis lives in the
 decisions ledger, docs/DECISIONS.md.  In short: for any mirror-paired
-equilibrium the constant-direction entry of the second field operator
-equals the full transverse inertia sum_s int mu (1+v1^2)/e^3 dv, which is
-strictly positive, so that operator cannot have a negative eigenvalue for
-an energy-only profile and the counting criterion cannot fire for it.
+homogeneous equilibrium the constant-direction entry of the second field
+operator equals the full transverse inertia sum_s int mu (1+v1^2)/e^3 dv,
+which is strictly positive, so that operator cannot have a negative
+eigenvalue for an energy-only profile and the counting criterion cannot
+fire for it.  The proof uses straight-line paths; for magnetized states
+the identity is open (on weak_state at lam = 0, A2[0,0] = 0.9285 against
+an inertia of 0.9437) until the lam = 0 magnetized blocks are accurate.
 The machinery itself is exercised end to end by the anisotropic member of
 the weak-field family (see test_growing_mode.py), which is genuinely
 unstable and passes every residual at the same tolerances.

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import vmspec as vm
+import vmspec.operators as ops
 from vmspec.characteristics import PhasePoint
 from vmspec.errors import AssemblyError, VmspecError
-from vmspec.operators import EvalOptions, moment_profiles
+from vmspec.operators import EvalOptions, MomentProfiles, assembly_kernel, moment_profiles
 
 RING_EXACT = 1.5 - np.log(2.0)
 TAIL_RING_PINNED = -2.5311167899453655
@@ -145,6 +146,64 @@ def test_zero_profile_assembles_free_blocks(zero_profile, paper_quad):
         assert np.max(np.abs(blocks.C)) <= 1e-14
         assert np.max(np.abs(blocks.D)) <= 1e-14
         assert abs(blocks.l) <= 1e-14
+
+
+def _straight_line_filter(state, lam, quad, kmax):
+    """Reference: lam/(lam + i k w v1hat) in complex arithmetic."""
+    ks = np.arange(kmax + 1)[:, None]
+    if lam == 0.0:
+        return (ks == 0).astype(complex) * np.ones(quad.n_nodes)[None, :]
+    return lam / (lam + 1j * ks * (2.0 * np.pi / state.period) * (quad.v1 / quad.e)[None, :])
+
+
+def _straight_line_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
+    """Reference: the per-rate closed form with a complex filter and the
+    profile evaluated afresh for each species."""
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    omega = 2.0 * np.pi / state.period
+    ks = np.arange(kmax + 1)[:, None]
+    g = _straight_line_filter(state, lam, quad, kmax)
+    tau = np.zeros((3, kmax + 1), dtype=complex)
+    scal = np.zeros(6)
+    for sign in (-1, +1):
+        mu_e = state.profile.mu_e(sign, quad.e, quad.v2)
+        mu_p = state.profile.mu_p(sign, quad.e, quad.v2)
+        we = mu_e * quad.w
+        tau += [g @ we, g @ (we * vh2 * vh2), g @ (we * vh2)]
+        scal += [np.sum(we * vh1), np.sum(we * vh2 * vh1), np.sum(we * vh1 * vh1),
+                 np.sum(we), np.sum(vh2 * mu_p * quad.w), np.sum(mu_p * quad.w)]
+    phases = np.exp(1j * ks * omega * x_grid[None, :])
+    T1, T2, T3 = (t[:, None] * phases for t in tau)
+    return MomentProfiles(T1, T2, T3, T3, *(np.full(x_grid.size, v) for v in scal))
+
+
+def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, aniso_state,
+                                                  paper_quad, aniso_quad):
+    # one kernel serves every rate, in real arithmetic; B, C and D vanish
+    # for these mirror pairs, so they are measured against the A blocks.
+    # The filter's imaginary part cancels in the blocks of v1-even
+    # profiles, so the per-node moments are checked as well.
+    for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
+        basis = vm.build_fourier_basis(state.period, 8)
+        w = 2 * np.pi / state.period
+        kern = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
+        for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
+            got = vm.assemble_blocks(state, lam, basis, quad, kernel=kern)
+            with monkeypatch.context() as mp:
+                mp.setattr(ops, "moment_profiles", _straight_line_profiles)
+                want = vm.assemble_blocks(state, lam, basis, quad)
+            scale = max(np.max(np.abs(want.A1)), np.max(np.abs(want.A2)))
+            for name in ("A1", "A2"):
+                ref = getattr(want, name)
+                assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            for name in ("B", "C", "D"):
+                diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+                assert diff <= 1e-12 * scale, (name, lam, diff)
+            assert abs(got.l - want.l) <= 1e-12 * abs(want.l), (lam, got.l, want.l)
+            m0 = vm.node_moments(state, -1, lam, quad, 4, 0.3)[0]
+            ref = _straight_line_filter(state, lam, quad, 4) * np.exp(
+                1j * np.arange(5)[:, None] * w * 0.3)
+            assert np.max(np.abs(m0 - ref)) <= 1e-12
 
 
 def test_paper_profile_current_response_value(paper_state, paper_quad):

@@ -103,14 +103,6 @@ def test_sweep_unstable_profile_counts_and_refinement(aniso_state, aniso_quad):
     assert fine.crossings[0]["lam_lo"] < hi and lo < fine.crossings[0]["lam_hi"]
 
 
-def test_sweep_parallel_matches_serial(aniso_state, aniso_quad):
-    basis = vm.build_fourier_basis(aniso_state.period, 8)
-    grid = vm.default_lambda_grid(aniso_state.period, n_points=8)
-    a = vm.sweep(aniso_state, basis, aniso_quad, 3, grid, jobs=1)
-    b = vm.sweep(aniso_state, basis, aniso_quad, 3, grid, jobs=4)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-
-
 def test_sweep_rejects_bad_grid(aniso_state, aniso_quad):
     basis = vm.build_fourier_basis(aniso_state.period, 8)
     with pytest.raises(VmspecError):
@@ -154,6 +146,28 @@ def test_locate_kernel_for_state_normalization(aniso_state, aniso_quad):
     assert abs(norm - 1.0) <= 1e-12
     # nontrivial in the magnetic component
     assert np.linalg.norm(cr.psi) + abs(cr.b) > 1e-6
+
+
+def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
+    # the lam-independent fields come from one kernel per sweep: each
+    # species' mu_e and mu_p are evaluated once, not once per assembly
+    prof = aniso_state.profile
+    calls = {"mu_e": 0, "mu_p": 0}
+
+    def counted(name, fn):
+        def wrapped(e, p):
+            calls[name] += 1
+            return fn(e, p)
+        return wrapped
+
+    wrapped = vm.EquilibriumProfile(prof.mu_minus, counted("mu_e", prof.mu_minus_e),
+                                    counted("mu_p", prof.mu_minus_p), kinks=prof.kinks)
+    state = vm.make_homogeneous_state(wrapped, aniso_state.period)
+    basis = vm.build_fourier_basis(state.period, 12)
+    grid = vm.default_lambda_grid(state.period, n_points=24)
+    sw = vm.sweep(state, basis, aniso_quad, 4, grid)
+    vm.locate_kernel_for_state(state, basis, aniso_quad, sw)
+    assert calls == {"mu_e": 2, "mu_p": 2}
 
 
 def test_sweep_exports(tmp_path, aniso_state, aniso_quad):
