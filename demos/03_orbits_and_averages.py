@@ -36,16 +36,16 @@ print("\n== smoothing average interpolates between limits ==")
 w = 2 * np.pi / state.period
 h = lambda x, v1, v2: np.cos(w * x)
 pt = PhasePoint(0.5, 0.02, 0.9)          # a trapped orbit
-proj = vm.apply_projection(vm.ProjectionEvaluator(state), "-", h, pt)
+proj = vm.ProjectionEvaluator(state).apply("-", h, pt)
 print(f"{'lam':>8s} {'average':>12s}")
 for lam in (10.0, 1.0, 0.1, 0.01):
     ev = vm.SmoothingEvaluator(state, lam, EvalOptions(k_osc=1))
-    print(f"{lam:8g} {vm.apply_smoothing(ev, '-', h, pt):12.6f}")
+    print(f"{lam:8g} {ev.apply('-', h, pt):12.6f}")
 print(f"{'orbit avg':>8s} {proj:12.6f}   (the slow-growth limit)")
 print(f"{'value':>8s} {float(h(np.asarray(pt.x), 0, 0)):12.6f}   (the fast-growth limit)")
 
 print("\n== the average of any function of the invariants is itself ==")
 inv = lambda x, v1, v2: np.sqrt(1 + v1**2 + v2**2) + 0.3 * (v2 - state.psi0(x))
-got = vm.apply_projection(vm.ProjectionEvaluator(state), "-", inv, pt)
+got = vm.ProjectionEvaluator(state).apply("-", inv, pt)
 want = float(inv(np.asarray(pt.x), np.asarray(pt.v1), np.asarray(pt.v2)))
 print(f"orbit average {got:.10f} vs pointwise value {want:.10f}")

@@ -16,11 +16,10 @@ from .equilibrium import (CenterConditions, EquilibriumProfile, EquilibriumState
                           check_center_conditions, find_center_amplitude,
                           make_homogeneous_state, solve_equilibrium_potential,
                           source_term, validate_profile)
-from .characteristics import (OrbitInfo, PhasePoint, StepOptions, TrajectorySample,
-                              flow, orbit_info, sample_backward)
-from .operators import (EvalOptions, ModalBasis, OperatorBlocks, ProjectionEvaluator,
-                        SmoothingEvaluator, apply_projection, apply_smoothing,
-                        assemble_M, assemble_blocks, export_blocks, node_moments)
+from .characteristics import PhasePoint, StepOptions, TrajectorySample, flow, sample_backward
+from .operators import (EvalOptions, ModalBasis, OperatorBlocks, OrbitInfo,
+                        ProjectionEvaluator, SmoothingEvaluator, assemble_M, assemble_blocks,
+                        export_blocks, node_moments, orbit_info)
 from .spectra import (INCONCLUSIVE, UNSTABLE_T1, UNSTABLE_T2, CountReport,
                       EigenDecomposition, KernelCrossing, SweepResult, VerdictResult,
                       count_eigenvalues, default_lambda_grid, locate_kernel,

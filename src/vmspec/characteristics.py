@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConservationError, OrbitError, VmspecError
+from .errors import ConservationError, VmspecError
 
 STATIONARY_EPS = 1e-14
 
@@ -165,98 +165,50 @@ class TrajectorySample:
     drift_p: float
 
 
+def backward_path(state, species, start, s_nodes, dt=None):
+    """States at the descending times ``s_nodes`` (all <= 0), one continuous
+    integration with steps of at most ``dt``; positions are wrapped."""
+    sign = normalize_species(species)
+    n = s_nodes.size
+    if state.homogeneous:
+        e = start.energy
+        x = (start.x + (start.v1 / e) * s_nodes) % state.period
+        return x, np.full(n, start.v1), np.full(n, start.v2)
+    dt = dt if dt is not None else default_dt(state)
+    xs, v1s, v2s = np.empty(n), np.empty(n), np.empty(n)
+    x, v1, v2 = np.float64(start.x), np.float64(start.v1), np.float64(start.v2)
+    t = 0.0
+    for i, s in enumerate(s_nodes):
+        x, v1, v2 = _integrate_to(state, sign, x, v1, v2, s - t, dt)
+        t = s
+        xs[i], v1s[i], v2s[i] = x, v1, v2
+    return xs % state.period, v1s, v2s
+
+
 def sample_backward(state, species, start, horizon, n_nodes, opts=None):
-    """States at Gauss nodes on [-horizon, 0], one continuous integration."""
+    """States at Gauss nodes on [-horizon, 0]; the step halves until the
+    drift of both invariants sits below ``opts.tol_cons``."""
     sign = normalize_species(species)
     opts = opts or StepOptions()
     if n_nodes < 2:
         raise VmspecError("sample_backward needs at least 2 nodes")
     s_nodes, _ = backward_gauss_nodes(horizon, n_nodes)
-
     if state.homogeneous:
-        e = start.energy
-        x = (start.x + (start.v1 / e) * s_nodes) % state.period
-        return TrajectorySample(sign, s_nodes, x,
-                                np.full(n_nodes, start.v1), np.full(n_nodes, start.v2),
+        return TrajectorySample(sign, s_nodes, *backward_path(state, sign, start, s_nodes),
                                 0.0, 0.0)
 
     dt = opts.dt if opts.dt is not None else default_dt(state)
+    e0 = start.energy
+    p0 = start.momentum(state, sign)
     for _ in range(opts.max_halvings + 1):
-        xs = np.empty(n_nodes)
-        v1s = np.empty(n_nodes)
-        v2s = np.empty(n_nodes)
-        x, v1, v2 = np.float64(start.x), np.float64(start.v1), np.float64(start.v2)
-        t = 0.0
-        for i, s in enumerate(s_nodes):
-            x, v1, v2 = _integrate_to(state, sign, x, v1, v2, s - t, dt)
-            t = s
-            xs[i], v1s[i], v2s[i] = x, v1, v2
-        e0 = start.energy
-        p0 = start.momentum(state, sign)
+        xs, v1s, v2s = backward_path(state, sign, start, s_nodes, dt)
         es = np.sqrt(1.0 + v1s ** 2 + v2s ** 2)
         ps = v2s + sign * state.psi0(xs)
         de = float(np.max(np.abs(es - e0)))
         dp = float(np.max(np.abs(ps - p0)))
         if de <= opts.tol_cons and dp <= opts.tol_cons:
-            return TrajectorySample(sign, s_nodes, xs % state.period, v1s, v2s, de, dp)
+            return TrajectorySample(sign, s_nodes, xs, v1s, v2s, de, dp)
         dt *= 0.5
     raise ConservationError(
         "conservation failure along sample: |de|=%.3e |dp|=%.3e" % (de, dp),
         drift_e=de, drift_p=dp)
-
-
-# ---------------------------------------------------------------------------
-# orbit classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    kind: str                      # "stationary" | "passing" | "trapped"
-    period: float
-    winding: int
-
-
-def orbit_info(state, species, start, max_period=1e4, opts=None):
-    """Classify the orbit through ``start`` and measure its minimal period.
-
-    Passing orbits advance x by one period P; trapped orbits bounce between
-    turning points, and twice the gap between consecutive turnings is the
-    period regardless of the starting phase.
-    """
-    sign = normalize_species(species)
-    opts = opts or StepOptions()
-    e = start.energy
-    vh1 = start.v1 / e
-    if state.homogeneous:
-        if abs(vh1) < STATIONARY_EPS:
-            return OrbitInfo("stationary", 0.0, 0)
-        return OrbitInfo("passing", state.period / abs(vh1), int(np.sign(start.v1)))
-
-    if abs(vh1) < STATIONARY_EPS and abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
-        return OrbitInfo("stationary", 0.0, 0)
-
-    dt = opts.dt if opts.dt is not None else default_dt(state)
-    P = state.period
-    x, v1, v2 = np.float64(start.x), np.float64(start.v1), np.float64(start.v2)
-    disp = 0.0
-    t = 0.0
-    turnings = []
-    if v1 == 0.0:
-        turnings.append(0.0)
-    n_max = int(max_period / dt)
-    for _ in range(n_max):
-        x_n, v1_n, v2_n = rk4_step_arrays(state, sign, x, v1, v2, dt)
-        e_n = math.sqrt(1.0 + v1_n ** 2 + v2_n ** 2)
-        # trapezoid displacement is adequate for event location
-        disp_n = disp + 0.5 * (v1 / math.sqrt(1.0 + v1 * v1 + v2 * v2) + v1_n / e_n) * dt
-        t_n = t + dt
-        if abs(disp_n) >= P:
-            frac = (P - abs(disp)) / (abs(disp_n) - abs(disp))
-            return OrbitInfo("passing", t + frac * dt, int(np.sign(disp_n)))
-        if v1 != 0.0 and v1_n != 0.0 and np.sign(v1_n) != np.sign(v1):
-            frac = v1 / (v1 - v1_n)
-            turnings.append(t + frac * dt)
-            if len(turnings) == 2:
-                return OrbitInfo("trapped", 2.0 * (turnings[1] - turnings[0]), 0)
-        x, v1, v2, t, disp = x_n, v1_n, v2_n, t_n, disp_n
-    raise OrbitError("orbit not resolved within max_period=%.3g" % max_period)

@@ -47,10 +47,8 @@ class RunConfig:
     n_r_tail: int = 24
     n_x: int = 32                  # trigonometric modes
     n: int = 8                     # truncation size
-    n_s: int = 128                 # backward-quadrature node floor
     n_per_period: int = 128
     tol_tail: float = 1e-8
-    tol_cons: float = 1e-10
     tol_eig: float = None
     tol_kernel: float = None
     tol_sym: float = 1e-8
@@ -61,16 +59,14 @@ class RunConfig:
     lambda_points: int = 48
     find_mode: bool = False
     emit_spectra: bool = False
-    seed: int = 0
     out: str = "out"
     canonical: bool = False        # drop timings for byte-stable reports
 
     def validate(self):
-        for name in ("n_r", "n_theta", "n_r_tail", "n_x", "n", "n_s", "n_per_period",
-                     "lambda_points"):
+        for name in ("n_r", "n_theta", "n_r_tail", "n_x", "n", "n_per_period", "lambda_points"):
             if int(getattr(self, name)) <= 0:
                 raise ConfigError("%s must be positive" % name)
-        for name in ("tol_tail", "tol_cons", "tol_sym", "tol_residual", "tol_validate"):
+        for name in ("tol_tail", "tol_sym", "tol_residual", "tol_validate"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ConfigError("%s must lie in (0, 1)" % name)
@@ -97,10 +93,8 @@ _KEYMAP = {
     "disc.n_r_tail": "n_r_tail",
     "disc.n_x": "n_x",
     "disc.n": "n",
-    "disc.n_s": "n_s",
     "disc.n_per_period": "n_per_period",
     "tol.tail": "tol_tail",
-    "tol.cons": "tol_cons",
     "tol.eig": "tol_eig",
     "tol.kernel": "tol_kernel",
     "tol.sym": "tol_sym",
@@ -111,7 +105,6 @@ _KEYMAP = {
     "lambda.points": "lambda_points",
     "run.find_mode": "find_mode",
     "run.emit_spectra": "emit_spectra",
-    "run.seed": "seed",
     "run.out": "out",
     "run.canonical": "canonical",
 }
@@ -175,7 +168,7 @@ def _build_state(cfg, profile, quad):
 
 
 def _eval_options(cfg, generic_tol_sym=None):
-    return EvalOptions(n_s_min=cfg.n_s, n_per_period=cfg.n_per_period,
+    return EvalOptions(n_per_period=cfg.n_per_period,
                        tol_sym=generic_tol_sym if generic_tol_sym is not None else cfg.tol_sym)
 
 

@@ -305,6 +305,16 @@ class OdeOptions:
     residual_points: int = 64
 
 
+def _well_step(g, psi, u, h):
+    """One RK4 step of (psi, u)' = (u, g(psi))."""
+    k1p, k1u = u, g(psi)
+    k2p, k2u = u + 0.5 * h * k1u, g(psi + 0.5 * h * k1p)
+    k3p, k3u = u + 0.5 * h * k2u, g(psi + 0.5 * h * k2p)
+    k4p, k4u = u + h * k3u, g(psi + h * k3p)
+    return (psi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p),
+            u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u))
+
+
 def _rk4_well(g, y0, h, n_max):
     """Integrate (psi, u)' = (u, g(psi)) recording u-sign changes.
 
@@ -315,12 +325,7 @@ def _rk4_well(g, y0, h, n_max):
     traj = [(0.0, psi, u)]
     t = 0.0
     for _ in range(n_max):
-        k1p, k1u = u, g(psi)
-        k2p, k2u = u + 0.5 * h * k1u, g(psi + 0.5 * h * k1p)
-        k3p, k3u = u + 0.5 * h * k2u, g(psi + 0.5 * h * k2p)
-        k4p, k4u = u + h * k3u, g(psi + h * k3p)
-        psi_n = psi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        u_n = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        psi_n, u_n = _well_step(g, psi, u, h)
         t_n = t + h
         if not (abs(psi_n) < 1e6 and abs(u_n) < 1e6):
             break                  # escaped the well; no closed orbit here
@@ -386,12 +391,7 @@ def solve_equilibrium_potential(profile, epsilon, quad, opts=None):
     samples = np.empty(opts.n_samples)
     for i in range(opts.n_samples):
         samples[i] = psi
-        k1p, k1u = u, g(psi)
-        k2p, k2u = u + 0.5 * h2 * k1u, g(psi + 0.5 * h2 * k1p)
-        k3p, k3u = u + 0.5 * h2 * k2u, g(psi + 0.5 * h2 * k2p)
-        k4p, k4u = u + h2 * k3u, g(psi + h2 * k3p)
-        psi = psi + (h2 / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        u = u + (h2 / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        psi, u = _well_step(g, psi, u, h2)
 
     pot = MagneticPotential(T, samples)
     state = EquilibriumState(profile, pot)

@@ -1,20 +1,33 @@
 """Path averages and Galerkin assembly of the wave-operator blocks.
 
-Two evaluators realize the averages that enter every operator:
+Every operator is built from averages of a function kappa along backward
+particle paths: the exponentially weighted average lam e^(lam s) on
+(-inf, 0] at growth rate lam > 0, and its lam = 0 limit, the average over
+one orbit period, which is the projection onto flow-invariant functions.
 
-* ``SmoothingEvaluator`` (growth parameter lam > 0): exponentially weighted
-  average of a function along the backward trajectory, computed by composite
-  Gauss-Legendre quadrature on [-S, 0] with S = -ln(tol_tail_s)/lam.
-* ``ProjectionEvaluator`` (lam = 0 limit): average over one exact orbit
-  period, the orthogonal projection onto flow-invariant functions.
+Magnetized orbits come from one engine.  ``_orbit_periods_batch`` measures
+each lane's period, or reports that the lane did not close within the
+horizon; ``_orbit_samples_batch`` samples each lane at its own uniform
+step.  One reducer, ``_weighted_moments``, turns the samples and per-sample
+weights G into the three moment families that enter the assembly,
 
-Matrix assembly reduces everything to three per-node moment families along
-trajectories: avg(exp(i k w X)), avg(V2hat exp(i k w X)) and avg(V1hat).
-For homogeneous states these have closed forms; for magnetized states each
-orbit is periodic, so the weighted average equals the orbit's Fourier
-series filtered by lam/(lam + i m Omega), evaluated from one period of
-trajectory samples.  That route stays accurate uniformly in lam, which a
-fixed-node rule on [-S, 0] cannot do once lam*S oscillations pile up.
+    m0[k] = sum_j G_j Z_j^k,   m1[k] = sum_j G_j vh2_j Z_j^k,
+    mv1 = Re sum_j G_j vh1_j,  with Z = exp(i w X),
+
+and the rate enters only through G:
+
+* 1/n at lam = 0, the plain orbit average;
+* fft(lam/(lam + i m Omega))/n on a closed orbit at lam > 0, which is the
+  resolvent filter applied to the orbit's discrete Fourier series and
+  stays accurate uniformly in lam;
+* the exponential window weights on [-S, 0] for a lane whose orbit did
+  not close, sampled backward.
+
+``orbit_info`` and ``ProjectionEvaluator`` are one-lane views on the same
+engine.  ``SmoothingEvaluator`` keeps a direct composite Gauss-Legendre
+rule on the RK4 path of ``characteristics``, as the independent reference
+for the small-rate limit.  Homogeneous states use the straight-line
+closed form, held once per state in ``AssemblyKernel``.
 """
 
 from __future__ import annotations
@@ -27,9 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .characteristics import (StepOptions, default_dt, normalize_species,
-                              orbit_info, rk4_step_arrays)
+from .characteristics import (STATIONARY_EPS, StepOptions, backward_path, default_dt,
+                              normalize_species, rk4_step_arrays)
 from .errors import AssemblyError, OrbitError, VmspecError
+
+N_S_MIN = 128          # node floor of the smoothing rule
+NODES_PER_WAVE = 8.0   # smoothing-rule nodes per oscillation along the path
+MAX_PERIOD = 1e4       # default search limit of ``orbit_info``
+CHUNK = 1024           # lanes sampled together in the assembly
 
 
 @dataclass(frozen=True)
@@ -37,18 +55,14 @@ class EvalOptions:
     """Knobs shared by the evaluators and the assembly backends."""
 
     tol_tail_s: float = 1e-10      # truncation weight for the backward horizon
-    n_s_min: int = 128
-    nodes_per_wave: float = 8.0
     k_osc: int = 16                # assumed highest spatial harmonic of integrands
     n_per_period: int = 128        # orbit samples per period (>= 64)
-    max_period: float = 1e4
     horizon_periods: float = 25.0  # fallback horizon for unresolved orbits
     dt: float = None
     force_generic: bool = False    # disable the homogeneous closed forms (testing)
     species_symmetry: bool = True  # derive + species moments from - by reflection
     tol_sym: float = 1e-8
     tol_zero: float = 1e-6
-    chunk: int = 1024
 
     def step_options(self):
         return StepOptions(dt=self.dt)
@@ -72,7 +86,7 @@ class SmoothingEvaluator:
         # composite rule: enough panels for both the exponential scale and
         # the fastest expected oscillation along the path
         waves = self.opts.k_osc * self.horizon / state.period
-        n_nodes = max(self.opts.n_s_min, int(self.opts.nodes_per_wave * waves))
+        n_nodes = max(N_S_MIN, int(NODES_PER_WAVE * waves))
         per_panel = 16
         self.n_panels = max(4, int(math.ceil(n_nodes / per_panel)))
         xs, ws = leggauss(per_panel)
@@ -91,85 +105,19 @@ class SmoothingEvaluator:
     def path(self, species, point):
         key = (normalize_species(species), point.x, point.v1, point.v2)
         if key not in self._cache:
-            self._cache[key] = _sample_at_times(self.state, key[0], point,
-                                                self.s_nodes, self.opts.step_options())
+            self._cache[key] = backward_path(self.state, key[0], point, self.s_nodes,
+                                             self.opts.dt)
         return self._cache[key]
 
     def apply(self, species, k, point):
+        """Weighted average of k(x, v1, v2) along the backward path from point."""
         xs, v1s, v2s = self.path(species, point)
         vals = np.asarray(k(xs, v1s, v2s), dtype=float)
         return float(np.sum(self.weights * vals))
 
 
-def _sample_at_times(state, sign, point, s_nodes, step_opts):
-    """States at the (descending, <= 0) times, one continuous integration."""
-    if state.homogeneous:
-        e = point.energy
-        xs = (point.x + (point.v1 / e) * s_nodes) % state.period
-        return xs, np.full(s_nodes.size, point.v1), np.full(s_nodes.size, point.v2)
-    dt = step_opts.dt if step_opts.dt is not None else default_dt(state)
-    xs = np.empty(s_nodes.size)
-    v1s = np.empty(s_nodes.size)
-    v2s = np.empty(s_nodes.size)
-    x, v1, v2 = np.float64(point.x), np.float64(point.v1), np.float64(point.v2)
-    t = 0.0
-    for i, s in enumerate(s_nodes):
-        gap = s - t
-        n = max(1, int(math.ceil(abs(gap) / dt)))
-        h = gap / n
-        for _ in range(n):
-            x, v1, v2 = rk4_step_arrays(state, sign, x, v1, v2, h)
-        t = s
-        xs[i], v1s[i], v2s[i] = x, v1, v2
-    return xs % state.period, v1s, v2s
-
-
-def apply_smoothing(evaluator, species, k, point):
-    """Weighted average of k(x, v1, v2) along the backward path from point."""
-    return evaluator.apply(species, k, point)
-
-
 # ---------------------------------------------------------------------------
-# pointwise orbit-average projection
-# ---------------------------------------------------------------------------
-
-class ProjectionEvaluator:
-    """Average over one orbit period; stationary points are left in place."""
-
-    def __init__(self, state, opts=None):
-        self.state = state
-        self.opts = opts or EvalOptions()
-
-    def apply(self, species, k, point):
-        sign = normalize_species(species)
-        try:
-            info = orbit_info(self.state, sign, point, max_period=self.opts.max_period,
-                              opts=self.opts.step_options())
-        except OrbitError:
-            info = None
-        if info is not None and info.kind == "stationary":
-            return float(k(np.asarray(point.x), np.asarray(point.v1), np.asarray(point.v2)))
-        horizon = info.period if info is not None else \
-            self.opts.horizon_periods * self.state.period
-        n = max(64, self.opts.n_per_period)
-        dt = self.opts.dt if self.opts.dt is not None else default_dt(self.state)
-        h = horizon / n
-        m = max(1, int(math.ceil(h / dt)))
-        x, v1, v2 = np.float64(point.x), np.float64(point.v1), np.float64(point.v2)
-        acc = 0.0
-        for _ in range(n):
-            acc += float(k(np.asarray(x % self.state.period), np.asarray(v1), np.asarray(v2)))
-            for _ in range(m):
-                x, v1, v2 = rk4_step_arrays(self.state, sign, x, v1, v2, h / m)
-        return acc / n
-
-
-def apply_projection(evaluator, species, k, point):
-    return evaluator.apply(species, k, point)
-
-
-# ---------------------------------------------------------------------------
-# batched orbit machinery for assembly
+# the orbit engine: periods, samples, one weighted reducer
 # ---------------------------------------------------------------------------
 
 def _hermite_root(F0, F1, D0, D1, h):
@@ -198,6 +146,8 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None):
     Passing lanes close after advancing one spatial period (the unwrapped
     coordinate tracks that exactly), trapped lanes after twice the spacing
     of consecutive turning points; event times are Hermite-refined.
+    Returns (periods, resolved, winding): winding is the direction (+1 or
+    -1) of a lane that closed by passing, 0 otherwise.
     """
     n = x0.size
     P = state.period
@@ -206,6 +156,7 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None):
     w = v2.astype(float).copy()
     periods = np.full(n, horizon)
     resolved = np.zeros(n, dtype=bool)
+    winding = np.zeros(n, dtype=int)
     t1 = np.full(n, np.nan)        # first turning time
     t1[u == 0.0] = 0.0
     t = 0.0
@@ -238,6 +189,7 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None):
                                 (s_dir * vh_new)[hit], dt)
             periods[hit] = t + tau
             resolved[hit] = True
+            winding[hit] = s_dir[hit]
         # turning points: twice the spacing of consecutive turnings
         flip = active & (np.sign(un) != np.sign(u)) & (u != 0.0) & (un != 0.0)
         if flip.any():
@@ -254,14 +206,14 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None):
         if not active.any():
             break
         x, u, w, t = xn, un, wn, t + dt
-    return periods, resolved
+    return periods, resolved, winding
 
 
-def _orbit_samples_batch(state, sign, x0, v1, v2, periods, n_samples, dt):
-    """Per-lane uniform-in-own-period samples: arrays (n_samples, lanes)."""
+def _orbit_samples_batch(state, sign, x0, v1, v2, h, n_samples, dt):
+    """Samples every h[lane] from each lane's start (h < 0 runs backward):
+    arrays (n_samples, lanes).  Substeps keep every step within dt."""
     lanes = x0.size
-    h = periods / n_samples
-    m = max(1, int(math.ceil(float(np.max(h)) / dt)))
+    m = max(1, int(math.ceil(float(np.max(np.abs(h))) / dt)))
     xs = np.empty((n_samples, lanes))
     v1s = np.empty((n_samples, lanes))
     v2s = np.empty((n_samples, lanes))
@@ -274,103 +226,157 @@ def _orbit_samples_batch(state, sign, x0, v1, v2, periods, n_samples, dt):
     return xs, v1s, v2s
 
 
-def _backward_window_moments(state, sign, lam, x0, v1, v2, kmax, omega, horizon, opts):
-    """Direct backward quadrature for lanes whose orbit did not close.
+def _weighted_moments(xs, v1s, v2s, G, kmax, omega):
+    """m0[k] = sum_j G_j Z_j^k, m1[k] = sum_j G_j vh2_j Z_j^k and
+    mv1 = Re sum_j G_j vh1_j over the samples (axis 0) of each lane."""
+    e = np.sqrt(1.0 + v1s ** 2 + v2s ** 2)
+    vh2 = v2s / e
+    Z = np.exp(1j * omega * xs)
+    m0 = np.empty((kmax + 1, xs.shape[1]), dtype=complex)
+    m1 = np.empty_like(m0)
+    pw = np.broadcast_to(G, Z.shape).astype(complex)
+    for k in range(kmax + 1):
+        m0[k] = pw.sum(axis=0)
+        m1[k] = (vh2 * pw).sum(axis=0)
+        if k < kmax:
+            pw = pw * Z
+    return m0, m1, np.real(np.sum(G * (v1s / e), axis=0))
+
+
+def _period_weights(lam, periods, n):
+    """Weights of n samples over one period of each lane.
+
+    At lam > 0 the samples run forward in own-period time; for a periodic
+    signal kappa(s) = sum_m c_m exp(i m Omega s), c_m = fft(samples)/n, the
+    backward average is sum_m c_m lam/(lam + i m Omega), which moves onto
+    the samples as the weights fft(lam/(lam + i m Omega))/n.
+    """
+    if lam == 0.0:
+        return np.full((n, periods.size), 1.0 / n)
+    m = np.fft.fftfreq(n, d=1.0 / n)[:, None]          # signed integer modes
+    fil = lam / (lam + 1j * m * (2.0 * np.pi / periods)[None, :])
+    return np.fft.fft(fil, axis=0) / n
+
+
+def _window_weights(lam, S, n_d):
+    """Weights of n_d + 1 backward samples on [-S, 0] for lam e^(lam s).
 
     Piecewise-linear-in-kappa weights integrate the exponential factor
     exactly, so coarse steps do not distort the lam e^(lam s) profile.
     """
-    S = min(horizon, -math.log(opts.tol_tail_s) / lam)
-    n_d = 4 * opts.n_per_period
-    h = S / n_d
-    u = lam * h
+    u = lam * (S / n_d)
     alpha = (u * math.exp(u) - math.exp(u) + 1.0) / u
     beta = (math.exp(u) - 1.0 - u) / u
-    decay = np.exp(-lam * h * np.arange(n_d + 1))
+    decay = np.exp(-u * np.arange(n_d + 1))
     W = np.empty(n_d + 1)
     W[0] = decay[1] * alpha
     W[1:-1] = decay[2:] * alpha + decay[1:-1] * beta
     W[-1] = decay[-1] * beta
-    lanes = x0.size
-    m0 = np.zeros((kmax + 1, lanes), dtype=complex)
-    m1 = np.zeros((kmax + 1, lanes), dtype=complex)
-    mv1 = np.zeros(lanes)
-    x, a, b = x0.astype(float).copy(), v1.astype(float).copy(), v2.astype(float).copy()
-    for j in range(n_d + 1):
-        e = np.sqrt(1.0 + a * a + b * b)
-        vh1, vh2 = a / e, b / e
-        Z = np.exp(1j * omega * x)
-        pw = np.ones_like(Z)
-        for k in range(kmax + 1):
-            m0[k] += W[j] * pw
-            m1[k] += W[j] * vh2 * pw
-            if k < kmax:
-                pw = pw * Z
-        mv1 += W[j] * vh1
-        if j < n_d:
-            x, a, b = rk4_step_arrays(state, sign, x, a, b, -h)
-    return m0, m1, mv1
+    return W[:, None]
 
+
+def _one_lane(point):
+    return np.array([point.x]), np.array([point.v1]), np.array([point.v2])
+
+
+@dataclass(frozen=True)
+class OrbitInfo:
+    kind: str                      # "stationary" | "passing" | "trapped"
+    period: float
+    winding: int
+
+
+def orbit_info(state, species, start, max_period=MAX_PERIOD, opts=None):
+    """Classify the orbit through ``start`` and measure its minimal period.
+
+    A one-lane run of ``_orbit_periods_batch``: passing orbits close after
+    advancing x by one period P, trapped orbits after twice the gap
+    between consecutive turnings, whatever the starting phase.
+    """
+    sign = normalize_species(species)
+    e = start.energy
+    if abs(start.v1 / e) < STATIONARY_EPS and \
+            abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
+        return OrbitInfo("stationary", 0.0, 0)
+    dt = opts.dt if opts is not None and opts.dt is not None else default_dt(state)
+    periods, resolved, winding = _orbit_periods_batch(state, sign, *_one_lane(start), dt,
+                                                      max_period)
+    if not resolved[0]:
+        raise OrbitError("orbit not resolved within max_period=%.3g" % max_period)
+    return OrbitInfo("passing" if winding[0] else "trapped", float(periods[0]),
+                     int(winding[0]))
+
+
+class ProjectionEvaluator:
+    """Average over one orbit period; stationary points are left in place.
+
+    The assembly's engine on one lane: the period from ``orbit_info``, or
+    ``horizon_periods * P`` when the orbit does not close within that
+    horizon, then ``n_per_period`` samples and their mean.
+    """
+
+    def __init__(self, state, opts=None):
+        self.state = state
+        self.opts = opts or EvalOptions()
+
+    def apply(self, species, k, point):
+        sign = normalize_species(species)
+        state, opts = self.state, self.opts
+        horizon = opts.horizon_periods * state.period
+        try:
+            info = orbit_info(state, sign, point, horizon, opts.step_options())
+        except OrbitError:
+            info = None
+        if info is not None and info.kind == "stationary":
+            return float(k(np.asarray(point.x), np.asarray(point.v1), np.asarray(point.v2)))
+        period = info.period if info is not None else horizon
+        n = max(64, opts.n_per_period)
+        dt = opts.dt if opts.dt is not None else default_dt(state)
+        xs, v1s, v2s = _orbit_samples_batch(state, sign, *_one_lane(point),
+                                            np.array([period / n]), n, dt)
+        return float(np.mean(k(xs[:, 0] % state.period, v1s[:, 0], v2s[:, 0])))
+
+
+# ---------------------------------------------------------------------------
+# per-node moments for the assembly
+# ---------------------------------------------------------------------------
 
 def _node_moments_generic(state, sign, lam, quad, kmax, x, opts):
     """Moments m0[k], m1[k], mv1 for every velocity node at position x.
 
-    One orbit period is sampled per node; lam = 0 takes the plain average,
-    lam > 0 applies the resolvent filter lam/(lam + i m Omega) to the
-    orbit's discrete Fourier series.
+    Each lane is sampled over one period (the horizon when it did not
+    close) and reduced with the period weights.  At lam > 0 a lane that
+    did not close has no Fourier series; it is sampled backward over the
+    window [-S, 0] and reduced with the window weights instead.
     """
     dt = opts.dt if opts.dt is not None else default_dt(state)
     horizon = opts.horizon_periods * state.period
-    x0 = np.full(quad.n_nodes, float(x))
-    periods, resolved = _orbit_periods_batch(state, sign, x0, quad.v1, quad.v2, dt, horizon,
-                                             weights=quad.w)
-    n = opts.n_per_period
     omega = 2.0 * np.pi / state.period
+    n = opts.n_per_period
+    x0 = np.full(quad.n_nodes, float(x))
+    periods, resolved, _ = _orbit_periods_batch(state, sign, x0, quad.v1, quad.v2, dt, horizon,
+                                                weights=quad.w)
     m0 = np.empty((kmax + 1, quad.n_nodes), dtype=complex)
-    m1 = np.empty((kmax + 1, quad.n_nodes), dtype=complex)
+    m1 = np.empty_like(m0)
     mv1 = np.empty(quad.n_nodes)
+
+    def reduce(lanes, h, n_samples, G):
+        samples = _orbit_samples_batch(state, sign, x0[lanes], quad.v1[lanes], quad.v2[lanes],
+                                       h, n_samples, dt)
+        m0[:, lanes], m1[:, lanes], mv1[lanes] = _weighted_moments(*samples, G, kmax, omega)
+
+    # at lam = 0 a lane that did not close is averaged over the horizon
+    periodic = np.flatnonzero(resolved | (lam == 0.0))
     # chunks of similar period keep the substep count small for the bulk
-    order = np.argsort(periods, kind="stable")
-    for lo in range(0, quad.n_nodes, opts.chunk):
-        sl = order[lo:min(lo + opts.chunk, quad.n_nodes)]
-        xs, v1s, v2s = _orbit_samples_batch(state, sign, x0[sl], quad.v1[sl], quad.v2[sl],
-                                            periods[sl], n, dt)
-        es = np.sqrt(1.0 + v1s ** 2 + v2s ** 2)
-        vh1, vh2 = v1s / es, v2s / es
-        Z = np.exp(1j * omega * xs)
-        if lam == 0.0:
-            pw = np.ones_like(Z)
-            for k in range(kmax + 1):
-                m0[k, sl] = pw.mean(axis=0)
-                m1[k, sl] = (vh2 * pw).mean(axis=0)
-                if k < kmax:
-                    pw = pw * Z
-            mv1[sl] = vh1.mean(axis=0)
-        else:
-            # samples run forward in own-period time; for a periodic signal
-            # kappa(s) = sum_m c_m exp(i m Omega s) the backward average is
-            # sum_m c_m lam/(lam + i m Omega), with c_m = fft(samples)/n
-            freqs = np.fft.fftfreq(n, d=1.0 / n)          # signed integer modes
-            Omega = 2.0 * np.pi / periods[sl]
-            fil = lam / (lam + 1j * freqs[:, None] * Omega[None, :])
-            pw = np.ones_like(Z)
-            for k in range(kmax + 1):
-                c = np.fft.fft(pw, axis=0) / n
-                m0[k, sl] = np.sum(c * fil, axis=0)
-                c = np.fft.fft(vh2 * pw, axis=0) / n
-                m1[k, sl] = np.sum(c * fil, axis=0)
-                if k < kmax:
-                    pw = pw * Z
-            c = np.fft.fft(vh1 + 0j, axis=0) / n
-            mv1[sl] = np.real(np.sum(c * fil, axis=0))
+    order = periodic[np.argsort(periods[periodic], kind="stable")]
+    for lo in range(0, order.size, CHUNK):
+        sl = order[lo:lo + CHUNK]
+        reduce(sl, periods[sl] / n, n, _period_weights(lam, periods[sl], n))
     if lam > 0.0 and not resolved.all():
-        # the periodic-filter route is meaningless without a period
-        un = ~resolved
-        d0, d1, dv = _backward_window_moments(state, sign, lam, x0[un], quad.v1[un],
-                                              quad.v2[un], kmax, omega, horizon, opts)
-        m0[:, un] = d0
-        m1[:, un] = d1
-        mv1[un] = dv
+        S = min(horizon, -math.log(opts.tol_tail_s) / lam)
+        n_d = 4 * n
+        un = np.flatnonzero(~resolved)
+        reduce(un, np.full(un.size, -S / n_d), n_d + 1, _window_weights(lam, S, n_d))
     return m0, m1, mv1
 
 
@@ -506,8 +512,9 @@ def moment_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
 
     if state.homogeneous and not opts.force_generic:
         # translation invariance: velocity integrals once, phases per x
-        re, im = kernel.filter(lam)
-        tau = re @ kernel.W + 1j * (im @ kernel.W)
+        # mu(e, p) is even in v1 and the quadrature is closed under
+        # theta -> pi - theta, so the filter's odd imaginary part cancels here
+        tau = kernel.filter(lam)[0] @ kernel.W
         T1, T2, T3 = (tau[:, j:j + 1] * kernel.phases for j in range(3))
         return MomentProfiles(T1, T2, T3, T3, np.full(M, kernel.c), np.full(M, kernel.d),
                               np.full(M, kernel.lint), kernel.m_e, kernel.m_vp, kernel.m_p)

@@ -184,8 +184,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
 
     # smoothing of the constant function
     ev = vm.SmoothingEvaluator(paper_state, 1.0)
-    got = vm.apply_smoothing(ev, "-", lambda x, a, b: np.ones_like(x),
-                             PhasePoint(0.4, 0.6, -0.1))
+    got = ev.apply("-", lambda x, a, b: np.ones_like(x), PhasePoint(0.4, 0.6, -0.1))
     ok &= _report("c5.unit_average", abs(got - 1.0) <= 1e-9, "got %.12f" % got)
 
     # sampled operator norm
@@ -200,7 +199,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
         for x in xs:
             for j in idx:
                 pt = PhasePoint(float(x), float(paper_quad.v1[j]), float(paper_quad.v2[j]))
-                qv = vm.apply_smoothing(ev, "-", kfun, pt)
+                qv = ev.apply("-", kfun, pt)
                 kv = float(kfun(np.asarray(pt.x), np.asarray(pt.v1), np.asarray(pt.v2)))
                 wgt = paper_quad.w[j]
                 num += wgt * qv * qv
@@ -215,7 +214,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
     norms = []
     for lam in (1.0, 1e-1, 1e-2, 1e-3):
         evl = vm.SmoothingEvaluator(paper_state, lam, EvalOptions(k_osc=1))
-        vals = [vm.apply_smoothing(evl, "-", h, pt) ** 2 for pt in pts]
+        vals = [evl.apply("-", h, pt) ** 2 for pt in pts]
         norms.append(np.sqrt(np.mean(vals)))
     ok &= _report("c5.vanishing_rate_monotone", all(np.diff(norms) < 0),
                   "norms " + " ".join("%.2e" % v for v in norms))

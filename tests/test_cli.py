@@ -31,9 +31,11 @@ def test_config_file_parsing(tmp_path):
     assert cfg.profile_params == {"amp": 10.0}
 
 
-def test_unknown_config_key_is_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["disc.bogus", "disc.n_s", "tol.cons", "run.seed", "run.jobs"])
+def test_unknown_config_key_is_rejected(tmp_path, key):
+    # the last four were accepted once and never used
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("disc.bogus = 3\n")
+    cfg_path.write_text("%s = 3\n" % key)
     with pytest.raises(ConfigError, match="unknown key"):
         cli.parse_config_file(str(cfg_path))
 

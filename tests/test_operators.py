@@ -3,7 +3,7 @@ import pytest
 
 import vmspec as vm
 import vmspec.operators as ops
-from vmspec.characteristics import PhasePoint
+from vmspec.characteristics import PhasePoint, default_dt
 from vmspec.errors import AssemblyError, VmspecError
 from vmspec.operators import EvalOptions, MomentProfiles, assembly_kernel, moment_profiles
 
@@ -20,7 +20,7 @@ def test_smoothing_of_one_is_one(paper_state, weak_state):
     for state, pt in ((paper_state, PhasePoint(0.3, 0.5, 0.1)),
                       (weak_state, PhasePoint(1.1, 0.4, -0.6))):
         ev = vm.SmoothingEvaluator(state, lam=0.7)
-        got = vm.apply_smoothing(ev, "-", one, pt)
+        got = ev.apply("-", one, pt)
         assert 1.0 - 1e-9 <= got <= 1.0 + 1e-12
 
 
@@ -33,7 +33,7 @@ def test_smoothing_matches_straight_line_closed_form(paper_state):
     k = lambda x, v1, v2: np.cos(w * x)
     for lam in (0.3, 1.0, 5.0):
         ev = vm.SmoothingEvaluator(paper_state, lam, EvalOptions(k_osc=2))
-        got = vm.apply_smoothing(ev, "-", k, pt)
+        got = ev.apply("-", k, pt)
         want = (lam**2 * np.cos(w * pt.x) + lam * a * np.sin(w * pt.x)) / (lam**2 + a**2)
         assert abs(got - want) <= 1e-8, (lam, got, want)
 
@@ -43,7 +43,7 @@ def test_smoothing_tends_to_spatial_mean_at_small_rate(paper_state):
     pt = PhasePoint(0.9, 0.65, -0.2)
     k = lambda x, v1, v2: np.cos(w * x)
     ev = vm.SmoothingEvaluator(paper_state, 1e-3, EvalOptions(k_osc=2))
-    assert abs(vm.apply_smoothing(ev, "-", k, pt)) <= 2e-3
+    assert abs(ev.apply("-", k, pt)) <= 2e-3
 
 
 def test_smoothing_tends_to_identity_at_large_rate(paper_state):
@@ -52,7 +52,7 @@ def test_smoothing_tends_to_identity_at_large_rate(paper_state):
     pt = PhasePoint(0.9, 0.65, -0.2)
     k = lambda x, v1, v2: np.cos(w * x)
     ev = vm.SmoothingEvaluator(paper_state, 1000.0, EvalOptions(k_osc=2))
-    assert abs(vm.apply_smoothing(ev, "-", k, pt) - np.cos(w * pt.x)) <= 1e-3
+    assert abs(ev.apply("-", k, pt) - np.cos(w * pt.x)) <= 1e-3
 
 
 def test_smoothing_requires_positive_rate(paper_state):
@@ -73,7 +73,7 @@ def test_projection_of_invariant_functions(weak_state):
         e = np.sqrt(1 + v1**2 + v2**2)
         p = v2 - weak_state.psi0(x)
         return e**2 + 0.3 * p
-    got = vm.apply_projection(ev, "-", invariant, pt)
+    got = ev.apply("-", invariant, pt)
     want = float(invariant(np.asarray(pt.x), np.asarray(pt.v1), np.asarray(pt.v2)))
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -82,8 +82,8 @@ def test_projection_kills_mean_zero_spatial_factor(paper_state):
     w = 2 * np.pi / paper_state.period
     ev = vm.ProjectionEvaluator(paper_state)
     pt = PhasePoint(0.4, 0.8, 0.3)
-    got = vm.apply_projection(ev, "-", lambda x, v1, v2: (v1 / np.sqrt(1 + v1**2 + v2**2))
-                              * np.cos(w * x), pt)
+    got = ev.apply("-", lambda x, v1, v2: (v1 / np.sqrt(1 + v1**2 + v2**2))
+                   * np.cos(w * x), pt)
     assert abs(got) <= 1e-10
 
 
@@ -93,8 +93,8 @@ def test_projection_idempotence(weak_state):
     ev = vm.ProjectionEvaluator(weak_state)
     w = 2 * np.pi / weak_state.period
     k = lambda x, v1, v2: np.cos(w * x) * v2 / np.sqrt(1 + v1**2 + v2**2)
-    first = vm.apply_projection(ev, "-", k, pt)
-    again = vm.apply_projection(ev, "-", lambda x, v1, v2: np.full(np.shape(x), first), pt)
+    first = ev.apply("-", k, pt)
+    again = ev.apply("-", lambda x, v1, v2: np.full(np.shape(x), first), pt)
     assert abs(again - first) <= 1e-8
 
 
@@ -103,15 +103,15 @@ def test_projection_stationary_point_returns_value(paper_state):
     pt = PhasePoint(0.7, 0.0, 0.5)
     w = 2 * np.pi / paper_state.period
     k = lambda x, v1, v2: np.cos(w * x)
-    assert abs(vm.apply_projection(ev, "-", k, pt) - np.cos(w * pt.x)) <= 1e-14
+    assert abs(ev.apply("-", k, pt) - np.cos(w * pt.x)) <= 1e-14
 
 
 def test_projection_preserves_v1_parity(weak_state):
     # the averaged v1hat flips sign under v1 -> -v1
     ev = vm.ProjectionEvaluator(weak_state)
     vhat1 = lambda x, v1, v2: v1 / np.sqrt(1 + v1**2 + v2**2)
-    a = vm.apply_projection(ev, "-", vhat1, PhasePoint(1.0, 0.55, 0.25))
-    b = vm.apply_projection(ev, "-", vhat1, PhasePoint(1.0, -0.55, 0.25))
+    a = ev.apply("-", vhat1, PhasePoint(1.0, 0.55, 0.25))
+    b = ev.apply("-", vhat1, PhasePoint(1.0, -0.55, 0.25))
     assert abs(a + b) <= 1e-6 * max(abs(a), 1e-6)
 
 
@@ -120,11 +120,103 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
     pt = PhasePoint(0.5, 0.01, 0.9)
     w = 2 * np.pi / weak_state.period
     k = lambda x, v1, v2: np.cos(w * x)
-    proj = vm.apply_projection(vm.ProjectionEvaluator(weak_state), "-", k, pt)
+    proj = vm.ProjectionEvaluator(weak_state).apply("-", k, pt)
     ev = vm.SmoothingEvaluator(weak_state, 1e-3,
                                EvalOptions(k_osc=1, tol_tail_s=1e-8, dt=0.1))
-    smooth = vm.apply_smoothing(ev, "-", k, pt)
+    smooth = ev.apply("-", k, pt)
     assert abs(smooth - proj) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one orbit engine
+# ---------------------------------------------------------------------------
+
+def _resolved_lanes(state, quad, x):
+    """The assembly's period detector on every node: (resolved, winding)."""
+    opts = EvalOptions()
+    _, resolved, winding = ops._orbit_periods_batch(
+        state, -1, np.full(quad.n_nodes, x), quad.v1, quad.v2, default_dt(state),
+        opts.horizon_periods * state.period, weights=quad.w)
+    return resolved, winding
+
+
+def test_projection_matches_batched_orbit_average(weak_state, aniso_coarse_quad):
+    # at lam = 0 the pointwise projection and the assembly's per-node
+    # moments come from one engine; on the heaviest resolved passing lane
+    # and trapped lane they differ only through the batch's substep count
+    # (3.2e-10 measured; a separate scalar detector gave 4.1e-9)
+    quad, kmax = aniso_coarse_quad, 3
+    x = 0.3 * weak_state.period
+    w = 2 * np.pi / weak_state.period
+    resolved, winding = _resolved_lanes(weak_state, quad, x)
+    m0 = vm.node_moments(weak_state, -1, 0.0, quad, kmax, x)[0]
+    ev = vm.ProjectionEvaluator(weak_state)
+    for passing in (True, False):
+        j = max(np.flatnonzero(resolved & ((winding != 0) == passing)), key=lambda i: quad.w[i])
+        pt = PhasePoint(x, quad.v1[j], quad.v2[j])
+        assert vm.orbit_info(weak_state, "-", pt).kind == ("passing" if passing else "trapped")
+        for k in range(kmax + 1):
+            got = ev.apply("-", lambda xs, a, b: np.cos(k * w * xs), pt)
+            assert abs(got - m0[k, j].real) <= 1e-9, (passing, k, got, m0[k, j])
+
+
+def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, aniso_coarse_quad):
+    # at lam > 0 the period weights fft(filter)/n equal the resolvent
+    # filter applied to each harmonic's discrete Fourier series
+    quad, kmax, n, lam = aniso_coarse_quad, 3, 128, 0.4
+    calls = []
+    sample = ops._orbit_samples_batch
+
+    def keep(state, sign, x0, v1, v2, h, n_samples, dt):
+        out = sample(state, sign, x0, v1, v2, h, n_samples, dt)
+        calls.append((v1, v2, h, out))
+        return out
+    monkeypatch.setattr(ops, "_orbit_samples_batch", keep)
+    m0, m1, mv1 = ops._node_moments_generic(weak_state, -1, lam, quad, kmax, 0.7,
+                                            EvalOptions(n_per_period=n))
+    omega = 2 * np.pi / weak_state.period
+    node = {ab: j for j, ab in enumerate(zip(quad.v1, quad.v2))}
+    checked = 0
+    for v1, v2, h, (xs, v1s, v2s) in calls:
+        if h[0] < 0:
+            continue               # the backward window of lanes that did not close
+        lanes = [node[ab] for ab in zip(v1, v2)]
+        modes = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+        fil = lam / (lam + 1j * modes * (2 * np.pi / (h * n))[None, :])
+
+        def filtered(f):
+            return np.sum(np.fft.fft(f, axis=0) / n * fil, axis=0)
+        e = np.sqrt(1 + v1s**2 + v2s**2)
+        Z = np.exp(1j * omega * xs)
+        pairs = [(mv1[lanes], filtered(v1s / e + 0j).real)]
+        for k in range(kmax + 1):
+            pairs += [(m0[k, lanes], filtered(Z**k)), (m1[k, lanes], filtered(v2s / e * Z**k))]
+        for got, ref in pairs:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        checked += len(lanes)
+    assert checked == np.count_nonzero(_resolved_lanes(weak_state, quad, 0.7)[0])
+
+
+def test_orbit_engine_steps_through_operators(monkeypatch, weak_state, aniso_coarse_quad):
+    # the benchmark trace counts RK4 steps at operators.rk4_step_arrays,
+    # so every orbit path must step through that name
+    steps = [0]
+    step = ops.rk4_step_arrays
+
+    def counting(*args):
+        steps[0] += 1
+        return step(*args)
+    monkeypatch.setattr(ops, "rk4_step_arrays", counting)
+    pt = PhasePoint(1.0, 0.7, -0.4)
+    seen = []
+    for run in (lambda: vm.orbit_info(weak_state, "-", pt),
+                lambda: vm.ProjectionEvaluator(weak_state).apply(
+                    "-", lambda x, a, b: np.cos(x), pt),
+                lambda: vm.node_moments(weak_state, -1, 0.0, aniso_coarse_quad, 2, 0.3)):
+        before = steps[0]
+        run()
+        seen.append(steps[0] - before)
+    assert min(seen) > 0, seen
 
 
 # ---------------------------------------------------------------------------
