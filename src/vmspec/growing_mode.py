@@ -109,11 +109,11 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
         q -= (p_psi.real @ re - p_psi.imag @ im) * vh2[None, :] + mode.b * vh1[None, :]
         q = {-1: q, +1: q}
     else:
-        q = {sign: np.empty((x.size, quad.n_nodes)) for sign in (-1, +1)}
-        for m, xm in enumerate(x):
-            pair = species_pair_moments(state, lam, quad, kmax, xm, opts)
-            for sign, (m0, m1, mv1) in pair.items():
-                q[sign][m] = np.real(c_phi @ m0) - np.real(c_psi @ m1) - mode.b * mv1
+        # one orbit pass over the whole grid; contract the harmonics away
+        q = {sign: np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
+             - mode.b * mv1
+             for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x,
+                                                             opts).items()}
     fminus, fplus = (sign * (kernel.mu[sign][0] * (phi_v[:, None] - q[sign])
                              + kernel.mu[sign][1] * psi_v[:, None]) for sign in (-1, +1))
 

@@ -5,21 +5,26 @@ particle paths: the exponentially weighted average lam e^(lam s) on
 (-inf, 0] at growth rate lam > 0, and its lam = 0 limit, the average over
 one orbit period, which is the projection onto flow-invariant functions.
 
-Magnetized orbits come from one engine.  ``_orbit_periods_batch`` measures
-each lane's period, or reports that the lane did not close within the
-horizon; ``_orbit_samples_batch`` samples each lane at its own uniform
-step.  One reducer, ``_weighted_moments``, turns the samples and per-sample
-weights G into the three moment families that enter the assembly,
+Magnetized orbits come from one engine, and one assembly makes one pass
+over every lane: M collocation points times N velocity nodes.
+``_orbit_periods_batch`` measures each lane's period, or reports that the
+lane did not close within the horizon; each point stops on its own weight
+and only live lanes are stepped.  ``_orbit_stream`` then yields the
+samples of every lane, each lane taking its own number of substeps per
+sample.  One streaming reducer, ``_weighted_moments``, adds each sample,
+with its weight G, into the three moment families that enter the
+assembly,
 
     m0[k] = sum_j G_j Z_j^k,   m1[k] = sum_j G_j vh2_j Z_j^k,
     mv1 = Re sum_j G_j vh1_j,  with Z = exp(i w X),
 
 and the rate enters only through G:
 
-* 1/n at lam = 0, the plain orbit average;
+* 1/n at lam = 0, the plain orbit average, one number for every lane;
 * fft(lam/(lam + i m Omega))/n on a closed orbit at lam > 0, which is the
   resolvent filter applied to the orbit's discrete Fourier series and
-  stays accurate uniformly in lam;
+  stays accurate uniformly in lam; this (n, lanes) table is built per
+  block of ``CHUNK`` lanes;
 * the exponential window weights on [-S, 0] for a lane whose orbit did
   not close, sampled backward.
 
@@ -47,7 +52,7 @@ from .errors import AssemblyError, OrbitError, VmspecError
 N_S_MIN = 128          # node floor of the smoothing rule
 NODES_PER_WAVE = 8.0   # smoothing-rule nodes per oscillation along the path
 MAX_PERIOD = 1e4       # default search limit of ``orbit_info``
-CHUNK = 1024           # lanes sampled together in the assembly
+CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
 
 
 @dataclass(frozen=True)
@@ -140,119 +145,145 @@ def _hermite_root(F0, F1, D0, D1, h):
     return tau * h
 
 
-def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None):
+def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, groups=None):
     """Periods for a batch of lanes; unresolved lanes get the horizon.
 
     Passing lanes close after advancing one spatial period (the unwrapped
     coordinate tracks that exactly), trapped lanes after twice the spacing
     of consecutive turning points; event times are Hermite-refined.
+    ``groups`` labels each lane with its collocation point (0, 1, ...):
+    each group stops on its own weight, so every lane ends exactly as in a
+    run of its group alone.  Only live lanes are stepped.
     Returns (periods, resolved, winding): winding is the direction (+1 or
     -1) of a lane that closed by passing, 0 otherwise.
     """
     n = x0.size
     P = state.period
-    x = x0.astype(float).copy()    # never wrapped: the field is periodic anyway
-    u = v1.astype(float).copy()
-    w = v2.astype(float).copy()
     periods = np.full(n, horizon)
     resolved = np.zeros(n, dtype=bool)
     winding = np.zeros(n, dtype=int)
+    # per stepped lane; compacted together once most lanes are done
+    lane = np.arange(n)
+    g = np.zeros(n, dtype=int) if groups is None else np.asarray(groups)
+    wt = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    total = [float(np.sum(wt[g == k])) for k in range(int(g.max()) + 1)]
+    xs = x0.astype(float)
+    x = xs.copy()                  # never wrapped: the field is periodic anyway
+    u = v1.astype(float).copy()
+    w = v2.astype(float).copy()
     t1 = np.full(n, np.nan)        # first turning time
     t1[u == 0.0] = 0.0
+    live = np.ones(n, dtype=bool)
+    e = np.sqrt(1.0 + u * u + w * w)
+    vh = u / e
+    du = sign * (w / e) * state.b0(x)
     t = 0.0
     n_steps = int(math.ceil(horizon / dt))
     min_t = 8.0 * state.period     # give trapped lanes time to close
-    total_w = float(np.sum(weights)) if weights is not None else float(n)
-    active = ~resolved
     for _ in range(n_steps):
         # the stragglers (near-separatrix and grazing lanes) fall back to
-        # the horizon treatment anyway; stop once they hold negligible mass
+        # the horizon treatment anyway; a group stops once they hold
+        # negligible mass of its weight
         if t > min_t:
-            left = float(np.sum(weights[active])) if weights is not None \
-                else float(np.sum(active))
-            if left < 5e-4 * total_w:
+            for k in np.unique(g[live]):
+                mine = live & (g == k)
+                if float(np.sum(wt[mine])) < 5e-4 * total[k]:
+                    live &= ~mine
+            if not live.any():
                 break
-        e = np.sqrt(1.0 + u * u + w * w)
-        vh_old = u / e
-        du_old = sign * (w / e) * state.b0(x)
         xn, un, wn = rk4_step_arrays(state, sign, x, u, w, dt)
         en = np.sqrt(1.0 + un * un + wn * wn)
         vh_new = un / en
         du_new = sign * (wn / en) * state.b0(xn)
         # passing closure: |x - x0| reaches one spatial period
-        F0 = np.abs(x - x0) - P
-        F1 = np.abs(xn - x0) - P
-        hit = active & (F1 >= 0.0) & (F0 < 0.0)
+        F0 = np.abs(x - xs) - P
+        F1 = np.abs(xn - xs) - P
+        hit = live & (F1 >= 0.0) & (F0 < 0.0)
         if hit.any():
-            s_dir = np.sign(xn - x0)
-            tau = _hermite_root(F0[hit], F1[hit], (s_dir * vh_old)[hit],
-                                (s_dir * vh_new)[hit], dt)
-            periods[hit] = t + tau
-            resolved[hit] = True
-            winding[hit] = s_dir[hit]
+            s_dir = np.sign(xn - xs)
+            tau = _hermite_root(F0[hit], F1[hit], (s_dir * vh)[hit], (s_dir * vh_new)[hit], dt)
+            periods[lane[hit]] = t + tau
+            resolved[lane[hit]] = True
+            winding[lane[hit]] = s_dir[hit]
         # turning points: twice the spacing of consecutive turnings
-        flip = active & (np.sign(un) != np.sign(u)) & (u != 0.0) & (un != 0.0)
+        flip = live & (np.sign(un) != np.sign(u)) & (u != 0.0) & (un != 0.0)
         if flip.any():
-            tau = np.zeros(n)
-            tau[flip] = _hermite_root(u[flip], un[flip], du_old[flip], du_new[flip], dt)
-            tf = t + tau
-            fresh = flip & np.isnan(t1)
-            second = flip & ~np.isnan(t1)
-            t1[fresh] = tf[fresh]
-            if second.any():
-                periods[second] = 2.0 * (tf[second] - t1[second])
-                resolved[second] = True
-        active = ~resolved
-        if not active.any():
+            tf = t + _hermite_root(u[flip], un[flip], du[flip], du_new[flip], dt)
+            first = t1[flip]
+            fresh = np.isnan(first)
+            t1[np.flatnonzero(flip)[fresh]] = tf[fresh]
+            second = lane[flip][~fresh]
+            periods[second] = 2.0 * (tf[~fresh] - first[~fresh])
+            resolved[second] = True
+        live &= ~resolved[lane]
+        if not live.any():
             break
-        x, u, w, t = xn, un, wn, t + dt
+        x, u, w, vh, du, t = xn, un, wn, vh_new, du_new, t + dt
+        if 2 * np.count_nonzero(live) < live.size:
+            lane, g, wt, xs, x, u, w, t1, vh, du = (
+                a[live] for a in (lane, g, wt, xs, x, u, w, t1, vh, du))
+            live = live[live]
     return periods, resolved, winding
 
 
-def _orbit_samples_batch(state, sign, x0, v1, v2, h, n_samples, dt):
-    """Samples every h[lane] from each lane's start (h < 0 runs backward):
-    arrays (n_samples, lanes).  Substeps keep every step within dt."""
-    lanes = x0.size
-    m = max(1, int(math.ceil(float(np.max(np.abs(h))) / dt)))
-    xs = np.empty((n_samples, lanes))
-    v1s = np.empty((n_samples, lanes))
-    v2s = np.empty((n_samples, lanes))
-    x, u, w = x0.astype(float).copy(), v1.astype(float).copy(), v2.astype(float).copy()
-    sub = h / m
+def _orbit_stream(state, sign, x0, v1, v2, h, n_samples, dt):
+    """Yield (x, v1, v2) of every lane at n_samples times h[lane] apart,
+    starting at the lane's start (h < 0 runs backward).
+
+    Each lane takes its own ceil(|h|/dt) substeps per sample.  With the
+    lanes sorted by that count, substep j advances the suffix of lanes
+    that need more than j, so no lane steps finer than it has to.
+    """
+    h = np.broadcast_to(np.asarray(h, dtype=float), x0.shape)
+    m = np.maximum(1, np.ceil(np.abs(h) / dt).astype(int))
+    order = np.argsort(m, kind="stable")
+    back = np.argsort(order)
+    m = m[order]
+    sub = h[order] / m
+    starts = np.searchsorted(m, np.arange(m[-1]), side="right")
+    x, u, w = (np.asarray(a, dtype=float)[order] for a in (x0, v1, v2))
     for j in range(n_samples):
-        xs[j], v1s[j], v2s[j] = x, u, w
-        for _ in range(m):
-            x, u, w = rk4_step_arrays(state, sign, x, u, w, sub)
-    return xs, v1s, v2s
+        yield x[back], u[back], w[back]
+        if j == n_samples - 1:
+            break
+        for lo in starts:
+            x[lo:], u[lo:], w[lo:] = rk4_step_arrays(state, sign, x[lo:], u[lo:], w[lo:],
+                                                     sub[lo:])
 
 
-def _weighted_moments(xs, v1s, v2s, G, kmax, omega):
+def _weighted_moments(samples, G, kmax, omega):
     """m0[k] = sum_j G_j Z_j^k, m1[k] = sum_j G_j vh2_j Z_j^k and
-    mv1 = Re sum_j G_j vh1_j over the samples (axis 0) of each lane."""
-    e = np.sqrt(1.0 + v1s ** 2 + v2s ** 2)
-    vh2 = v2s / e
-    Z = np.exp(1j * omega * xs)
-    m0 = np.empty((kmax + 1, xs.shape[1]), dtype=complex)
-    m1 = np.empty_like(m0)
-    pw = np.broadcast_to(G, Z.shape).astype(complex)
-    for k in range(kmax + 1):
-        m0[k] = pw.sum(axis=0)
-        m1[k] = (vh2 * pw).sum(axis=0)
-        if k < kmax:
-            pw = pw * Z
-    return m0, m1, np.real(np.sum(G * (v1s / e), axis=0))
+    mv1 = Re sum_j G_j vh1_j, accumulated over a stream of samples; row
+    G[j] weighs sample j and broadcasts over the lanes."""
+    for j, (x, u, w) in enumerate(samples):
+        if j == 0:
+            m0 = np.zeros((kmax + 1, x.size), dtype=complex)
+            m1 = np.zeros_like(m0)
+            mv1 = np.zeros(x.size)
+        e = np.sqrt(1.0 + u * u + w * w)
+        Z = np.exp(1j * omega * x)
+        vh2 = w / e
+        pw = np.broadcast_to(G[j], Z.shape).astype(complex)
+        mv1 += np.real(pw * (u / e))
+        for k in range(kmax + 1):
+            m0[k] += pw
+            m1[k] += vh2 * pw
+            if k < kmax:
+                pw = pw * Z
+    return m0, m1, mv1
 
 
 def _period_weights(lam, periods, n):
     """Weights of n samples over one period of each lane.
 
-    At lam > 0 the samples run forward in own-period time; for a periodic
+    At lam = 0 every sample weighs 1/n: one column that broadcasts over
+    the lanes.  At lam > 0 the samples run forward in own-period time; for a periodic
     signal kappa(s) = sum_m c_m exp(i m Omega s), c_m = fft(samples)/n, the
     backward average is sum_m c_m lam/(lam + i m Omega), which moves onto
     the samples as the weights fft(lam/(lam + i m Omega))/n.
     """
     if lam == 0.0:
-        return np.full((n, periods.size), 1.0 / n)
+        return np.full((n, 1), 1.0 / n)
     m = np.fft.fftfreq(n, d=1.0 / n)[:, None]          # signed integer modes
     fil = lam / (lam + 1j * m * (2.0 * np.pi / periods)[None, :])
     return np.fft.fft(fil, axis=0) / n
@@ -332,9 +363,9 @@ class ProjectionEvaluator:
         period = info.period if info is not None else horizon
         n = max(64, opts.n_per_period)
         dt = opts.dt if opts.dt is not None else default_dt(state)
-        xs, v1s, v2s = _orbit_samples_batch(state, sign, *_one_lane(point),
-                                            np.array([period / n]), n, dt)
-        return float(np.mean(k(xs[:, 0] % state.period, v1s[:, 0], v2s[:, 0])))
+        xs, v1s, v2s = (np.concatenate(c) for c in zip(
+            *_orbit_stream(state, sign, *_one_lane(point), period / n, n, dt)))
+        return float(np.mean(k(xs % state.period, v1s, v2s)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,63 +373,79 @@ class ProjectionEvaluator:
 # ---------------------------------------------------------------------------
 
 def _node_moments_generic(state, sign, lam, quad, kmax, x, opts):
-    """Moments m0[k], m1[k], mv1 for every velocity node at position x.
+    """Moments m0[k], m1[k], mv1 for every (position, velocity node) lane.
 
+    One period pass and one sampling pass cover all positions at once.
     Each lane is sampled over one period (the horizon when it did not
     close) and reduced with the period weights.  At lam > 0 a lane that
     did not close has no Fourier series; it is sampled backward over the
     window [-S, 0] and reduced with the window weights instead.
+    Returns arrays (kmax+1, M, N) and (M, N) for M positions.
     """
     dt = opts.dt if opts.dt is not None else default_dt(state)
     horizon = opts.horizon_periods * state.period
     omega = 2.0 * np.pi / state.period
     n = opts.n_per_period
-    x0 = np.full(quad.n_nodes, float(x))
-    periods, resolved, _ = _orbit_periods_batch(state, sign, x0, quad.v1, quad.v2, dt, horizon,
-                                                weights=quad.w)
-    m0 = np.empty((kmax + 1, quad.n_nodes), dtype=complex)
+    M, N = x.size, quad.n_nodes
+    x0 = np.repeat(x, N)
+    v1, v2 = np.tile(quad.v1, M), np.tile(quad.v2, M)
+    periods, resolved, _ = _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon,
+                                                weights=np.tile(quad.w, M),
+                                                groups=np.repeat(np.arange(M), N))
+    m0 = np.empty((kmax + 1, M * N), dtype=complex)
     m1 = np.empty_like(m0)
-    mv1 = np.empty(quad.n_nodes)
+    mv1 = np.empty(M * N)
 
     def reduce(lanes, h, n_samples, G):
-        samples = _orbit_samples_batch(state, sign, x0[lanes], quad.v1[lanes], quad.v2[lanes],
-                                       h, n_samples, dt)
-        m0[:, lanes], m1[:, lanes], mv1[lanes] = _weighted_moments(*samples, G, kmax, omega)
+        samples = _orbit_stream(state, sign, x0[lanes], v1[lanes], v2[lanes], h, n_samples, dt)
+        m0[:, lanes], m1[:, lanes], mv1[lanes] = _weighted_moments(samples, G, kmax, omega)
 
     # at lam = 0 a lane that did not close is averaged over the horizon
     periodic = np.flatnonzero(resolved | (lam == 0.0))
-    # chunks of similar period keep the substep count small for the bulk
-    order = periodic[np.argsort(periods[periodic], kind="stable")]
-    for lo in range(0, order.size, CHUNK):
-        sl = order[lo:lo + CHUNK]
+    # at lam = 0 the weight is one number and every lane streams at once; at
+    # lam > 0 the (n, lanes) weight table is built per block of CHUNK lanes,
+    # taken in period order so that each block's substep counts are alike
+    block = CHUNK if lam > 0.0 else max(periodic.size, 1)
+    periodic = periodic[np.argsort(periods[periodic], kind="stable")]
+    for lo in range(0, periodic.size, block):
+        sl = periodic[lo:lo + block]
         reduce(sl, periods[sl] / n, n, _period_weights(lam, periods[sl], n))
     if lam > 0.0 and not resolved.all():
         S = min(horizon, -math.log(opts.tol_tail_s) / lam)
         n_d = 4 * n
         un = np.flatnonzero(~resolved)
-        reduce(un, np.full(un.size, -S / n_d), n_d + 1, _window_weights(lam, S, n_d))
-    return m0, m1, mv1
+        reduce(un, -S / n_d, n_d + 1, _window_weights(lam, S, n_d))
+    return m0.reshape(kmax + 1, M, N), m1.reshape(kmax + 1, M, N), mv1.reshape(M, N)
 
 
 def node_moments(state, species, lam, quad, kmax, x, opts=None):
-    """Per-velocity-node path moments at one collocation position."""
+    """Per-velocity-node path moments at one position or an array of M.
+
+    Returns m0, m1 of shape (kmax+1, M, N) and mv1 of shape (M, N); a
+    scalar ``x`` drops the M axis.
+    """
     sign = normalize_species(species)
     opts = opts or EvalOptions()
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if state.homogeneous and not opts.force_generic:
         # straight-line paths X(s) = x + v1hat * s: the kernel's filter times the x-phase
-        kernel = assembly_kernel(state, quad, kmax, [x])
+        kernel = assembly_kernel(state, quad, kmax, xs)
         re, im = kernel.filter(lam)
-        m0 = (re + 1j * im) * kernel.phases
-        return m0, kernel.vh2[None, :] * m0, kernel.vh1
-    return _node_moments_generic(state, sign, lam, quad, kmax, x, opts)
+        m0 = (re + 1j * im)[:, None, :] * kernel.phases[:, :, None]
+        out = m0, kernel.vh2 * m0, np.broadcast_to(kernel.vh1, (xs.size, quad.n_nodes))
+    else:
+        out = _node_moments_generic(state, sign, lam, quad, kmax, xs, opts)
+    if np.ndim(x) == 0:
+        return out[0][:, 0], out[1][:, 0], out[2][0]
+    return out
 
 
 def species_pair_moments(state, lam, quad, kmax, x, opts=None):
-    """Moments for both species at one position.
+    """Moments for both species at one position or an array of them.
 
     Under the mirror pairing the + trajectories are the v2-reflection of
     the - trajectories, bit for bit; by default the + moments are obtained
-    by relabeling nodes, which halves the trajectory work.
+    by relabeling nodes (the last axis), which halves the trajectory work.
     """
     opts = opts or EvalOptions()
     out = {-1: node_moments(state, -1, lam, quad, kmax, x, opts)}
@@ -406,7 +453,7 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
         from .discretization import theta_reflect_permutation
         perm = theta_reflect_permutation(quad)
         m0, m1, mv1 = out[-1]
-        out[+1] = (m0[:, perm], -m1[:, perm], mv1[perm])
+        out[+1] = (m0[..., perm], -m1[..., perm], mv1[..., perm])
     else:
         out[+1] = node_moments(state, +1, lam, quad, kmax, x, opts)
     return out
@@ -519,21 +566,20 @@ def moment_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
         return MomentProfiles(T1, T2, T3, T3, np.full(M, kernel.c), np.full(M, kernel.d),
                               np.full(M, kernel.lint), kernel.m_e, kernel.m_vp, kernel.m_p)
 
+    # every collocation point in one orbit pass, then contractions over the nodes
     vh1, vh2 = kernel.vh1, kernel.vh2
     T = np.zeros((4, kmax + 1, M), dtype=complex)
     c, d, lint = np.zeros(M), np.zeros(M), np.zeros(M)
-    for m, x in enumerate(x_grid):
-        pair = species_pair_moments(state, lam, quad, kmax, x, opts)
-        for sign in (-1, +1):
-            m0, m1, mv1 = pair[sign]
-            we = kernel.mu[sign][0][m] * quad.w
-            T[0, :, m] += m0 @ we
-            T[1, :, m] += m1 @ (we * vh2)
-            T[2, :, m] += m1 @ we
-            T[3, :, m] += m0 @ (we * vh2)
-            c[m] += float(np.sum(we * mv1))
-            d[m] += float(np.sum(we * vh2 * mv1))
-            lint[m] += float(np.sum(we * vh1 * mv1))
+    for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x_grid,
+                                                    opts).items():
+        we = kernel.mu[sign][0] * quad.w
+        T[0] += np.einsum("kmn,mn->km", m0, we)
+        T[1] += np.einsum("kmn,mn->km", m1, we * vh2)
+        T[2] += np.einsum("kmn,mn->km", m1, we)
+        T[3] += np.einsum("kmn,mn->km", m0, we * vh2)
+        c += np.sum(we * mv1, axis=1)
+        d += np.sum(we * vh2 * mv1, axis=1)
+        lint += np.sum(we * vh1 * mv1, axis=1)
     return MomentProfiles(*T, c, d, lint, kernel.m_e, kernel.m_vp, kernel.m_p)
 
 

@@ -143,8 +143,8 @@ def _resolved_lanes(state, quad, x):
 def test_projection_matches_batched_orbit_average(weak_state, aniso_coarse_quad):
     # at lam = 0 the pointwise projection and the assembly's per-node
     # moments come from one engine; on the heaviest resolved passing lane
-    # and trapped lane they differ only through the batch's substep count
-    # (3.2e-10 measured; a separate scalar detector gave 4.1e-9)
+    # and trapped lane each lane takes the same substeps in both, so they
+    # agree to roundoff (1.7e-16 measured; a separate scalar detector gave 4.1e-9)
     quad, kmax = aniso_coarse_quad, 3
     x = 0.3 * weak_state.period
     w = 2 * np.pi / weak_state.period
@@ -165,15 +165,18 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
     # filter applied to each harmonic's discrete Fourier series
     quad, kmax, n, lam = aniso_coarse_quad, 3, 128, 0.4
     calls = []
-    sample = ops._orbit_samples_batch
+    stream = ops._orbit_stream
 
     def keep(state, sign, x0, v1, v2, h, n_samples, dt):
-        out = sample(state, sign, x0, v1, v2, h, n_samples, dt)
-        calls.append((v1, v2, h, out))
-        return out
-    monkeypatch.setattr(ops, "_orbit_samples_batch", keep)
-    m0, m1, mv1 = ops._node_moments_generic(weak_state, -1, lam, quad, kmax, 0.7,
-                                            EvalOptions(n_per_period=n))
+        seen = []
+        for sample in stream(state, sign, x0, v1, v2, h, n_samples, dt):
+            seen.append(sample)
+            yield sample
+        calls.append((v1, v2, np.broadcast_to(h, v1.shape),
+                      tuple(np.array(a) for a in zip(*seen))))
+    monkeypatch.setattr(ops, "_orbit_stream", keep)
+    m0, m1, mv1 = vm.node_moments(weak_state, -1, lam, quad, kmax, 0.7,
+                                  EvalOptions(n_per_period=n))
     omega = 2 * np.pi / weak_state.period
     node = {ab: j for j, ab in enumerate(zip(quad.v1, quad.v2))}
     checked = 0
@@ -195,6 +198,59 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += len(lanes)
     assert checked == np.count_nonzero(_resolved_lanes(weak_state, quad, 0.7)[0])
+
+
+def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
+    # each collocation point stops on its own weight, so one batch over
+    # three points gives every lane exactly what three separate runs give.
+    # Unit weights keep the middle point's stragglers above the stop
+    # threshold, so it runs on after the other two have stopped.
+    quad, N = aniso_coarse_quad, aniso_coarse_quad.n_nodes
+    xs = np.array([0.1, 0.45, 0.8]) * weak_state.period
+    weights = [quad.w, np.ones(N), quad.w]
+    dt, horizon = default_dt(weak_state), EvalOptions().horizon_periods * weak_state.period
+    got = ops._orbit_periods_batch(weak_state, -1, np.repeat(xs, N), np.tile(quad.v1, 3),
+                                   np.tile(quad.v2, 3), dt, horizon,
+                                   weights=np.concatenate(weights),
+                                   groups=np.repeat(np.arange(3), N))
+    for i, x in enumerate(xs):
+        want = ops._orbit_periods_batch(weak_state, -1, np.full(N, x), quad.v1, quad.v2, dt,
+                                        horizon, weights=weights[i])
+        for a, b in zip(got, want):
+            assert np.array_equal(a.reshape(3, N)[i], b), i
+
+
+def test_node_moments_over_positions_match_per_point_calls(weak_state, aniso_coarse_quad):
+    quad, kmax = aniso_coarse_quad, 3
+    xs = np.array([0.1, 0.45, 0.8]) * weak_state.period
+    for lam in (0.0, 0.4):
+        grid = vm.node_moments(weak_state, -1, lam, quad, kmax, xs)
+        assert grid[0].shape == (kmax + 1, 3, quad.n_nodes) and grid[2].shape == (3, quad.n_nodes)
+        for i, x in enumerate(xs):
+            for got, want in zip(grid, vm.node_moments(weak_state, -1, lam, quad, kmax, x)):
+                got = got[..., i, :]
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (lam, i)
+
+
+def test_one_orbit_pass_per_assembly(monkeypatch, weak_state, aniso_coarse_quad):
+    # all collocation points share one pass: doubling them leaves the
+    # number of RK4 calls nearly unchanged (a loop over points doubles it)
+    steps = [0]
+    step = ops.rk4_step_arrays
+
+    def counting(*args):
+        steps[0] += 1
+        return step(*args)
+    monkeypatch.setattr(ops, "rk4_step_arrays", counting)
+    opts = EvalOptions(tol_sym=1e-3)
+    seen = []
+    for n_x in (2, 4):
+        basis = vm.build_fourier_basis(weak_state.period, n_x)
+        before = steps[0]
+        moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis.n_modes // 2, basis.x_grid,
+                        opts)
+        seen.append(steps[0] - before)
+    assert seen[1] <= 1.1 * seen[0], seen
 
 
 def test_orbit_engine_steps_through_operators(monkeypatch, weak_state, aniso_coarse_quad):
@@ -410,6 +466,18 @@ def test_large_rate_limits(aniso_state, aniso_quad):
     assert second <= first     # still shrinking
     assert second <= 0.05 * np.max(np.abs(vm.assemble_blocks(
         aniso_state, 0.5, basis, aniso_quad).A1))
+
+
+def test_large_rate_coupling_still_shrinking(weak_state, aniso_coarse_quad):
+    # on a magnetized state C is a real coupling (4.9e-3 at lam = 0.5);
+    # it must keep shrinking toward the large-rate limit
+    basis = vm.build_fourier_basis(weak_state.period, 4)
+    w = 2 * np.pi / weak_state.period
+    opts = EvalOptions(tol_sym=1e-3)
+    c = [np.max(np.abs(vm.assemble_blocks(weak_state, lam, basis, aniso_coarse_quad, opts).C))
+         for lam in (0.5, 50.0 * w, 200.0 * w)]
+    assert c[1] >= 1e-8, c      # far above roundoff: a coupling, not noise
+    assert c[2] < c[1] < c[0], c
 
 
 def test_current_response_bounded_over_sweep(aniso_state, aniso_quad):
