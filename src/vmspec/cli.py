@@ -22,7 +22,7 @@ from . import __version__
 from .discretization import build_fourier_basis, build_velocity_quadrature
 from .equilibrium import (build_profile, check_center_conditions, make_homogeneous_state,
                           solve_equilibrium_potential, validate_profile)
-from .errors import ConfigError, GoldenMismatchError, HypothesisError, VmspecError
+from .errors import ConfigError, GoldenMismatchError, HypothesisError, QuadratureError, VmspecError
 from .growing_mode import export_mode, reconstruct, residuals
 from .operators import EvalOptions, assemble_blocks, export_blocks
 from .spectra import (INCONCLUSIVE, count_eigenvalues, locate_kernel_for_state,
@@ -155,8 +155,11 @@ def _build_inputs(cfg):
         from .equilibrium import WeightSpec
         weight = WeightSpec(c=cfg.weight_c if cfg.weight_c is not None else weight.c,
                             alpha=cfg.weight_alpha if cfg.weight_alpha is not None else weight.alpha)
-    quad = build_velocity_quadrature(weight, kinks=profile.kinks, tol_tail=cfg.tol_tail,
-                                     n_r=cfg.n_r, n_theta=cfg.n_theta, n_r_tail=cfg.n_r_tail)
+    try:
+        quad = build_velocity_quadrature(weight, kinks=profile.kinks, tol_tail=cfg.tol_tail,
+                                         n_r=cfg.n_r, n_theta=cfg.n_theta, n_r_tail=cfg.n_r_tail)
+    except QuadratureError as exc:     # no rule fits the configuration
+        raise ConfigError(str(exc)) from exc
     return profile, weight, quad
 
 

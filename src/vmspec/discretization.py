@@ -63,6 +63,8 @@ class VelocityQuadrature:
 
 
 def _build_from_edges(edges, n_core, n_r, n_theta, n_r_tail):
+    if n_theta % 2:                # theta -> pi - theta maps nodes to nodes only if even
+        raise QuadratureError("n_theta must be even, got %d" % n_theta)
     edges = tuple(edges)
     xs_c, ws_c = leggauss(n_r)
     xs_t, ws_t = leggauss(max(4, n_r_tail))

@@ -9,11 +9,11 @@ members have psi0 identically zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .discretization import integrate_velocity
 from .errors import OrbitError, ProfileEvaluationError, QuadratureError, VmspecError
@@ -305,6 +305,21 @@ class OdeOptions:
     residual_points: int = 64
 
 
+def _scalar_spline(x, y):
+    """``CubicSpline(x, y)`` on one float, bit for bit without the array call:
+    bisect for the piece (ends extrapolate), then PPoly's ascending power sum."""
+    from scipy.interpolate import CubicSpline     # only the well ODE needs it
+    sp = CubicSpline(x, y)
+    knots, pieces, last = sp.x.tolist(), sp.c.T.tolist(), sp.x.size - 2
+
+    def g(s):
+        i = min(max(bisect.bisect_right(knots, s) - 1, 0), last)
+        c3, c2, c1, c0 = pieces[i]
+        d = s - knots[i]
+        return c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
+    return g
+
+
 def _well_step(g, psi, u, h):
     """One RK4 step of (psi, u)' = (u, g(psi))."""
     k1p, k1u = u, g(psi)
@@ -367,7 +382,7 @@ def solve_equilibrium_potential(profile, epsilon, quad, opts=None):
         span = 3.0 * epsilon
         grid = np.linspace(-span, span, opts.psi_grid)
         gvals = np.array([source_term(profile, quad, s) for s in grid])
-        g = CubicSpline(grid, gvals)
+        g = _scalar_spline(grid, gvals)
 
     t_guess = 2.0 * np.pi / math.sqrt(-gp0)
 
@@ -422,7 +437,7 @@ def find_center_amplitude(profile, quad, eps_start=0.01, eps_cap=10.0, iters=12)
     """
     grid = np.linspace(-1.5 * eps_cap, 1.5 * eps_cap, 641)
     gvals = np.array([source_term(profile, quad, s) for s in grid])
-    gsp = CubicSpline(grid, gvals)
+    gsp = _scalar_spline(grid, gvals)
     opts = OdeOptions(n_steps=1024, n_samples=256, residual_points=4,
                       tol_equil=float("inf"), g_override=gsp)
 

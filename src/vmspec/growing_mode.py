@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VmspecError
-from .operators import EvalOptions, assembly_kernel, species_pair_moments
+from .operators import EvalOptions, assembly_kernel, line_filter, species_pair_moments
 
 
 def _half_spectrum(basis, coeffs):
@@ -98,30 +98,30 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     c_psi = _half_spectrum(basis, psi_coeffs)
     vh1, vh2 = kernel.vh1, kernel.vh2
 
-    # q[s] = Q phi - Q(v2hat psi) - b Q v1hat on the (x, v) grid
+    f = {}                         # f_s of the module docstring, per species
     if state.homogeneous and not opts.force_generic:
-        # path moments factor into an x-phase times the kernel's filter, so
-        # the whole grid reconstructs with real matrix products
-        re, im = kernel.filter(lam)
-        p_phi = kernel.phases.T * c_phi[None, :]
-        p_psi = kernel.phases.T * c_psi[None, :]
-        q = p_phi.real @ re - p_phi.imag @ im
-        q -= (p_psi.real @ re - p_psi.imag @ im) * vh2[None, :] + mode.b * vh1[None, :]
-        q = {-1: q, +1: q}
+        # an x-phase p_k times the filter, Re p_k (re + i im) = [Re p, -Im p] @ [re; im],
+        # and x-free mu_e, mu_p: each f_s is one real product over the whole grid
+        re, im = line_filter(quad, kmax, 2.0 * np.pi / state.period, lam)
+        p_phi, p_psi = (kernel.phases.T * c[None, :] for c in (c_phi, c_psi))
+        G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
+                       p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
+        H = np.vstack([re, im, re * vh2, im * vh2, vh1])
+        for sign in (-1, +1):
+            mu_e, mu_p = (sign * m[0] for m in kernel.mu[sign])
+            f[sign] = G @ np.vstack([mu_e, mu_p, mu_e * H])
     else:
         # one orbit pass over the whole grid; contract the harmonics away
-        q = {sign: np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
-             - mode.b * mv1
-             for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x,
-                                                             opts).items()}
-    fminus, fplus = (sign * (kernel.mu[sign][0] * (phi_v[:, None] - q[sign])
-                             + kernel.mu[sign][1] * psi_v[:, None]) for sign in (-1, +1))
-
-    diff = fplus - fminus
-    mode.fplus, mode.fminus = fplus, fminus
-    mode.rho = diff @ quad.w
-    mode.j1 = diff @ (quad.w * vh1)
-    mode.j2 = diff @ (quad.w * vh2)
+        for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x,
+                                                        opts).items():
+            q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
+                 - mode.b * mv1)
+            f[sign] = sign * (kernel.mu[sign][0] * (phi_v[:, None] - q)
+                              + kernel.mu[sign][1] * psi_v[:, None])
+    mode.fminus, mode.fplus = f[-1], f[+1]
+    # charge and currents species by species, without an (M, N) difference
+    V = np.column_stack([quad.w, quad.w * vh1, quad.w * vh2])
+    mode.rho, mode.j1, mode.j2 = (f[+1] @ V - f[-1] @ V).T
     return mode
 
 
@@ -234,28 +234,18 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
         gq2 = (dq1(vh1, vh2) * dv2_h1 + dq2(vh1, vh2) * dv2_h2) * env + q(vh1, vh2) * denv * vh2
         vecs.append((qv, vh1 * qv, vh2 * gq1 - vh1 * gq2))
 
-    # x-profiles of f against each velocity vector, and the source moments
+    # per q: f against w (qv, vh1 qv, rot), the sources (mu_e vh1, mu_p vh1,
+    # mu_e vh2 + mu_p) against w qv; without a potential one row of mu serves all x
+    rows = x[:1] if state.homogeneous else x
     per_species = {}
     for sign, f in ((-1, mode.fminus), (+1, mode.fplus)):
-        prof_f = []                # (f@w*qv, f@w*vh1*qv, f@w*rot)  per q
-        src = []                   # (mu_e*vh1, mu_p*vh1, mu_e*vh2+mu_p) against qv
-        if state.homogeneous:
-            mu_e = state.profile.mu_e(sign, quad.e, quad.v2)
-            mu_p = state.profile.mu_p(sign, quad.e, quad.v2)
-            for qv, adv, rot in vecs:
-                prof_f.append((f @ (quad.w * qv), f @ (quad.w * adv), f @ (quad.w * rot)))
-                src.append((np.full(x.size, np.sum(mu_e * vh1 * qv * quad.w)),
-                            np.full(x.size, np.sum(mu_p * vh1 * qv * quad.w)),
-                            np.full(x.size, np.sum((mu_e * vh2 + mu_p) * qv * quad.w))))
-        else:
-            p = quad.v2[None, :] + sign * state.psi0(x)[:, None]
-            mu_e = state.profile.mu_e(sign, quad.e[None, :], p)
-            mu_p = state.profile.mu_p(sign, quad.e[None, :], p)
-            for qv, adv, rot in vecs:
-                prof_f.append((f @ (quad.w * qv), f @ (quad.w * adv), f @ (quad.w * rot)))
-                src.append(((mu_e * vh1[None, :]) @ (quad.w * qv),
-                            (mu_p * vh1[None, :]) @ (quad.w * qv),
-                            (mu_e * vh2[None, :] + mu_p) @ (quad.w * qv)))
+        p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
+        mu_e = state.profile.mu_e(sign, quad.e[None, :], p)
+        mu_p = state.profile.mu_p(sign, quad.e[None, :], p)
+        prof_f = [(f @ (quad.w * qv), f @ (quad.w * adv), f @ (quad.w * rot))
+                  for qv, adv, rot in vecs]
+        src = [((mu_e * vh1) @ (quad.w * qv), (mu_p * vh1) @ (quad.w * qv),
+                (mu_e * vh2 + mu_p) @ (quad.w * qv)) for qv, _, _ in vecs]
         per_species[sign] = (prof_f, src)
 
     worst = 0.0

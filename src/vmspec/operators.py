@@ -31,8 +31,8 @@ and the rate enters only through G:
 ``orbit_info`` and ``ProjectionEvaluator`` are one-lane views on the same
 engine.  ``SmoothingEvaluator`` keeps a direct composite Gauss-Legendre
 rule on the RK4 path of ``characteristics``, as the independent reference
-for the small-rate limit.  Homogeneous states use the straight-line
-closed form, held once per state in ``AssemblyKernel``.
+for the small-rate limit.  Homogeneous states use the straight-line closed
+form: ``line_filter`` per node, folded by ``AssemblyKernel`` for the assembly.
 """
 
 from __future__ import annotations
@@ -428,11 +428,12 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     opts = opts or EvalOptions()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if state.homogeneous and not opts.force_generic:
-        # straight-line paths X(s) = x + v1hat * s: the kernel's filter times the x-phase
-        kernel = assembly_kernel(state, quad, kmax, xs)
-        re, im = kernel.filter(lam)
-        m0 = (re + 1j * im)[:, None, :] * kernel.phases[:, :, None]
-        out = m0, kernel.vh2 * m0, np.broadcast_to(kernel.vh1, (xs.size, quad.n_nodes))
+        # straight-line paths X(s) = x + v1hat * s: the filter times the x-phase
+        omega = 2.0 * np.pi / state.period
+        re, im = line_filter(quad, kmax, omega, lam)
+        phases = np.exp(1j * (np.arange(kmax + 1)[:, None] * omega) * xs[None, :])
+        m0 = (re + 1j * im)[:, None, :] * phases[:, :, None]
+        out = m0, (quad.v2 / quad.e) * m0, np.broadcast_to(quad.v1 / quad.e, m0.shape[1:])
     else:
         out = _node_moments_generic(state, sign, lam, quad, kmax, xs, opts)
     if np.ndim(x) == 0:
@@ -449,7 +450,7 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
     """
     opts = opts or EvalOptions()
     out = {-1: node_moments(state, -1, lam, quad, kmax, x, opts)}
-    if opts.species_symmetry and not (state.homogeneous and not opts.force_generic):
+    if opts.species_symmetry:
         from .discretization import theta_reflect_permutation
         perm = theta_reflect_permutation(quad)
         m0, m1, mv1 = out[-1]
@@ -463,16 +464,43 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
 # velocity-integrated moment profiles and Galerkin assembly
 # ---------------------------------------------------------------------------
 
+def _damping(lam, a2):
+    """lam^2/(lam^2 + a^2), the real part of lam/(lam + i a); at lam = 0 only row k = 0 is 1."""
+    if lam == 0.0:
+        return np.eye(len(a2), 1) * np.ones_like(a2)
+    re = a2 + lam * lam            # the divide runs in place: one fresh array, not two
+    return np.divide(lam * lam, re, out=re)
+
+
+def line_filter(quad, kmax, omega, lam):
+    """lam/(lam + i k omega vh1) on every node, as (real, imag) of shape (kmax+1, N):
+    the straight-line path average of exp(i k omega X) divided by its x-phase."""
+    a = np.arange(kmax + 1)[:, None] * omega * (quad.v1 / quad.e)[None, :]
+    re = _damping(lam, a * a)
+    return re, (-(a / lam) * re if lam > 0.0 else np.zeros_like(a))
+
+
+def _quarter_classes(quad):
+    """Class of every node under theta -> -theta and theta -> pi - theta; class
+    j < ceil(n_theta/4) of a ring is angle j and its images.  At n_theta = 2
+    (mod 4) the angle pi/2 is its own image: its class holds two nodes."""
+    n = quad.theta_nodes.size
+    j = np.minimum(np.arange(n), np.arange(n)[::-1])      # theta -> -theta
+    j = np.minimum(j, n // 2 - 1 - j)                     # theta -> pi - theta
+    n_cls = (n + 3) // 4
+    return (np.arange(quad.r_nodes.size)[:, None] * n_cls + j[None, :]).ravel(), n_cls
+
+
 @dataclass
 class AssemblyKernel:
     """The lam-independent part of the assembly on one state and grid.
 
     ``mu[s]`` holds species s's (mu_e, mu_p) at the M collocation points
-    and m_e, m_vp, m_p the local moments.  Straight-line (homogeneous)
-    states also keep the species-summed W = [mu_e w, mu_e vh2^2 w,
-    mu_e vh2 w], the avg(V1hat) integrals c, d, lint and a = k w vh1, so a
-    rate costs one real filter and two products.  Magnetized orbits are
-    not cached: a single-rate assembly would not reuse them.
+    and m_e, m_vp, m_p the local moments.  On straight-line (homogeneous)
+    states the filter lam^2/(lam^2 + a^2), a = k w vh1, and the summed mu_e w
+    are even in v1 and v2 (ions mirror electrons), so per class of
+    ``_quarter_classes`` it keeps a2 = a^2 and W = [mu_e w, mu_e vh2^2 w]: a
+    rate costs one filter on a quarter of the nodes.  T3, T4, c and d are 0.
     """
 
     vh1: np.ndarray
@@ -482,20 +510,9 @@ class AssemblyKernel:
     m_e: np.ndarray
     m_vp: np.ndarray
     m_p: np.ndarray
-    a: np.ndarray = None
-    W: np.ndarray = None
-    c: float = 0.0
-    d: float = 0.0
+    a2: np.ndarray = None          # (kmax+1, classes)
+    W: np.ndarray = None           # (classes, 2)
     lint: float = 0.0
-
-    def filter(self, lam):
-        """lam/(lam + i a) = lam^2/(lam^2 + a^2) (1 - i a/lam), as (real, imag)."""
-        if lam == 0.0:
-            re = np.zeros_like(self.a)
-            re[0] = 1.0
-            return re, np.zeros_like(self.a)
-        re = lam * lam / (lam * lam + self.a * self.a)
-        return re, -(self.a / lam) * re
 
 
 def assembly_kernel(state, quad, kmax, x_grid):
@@ -519,8 +536,11 @@ def assembly_kernel(state, quad, kmax, x_grid):
         kern.m_p = kern.m_p + np.sum(mu_p * quad.w, axis=1)
     if state.homogeneous:
         we = (kern.mu[-1][0][0] + kern.mu[+1][0][0]) * quad.w      # species-summed mu_e w
-        kern.a, kern.W = ks * vh1[None, :], np.column_stack([we, we * vh2 * vh2, we * vh2])
-        kern.c, kern.d, kern.lint = (float(np.sum(we * f)) for f in (vh1, vh2 * vh1, vh1 * vh1))
+        cls, n_cls = _quarter_classes(quad)
+        kern.W = np.column_stack([np.bincount(cls, f) for f in (we, we * vh2 * vh2)])
+        rep = vh1.reshape(-1, quad.theta_nodes.size)[:, :n_cls].ravel()
+        kern.a2 = (ks * rep[None, :]) ** 2
+        kern.lint = float(kern.W[:, 0] @ (rep * rep))
     kern.m_e, kern.m_vp, kern.m_p = (np.broadcast_to(v, M)
                                      for v in (kern.m_e, kern.m_vp, kern.m_p))
     return kern
@@ -558,12 +578,12 @@ def moment_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
     M = x_grid.size
 
     if state.homogeneous and not opts.force_generic:
-        # translation invariance: velocity integrals once, phases per x
-        # mu(e, p) is even in v1 and the quadrature is closed under
-        # theta -> pi - theta, so the filter's odd imaginary part cancels here
-        tau = kernel.filter(lam)[0] @ kernel.W
-        T1, T2, T3 = (tau[:, j:j + 1] * kernel.phases for j in range(3))
-        return MomentProfiles(T1, T2, T3, T3, np.full(M, kernel.c), np.full(M, kernel.d),
+        # translation invariance: velocity integrals once, phases per x; on
+        # the folded table the filter's v1-odd imaginary part is gone
+        tau = _damping(lam, kernel.a2) @ kernel.W
+        T1, T2 = (tau[:, j:j + 1] * kernel.phases for j in range(2))
+        zero = np.zeros_like(T1)
+        return MomentProfiles(T1, T2, zero, zero, np.zeros(M), np.zeros(M),
                               np.full(M, kernel.lint), kernel.m_e, kernel.m_vp, kernel.m_p)
 
     # every collocation point in one orbit pass, then contractions over the nodes

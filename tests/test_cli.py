@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,25 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys):
     cfg_path.write_text("disc.n_r = -5\n")
     code = run(["--config", str(cfg_path), "validate"], tmp_path, monkeypatch)
     assert code == cli.EXIT_CONFIG
+
+
+def test_odd_angle_count_exits_2(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "odd.cfg"
+    cfg_path.write_text("disc.n_theta = 33\n")
+    code = run(["--config", str(cfg_path), "--profile", "zero", "--n", "2", "--n-x", "8",
+                "analyze"], tmp_path, monkeypatch)
+    assert code == cli.EXIT_CONFIG
+    assert "n_theta must be even" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_interpolation_unloaded():
+    # only the well ODE's spline needs scipy.interpolate; it is imported there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, vmspec.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_validate_zero_profile(tmp_path, monkeypatch):

@@ -104,6 +104,12 @@ def test_shallow_weight_is_rejected():
         weight_tail_radius(type("W", (), {"c": 1.0, "alpha": 1.5})(), 1e-8)
 
 
+def test_odd_angle_count_is_rejected():
+    # theta -> pi - theta maps nodes to nodes only on an even number of angles
+    with pytest.raises(QuadratureError, match="n_theta must be even"):
+        vm.build_velocity_quadrature(vm.WeightSpec(c=1.0, alpha=4.0), n_r=8, n_theta=33)
+
+
 # ---------------------------------------------------------------------------
 # spatial basis
 # ---------------------------------------------------------------------------

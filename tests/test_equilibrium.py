@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vmspec as vm
-from vmspec.equilibrium import OdeOptions
+from vmspec.equilibrium import OdeOptions, _scalar_spline
 from vmspec.errors import OrbitError, ProfileEvaluationError, VmspecError
 
 
@@ -103,6 +103,17 @@ def test_harmonic_oscillator_hook():
     assert abs(state.period - 2 * np.pi) <= 1e-8
     x = np.linspace(0, state.period, 64, endpoint=False)
     assert np.max(np.abs(state.psi0(x) - (-0.3 * np.cos(x)))) <= 1e-8
+
+
+def test_scalar_spline_matches_cubic_spline():
+    # the well ODE's scalar evaluation must be the array spline, bit for bit
+    from scipy.interpolate import CubicSpline
+    x = np.linspace(-0.15, 0.15, 321)
+    y = np.sin(7.0 * x) - x ** 3 + 0.1 * np.cos(40.0 * x)
+    g, sp = _scalar_spline(x, y), CubicSpline(x, y)
+    pts = np.concatenate([x, [-0.3, 0.3],            # knots, then beyond both ends
+                          np.random.default_rng(0).uniform(-0.2, 0.2, 1000)])
+    assert np.array_equal([g(float(s)) for s in pts], sp(pts))
 
 
 def test_not_a_center_at_large_amplitude():

@@ -354,6 +354,34 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
             assert np.max(np.abs(m0 - ref)) <= 1e-12
 
 
+def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, paper_profile,
+                                                    aniso_profile):
+    # on 18 angles (2 mod 4) the angles pi/2 and 3 pi/2 are their own images
+    # under theta -> pi - theta: their class holds two nodes, each counted once
+    for state, (prof, weight) in ((paper_state, paper_profile), (aniso_state, aniso_profile)):
+        quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=24, n_theta=18,
+                                            n_r_tail=8)
+        cls, n_cls = ops._quarter_classes(quad)
+        assert n_cls == 5 and cls.max() + 1 == quad.r_nodes.size * n_cls
+        assert abs(np.sum(np.bincount(cls, quad.w)) - np.sum(quad.w)) <= 1e-14 * np.sum(quad.w)
+        basis = vm.build_fourier_basis(state.period, 8)
+        kern = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
+        we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
+        assert kern.W.shape == (quad.r_nodes.size * n_cls, 2)
+        assert abs(np.sum(kern.W[:, 0]) - np.sum(we)) <= 1e-13 * np.sum(np.abs(we))
+        w = 2 * np.pi / state.period
+        for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
+            prof_lam = moment_profiles(state, lam, quad, basis.n_modes // 2, basis.x_grid,
+                                       kernel=kern)
+            assert not prof_lam.T3.any() and not prof_lam.T4.any()
+            assert not prof_lam.c.any() and not prof_lam.d.any()
+            want = _straight_line_profiles(state, lam, quad, basis.n_modes // 2, basis.x_grid)
+            for name in ("T1", "T2", "lint"):
+                ref = getattr(want, name)
+                err = np.max(np.abs(getattr(prof_lam, name) - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref)), (name, lam, err)
+
+
 def test_paper_profile_current_response_value(paper_state, paper_quad):
     basis = vm.build_fourier_basis(paper_state.period, 8)
     blocks = vm.assemble_blocks(paper_state, 0.0, basis, paper_quad)
