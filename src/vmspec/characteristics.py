@@ -6,7 +6,8 @@ kinetic energy <v> and the canonical momentum v2 + s*psi0(x) are exact
 invariants; the integrator monitors both and halves its step until their
 drift sits below tolerance.
 
-Homogeneous states (B0 = 0) use the exact straight-line flow.
+Homogeneous states (B0 = 0) use the exact straight-line flow, written once
+in ``backward_path``.
 """
 
 from __future__ import annotations
@@ -103,46 +104,21 @@ def _integrate_to(state, sign, x, v1, v2, t_target, dt):
     return x, v1, v2
 
 
-def _drifts(state, sign, x0, v10, v20, x1, v11, v21):
-    e0 = np.sqrt(1.0 + v10 ** 2 + v20 ** 2)
-    e1 = np.sqrt(1.0 + v11 ** 2 + v21 ** 2)
-    p0 = v20 + sign * state.psi0(x0)
-    p1 = v21 + sign * state.psi0(x1)
-    return float(np.max(np.abs(e1 - e0))), float(np.max(np.abs(p1 - p0)))
-
-
 def flow(state, species, start, s, opts=None):
     """Phase point reached after time s along the species' trajectory.
 
     Negative s is the backward flow used everywhere in the smoothing
     averages; positive s is accepted for the reversal identities.
     """
-    sign = normalize_species(species)
-    opts = opts or StepOptions()
     if s == 0.0:
         return start
-
-    if state.homogeneous:
-        e = start.energy
-        x = (start.x + (start.v1 / e) * s) % state.period
-        return PhasePoint(x, start.v1, start.v2)
-
     # stationary fixed point: zero velocity along x and no rotation drive
     e = start.energy
     if abs(start.v1 / e) < STATIONARY_EPS and abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
         return start
-
-    dt = opts.dt if opts.dt is not None else default_dt(state)
-    for _ in range(opts.max_halvings + 1):
-        x, v1, v2 = _integrate_to(state, sign, np.float64(start.x), np.float64(start.v1),
-                                  np.float64(start.v2), s, dt)
-        de, dp = _drifts(state, sign, start.x, start.v1, start.v2, x, v1, v2)
-        if de <= opts.tol_cons and dp <= opts.tol_cons:
-            return PhasePoint(float(x) % state.period, float(v1), float(v2))
-        dt *= 0.5
-    raise ConservationError(
-        "conservation failure: |de|=%.3e |dp|=%.3e after %d halvings" % (de, dp, opts.max_halvings),
-        drift_e=de, drift_p=dp)
+    x, v1, v2, _, _ = _checked_path(state, normalize_species(species), start,
+                                    np.array([float(s)]), opts or StepOptions())
+    return PhasePoint(float(x[0]), float(v1[0]), float(v2[0]))
 
 
 def backward_gauss_nodes(horizon, n_nodes):
@@ -166,8 +142,9 @@ class TrajectorySample:
 
 
 def backward_path(state, species, start, s_nodes, dt=None):
-    """States at the descending times ``s_nodes`` (all <= 0), one continuous
-    integration with steps of at most ``dt``; positions are wrapped."""
+    """States at the times ``s_nodes``, descending and <= 0 on a backward
+    path, one continuous integration with steps of at most ``dt``;
+    positions are wrapped."""
     sign = normalize_species(species)
     n = s_nodes.size
     if state.homogeneous:
@@ -185,30 +162,30 @@ def backward_path(state, species, start, s_nodes, dt=None):
     return xs % state.period, v1s, v2s
 
 
-def sample_backward(state, species, start, horizon, n_nodes, opts=None):
-    """States at Gauss nodes on [-horizon, 0]; the step halves until the
-    drift of both invariants sits below ``opts.tol_cons``."""
-    sign = normalize_species(species)
-    opts = opts or StepOptions()
-    if n_nodes < 2:
-        raise VmspecError("sample_backward needs at least 2 nodes")
-    s_nodes, _ = backward_gauss_nodes(horizon, n_nodes)
-    if state.homogeneous:
-        return TrajectorySample(sign, s_nodes, *backward_path(state, sign, start, s_nodes),
-                                0.0, 0.0)
-
+def _checked_path(state, sign, start, s_nodes, opts):
+    """``backward_path`` with the step halved until the drift of both
+    invariants sits below ``opts.tol_cons``; returns (x, v1, v2, de, dp)."""
     dt = opts.dt if opts.dt is not None else default_dt(state)
     e0 = start.energy
     p0 = start.momentum(state, sign)
     for _ in range(opts.max_halvings + 1):
         xs, v1s, v2s = backward_path(state, sign, start, s_nodes, dt)
-        es = np.sqrt(1.0 + v1s ** 2 + v2s ** 2)
-        ps = v2s + sign * state.psi0(xs)
-        de = float(np.max(np.abs(es - e0)))
-        dp = float(np.max(np.abs(ps - p0)))
+        de = float(np.max(np.abs(np.sqrt(1.0 + v1s ** 2 + v2s ** 2) - e0)))
+        dp = float(np.max(np.abs(v2s + sign * state.psi0(xs) - p0)))
         if de <= opts.tol_cons and dp <= opts.tol_cons:
-            return TrajectorySample(sign, s_nodes, xs, v1s, v2s, de, dp)
+            return xs, v1s, v2s, de, dp
         dt *= 0.5
     raise ConservationError(
-        "conservation failure along sample: |de|=%.3e |dp|=%.3e" % (de, dp),
+        "conservation failure: |de|=%.3e |dp|=%.3e after %d halvings" % (de, dp, opts.max_halvings),
         drift_e=de, drift_p=dp)
+
+
+def sample_backward(state, species, start, horizon, n_nodes, opts=None):
+    """States at Gauss nodes on [-horizon, 0]; the step halves until the
+    drift of both invariants sits below ``opts.tol_cons``."""
+    sign = normalize_species(species)
+    if n_nodes < 2:
+        raise VmspecError("sample_backward needs at least 2 nodes")
+    s_nodes, _ = backward_gauss_nodes(horizon, n_nodes)
+    return TrajectorySample(sign, s_nodes,
+                            *_checked_path(state, sign, start, s_nodes, opts or StepOptions()))

@@ -51,7 +51,7 @@ class RunConfig:
     tol_tail: float = 1e-8
     tol_eig: float = None
     tol_kernel: float = None
-    tol_sym: float = 1e-8
+    tol_sym: float = None          # None: 1e-8 on homogeneous states, 1e-4 on magnetized ones
     tol_residual: float = 1e-4
     tol_validate: float = 1e-12
     lambda_min: float = 1e-2       # units of 2*pi/P
@@ -68,7 +68,7 @@ class RunConfig:
                 raise ConfigError("%s must be positive" % name)
         for name in ("tol_tail", "tol_sym", "tol_residual", "tol_validate"):
             v = getattr(self, name)
-            if not (0.0 < v < 1.0):
+            if v is not None and not (0.0 < v < 1.0):
                 raise ConfigError("%s must lie in (0, 1)" % name)
         if self.lambda_min <= 0 or self.lambda_max <= self.lambda_min:
             raise ConfigError("lambda grid needs 0 < lambda_min < lambda_max")
@@ -170,9 +170,11 @@ def _build_state(cfg, profile, quad):
     return make_homogeneous_state(profile, period)
 
 
-def _eval_options(cfg, generic_tol_sym=None):
-    return EvalOptions(n_per_period=cfg.n_per_period,
-                       tol_sym=generic_tol_sym if generic_tol_sym is not None else cfg.tol_sym)
+def _eval_options(cfg, state):
+    tol_sym = cfg.tol_sym
+    if tol_sym is None:            # orbit quadrature leaves magnetized blocks less symmetric
+        tol_sym = 1e-8 if state.homogeneous else 1e-4
+    return EvalOptions(n_per_period=cfg.n_per_period, tol_sym=tol_sym)
 
 
 def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
@@ -278,10 +280,10 @@ def cmd_assemble(cfg, lam=0.0):
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
     basis = build_fourier_basis(state.period, cfg.n_x)
-    opts = _eval_options(cfg, generic_tol_sym=None if state.homogeneous else 1e-4)
+    opts = _eval_options(cfg, state)
     blocks = assemble_blocks(state, lam, basis, quad, opts)
     path = export_blocks(blocks, _outdir(cfg), stem="blocks_lam%g" % lam,
-                         tolerances={"tol_sym": cfg.tol_sym, "tol_tail": cfg.tol_tail},
+                         tolerances={"tol_sym": opts.tol_sym, "tol_tail": cfg.tol_tail},
                          extra={"config_hash": cfg.hash()})
     print("blocks at lam=%g exported to %s (defects %s)" % (lam, path, blocks.defects))
     return EXIT_OK
@@ -289,7 +291,7 @@ def cmd_assemble(cfg, lam=0.0):
 
 def _run_sweep(cfg, state, quad):
     basis = build_fourier_basis(state.period, cfg.n_x)
-    opts = _eval_options(cfg, generic_tol_sym=None if state.homogeneous else 1e-4)
+    opts = _eval_options(cfg, state)
     w = 2.0 * np.pi / state.period
     grid = np.geomspace(cfg.lambda_min * w, cfg.lambda_max * w, cfg.lambda_points)
     sw = sweep(state, basis, quad, cfg.n, grid, opts, tol_eig=cfg.tol_eig)

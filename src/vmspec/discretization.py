@@ -210,21 +210,6 @@ class FourierBasis:
     def quad_weight(self):
         return self.period / self.x_grid.size
 
-    def evaluate(self, coeffs, x):
-        """Synthesize sum_j coeffs[j] * u_j at arbitrary points x."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        P = self.period
-        for j in range(self.n_functions):
-            k = self.k_index[j]
-            if k == 0:
-                out = out + coeffs[j] / np.sqrt(P)
-            elif self.is_sin[j]:
-                out = out + coeffs[j] * np.sqrt(2.0 / P) * np.sin(k * self.omega * x)
-            else:
-                out = out + coeffs[j] * np.sqrt(2.0 / P) * np.cos(k * self.omega * x)
-        return out
-
     def project(self, grid_values):
         """Coefficients of a grid function: <g, u_j> under the trapezoid rule."""
         return self.values.T @ (np.asarray(grid_values) * self.quad_weight)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VmspecError
-from .operators import EvalOptions, assembly_kernel, line_filter, species_pair_moments
+from .operators import assembly_kernel, line_filter, species_pair_moments
 
 
 def _half_spectrum(basis, coeffs):
@@ -82,7 +82,6 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     const = np.nonzero(basis.k_index == 0)[0]
     if const.size and abs(phi_coeffs[const[0]]) > 0.0:
         raise VmspecError("phi must be mean-free: constant coefficient rejected")
-    opts = opts or EvalOptions()
     x = basis.x_grid
     phi_v = basis.values @ phi_coeffs
     psi_v = basis.values @ psi_coeffs
@@ -99,7 +98,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     vh1, vh2 = kernel.vh1, kernel.vh2
 
     f = {}                         # f_s of the module docstring, per species
-    if state.homogeneous and not opts.force_generic:
+    if state.homogeneous:
         # an x-phase p_k times the filter, Re p_k (re + i im) = [Re p, -Im p] @ [re; im],
         # and x-free mu_e, mu_p: each f_s is one real product over the whole grid
         re, im = line_filter(quad, kmax, 2.0 * np.pi / state.period, lam)
@@ -204,6 +203,18 @@ def _test_battery(basis):
     return spatial, velocity
 
 
+def _species_mu(state, quad, x):
+    """Each species' (mu_e, mu_p) at the points x, as (M, N) arrays; without
+    a potential they do not depend on x, and one row (1, N) serves every x."""
+    rows = x[:1] if state.homogeneous else x
+    out = {}
+    for sign in (-1, +1):
+        p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
+        out[sign] = (state.profile.mu_e(sign, quad.e[None, :], p),
+                     state.profile.mu_p(sign, quad.e[None, :], p))
+    return out
+
+
 def _weak_vlasov_defect(state, mode, basis, quad, floor):
     """Max relative weak-form transport defect over the battery.
 
@@ -235,13 +246,11 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
         vecs.append((qv, vh1 * qv, vh2 * gq1 - vh1 * gq2))
 
     # per q: f against w (qv, vh1 qv, rot), the sources (mu_e vh1, mu_p vh1,
-    # mu_e vh2 + mu_p) against w qv; without a potential one row of mu serves all x
-    rows = x[:1] if state.homogeneous else x
+    # mu_e vh2 + mu_p) against w qv
+    mu = _species_mu(state, quad, x)
     per_species = {}
     for sign, f in ((-1, mode.fminus), (+1, mode.fplus)):
-        p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
-        mu_e = state.profile.mu_e(sign, quad.e[None, :], p)
-        mu_p = state.profile.mu_p(sign, quad.e[None, :], p)
+        mu_e, mu_p = mu[sign]
         prof_f = [(f @ (quad.w * qv), f @ (quad.w * adv), f @ (quad.w * rot))
                   for qv, adv, rot in vecs]
         src = [((mu_e * vh1) @ (quad.w * qv), (mu_p * vh1) @ (quad.w * qv),
@@ -311,9 +320,7 @@ def physical_defect_coeffs(state, mode, basis, quad):
 
     vh1 = quad.v1 / quad.e
     drop1 = drop2 = 0.0
-    kernel = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
-    for sign in (-1, +1):
-        mu_e, mu_p = kernel.mu[sign]
+    for mu_e, mu_p in _species_mu(state, quad, basis.x_grid).values():
         drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
         drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)

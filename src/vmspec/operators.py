@@ -28,11 +28,14 @@ and the rate enters only through G:
 * the exponential window weights on [-S, 0] for a lane whose orbit did
   not close, sampled backward.
 
-``orbit_info`` and ``ProjectionEvaluator`` are one-lane views on the same
-engine.  ``SmoothingEvaluator`` keeps a direct composite Gauss-Legendre
-rule on the RK4 path of ``characteristics``, as the independent reference
-for the small-rate limit.  Homogeneous states use the straight-line closed
-form: ``line_filter`` per node, folded by ``AssemblyKernel`` for the assembly.
+``orbit_info``, ``ProjectionEvaluator`` and ``node_moments`` are views on
+the same engine, for any state.  ``SmoothingEvaluator`` keeps a direct
+composite Gauss-Legendre rule on the RK4 path of ``characteristics``, as
+the independent reference for the small-rate limit.
+
+The state picks the path.  Homogeneous states (no potential) use the
+straight-line closed form instead of the engine: ``line_filter`` per node,
+and its fold onto the classes of ``AssemblyKernel`` for the assembly.
 """
 
 from __future__ import annotations
@@ -45,32 +48,33 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .characteristics import (STATIONARY_EPS, StepOptions, backward_path, default_dt,
-                              normalize_species, rk4_step_arrays)
+from .characteristics import (STATIONARY_EPS, backward_path, default_dt, normalize_species,
+                              rk4_step_arrays)
+from .discretization import theta_reflect_permutation
 from .errors import AssemblyError, OrbitError, VmspecError
 
 N_S_MIN = 128          # node floor of the smoothing rule
 NODES_PER_WAVE = 8.0   # smoothing-rule nodes per oscillation along the path
 MAX_PERIOD = 1e4       # default search limit of ``orbit_info``
 CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
+HORIZON_PERIODS = 25.0  # horizon, in periods, of an orbit that does not close
+TOL_ZERO = 1e-6        # lam = 0 couplings above this fail the block-diagonal check
 
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Knobs shared by the evaluators and the assembly backends."""
+    """Knobs shared by the evaluators and the assembly.
+
+    None of them picks the path: straight lines on homogeneous states, in
+    ``line_filter`` and the fold of ``AssemblyKernel``, the orbit engine on
+    every other state.
+    """
 
     tol_tail_s: float = 1e-10      # truncation weight for the backward horizon
     k_osc: int = 16                # assumed highest spatial harmonic of integrands
     n_per_period: int = 128        # orbit samples per period (>= 64)
-    horizon_periods: float = 25.0  # fallback horizon for unresolved orbits
     dt: float = None
-    force_generic: bool = False    # disable the homogeneous closed forms (testing)
-    species_symmetry: bool = True  # derive + species moments from - by reflection
     tol_sym: float = 1e-8
-    tol_zero: float = 1e-6
-
-    def step_options(self):
-        return StepOptions(dt=self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ class ProjectionEvaluator:
     """Average over one orbit period; stationary points are left in place.
 
     The assembly's engine on one lane: the period from ``orbit_info``, or
-    ``horizon_periods * P`` when the orbit does not close within that
+    ``HORIZON_PERIODS * P`` when the orbit does not close within that
     horizon, then ``n_per_period`` samples and their mean.
     """
 
@@ -353,9 +357,9 @@ class ProjectionEvaluator:
     def apply(self, species, k, point):
         sign = normalize_species(species)
         state, opts = self.state, self.opts
-        horizon = opts.horizon_periods * state.period
+        horizon = HORIZON_PERIODS * state.period
         try:
-            info = orbit_info(state, sign, point, horizon, opts.step_options())
+            info = orbit_info(state, sign, point, horizon, opts)
         except OrbitError:
             info = None
         if info is not None and info.kind == "stationary":
@@ -372,22 +376,27 @@ class ProjectionEvaluator:
 # per-node moments for the assembly
 # ---------------------------------------------------------------------------
 
-def _node_moments_generic(state, sign, lam, quad, kmax, x, opts):
-    """Moments m0[k], m1[k], mv1 for every (position, velocity node) lane.
+def node_moments(state, species, lam, quad, kmax, x, opts=None):
+    """Orbit-engine moments m0[k], m1[k], mv1 of every velocity node at one
+    position or an array of M.
 
     One period pass and one sampling pass cover all positions at once.
     Each lane is sampled over one period (the horizon when it did not
     close) and reduced with the period weights.  At lam > 0 a lane that
     did not close has no Fourier series; it is sampled backward over the
     window [-S, 0] and reduced with the window weights instead.
-    Returns arrays (kmax+1, M, N) and (M, N) for M positions.
+    Returns m0, m1 of shape (kmax+1, M, N) and mv1 of shape (M, N); a
+    scalar ``x`` drops the M axis.
     """
+    sign = normalize_species(species)
+    opts = opts or EvalOptions()
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     dt = opts.dt if opts.dt is not None else default_dt(state)
-    horizon = opts.horizon_periods * state.period
+    horizon = HORIZON_PERIODS * state.period
     omega = 2.0 * np.pi / state.period
     n = opts.n_per_period
-    M, N = x.size, quad.n_nodes
-    x0 = np.repeat(x, N)
+    M, N = xs.size, quad.n_nodes
+    x0 = np.repeat(xs, N)
     v1, v2 = np.tile(quad.v1, M), np.tile(quad.v2, M)
     periods, resolved, _ = _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon,
                                                 weights=np.tile(quad.w, M),
@@ -415,49 +424,22 @@ def _node_moments_generic(state, sign, lam, quad, kmax, x, opts):
         n_d = 4 * n
         un = np.flatnonzero(~resolved)
         reduce(un, -S / n_d, n_d + 1, _window_weights(lam, S, n_d))
-    return m0.reshape(kmax + 1, M, N), m1.reshape(kmax + 1, M, N), mv1.reshape(M, N)
-
-
-def node_moments(state, species, lam, quad, kmax, x, opts=None):
-    """Per-velocity-node path moments at one position or an array of M.
-
-    Returns m0, m1 of shape (kmax+1, M, N) and mv1 of shape (M, N); a
-    scalar ``x`` drops the M axis.
-    """
-    sign = normalize_species(species)
-    opts = opts or EvalOptions()
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if state.homogeneous and not opts.force_generic:
-        # straight-line paths X(s) = x + v1hat * s: the filter times the x-phase
-        omega = 2.0 * np.pi / state.period
-        re, im = line_filter(quad, kmax, omega, lam)
-        phases = np.exp(1j * (np.arange(kmax + 1)[:, None] * omega) * xs[None, :])
-        m0 = (re + 1j * im)[:, None, :] * phases[:, :, None]
-        out = m0, (quad.v2 / quad.e) * m0, np.broadcast_to(quad.v1 / quad.e, m0.shape[1:])
-    else:
-        out = _node_moments_generic(state, sign, lam, quad, kmax, xs, opts)
     if np.ndim(x) == 0:
-        return out[0][:, 0], out[1][:, 0], out[2][0]
-    return out
+        return m0.reshape(kmax + 1, N), m1.reshape(kmax + 1, N), mv1
+    return m0.reshape(kmax + 1, M, N), m1.reshape(kmax + 1, M, N), mv1.reshape(M, N)
 
 
 def species_pair_moments(state, lam, quad, kmax, x, opts=None):
     """Moments for both species at one position or an array of them.
 
     Under the mirror pairing the + trajectories are the v2-reflection of
-    the - trajectories, bit for bit; by default the + moments are obtained
-    by relabeling nodes (the last axis), which halves the trajectory work.
+    the - trajectories, to roundoff, so the + moments are the - ones with
+    the nodes (the last axis) relabeled: half the trajectory work.
+    ``node_moments(state, +1, ...)`` is the direct reference.
     """
-    opts = opts or EvalOptions()
-    out = {-1: node_moments(state, -1, lam, quad, kmax, x, opts)}
-    if opts.species_symmetry:
-        from .discretization import theta_reflect_permutation
-        perm = theta_reflect_permutation(quad)
-        m0, m1, mv1 = out[-1]
-        out[+1] = (m0[..., perm], -m1[..., perm], mv1[..., perm])
-    else:
-        out[+1] = node_moments(state, +1, lam, quad, kmax, x, opts)
-    return out
+    m0, m1, mv1 = node_moments(state, -1, lam, quad, kmax, x, opts)
+    perm = theta_reflect_permutation(quad)
+    return {-1: (m0, m1, mv1), +1: (m0[..., perm], -m1[..., perm], mv1[..., perm])}
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +554,11 @@ class MomentProfiles:
 
 def moment_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
     """Moment profiles at one rate; ``kernel`` is built here when not given."""
-    opts = opts or EvalOptions()
     if kernel is None:
         kernel = assembly_kernel(state, quad, kmax, x_grid)
     M = x_grid.size
 
-    if state.homogeneous and not opts.force_generic:
+    if state.homogeneous:
         # translation invariance: velocity integrals once, phases per x; on
         # the folded table the filter's v1-odd imaginary part is gone
         tau = _damping(lam, kernel.a2) @ kernel.W
@@ -716,11 +697,11 @@ class ModalBasis:
         return min(self.a1_values.size, self.a2_values.size)
 
 
-def assemble_M(blocks, n, modal, tol_zero=None):
+def assemble_M(blocks, n, modal):
     """Truncated symmetric matrix of size 2n+1 in the modal coordinates.
 
     At lam = 0 the couplings must already be at quadrature-noise level;
-    they are checked against tol_zero and frozen out, which realizes the
+    they are checked against TOL_ZERO and frozen out, which realizes the
     exact block-diagonal form the counting argument relies on.
     """
     if n > modal.n_available:
@@ -736,11 +717,10 @@ def assemble_M(blocks, n, modal, tol_zero=None):
     M23 = -(Ze.T @ blocks.D)
     M33 = -blocks.period * (blocks.lam ** 2 - blocks.l)
     if blocks.lam == 0.0:
-        tz = tol_zero if tol_zero is not None else 1e-6
         worst = max(float(np.max(np.abs(M12))) if M12.size else 0.0,
                     float(np.max(np.abs(M13))) if M13.size else 0.0,
                     float(np.max(np.abs(M23))) if M23.size else 0.0)
-        if worst > tz:
+        if worst > TOL_ZERO:
             raise AssemblyError("couplings fail to vanish at lam=0: %.3e" % worst)
         M12 = np.zeros_like(M12)
         M13 = np.zeros_like(M13)

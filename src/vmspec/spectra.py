@@ -17,8 +17,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import HypothesisError, SpuriousIntervalError, VmspecError
-from .operators import (EvalOptions, ModalBasis, assemble_M, assemble_blocks,
-                        assembly_kernel)
+from .operators import ModalBasis, assemble_M, assemble_blocks, assembly_kernel
 
 UNSTABLE_T1 = "UNSTABLE_T1"
 UNSTABLE_T2 = "UNSTABLE_T2"
@@ -178,9 +177,6 @@ class SweepResult:
     blocks0: object = field(repr=False, default=None)
     assembly: object = field(repr=False, default=None)     # the AssemblyKernel
 
-    def count_at(self, i):
-        return self.counts[i]
-
 
 def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
     """Logarithmic grid in units of the fundamental wavenumber 2*pi/P."""
@@ -194,7 +190,6 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     Records the full spectra, the per-lam distance to a kernel, and every
     interval where the negative count changes.
     """
-    opts = opts or EvalOptions()
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
             or np.any(np.diff(lam_grid) <= 0):
@@ -203,7 +198,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
     modal = modal_truncation(blocks0, tol_eig)
     spectra = [symmetric_eigen(assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel),
-                                          n, modal, opts.tol_zero)).values
+                                          n, modal)).values
                for lam in lam_grid]
     eigenvalues = np.column_stack(spectra)
     counts = [count_eigenvalues(eigenvalues[:, i], tol_eig) for i in range(lam_grid.size)]
@@ -295,7 +290,6 @@ def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None, max_iter=60):
 def locate_kernel_for_state(state, basis, quad, sweep_result, interval_index=0,
                             opts=None, tol_kernel=None, max_iter=60):
     """Kernel search inside one of a sweep's count-change intervals."""
-    opts = opts or EvalOptions()
     if not sweep_result.crossings:
         raise VmspecError("sweep found no count-change interval")
     iv = sweep_result.crossings[interval_index]
@@ -303,7 +297,7 @@ def locate_kernel_for_state(state, basis, quad, sweep_result, interval_index=0,
 
     def assemble_fn(lam):
         blocks = assemble_blocks(state, lam, basis, quad, opts, sweep_result.assembly)
-        return assemble_M(blocks, sweep_result.n, modal, opts.tol_zero)
+        return assemble_M(blocks, sweep_result.n, modal)
 
     return locate_kernel(assemble_fn, iv["lam_lo"], iv["lam_hi"],
                          tol_kernel=tol_kernel, max_iter=max_iter)

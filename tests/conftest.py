@@ -1,8 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
 import vmspec as vm
-from vmspec.operators import EvalOptions
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,15 @@ def aniso_state(aniso_profile, critical_period):
 
 
 @pytest.fixture(scope="session")
+def aniso_orbit_state(aniso_state):
+    # the same zero-field state, marched by the orbit engine: the reference
+    # for the straight-line closed forms
+    state = copy.copy(aniso_state)
+    state.homogeneous = False
+    return state
+
+
+@pytest.fixture(scope="session")
 def weak_state(aniso_profile, aniso_quad):
     prof, _ = aniso_profile
     return vm.solve_equilibrium_potential(prof, 0.05, aniso_quad)
@@ -65,8 +75,3 @@ def weak_state(aniso_profile, aniso_quad):
 @pytest.fixture(scope="session")
 def zero_profile():
     return vm.build_profile("zero")
-
-
-@pytest.fixture
-def generic_opts():
-    return EvalOptions(force_generic=True, tol_sym=1e-4, n_per_period=128)

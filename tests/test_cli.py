@@ -161,6 +161,24 @@ def test_sweep_subcommand(tmp_path, monkeypatch):
     assert summary["k_count"] == 6
 
 
+def test_magnetized_assemble_applies_and_records_tol_sym(tmp_path, monkeypatch, capsys):
+    # without the key magnetized blocks are checked at 1e-4; an explicit
+    # key is applied to them too (their lam = 0 defects are about 2e-11)
+    for key, code, recorded in (("", cli.EXIT_OK, 1e-4), ("tol.sym = 1e-6\n", cli.EXIT_OK, 1e-6),
+                                ("tol.sym = 1e-13\n", cli.EXIT_NUMERICAL, None)):
+        cfg = tmp_path / "mag.cfg"
+        cfg.write_text("disc.n_r = 16\ndisc.n_theta = 16\ndisc.n_r_tail = 4\n" + key)
+        out = "out%g" % (recorded or 0)
+        got = run(["--config", str(cfg), "--profile", "weakfield_family", "--epsilon", "0.05",
+                   "--n-x", "2", "assemble"], tmp_path, monkeypatch, out=out)
+        assert got == code, key
+        if recorded is None:
+            assert "asymmetry" in capsys.readouterr().err
+        else:
+            manifest = json.loads((tmp_path / out / "blocks_lam0_manifest.json").read_text())
+            assert manifest["tolerances"]["tol_sym"] == recorded
+
+
 def test_weakfield_equilibrium_subcommand(tmp_path, monkeypatch):
     # resolution must clear the refinement gate on the source term
     cfg = tmp_path / "wf.cfg"

@@ -125,7 +125,8 @@ def test_mode_export(tmp_path, aniso_state, aniso_quad, aniso_pipeline):
     rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
     manifest = vm.export_mode(mode, tmp_path, report=rep, quad=aniso_quad)
     import json
-    data = json.loads(open(manifest).read())
+    with open(manifest) as fh:
+        data = json.load(fh)
     assert data["lambda"] == mode.lam
     assert data["residuals"]["passed"]
     fields = (tmp_path / "mode_fields.csv").read_text().splitlines()

@@ -133,10 +133,9 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
 
 def _resolved_lanes(state, quad, x):
     """The assembly's period detector on every node: (resolved, winding)."""
-    opts = EvalOptions()
     _, resolved, winding = ops._orbit_periods_batch(
         state, -1, np.full(quad.n_nodes, x), quad.v1, quad.v2, default_dt(state),
-        opts.horizon_periods * state.period, weights=quad.w)
+        ops.HORIZON_PERIODS * state.period, weights=quad.w)
     return resolved, winding
 
 
@@ -208,7 +207,7 @@ def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
     quad, N = aniso_coarse_quad, aniso_coarse_quad.n_nodes
     xs = np.array([0.1, 0.45, 0.8]) * weak_state.period
     weights = [quad.w, np.ones(N), quad.w]
-    dt, horizon = default_dt(weak_state), EvalOptions().horizon_periods * weak_state.period
+    dt, horizon = default_dt(weak_state), ops.HORIZON_PERIODS * weak_state.period
     got = ops._orbit_periods_batch(weak_state, -1, np.repeat(xs, N), np.tile(quad.v1, 3),
                                    np.tile(quad.v2, 3), dt, horizon,
                                    weights=np.concatenate(weights),
@@ -330,7 +329,7 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
     # one kernel serves every rate, in real arithmetic; B, C and D vanish
     # for these mirror pairs, so they are measured against the A blocks.
     # The filter's imaginary part cancels in the blocks of v1-even
-    # profiles, so the per-node moments are checked as well.
+    # profiles, so the per-node filter of line_filter is checked as well.
     for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
         basis = vm.build_fourier_basis(state.period, 8)
         w = 2 * np.pi / state.period
@@ -348,10 +347,9 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
                 diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
                 assert diff <= 1e-12 * scale, (name, lam, diff)
             assert abs(got.l - want.l) <= 1e-12 * abs(want.l), (lam, got.l, want.l)
-            m0 = vm.node_moments(state, -1, lam, quad, 4, 0.3)[0]
-            ref = _straight_line_filter(state, lam, quad, 4) * np.exp(
-                1j * np.arange(5)[:, None] * w * 0.3)
-            assert np.max(np.abs(m0 - ref)) <= 1e-12
+            re, im = ops.line_filter(quad, 4, w, lam)
+            ref = _straight_line_filter(state, lam, quad, 4)
+            assert np.max(np.abs(re + 1j * im - ref)) <= 1e-12
 
 
 def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, paper_profile,
@@ -438,21 +436,33 @@ def test_constant_function_is_null_for_first_block(weak_state, aniso_coarse_quad
     assert np.max(np.abs(np.real(prof.T1[0]) - prof.m_e)) <= 1e-8 * np.max(np.abs(prof.m_e))
 
 
-def test_adjoint_consistency_without_symmetry_shortcut(aniso_state, aniso_coarse_quad):
-    basis = vm.build_fourier_basis(aniso_state.period, 4)
-    opts = EvalOptions(force_generic=True, species_symmetry=False, tol_sym=1e-3,
-                       n_per_period=96)
-    blocks = vm.assemble_blocks(aniso_state, 0.4, basis, aniso_coarse_quad, opts)
+def test_adjoint_consistency_without_symmetry_shortcut(aniso_orbit_state, aniso_coarse_quad):
+    # the orbit engine on the zero-field state, without the straight-line
+    # shortcut; the direct + species moments are checked against the
+    # relabeled ones in test_species_relabel_matches_direct_moments
+    basis = vm.build_fourier_basis(aniso_orbit_state.period, 4)
+    opts = EvalOptions(tol_sym=1e-3, n_per_period=96)
+    blocks = vm.assemble_blocks(aniso_orbit_state, 0.4, basis, aniso_coarse_quad, opts)
     assert blocks.defects["B_adjoint"] <= 1e-6
 
 
-def test_generic_backend_matches_closed_forms(aniso_state, aniso_coarse_quad):
+def test_species_relabel_matches_direct_moments(weak_state, aniso_coarse_quad):
+    # the + trajectories are the v2-reflection of the - ones to roundoff
+    # (1.0e-13 of m0 measured), so relabeled nodes stand in for a + pass
+    quad, kmax, x = aniso_coarse_quad, 3, 0.7
+    for lam in (0.0, 0.4):
+        pair = ops.species_pair_moments(weak_state, lam, quad, kmax, x)
+        direct = vm.node_moments(weak_state, +1, lam, quad, kmax, x)
+        for got, want in zip(pair[+1], direct):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lam
+
+
+def test_generic_backend_matches_closed_forms(aniso_state, aniso_orbit_state, aniso_coarse_quad):
     basis = vm.build_fourier_basis(aniso_state.period, 4)
     lam = 0.8
     bt = vm.assemble_blocks(aniso_state, lam, basis, aniso_coarse_quad)
-    bg = vm.assemble_blocks(aniso_state, lam, basis, aniso_coarse_quad,
-                            EvalOptions(force_generic=True, tol_sym=1e-4,
-                                        n_per_period=192))
+    bg = vm.assemble_blocks(aniso_orbit_state, lam, basis, aniso_coarse_quad,
+                            EvalOptions(tol_sym=1e-4, n_per_period=192))
     assert np.max(np.abs(bt.A1 - bg.A1)) <= 1e-6 * np.max(np.abs(bt.A1))
     assert np.max(np.abs(bt.A2 - bg.A2)) <= 1e-6 * np.max(np.abs(bt.A2))
     assert abs(bt.l - bg.l) <= 1e-6 * abs(bt.l)
