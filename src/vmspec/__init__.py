@@ -11,9 +11,8 @@ from .discretization import (FourierBasis, VelocityQuadrature, build_fourier_bas
                              build_velocity_quadrature, integrate_spatial,
                              integrate_velocity)
 from .equilibrium import (CenterConditions, EquilibriumProfile, EquilibriumState,
-                          MagneticPotential, OdeOptions, ValidationGrid,
-                          ValidationReport, WeightSpec, build_profile,
-                          check_center_conditions, find_center_amplitude,
+                          MagneticPotential, OdeOptions, ValidationReport, WeightSpec,
+                          build_profile, check_center_conditions, find_center_amplitude,
                           make_homogeneous_state, solve_equilibrium_potential,
                           source_term, validate_profile)
 from .characteristics import PhasePoint, StepOptions, TrajectorySample, flow, sample_backward

@@ -47,11 +47,6 @@ class PhasePoint:
     def energy(self):
         return math.sqrt(1.0 + self.v1 ** 2 + self.v2 ** 2)
 
-    @property
-    def vhat(self):
-        e = self.energy
-        return (self.v1 / e, self.v2 / e)
-
     def momentum(self, state, species):
         s = normalize_species(species)
         return self.v2 + s * float(state.psi0(self.x))

@@ -25,8 +25,9 @@ from .equilibrium import (build_profile, check_center_conditions, make_homogeneo
 from .errors import ConfigError, GoldenMismatchError, HypothesisError, QuadratureError, VmspecError
 from .growing_mode import export_mode, reconstruct, residuals
 from .operators import EvalOptions, assemble_blocks, export_blocks
-from .spectra import (INCONCLUSIVE, count_eigenvalues, locate_kernel_for_state,
-                      sweep, sweep_summary_dict, verdict, write_sweep_csv)
+from .spectra import (INCONCLUSIVE, count_eigenvalues, default_lambda_grid,
+                      locate_kernel_for_state, sweep, sweep_summary_dict, verdict,
+                      write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,6 +71,8 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and not (0.0 < v < 1.0):
                 raise ConfigError("%s must lie in (0, 1)" % name)
+        if self.n_per_period < 64:
+            raise ConfigError("n_per_period must be at least 64")
         if self.lambda_min <= 0 or self.lambda_max <= self.lambda_min:
             raise ConfigError("lambda grid needs 0 < lambda_min < lambda_max")
         if self.epsilon is not None and self.epsilon <= 0:
@@ -242,8 +245,9 @@ def cmd_equilibrium(cfg):
         raise ConfigError("equilibrium subcommand needs state.epsilon / --epsilon")
     cc = check_center_conditions(profile, quad)
     state = solve_equilibrium_potential(profile, cfg.epsilon, quad)
-    sup_mu_e = _sup_mu_e(profile, quad)
-    sb = _bad_set_measure(profile, quad)
+    mu_e = profile.mu_e(-1, quad.e, quad.v2)
+    sup_mu_e = float(np.max(mu_e))
+    sb = float(np.sum(quad.w[mu_e > 0.0]))         # measure of the set where mu_e > 0
     stab_rhs = np.pi ** 2 / (3.0 * cc.critical_period ** 2 * sb) if sb > 0 else float("inf")
     payload = {
         "config_hash": cfg.hash(),
@@ -266,16 +270,6 @@ def cmd_equilibrium(cfg):
     return EXIT_OK
 
 
-def _sup_mu_e(profile, quad):
-    vals = profile.mu_e(-1, quad.e, quad.v2)
-    return float(np.max(vals))
-
-
-def _bad_set_measure(profile, quad):
-    vals = profile.mu_e(-1, quad.e, quad.v2)
-    return float(np.sum(quad.w[vals > 0.0])) if np.any(vals > 0.0) else 0.0
-
-
 def cmd_assemble(cfg, lam=0.0):
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
@@ -292,10 +286,19 @@ def cmd_assemble(cfg, lam=0.0):
 def _run_sweep(cfg, state, quad):
     basis = build_fourier_basis(state.period, cfg.n_x)
     opts = _eval_options(cfg, state)
-    w = 2.0 * np.pi / state.period
-    grid = np.geomspace(cfg.lambda_min * w, cfg.lambda_max * w, cfg.lambda_points)
+    grid = default_lambda_grid(state.period, cfg.lambda_points, cfg.lambda_min, cfg.lambda_max)
     sw = sweep(state, basis, quad, cfg.n, grid, opts, tol_eig=cfg.tol_eig)
     return basis, opts, sw
+
+
+def _find_mode(cfg, state, basis, quad, opts, sw):
+    """Kernel in the sweep's first count-change interval, the mode rebuilt
+    from it, its residuals and its export; returns (crossing, report, path)."""
+    crossing = locate_kernel_for_state(state, basis, quad, sw, opts=opts,
+                                       tol_kernel=cfg.tol_kernel)
+    mode = reconstruct(state, crossing, basis, quad, sw.modal, opts)
+    report = residuals(state, mode, basis, quad, tol_residual=cfg.tol_residual)
+    return crossing, report, export_mode(mode, _outdir(cfg), report=report, quad=quad)
 
 
 def cmd_sweep(cfg):
@@ -336,11 +339,7 @@ def cmd_analyze(cfg):
                                 ("epsilon", "residual_inf", "c1_norm", "critical_period")
                                 if k in state.meta}
     if cfg.find_mode and sw.crossings:
-        crossing = locate_kernel_for_state(state, basis, quad, sw, opts=opts,
-                                           tol_kernel=cfg.tol_kernel)
-        mode = reconstruct(state, crossing, basis, quad, sw.modal, opts)
-        report = residuals(state, mode, basis, quad, tol_residual=cfg.tol_residual)
-        export_mode(mode, _outdir(cfg), report=report, quad=quad)
+        crossing, report, _ = _find_mode(cfg, state, basis, quad, opts, sw)
     payload = _analysis_report(cfg, state, sw, vres, crossing, report, extra, t0)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "analysis.json"), payload)
@@ -362,11 +361,7 @@ def cmd_mode(cfg):
     if not sw.crossings:
         print("no crossing interval found; nothing to reconstruct")
         return EXIT_NUMERICAL
-    crossing = locate_kernel_for_state(state, basis, quad, sw, opts=opts,
-                                       tol_kernel=cfg.tol_kernel)
-    mode = reconstruct(state, crossing, basis, quad, sw.modal, opts)
-    report = residuals(state, mode, basis, quad, tol_residual=cfg.tol_residual)
-    path = export_mode(mode, _outdir(cfg), report=report, quad=quad)
+    crossing, report, path = _find_mode(cfg, state, basis, quad, opts, sw)
     print("lambda*=%.8f residuals pass=%s -> %s" % (crossing.lambda_star, report.passed, path))
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 

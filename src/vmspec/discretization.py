@@ -184,15 +184,14 @@ def integrate_velocity(quad, f):
 class FourierBasis:
     """Orthonormal real trigonometric basis on a period-P interval.
 
-    Functions are ordered [const, cos_1, sin_1, cos_2, sin_2, ...] with the
-    constant dropped when ``mean_zero`` is set.  ``values`` holds the basis
-    evaluated on the collocation grid (grid-point by function), ``k_index``
-    the harmonic of each function and ``omega`` the fundamental 2*pi/P.
+    Functions are ordered [const, cos_1, sin_1, cos_2, sin_2, ...].  ``values``
+    holds the basis evaluated on the collocation grid (grid-point by
+    function), ``k_index`` the harmonic of each function and ``omega`` the
+    fundamental 2*pi/P.
     """
 
     period: float
     n_modes: int                   # number of non-constant functions (even)
-    mean_zero: bool
     x_grid: np.ndarray
     values: np.ndarray
     k_index: np.ndarray
@@ -237,19 +236,13 @@ class FourierBasis:
         return (self.k_index * self.omega) ** 2
 
 
-def build_fourier_basis(period, n_modes, mean_zero=False, oversample=4):
-    """Orthonormal basis with n_modes/2 harmonics on a grid of >= 4*n_modes points."""
+def build_fourier_basis(period, n_modes):
+    """Orthonormal basis with n_modes/2 harmonics on a grid of 4*n_modes points."""
     if n_modes % 2 != 0 or n_modes <= 0:
         raise VmspecError("n_modes must be positive and even")
-    if oversample < 4:
-        raise VmspecError("collocation grid must hold at least 4 points per mode")
-    m = oversample * n_modes
+    m = 4 * n_modes
     x = np.arange(m) * (period / m)
-    cols, kidx, sflag = [], [], []
-    if not mean_zero:
-        cols.append(np.full(m, 1.0 / np.sqrt(period)))
-        kidx.append(0)
-        sflag.append(False)
+    cols, kidx, sflag = [np.full(m, 1.0 / np.sqrt(period))], [0], [False]
     w = 2.0 * np.pi / period
     for k in range(1, n_modes // 2 + 1):
         cols.append(np.sqrt(2.0 / period) * np.cos(k * w * x))
@@ -258,9 +251,9 @@ def build_fourier_basis(period, n_modes, mean_zero=False, oversample=4):
         cols.append(np.sqrt(2.0 / period) * np.sin(k * w * x))
         kidx.append(k)
         sflag.append(True)
-    return FourierBasis(period=float(period), n_modes=int(n_modes), mean_zero=bool(mean_zero),
-                        x_grid=x, values=np.column_stack(cols),
-                        k_index=np.array(kidx), is_sin=np.array(sflag))
+    return FourierBasis(period=float(period), n_modes=int(n_modes), x_grid=x,
+                        values=np.column_stack(cols), k_index=np.array(kidx),
+                        is_sin=np.array(sflag))
 
 
 def integrate_spatial(basis, g):

@@ -78,14 +78,6 @@ class EquilibriumProfile:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ValidationGrid:
-    n_e: int = 500
-    n_p: int = 241
-    p_max: float = 40.0
-    e_max: float = None            # default: where w drops by 1e12
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     max_negativity: float
     max_decay_violation: float
@@ -100,20 +92,17 @@ class ValidationReport:
                    self.max_symmetry_violation, "pass" if self.passed else "FAIL"))
 
 
-def validate_profile(profile, weight, grid=None, tol_validate=1e-12):
-    """Check nonnegativity, the decay bound and the mirror symmetry on a grid."""
-    grid = grid or ValidationGrid()
-    e_max = grid.e_max
-    if e_max is None:
-        # w(e_max) < 1e-12 w(1)
-        e_max = (1.0 + ENERGY_FLOOR) * (1e12) ** (1.0 / weight.alpha)
+def validate_profile(profile, weight, tol_validate=1e-12):
+    """Check nonnegativity, the decay bound and the mirror symmetry on a grid:
+    500 energies up to where w drops by 1e12, 241 momenta on [-40, 40]."""
+    e_max = (1.0 + ENERGY_FLOOR) * (1e12) ** (1.0 / weight.alpha)   # w(e_max) < 1e-12 w(1)
     # log-spaced energies resolve the near-floor region; kink neighborhoods added
     e = np.unique(np.concatenate([
-        1.0 + np.geomspace(1e-9, e_max - 1.0, grid.n_e),
+        1.0 + np.geomspace(1e-9, e_max - 1.0, 500),
         np.concatenate([[k - 1e-9, k, k + 1e-9] for k in profile.kinks]) if profile.kinks else [],
         [ENERGY_FLOOR],
     ]))
-    p = np.linspace(-grid.p_max, grid.p_max, grid.n_p)
+    p = np.linspace(-40.0, 40.0, 241)
     E, Pm = np.meshgrid(e, p, indexing="ij")
 
     vals = {}
@@ -148,7 +137,7 @@ class MagneticPotential:
     over one period vanishes identically.
     """
 
-    def __init__(self, period, samples, tol_interp=1e-9, drop_below=1e-14):
+    def __init__(self, period, samples):
         self.period = float(period)
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 8:
@@ -160,16 +149,14 @@ class MagneticPotential:
         # spectrum plus the Nyquist coefficient, which the synthesis drops
         scale = max(1.0, float(np.abs(coef).max()))
         tail = float(np.sum(np.abs(coef[(3 * n) // 8:])))
-        if tail > tol_interp * scale:
-            raise VmspecError("potential sample representation above tol_interp: %.3e" % tail)
-        keep = np.abs(coef) > drop_below * scale
+        if tail > 1e-9 * scale:
+            raise VmspecError("potential sample representation above 1e-9: %.3e" % tail)
+        keep = np.abs(coef) > 1e-14 * scale
         keep[0] = True
         keep[n // 2:] = False      # drop the ambiguous Nyquist term
         self._k = np.nonzero(keep)[0]
         self._coef = coef[self._k]
         self._omega = 2.0 * np.pi / self.period
-        self.tol_interp = tol_interp
-        self.interp_error = tail
 
     def _synth(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -204,8 +191,8 @@ class MagneticPotential:
         return np.arange(n) * self.period / n
 
     @classmethod
-    def zero(cls, period, n=64):
-        return cls(period, np.zeros(n))
+    def zero(cls, period):
+        return cls(period, np.zeros(64))
 
 
 class EquilibriumState:
@@ -230,10 +217,6 @@ class EquilibriumState:
         if self.homogeneous:
             return np.zeros(np.shape(x))
         return self.potential.b(x)
-
-    def momentum(self, sign, x, v2):
-        """Conserved canonical momentum p = v2 + sign * psi0(x)."""
-        return v2 + sign * self.psi0(x)
 
     def __repr__(self):
         kind = "homogeneous" if self.homogeneous else "magnetized"
@@ -261,17 +244,16 @@ class CenterConditions:
     g0: float
     gprime0: float
     ok: bool
-    tol_g: float
     critical_period: float = float("nan")
 
 
-def check_center_conditions(profile, quad, tol_g=1e-8, h_g=None, refine_check=True):
-    """Evaluate g(0) and g'(0); ok iff g(0) ~ 0 and g'(0) < 0.
+def check_center_conditions(profile, quad, refine_check=True):
+    """Evaluate g(0) and g'(0); ok iff |g(0)| <= 1e-8 and g'(0) < -1e-8.
 
-    g'(0) uses a central difference whose step rides above the quadrature
-    noise floor; a doubled quadrature cross-checks convergence.
+    g'(0) uses a central difference whose step h = 1e-4 rides above the
+    quadrature noise floor; a doubled quadrature cross-checks convergence.
     """
-    h = h_g if h_g is not None else 1e-4
+    h = 1e-4
     g0 = source_term(profile, quad, 0.0)
     gh = source_term(profile, quad, h)
     gmh = source_term(profile, quad, -h)
@@ -288,9 +270,9 @@ def check_center_conditions(profile, quad, tol_g=1e-8, h_g=None, refine_check=Tr
         if worst > 1e-6 * scale:
             raise QuadratureError("quadrature failure: refinement changes g by %.3e" % worst)
         g0, gp = g0f, (ghf - gmhf) / (2.0 * h)
-    ok = (abs(g0) <= tol_g) and (gp < -tol_g)
+    ok = (abs(g0) <= 1e-8) and (gp < -1e-8)
     pcr = 2.0 * np.pi / math.sqrt(-gp) if gp < 0 else float("nan")
-    return CenterConditions(g0=g0, gprime0=gp, ok=bool(ok), tol_g=tol_g, critical_period=pcr)
+    return CenterConditions(g0=g0, gprime0=gp, ok=bool(ok), critical_period=pcr)
 
 
 @dataclass(frozen=True)
@@ -298,9 +280,6 @@ class OdeOptions:
     n_steps: int = 4096
     n_samples: int = 1024
     tol_equil: float = 1e-6
-    tol_period: float = 1e-8
-    psi_grid: int = 321
-    max_orbit_factor: float = 20.0
     g_override: callable = None    # test hook: analytic g(psi) bypassing quadrature
     residual_points: int = 64
 
@@ -333,15 +312,13 @@ def _well_step(g, psi, u, h):
 def _rk4_well(g, y0, h, n_max):
     """Integrate (psi, u)' = (u, g(psi)) recording u-sign changes.
 
-    Returns (samples, zero_crossing_times); stops after the second crossing.
+    Returns the zero-crossing times; stops after the second crossing.
     """
     psi, u = y0
     crossings = []
-    traj = [(0.0, psi, u)]
     t = 0.0
     for _ in range(n_max):
         psi_n, u_n = _well_step(g, psi, u, h)
-        t_n = t + h
         if not (abs(psi_n) < 1e6 and abs(u_n) < 1e6):
             break                  # escaped the well; no closed orbit here
         if u != 0.0 and (np.sign(u_n) != np.sign(u)) and u_n != 0.0:
@@ -349,11 +326,9 @@ def _rk4_well(g, y0, h, n_max):
             frac = u / (u - u_n)
             crossings.append(t + frac * h)
             if len(crossings) == 2:
-                traj.append((t_n, psi_n, u_n))
-                return traj, crossings
-        psi, u, t = psi_n, u_n, t_n
-        traj.append((t, psi, u))
-    return traj, crossings
+                return crossings
+        psi, u, t = psi_n, u_n, t + h
+    return crossings
 
 
 def solve_equilibrium_potential(profile, epsilon, quad, opts=None):
@@ -380,23 +355,23 @@ def solve_equilibrium_potential(profile, epsilon, quad, opts=None):
         # spline of g over the reachable psi range; quadrature is too slow
         # to call inside the stepper
         span = 3.0 * epsilon
-        grid = np.linspace(-span, span, opts.psi_grid)
+        grid = np.linspace(-span, span, 321)
         gvals = np.array([source_term(profile, quad, s) for s in grid])
         g = _scalar_spline(grid, gvals)
 
     t_guess = 2.0 * np.pi / math.sqrt(-gp0)
 
     def one_orbit(h):
-        traj, crossings = _rk4_well(g, (-epsilon, 0.0), h, int(opts.max_orbit_factor * t_guess / h))
+        # give up after 20 linearized periods
+        crossings = _rk4_well(g, (-epsilon, 0.0), h, int(20.0 * t_guess / h))
         if len(crossings) < 2:
             raise OrbitError("not a center at this amplitude: orbit fails to close")
-        return 2.0 * (crossings[1] - crossings[0]), crossings[1] + (crossings[1] - crossings[0])
+        return 2.0 * (crossings[1] - crossings[0])
 
-    # the full period is twice the half-period between turning points; the
-    # second estimate (time of second turning) agrees for a symmetric well
+    # the full period is twice the half-period between turning points
     h = t_guess / opts.n_steps
-    T1, _ = one_orbit(h)
-    T2, _ = one_orbit(h / 2.0)
+    T1 = one_orbit(h)
+    T2 = one_orbit(h / 2.0)
     period_delta = abs(T1 - T2)
     T = T2
 

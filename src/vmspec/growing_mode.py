@@ -75,12 +75,9 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     The electric potential must have no constant part; the constant
     direction is the built-in trivial kernel and carries no fields.
     """
-    if basis.mean_zero:
-        raise VmspecError("reconstruction expects the full basis")
     phi_coeffs = np.asarray(phi_coeffs, dtype=float)
     psi_coeffs = np.asarray(psi_coeffs, dtype=float)
-    const = np.nonzero(basis.k_index == 0)[0]
-    if const.size and abs(phi_coeffs[const[0]]) > 0.0:
+    if abs(phi_coeffs[0]) > 0.0:       # basis function 0 is the constant
         raise VmspecError("phi must be mean-free: constant coefficient rejected")
     x = basis.x_grid
     phi_v = basis.values @ phi_coeffs
@@ -344,8 +341,8 @@ def operator_defect_coeffs(blocks, mode, basis):
 # exports
 # ---------------------------------------------------------------------------
 
-def export_mode(mode, outdir, stem="mode", report=None, quad=None, max_slice_nodes=64):
-    """JSON manifest, field table, and a subsampled distribution table."""
+def export_mode(mode, outdir, stem="mode", report=None, quad=None):
+    """JSON manifest, field table, and a distribution table on about 64 nodes."""
     os.makedirs(outdir, exist_ok=True)
     manifest = {
         "lambda": mode.lam,
@@ -363,7 +360,7 @@ def export_mode(mode, outdir, stem="mode", report=None, quad=None, max_slice_nod
                           (mode.x[i], mode.phi[i], mode.psi[i],
                            mode.e1[i], mode.e2[i], mode.bfield[i])])
     if quad is not None and mode.fplus is not None:
-        stride = max(1, quad.n_nodes // max_slice_nodes)
+        stride = max(1, quad.n_nodes // 64)
         idx = np.arange(0, quad.n_nodes, stride)
         r = np.hypot(quad.v1, quad.v2)
         th = np.mod(np.arctan2(quad.v2, quad.v1), 2.0 * np.pi)

@@ -26,7 +26,8 @@ and the rate enters only through G:
   stays accurate uniformly in lam; this (n, lanes) table is built per
   block of ``CHUNK`` lanes;
 * the exponential window weights on [-S, 0] for a lane whose orbit did
-  not close, sampled backward.
+  not close, sampled backward and normalized to unit mass, so that the
+  average of 1 is 1 even where the window cuts the tail e^(-lam S).
 
 ``orbit_info``, ``ProjectionEvaluator`` and ``node_moments`` are views on
 the same engine, for any state.  ``SmoothingEvaluator`` keeps a direct
@@ -63,18 +64,21 @@ TOL_ZERO = 1e-6        # lam = 0 couplings above this fail the block-diagonal ch
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Knobs shared by the evaluators and the assembly.
+    """The four knobs shared by the evaluators and the assembly.
 
     None of them picks the path: straight lines on homogeneous states, in
     ``line_filter`` and the fold of ``AssemblyKernel``, the orbit engine on
-    every other state.
+    every other state.  Every orbit march steps at ``default_dt(state)``.
     """
 
     tol_tail_s: float = 1e-10      # truncation weight for the backward horizon
     k_osc: int = 16                # assumed highest spatial harmonic of integrands
     n_per_period: int = 128        # orbit samples per period (>= 64)
-    dt: float = None
     tol_sym: float = 1e-8
+
+    def __post_init__(self):
+        if self.n_per_period < 64:
+            raise VmspecError("n_per_period must be at least 64, got %r" % self.n_per_period)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +118,7 @@ class SmoothingEvaluator:
     def path(self, species, point):
         key = (normalize_species(species), point.x, point.v1, point.v2)
         if key not in self._cache:
-            self._cache[key] = backward_path(self.state, key[0], point, self.s_nodes,
-                                             self.opts.dt)
+            self._cache[key] = backward_path(self.state, key[0], point, self.s_nodes)
         return self._cache[key]
 
     def apply(self, species, k, point):
@@ -298,6 +301,8 @@ def _window_weights(lam, S, n_d):
 
     Piecewise-linear-in-kappa weights integrate the exponential factor
     exactly, so coarse steps do not distort the lam e^(lam s) profile.
+    They sum to 1 - e^(-lam S) and are divided by that sum: the window
+    carries unit mass however much tail it cuts.
     """
     u = lam * (S / n_d)
     alpha = (u * math.exp(u) - math.exp(u) + 1.0) / u
@@ -307,7 +312,7 @@ def _window_weights(lam, S, n_d):
     W[0] = decay[1] * alpha
     W[1:-1] = decay[2:] * alpha + decay[1:-1] * beta
     W[-1] = decay[-1] * beta
-    return W[:, None]
+    return (W / np.sum(W))[:, None]
 
 
 def _one_lane(point):
@@ -321,7 +326,7 @@ class OrbitInfo:
     winding: int
 
 
-def orbit_info(state, species, start, max_period=MAX_PERIOD, opts=None):
+def orbit_info(state, species, start, max_period=MAX_PERIOD):
     """Classify the orbit through ``start`` and measure its minimal period.
 
     A one-lane run of ``_orbit_periods_batch``: passing orbits close after
@@ -333,9 +338,8 @@ def orbit_info(state, species, start, max_period=MAX_PERIOD, opts=None):
     if abs(start.v1 / e) < STATIONARY_EPS and \
             abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
         return OrbitInfo("stationary", 0.0, 0)
-    dt = opts.dt if opts is not None and opts.dt is not None else default_dt(state)
-    periods, resolved, winding = _orbit_periods_batch(state, sign, *_one_lane(start), dt,
-                                                      max_period)
+    periods, resolved, winding = _orbit_periods_batch(state, sign, *_one_lane(start),
+                                                      default_dt(state), max_period)
     if not resolved[0]:
         raise OrbitError("orbit not resolved within max_period=%.3g" % max_period)
     return OrbitInfo("passing" if winding[0] else "trapped", float(periods[0]),
@@ -359,16 +363,15 @@ class ProjectionEvaluator:
         state, opts = self.state, self.opts
         horizon = HORIZON_PERIODS * state.period
         try:
-            info = orbit_info(state, sign, point, horizon, opts)
+            info = orbit_info(state, sign, point, horizon)
         except OrbitError:
             info = None
         if info is not None and info.kind == "stationary":
             return float(k(np.asarray(point.x), np.asarray(point.v1), np.asarray(point.v2)))
         period = info.period if info is not None else horizon
-        n = max(64, opts.n_per_period)
-        dt = opts.dt if opts.dt is not None else default_dt(state)
+        n = opts.n_per_period
         xs, v1s, v2s = (np.concatenate(c) for c in zip(
-            *_orbit_stream(state, sign, *_one_lane(point), period / n, n, dt)))
+            *_orbit_stream(state, sign, *_one_lane(point), period / n, n, default_dt(state))))
         return float(np.mean(k(xs % state.period, v1s, v2s)))
 
 
@@ -391,7 +394,7 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     sign = normalize_species(species)
     opts = opts or EvalOptions()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    dt = opts.dt if opts.dt is not None else default_dt(state)
+    dt = default_dt(state)
     horizon = HORIZON_PERIODS * state.period
     omega = 2.0 * np.pi / state.period
     n = opts.n_per_period
@@ -636,8 +639,6 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     ``kernel`` is the state's ``AssemblyKernel`` on this basis and
     quadrature; callers that assemble at many rates build it once.
     """
-    if basis.mean_zero:
-        raise VmspecError("assemble_blocks needs the full basis (constant included)")
     if lam < 0:
         raise VmspecError("lam must be nonnegative")
     opts = opts or EvalOptions()

@@ -47,17 +47,18 @@ def _fix_signs(vectors):
     return out
 
 
-def symmetric_eigen(A, tol_sym=1e-8):
+def symmetric_eigen(A):
     """Full decomposition of a symmetric matrix with a deterministic layout.
 
-    Eigenvalues come out ascending; degenerate clusters are ordered by the
-    index of each vector's largest coefficient, and every vector's first
-    significant coefficient is made positive.
+    A relative asymmetry above 1e-8 is an error.  Eigenvalues come out
+    ascending; degenerate clusters are ordered by the index of each
+    vector's largest coefficient, and every vector's first significant
+    coefficient is made positive.
     """
     A = np.asarray(A, dtype=float)
     scale = max(float(np.max(np.abs(A))), 1e-300)
     defect = float(np.max(np.abs(A - A.T)))
-    if defect > tol_sym * scale:
+    if defect > 1e-8 * scale:
         raise VmspecError("matrix asymmetry %.3e above tolerance" % defect)
     As = 0.5 * (A + A.T)
     vals, vecs = eigh(As)
@@ -117,15 +118,16 @@ class VerdictResult:
     l0: float
 
 
-def verdict(neg_a1, neg_a2, l0, ker_a2_trivial, tol=1e-10):
+def verdict(neg_a1, neg_a2, l0, ker_a2_trivial):
     """Instability decision from the signed counts.
 
     The counting criterion is sufficient only: a strict surplus
     neg(A2) > neg(A1) + neg(-l0) certifies a growing mode; with a trivial
     A2 kernel any mismatch does.  Everything else stays INCONCLUSIVE.
+    |l0| <= 1e-10 breaks the hypothesis l0 != 0.
     """
-    if abs(l0) <= tol:
-        raise HypothesisError("hypothesis failure: l0 ~ 0 (|l0|=%.3e <= %.1e)" % (abs(l0), tol))
+    if abs(l0) <= 1e-10:
+        raise HypothesisError("hypothesis failure: l0 ~ 0 (|l0|=%.3e <= 1.0e-10)" % abs(l0))
     rhs = neg_a1 + neg_scalar(-l0)
     if neg_a2 > rhs:
         return VerdictResult(UNSTABLE_T1, "neg(A2)=%d > %d=neg(A1)+neg(-l0)" % (neg_a2, rhs),
@@ -234,8 +236,9 @@ class KernelCrossing:
     tol_kernel: float
 
 
-def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None, max_iter=60):
-    """Bisect a count-change interval down to a kernel of the matrix family.
+def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None):
+    """Bisect a count-change interval down to a kernel of the matrix family,
+    in at most 60 steps.
 
     ``assemble_fn(lam)`` must return the symmetric matrix.  The count
     change is necessary but not sufficient for a zero crossing in
@@ -258,7 +261,7 @@ def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None, max_iter=60):
 
     best = None
     a, b = lam_lo, lam_hi
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = 0.5 * (a + b)
         dec = symmetric_eigen(assemble_fn(mid))
         idx = int(np.argmin(np.abs(dec.values)))
@@ -287,20 +290,18 @@ def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None, max_iter=60):
                           min_abs_eig=float(min_abs / norm), n=n, tol_kernel=tol_k)
 
 
-def locate_kernel_for_state(state, basis, quad, sweep_result, interval_index=0,
-                            opts=None, tol_kernel=None, max_iter=60):
-    """Kernel search inside one of a sweep's count-change intervals."""
+def locate_kernel_for_state(state, basis, quad, sweep_result, opts=None, tol_kernel=None):
+    """Kernel search inside the first of a sweep's count-change intervals."""
     if not sweep_result.crossings:
         raise VmspecError("sweep found no count-change interval")
-    iv = sweep_result.crossings[interval_index]
+    iv = sweep_result.crossings[0]
     modal = sweep_result.modal
 
     def assemble_fn(lam):
         blocks = assemble_blocks(state, lam, basis, quad, opts, sweep_result.assembly)
         return assemble_M(blocks, sweep_result.n, modal)
 
-    return locate_kernel(assemble_fn, iv["lam_lo"], iv["lam_hi"],
-                         tol_kernel=tol_kernel, max_iter=max_iter)
+    return locate_kernel(assemble_fn, iv["lam_lo"], iv["lam_hi"], tol_kernel=tol_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,46 @@
-"""The benchmark's tracer must find every name it wraps.
+"""The benchmark's own files must keep working against the program.
 
 ``perfbench/spans.py`` replaces module and class attributes by name, read
 from ``owner.__dict__``; a refactor that moves or renames one of them
-breaks every traced benchmark run.  This test reads the target table as
-it is and fails first.
+breaks every traced benchmark run.  ``perfbench/workloads.py`` calls the
+library and the CLI by name and checks their output.  These tests load
+both files as they are and fail first.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import vmspec as vm
 import vmspec.cli  # noqa: F401  (the tracer wraps names in the CLI module)
 
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, ROOT / "perfbench" /
+                                                  (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_every_traced_name_is_where_the_tracer_looks():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in spans._targets(vm) if attr not in owner.__dict__]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_benchmark_workload_passes_its_check(workload, tmp_path, monkeypatch):
+    # seed-0 inputs under the workload's invariant checks; the pinned
+    # reference numbers are left out, so moving them turns no test red
+    workloads = _load("workloads")
+    monkeypatch.setenv("VMSPEC_OUT", str(tmp_path))      # the CLI set-up writes it
+    setup, run, check = workloads.WORKLOADS[workload]
+    ctx = setup(vm, workloads.draw_inputs(0), str(tmp_path))
+    assert check(run(vm, ctx), None) == []

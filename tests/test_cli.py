@@ -42,9 +42,11 @@ def test_unknown_config_key_is_rejected(tmp_path, key):
         cli.parse_config_file(str(cfg_path))
 
 
-def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("line", ["disc.n_r = -5", "disc.n_per_period = 32"],
+                         ids=["negative_n_r", "n_per_period_below_64"])
+def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("disc.n_r = -5\n")
+    cfg_path.write_text(line + "\n")
     code = run(["--config", str(cfg_path), "validate"], tmp_path, monkeypatch)
     assert code == cli.EXIT_CONFIG
 
@@ -121,6 +123,13 @@ def test_find_mode_roundtrip(tmp_path, monkeypatch):
     assert payload["crossing"]["lambda_star"] > 0
     assert payload["residuals"]["passed"] is True
     assert (tmp_path / "out" / "mode_fields.csv").exists()
+    assert (tmp_path / "out" / "mode_manifest.json").exists()
+
+
+def test_mode_subcommand(tmp_path, monkeypatch):
+    code = run(["--profile", "weakfield_family", "--period", "9.43",
+                "--n", "4", "--n-x", "12", "mode"], tmp_path, monkeypatch)
+    assert code == cli.EXIT_OK
     assert (tmp_path / "out" / "mode_manifest.json").exists()
 
 

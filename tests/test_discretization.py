@@ -140,15 +140,6 @@ def test_sin_squared_integral():
     assert abs(got - P / 2) <= 1e-12
 
 
-def test_mean_zero_variant_excludes_constant():
-    basis = vm.build_fourier_basis(3.0, 8, mean_zero=True)
-    assert np.all(basis.k_index > 0)
-    coeffs = basis.project(np.ones_like(basis.x_grid))
-    assert np.max(np.abs(coeffs)) <= 1e-12
-
-
 def test_basis_requires_even_modes_and_oversampling():
     with pytest.raises(VmspecError):
         vm.build_fourier_basis(1.0, 7)
-    with pytest.raises(VmspecError):
-        vm.build_fourier_basis(1.0, 8, oversample=2)

@@ -122,7 +122,7 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
     k = lambda x, v1, v2: np.cos(w * x)
     proj = vm.ProjectionEvaluator(weak_state).apply("-", k, pt)
     ev = vm.SmoothingEvaluator(weak_state, 1e-3,
-                               EvalOptions(k_osc=1, tol_tail_s=1e-8, dt=0.1))
+                               EvalOptions(k_osc=1, tol_tail_s=1e-8))
     smooth = ev.apply("-", k, pt)
     assert abs(smooth - proj) <= 1e-3
 
@@ -197,6 +197,22 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += len(lanes)
     assert checked == np.count_nonzero(_resolved_lanes(weak_state, quad, 0.7)[0])
+
+
+def test_orbit_sampling_below_64_per_period_is_rejected():
+    # the projection and the assembly sample every orbit alike, at >= 64 points
+    with pytest.raises(VmspecError, match="at least 64"):
+        EvalOptions(n_per_period=32)
+
+
+def test_node_moments_average_of_one_is_one(weak_state, aniso_coarse_quad):
+    # m0[0] is the average of 1: the period weights and the backward window
+    # of the lanes that did not close must each carry unit mass
+    quad, x = aniso_coarse_quad, 0.7
+    assert not _resolved_lanes(weak_state, quad, x)[0].all()
+    for lam in (0.01 * 2 * np.pi / weak_state.period, 0.1):
+        m0 = vm.node_moments(weak_state, -1, lam, quad, 0, x)[0]
+        assert np.max(np.abs(m0[0] - 1.0)) <= 1e-12, lam
 
 
 def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
@@ -523,12 +539,6 @@ def test_current_response_bounded_over_sweep(aniso_state, aniso_quad):
     vals = [abs(vm.assemble_blocks(aniso_state, lam, basis, aniso_quad).l)
             for lam in np.geomspace(0.05, 50.0, 8)]
     assert max(vals) <= 10.0 * max(1e-12, abs(vals[0]))
-
-
-def test_assemble_requires_full_basis(paper_state, paper_quad):
-    basis = vm.build_fourier_basis(paper_state.period, 8, mean_zero=True)
-    with pytest.raises(VmspecError, match="full basis"):
-        vm.assemble_blocks(paper_state, 0.0, basis, paper_quad)
 
 
 # ---------------------------------------------------------------------------
