@@ -71,20 +71,25 @@ def default_dt(state):
     return min(0.25, state.period / 64.0, 0.25 / bmax)
 
 
-def rk4_step_arrays(state, sign, x, v1, v2, h):
-    """One RK4 step for arrays of lanes; ``h`` may be scalar or per-lane."""
-    def rhs(x_, v1_, v2_):
-        e = np.sqrt(1.0 + v1_ * v1_ + v2_ * v2_)
-        b = state.b0(x_)
-        return v1_ / e, sign * (v2_ / e) * b, -sign * (v1_ / e) * b
+def rk4_step_arrays(state, sign, x, v1, v2, h, b0=None):
+    """One RK4 step for arrays of lanes; ``h`` may be scalar or per-lane.
 
-    k1x, k1u, k1w = rhs(x, v1, v2)
-    k2x, k2u, k2w = rhs(x + 0.5 * h * k1x, v1 + 0.5 * h * k1u, v2 + 0.5 * h * k1w)
-    k3x, k3u, k3w = rhs(x + 0.5 * h * k2x, v1 + 0.5 * h * k2u, v2 + 0.5 * h * k2w)
+    ``b0``, when given, is ``state.b0(x)`` at the start, which the first
+    stage then uses instead of evaluating the field again.
+    """
+    def rhs(x_, v1_, v2_, b_=None):
+        r = 1.0 / np.sqrt(1.0 + v1_ * v1_ + v2_ * v2_)
+        q = r * (sign * (state.b0(x_) if b_ is None else b_))
+        return v1_ * r, v2_ * q, -(v1_ * q)
+
+    hh, h6 = 0.5 * h, h / 6.0
+    k1x, k1u, k1w = rhs(x, v1, v2, b0)
+    k2x, k2u, k2w = rhs(x + hh * k1x, v1 + hh * k1u, v2 + hh * k1w)
+    k3x, k3u, k3w = rhs(x + hh * k2x, v1 + hh * k2u, v2 + hh * k2w)
     k4x, k4u, k4w = rhs(x + h * k3x, v1 + h * k3u, v2 + h * k3w)
-    x_n = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    v1_n = v1 + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-    v2_n = v2 + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+    x_n = x + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    v1_n = v1 + h6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+    v2_n = v2 + h6 * (k1w + 2 * k2w + 2 * k3w + k4w)
     return x_n, v1_n, v2_n
 
 

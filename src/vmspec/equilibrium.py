@@ -134,7 +134,11 @@ class MagneticPotential:
     """Periodic psi0 represented by uniform samples and truncated harmonics.
 
     The field b0 = dpsi0/dx is the exact spectral derivative, so its mean
-    over one period vanishes identically.
+    over one period vanishes identically.  One coefficient table per
+    derivative order, a_k = (1 if k == 0 else 2) (i k omega)^order c_k on
+    k = 0..max kept k with zeros at dropped harmonics, is built once here;
+    each evaluation is one exp(i omega x) and one Horner pass over a table.
+    ``b_max`` is max |b| on the samples, also computed once.
     """
 
     def __init__(self, period, samples):
@@ -154,23 +158,22 @@ class MagneticPotential:
         keep = np.abs(coef) > 1e-14 * scale
         keep[0] = True
         keep[n // 2:] = False      # drop the ambiguous Nyquist term
-        self._k = np.nonzero(keep)[0]
-        self._coef = coef[self._k]
+        kmax = np.flatnonzero(keep)[-1]
+        a = np.where(keep, coef, 0.0)[:kmax + 1]
+        a[1:] *= 2.0
+        k = np.arange(kmax + 1)
         self._omega = 2.0 * np.pi / self.period
+        self._tables = [a * (1j * k * self._omega) ** order for order in range(3)]
+        self.b_max = float(np.max(np.abs(self.b(self.samples_x))))
 
     def _synth(self, x, order):
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros(np.shape(x), dtype=complex)
-        z = np.exp(1j * self._omega * x)   # one transcendental; powers after
-        pw = np.ones_like(z)
-        kprev = 0
-        for k, c in zip(self._k, self._coef):
-            for _ in range(k - kprev):
-                pw = pw * z
-            kprev = k
-            fac = (1j * k * self._omega) ** order
-            acc = acc + (fac * c if k == 0 else 2.0 * fac * c) * pw
-        return np.real(acc)
+        a = self._tables[order]
+        z = np.exp(1j * self._omega * np.asarray(x, dtype=float))
+        acc = np.full(z.shape, a[-1])
+        for c in a[-2::-1]:
+            acc = acc * z      # not in place: 0-d input then stays a numpy
+            acc += c           # scalar, far cheaper than a 0-d array
+        return acc.real
 
     def psi(self, x):
         return self._synth(x, 0)
@@ -180,10 +183,6 @@ class MagneticPotential:
 
     def d2psi(self, x):
         return self._synth(x, 2)
-
-    @property
-    def b_max(self):
-        return float(np.max(np.abs(self.b(self.samples_x))))
 
     @property
     def samples_x(self):

@@ -183,7 +183,8 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
     live = np.ones(n, dtype=bool)
     e = np.sqrt(1.0 + u * u + w * w)
     vh = u / e
-    du = sign * (w / e) * state.b0(x)
+    b = state.b0(x)
+    du = sign * (w / e) * b
     t = 0.0
     n_steps = int(math.ceil(horizon / dt))
     min_t = 8.0 * state.period     # give trapped lanes time to close
@@ -198,10 +199,11 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
                     live &= ~mine
             if not live.any():
                 break
-        xn, un, wn = rk4_step_arrays(state, sign, x, u, w, dt)
+        xn, un, wn = rk4_step_arrays(state, sign, x, u, w, dt, b)
         en = np.sqrt(1.0 + un * un + wn * wn)
         vh_new = un / en
-        du_new = sign * (wn / en) * state.b0(xn)
+        bn = state.b0(xn)
+        du_new = sign * (wn / en) * bn
         # passing closure: |x - x0| reaches one spatial period
         F0 = np.abs(x - xs) - P
         F1 = np.abs(xn - xs) - P
@@ -225,10 +227,10 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
         live &= ~resolved[lane]
         if not live.any():
             break
-        x, u, w, vh, du, t = xn, un, wn, vh_new, du_new, t + dt
+        x, u, w, vh, du, b, t = xn, un, wn, vh_new, du_new, bn, t + dt
         if 2 * np.count_nonzero(live) < live.size:
-            lane, g, wt, xs, x, u, w, t1, vh, du = (
-                a[live] for a in (lane, g, wt, xs, x, u, w, t1, vh, du))
+            lane, g, wt, xs, x, u, w, t1, vh, du, b = (
+                a[live] for a in (lane, g, wt, xs, x, u, w, t1, vh, du, b))
             live = live[live]
     return periods, resolved, winding
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import vmspec as vm
-from vmspec.characteristics import PhasePoint, StepOptions, backward_gauss_nodes
+from vmspec.characteristics import PhasePoint, StepOptions, backward_gauss_nodes, rk4_step_arrays
+from vmspec.equilibrium import EquilibriumState
 from vmspec.errors import VmspecError
 
 
@@ -64,6 +65,50 @@ def test_phase_space_volume_preservation(weak_state):
         d[0] = (d[0] + P / 2) % P - P / 2          # seam-safe position delta
         J[:, j] = d / (2 * h)
     assert abs(abs(np.linalg.det(J)) - 1.0) <= 1e-6
+
+
+def _textbook_rk4(state, sign, y, h):
+    def f(y):
+        x, v1, v2 = y
+        e = np.sqrt(1.0 + v1 ** 2 + v2 ** 2)
+        b = state.b0(x)
+        return np.array([v1 / e, sign * (v2 / e) * b, -sign * (v1 / e) * b])
+
+    k1 = f(y)
+    k2 = f(y + h / 2 * k1)
+    k3 = f(y + h / 2 * k2)
+    k4 = f(y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def test_rk4_step_matches_textbook_rk4(weak_state):
+    rng = np.random.default_rng(5)
+    n = 64
+    y = np.array([rng.uniform(0.0, weak_state.period, n), rng.uniform(-2, 2, n),
+                  rng.uniform(-2, 2, n)])
+    for sign in (+1, -1):
+        for h in (-0.1, rng.uniform(-0.2, 0.2, n)):
+            want = _textbook_rk4(weak_state, sign, y, h)
+            got = np.array(rk4_step_arrays(weak_state, sign, *y, h))
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+            # a start field handed in is used as is
+            handed = rk4_step_arrays(weak_state, sign, *y, h, b0=weak_state.b0(y[0]))
+            assert np.array_equal(np.array(handed), got)
+
+
+def test_rk4_step_field_calls(weak_state, monkeypatch):
+    # the traced b0-per-step ratio rests on these counts
+    calls = []
+    b0 = EquilibriumState.b0
+    monkeypatch.setattr(EquilibriumState, "b0", lambda self, x: calls.append(1) or b0(self, x))
+    x, v1, v2 = np.array([0.3, 2.0]), np.array([0.5, -0.1]), np.array([0.2, 0.9])
+    rk4_step_arrays(weak_state, -1, x, v1, v2, 0.1)
+    assert len(calls) == 4
+    start = weak_state.b0(x)
+    calls.clear()
+    rk4_step_arrays(weak_state, -1, x, v1, v2, 0.1, b0=start)
+    assert len(calls) == 3
 
 
 def test_backward_sample_nodes_and_conservation(weak_state):

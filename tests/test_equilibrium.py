@@ -140,6 +140,52 @@ def test_weakfield_family_properties(aniso_profile, aniso_quad, critical_period)
     assert rows[0][2] > rows[1][2] > rows[2][2]
 
 
+def _synth_by_harmonic(pot, x, order):
+    """The per-harmonic loop the Horner tables replaced, kept as the
+    reference; returns the value and sum |a_k| of the terms it adds."""
+    n = pot.samples.size
+    coef = np.fft.rfft(pot.samples) / n
+    scale = max(1.0, float(np.abs(coef).max()))
+    keep = np.abs(coef) > 1e-14 * scale
+    keep[0] = True
+    keep[n // 2:] = False
+    omega = 2.0 * np.pi / pot.period
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros(np.shape(x), dtype=complex)
+    z = np.exp(1j * omega * x)
+    pw = np.ones_like(z)
+    kprev, size = 0, 0.0
+    for k in np.nonzero(keep)[0]:
+        for _ in range(k - kprev):
+            pw = pw * z
+        kprev = k
+        a = (1j * k * omega) ** order * (coef[k] if k == 0 else 2.0 * coef[k])
+        acc = acc + a * pw
+        size += abs(a)
+    return np.real(acc), size
+
+
+def test_horner_synthesis_matches_the_harmonic_loop(weak_state):
+    # both paths add about 2K roundings of sum |a_k| in float64 with K = 9
+    # harmonics here, a few 1e-15; 1e-13 leaves a wide margin.  x is not
+    # wrapped, as in the period detector.
+    pot = weak_state.potential
+    P = pot.period
+    rng = np.random.default_rng(3)
+    inputs = [np.float64(0.37 * P), 25.0 * P, np.array([-2.9 * P]),
+              rng.uniform(-3.0 * P, 25.0 * P, size=(7, 40))]
+    for order, fn in enumerate((pot.psi, pot.b, pot.d2psi)):
+        for x in inputs:
+            got = fn(x)
+            want, size = _synth_by_harmonic(pot, x, order)
+            assert np.shape(got) == np.shape(x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * size
+    # the field is a spectral derivative: its mean over one period vanishes
+    _, size = _synth_by_harmonic(pot, 0.0, 1)
+    assert abs(np.mean(pot.b(pot.samples_x))) <= 1e-13 * size
+    assert pot.b_max == np.max(np.abs(pot.b(pot.samples_x)))
+
+
 def test_find_center_amplitude_reports_positive_basin(aniso_profile, aniso_coarse_quad):
     prof, _ = aniso_profile
     eps0 = vm.find_center_amplitude(prof, aniso_coarse_quad, eps_start=0.02, eps_cap=0.5,
