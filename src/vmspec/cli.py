@@ -372,12 +372,10 @@ def cmd_mode(cfg):
 
 GOLDEN_RING_INTEGRAL = 1.5 - np.log(2.0)           # int_0^sqrt(3) r^3/(1+r^2) dr
 GOLDEN_TAIL_MOMENT = np.sqrt(np.pi) / 2.0 + 2.0    # |int_sqrt3^inf tail' r dr|
-GOLDEN_TAIL_RING = -2.5311167899453655             # dense-quadrature pin of the tail ring integral
 
 
-def _golden_homogeneous(cfg):
+def _golden_homogeneous(profile, quad):
     from .discretization import integrate_velocity
-    profile, weight, quad = _build_inputs(cfg)
     mismatches = []
 
     def mu_e_minus(v1, v2):
@@ -419,8 +417,8 @@ def cmd_example(cfg, which):
     if which == "homogeneous":
         cfg.profile_name = "paper_homogeneous"
         cfg.profile_params = {}
-        table, mismatches = _golden_homogeneous(cfg)
         profile, weight, quad = _build_inputs(cfg)
+        table, mismatches = _golden_homogeneous(profile, quad)
         state = _build_state(cfg, profile, quad)
         basis, opts, sw = _run_sweep(cfg, state, quad)
         vres = _verdict_from_sweep(sw)

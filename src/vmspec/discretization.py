@@ -10,12 +10,20 @@ and theta -> pi - theta, so integrands odd in v1 or v2 vanish to roundoff.
 Spatial functions live on a uniform collocation grid with an orthonormal
 real trigonometric basis; the trapezoid rule on that grid is spectrally
 accurate for periodic integrands and integrates products of basis
-functions exactly.
+functions exactly.  Each basis function is one harmonic k_j with one
+complex weight h_j,
+
+    u_j(x) = Re(h_j exp(i k_j omega x)),   omega = 2*pi/P,
+
+h_j = 1/sqrt(P) for the constant, sqrt(2/P) for cos_k and -i sqrt(2/P)
+for sin_k.  Every map between basis coefficients and harmonics follows
+from h: coefficients a_j carry the harmonic c_k = sum_{k_j = k} h_j a_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -184,18 +192,23 @@ def integrate_velocity(quad, f):
 class FourierBasis:
     """Orthonormal real trigonometric basis on a period-P interval.
 
-    Functions are ordered [const, cos_1, sin_1, cos_2, sin_2, ...].  ``values``
-    holds the basis evaluated on the collocation grid (grid-point by
-    function), ``k_index`` the harmonic of each function and ``omega`` the
-    fundamental 2*pi/P.
+    Functions are ordered [const, cos_1, sin_1, cos_2, sin_2, ...]; the
+    constant is function 0.  ``values`` holds the basis on the collocation
+    grid (grid-point by function), ``k_index`` the harmonic of each function,
+    ``h`` its complex weight, ``phases`` exp(i k omega x_m) on the grid as
+    (kmax+1, M) and ``omega`` the fundamental 2*pi/P.
     """
 
     period: float
     n_modes: int                   # number of non-constant functions (even)
     x_grid: np.ndarray
-    values: np.ndarray
     k_index: np.ndarray
-    is_sin: np.ndarray
+    h: np.ndarray
+    phases: np.ndarray
+
+    @cached_property
+    def values(self):
+        return self.expand(self.phases)
 
     @property
     def omega(self):
@@ -203,7 +216,7 @@ class FourierBasis:
 
     @property
     def n_functions(self):
-        return self.values.shape[1]
+        return self.k_index.size
 
     @property
     def quad_weight(self):
@@ -213,23 +226,23 @@ class FourierBasis:
         """Coefficients of a grid function: <g, u_j> under the trapezoid rule."""
         return self.values.T @ (np.asarray(grid_values) * self.quad_weight)
 
+    def half_spectrum(self, coeffs):
+        """c_k with sum_j coeffs_j u_j(x) = Re sum_k c_k exp(i k omega x)."""
+        hc = self.h * np.asarray(coeffs, dtype=float)
+        return np.bincount(self.k_index, hc.real) + 1j * np.bincount(self.k_index, hc.imag)
+
+    def coefficients(self, c):
+        """Inverse of ``half_spectrum``: Re(c_k / h_j) for each function j."""
+        return np.real(np.asarray(c)[self.k_index] / self.h)
+
+    def expand(self, T):
+        """Grid values (M, functions) of Re(T[k_j, m] h_j) from harmonic profiles T."""
+        return np.real(T[self.k_index] * self.h[:, None]).T
+
     def derivative_coeffs(self, coeffs, order=1):
-        """Coefficients of the derivative; cos_k and sin_k swap with factor k*omega."""
-        out = np.array(coeffs, dtype=float)
-        for _ in range(order):
-            new = np.zeros_like(out)
-            for j in range(self.n_functions):
-                k = self.k_index[j]
-                if k == 0:
-                    continue
-                # d/dx cos_k = -k w sin_k ; d/dx sin_k = +k w cos_k
-                jj = j + 1 if not self.is_sin[j] else j - 1
-                if self.is_sin[j]:
-                    new[jj] += out[j] * k * self.omega
-                else:
-                    new[jj] += -out[j] * k * self.omega
-            out = new
-        return out
+        """Coefficients of the order-th derivative: harmonic k gains (i k omega)^order."""
+        ik = 1j * self.omega * np.arange(self.n_modes // 2 + 1)
+        return self.coefficients(self.half_spectrum(coeffs) * ik ** order)
 
     def laplacian_diagonal(self):
         """Galerkin entries of -d2/dx2, which is diagonal: (k*omega)^2."""
@@ -242,18 +255,13 @@ def build_fourier_basis(period, n_modes):
         raise VmspecError("n_modes must be positive and even")
     m = 4 * n_modes
     x = np.arange(m) * (period / m)
-    cols, kidx, sflag = [np.full(m, 1.0 / np.sqrt(period))], [0], [False]
-    w = 2.0 * np.pi / period
-    for k in range(1, n_modes // 2 + 1):
-        cols.append(np.sqrt(2.0 / period) * np.cos(k * w * x))
-        kidx.append(k)
-        sflag.append(False)
-        cols.append(np.sqrt(2.0 / period) * np.sin(k * w * x))
-        kidx.append(k)
-        sflag.append(True)
-    return FourierBasis(period=float(period), n_modes=int(n_modes), x_grid=x,
-                        values=np.column_stack(cols), k_index=np.array(kidx),
-                        is_sin=np.array(sflag))
+    kmax = n_modes // 2
+    k_index = np.concatenate([[0], np.repeat(np.arange(1, kmax + 1), 2)])
+    a = np.sqrt(2.0 / period)
+    h = np.concatenate([[1.0 / np.sqrt(period)], np.tile([a, -1j * a], kmax)])
+    ks = np.arange(kmax + 1)[:, None] * (2.0 * np.pi / period)
+    return FourierBasis(period=float(period), n_modes=int(n_modes), x_grid=x, k_index=k_index,
+                        h=h, phases=np.exp(1j * ks * x[None, :]))
 
 
 def integrate_spatial(basis, g):

@@ -22,23 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VmspecError
-from .operators import assembly_kernel, line_filter, species_pair_moments
-
-
-def _half_spectrum(basis, coeffs):
-    """Complex coefficients c_k with f(x) = Re sum_k c_k exp(i k w x)."""
-    kmax = basis.n_modes // 2
-    c = np.zeros(kmax + 1, dtype=complex)
-    P = basis.period
-    for j in range(basis.n_functions):
-        k = basis.k_index[j]
-        if k == 0:
-            c[0] += coeffs[j] / np.sqrt(P)
-        elif basis.is_sin[j]:
-            c[k] += -1j * coeffs[j] * np.sqrt(2.0 / P)
-        else:
-            c[k] += coeffs[j] * np.sqrt(2.0 / P)
-    return c
+from .operators import assembly_kernel, line_filter, species_mu, species_pair_moments
 
 
 @dataclass
@@ -89,17 +73,17 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
                        e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi)
 
     kmax = basis.n_modes // 2
-    kernel = assembly_kernel(state, quad, kmax, x)
-    c_phi = _half_spectrum(basis, phi_coeffs)
-    c_psi = _half_spectrum(basis, psi_coeffs)
+    kernel = assembly_kernel(state, quad, basis)
+    c_phi = basis.half_spectrum(phi_coeffs)
+    c_psi = basis.half_spectrum(psi_coeffs)
     vh1, vh2 = kernel.vh1, kernel.vh2
 
     f = {}                         # f_s of the module docstring, per species
     if state.homogeneous:
         # an x-phase p_k times the filter, Re p_k (re + i im) = [Re p, -Im p] @ [re; im],
         # and x-free mu_e, mu_p: each f_s is one real product over the whole grid
-        re, im = line_filter(quad, kmax, 2.0 * np.pi / state.period, lam)
-        p_phi, p_psi = (kernel.phases.T * c[None, :] for c in (c_phi, c_psi))
+        re, im = line_filter(quad, kmax, basis.omega, lam)
+        p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
                        p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
         H = np.vstack([re, im, re * vh2, im * vh2, vh1])
@@ -130,10 +114,9 @@ def reconstruct(state, crossing, basis, quad, modal, opts=None):
     n = crossing.n
     phi_mz = modal.a1_vectors[:, :n] @ crossing.phi
     psi_full = modal.a2_vectors[:, :n] @ crossing.psi
-    # zero-mean coefficients sit behind the constant in the full basis
+    # zero-mean coefficients sit behind the constant, function 0
     phi_full = np.zeros(basis.n_functions)
-    mz = [j for j in range(basis.n_functions) if basis.k_index[j] > 0]
-    phi_full[mz] = phi_mz
+    phi_full[1:] = phi_mz
     return from_coefficients(state, crossing.lambda_star, phi_full, psi_full,
                              crossing.b, basis, quad, opts)
 
@@ -200,18 +183,6 @@ def _test_battery(basis):
     return spatial, velocity
 
 
-def _species_mu(state, quad, x):
-    """Each species' (mu_e, mu_p) at the points x, as (M, N) arrays; without
-    a potential they do not depend on x, and one row (1, N) serves every x."""
-    rows = x[:1] if state.homogeneous else x
-    out = {}
-    for sign in (-1, +1):
-        p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
-        out[sign] = (state.profile.mu_e(sign, quad.e[None, :], p),
-                     state.profile.mu_p(sign, quad.e[None, :], p))
-    return out
-
-
 def _weak_vlasov_defect(state, mode, basis, quad, floor):
     """Max relative weak-form transport defect over the battery.
 
@@ -244,7 +215,7 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
 
     # per q: f against w (qv, vh1 qv, rot), the sources (mu_e vh1, mu_p vh1,
     # mu_e vh2 + mu_p) against w qv
-    mu = _species_mu(state, quad, x)
+    mu = species_mu(state, quad, x)
     per_species = {}
     for sign, f in ((-1, mode.fminus), (+1, mode.fplus)):
         mu_e, mu_p = mu[sign]
@@ -307,26 +278,24 @@ def physical_defect_coeffs(state, mode, basis, quad):
     int j1 dx - P lam^2 b.  Also returns the two parity integrals dropped
     in the mean-current reduction, which must vanish.
     """
-    mz = [j for j in range(basis.n_functions) if basis.k_index[j] > 0]
     d2phi = basis.values @ basis.derivative_coeffs(mode.phi_coeffs, 2)
     d2psi = basis.values @ basis.derivative_coeffs(mode.psi_coeffs, 2)
-    d1 = basis.project(d2phi + mode.rho)[mz]
+    d1 = basis.project(d2phi + mode.rho)[1:]
     d2 = basis.project(d2psi - mode.lam ** 2 * mode.psi + mode.j2)
     wq = basis.quad_weight
     d3 = float(np.sum(mode.j1) * wq - basis.period * mode.lam ** 2 * mode.b)
 
     vh1 = quad.v1 / quad.e
     drop1 = drop2 = 0.0
-    for mu_e, mu_p in _species_mu(state, quad, basis.x_grid).values():
+    for mu_e, mu_p in species_mu(state, quad, basis.x_grid).values():
         drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
         drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)
 
 
-def operator_defect_coeffs(blocks, mode, basis):
+def operator_defect_coeffs(blocks, mode):
     """Same defects from the assembled one-sided blocks."""
-    mz = [j for j in range(basis.n_functions) if basis.k_index[j] > 0]
-    phi_mz = mode.phi_coeffs[mz]
+    phi_mz = mode.phi_coeffs[1:]
     psi = mode.psi_coeffs
     B_raw = blocks.raw["B"]
     Bstar_raw = blocks.raw["Bstar"]
@@ -341,7 +310,7 @@ def operator_defect_coeffs(blocks, mode, basis):
 # exports
 # ---------------------------------------------------------------------------
 
-def export_mode(mode, outdir, stem="mode", report=None, quad=None):
+def export_mode(mode, outdir, report=None, quad=None):
     """JSON manifest, field table, and a distribution table on about 64 nodes."""
     os.makedirs(outdir, exist_ok=True)
     manifest = {
@@ -350,9 +319,9 @@ def export_mode(mode, outdir, stem="mode", report=None, quad=None):
         "nontrivial": mode.nontrivial,
         "residuals": None if report is None else report.as_dict(),
     }
-    with open(os.path.join(outdir, "%s_manifest.json" % stem), "w") as fh:
+    with open(os.path.join(outdir, "mode_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    with open(os.path.join(outdir, "%s_fields.csv" % stem), "w", newline="") as fh:
+    with open(os.path.join(outdir, "mode_fields.csv"), "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(["x", "phi", "psi", "E1", "E2", "B"])
         for i in range(mode.x.size):
@@ -364,7 +333,7 @@ def export_mode(mode, outdir, stem="mode", report=None, quad=None):
         idx = np.arange(0, quad.n_nodes, stride)
         r = np.hypot(quad.v1, quad.v2)
         th = np.mod(np.arctan2(quad.v2, quad.v1), 2.0 * np.pi)
-        with open(os.path.join(outdir, "%s_distribution.csv" % stem), "w", newline="") as fh:
+        with open(os.path.join(outdir, "mode_distribution.csv"), "w", newline="") as fh:
             wtr = csv.writer(fh)
             wtr.writerow(["x", "r", "theta", "fplus", "fminus"])
             for m in range(mode.x.size):
@@ -372,4 +341,4 @@ def export_mode(mode, outdir, stem="mode", report=None, quad=None):
                     wtr.writerow([repr(float(v)) for v in
                                   (mode.x[m], r[j], th[j],
                                    mode.fplus[m, j], mode.fminus[m, j])])
-    return os.path.join(outdir, "%s_manifest.json" % stem)
+    return os.path.join(outdir, "mode_manifest.json")

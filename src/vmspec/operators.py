@@ -492,7 +492,6 @@ class AssemblyKernel:
 
     vh1: np.ndarray
     vh2: np.ndarray
-    phases: np.ndarray             # exp(i k w x_m), (kmax+1, M)
     mu: dict
     m_e: np.ndarray
     m_vp: np.ndarray
@@ -502,20 +501,24 @@ class AssemblyKernel:
     lint: float = 0.0
 
 
-def assembly_kernel(state, quad, kmax, x_grid):
-    """Evaluate the profile once; build per state, quadrature, grid and kmax."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    M = x_grid.size
-    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
-    ks = np.arange(kmax + 1)[:, None] * (2.0 * np.pi / state.period)
-    # without a potential the fields do not depend on x: one row, viewed M times
-    rows = x_grid[:1] if state.homogeneous else x_grid
-    kern = AssemblyKernel(vh1=vh1, vh2=vh2, phases=np.exp(1j * ks * x_grid[None, :]), mu={},
-                          m_e=0.0, m_vp=0.0, m_p=0.0)
+def species_mu(state, quad, x):
+    """Each species' (mu_e, mu_p) at the points x, as (M, N) arrays; without
+    a potential they do not depend on x, and one row (1, N) serves every x."""
+    rows = x[:1] if state.homogeneous else x
+    out = {}
     for sign in (-1, +1):
         p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
-        mu_e = state.profile.mu_e(sign, quad.e[None, :], p)
-        mu_p = state.profile.mu_p(sign, quad.e[None, :], p)
+        out[sign] = (state.profile.mu_e(sign, quad.e[None, :], p),
+                     state.profile.mu_p(sign, quad.e[None, :], p))
+    return out
+
+
+def assembly_kernel(state, quad, basis):
+    """Evaluate the profile once; build per state, quadrature and basis."""
+    M = basis.x_grid.size
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    kern = AssemblyKernel(vh1=vh1, vh2=vh2, mu={}, m_e=0.0, m_vp=0.0, m_p=0.0)
+    for sign, (mu_e, mu_p) in species_mu(state, quad, basis.x_grid).items():
         kern.mu[sign] = (np.broadcast_to(mu_e, (M, quad.n_nodes)),
                          np.broadcast_to(mu_p, (M, quad.n_nodes)))
         kern.m_e = kern.m_e + np.sum(mu_e * quad.w, axis=1)
@@ -526,6 +529,7 @@ def assembly_kernel(state, quad, kmax, x_grid):
         cls, n_cls = _quarter_classes(quad)
         kern.W = np.column_stack([np.bincount(cls, f) for f in (we, we * vh2 * vh2)])
         rep = vh1.reshape(-1, quad.theta_nodes.size)[:, :n_cls].ravel()
+        ks = np.arange(basis.n_modes // 2 + 1)[:, None] * basis.omega
         kern.a2 = (ks * rep[None, :]) ** 2
         kern.lint = float(kern.W[:, 0] @ (rep * rep))
     kern.m_e, kern.m_vp, kern.m_p = (np.broadcast_to(v, M)
@@ -557,17 +561,18 @@ class MomentProfiles:
     m_p: np.ndarray
 
 
-def moment_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
+def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     """Moment profiles at one rate; ``kernel`` is built here when not given."""
     if kernel is None:
-        kernel = assembly_kernel(state, quad, kmax, x_grid)
+        kernel = assembly_kernel(state, quad, basis)
+    kmax, x_grid = basis.n_modes // 2, basis.x_grid
     M = x_grid.size
 
     if state.homogeneous:
         # translation invariance: velocity integrals once, phases per x; on
         # the folded table the filter's v1-odd imaginary part is gone
         tau = _damping(lam, kernel.a2) @ kernel.W
-        T1, T2 = (tau[:, j:j + 1] * kernel.phases for j in range(2))
+        T1, T2 = (tau[:, j:j + 1] * basis.phases for j in range(2))
         zero = np.zeros_like(T1)
         return MomentProfiles(T1, T2, zero, zero, np.zeros(M), np.zeros(M),
                               np.full(M, kernel.lint), kernel.m_e, kernel.m_vp, kernel.m_p)
@@ -612,19 +617,6 @@ class OperatorBlocks:
     raw: dict = field(default_factory=dict)
 
 
-def _expand_profile(T, basis, columns):
-    """Grid profiles of Q-applied basis functions: column j from harmonic k."""
-    M = basis.x_grid.size
-    G = np.empty((M, len(columns)))
-    P = basis.period
-    for jj, j in enumerate(columns):
-        k = basis.k_index[j]
-        fac = (1.0 / np.sqrt(P)) if k == 0 else np.sqrt(2.0 / P)
-        row = T[k, :]
-        G[:, jj] = fac * (np.imag(row) if basis.is_sin[j] else np.real(row))
-    return G
-
-
 def _symmetrize(Mx, name, tol_sym, defects):
     defect = float(np.max(np.abs(Mx - Mx.T)))
     scale = max(float(np.max(np.abs(Mx))), 1e-300)
@@ -644,27 +636,19 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     if lam < 0:
         raise VmspecError("lam must be nonnegative")
     opts = opts or EvalOptions()
-    kmax = basis.n_modes // 2
-    x = basis.x_grid
     w = basis.quad_weight
-    prof = moment_profiles(state, lam, quad, kmax, x, opts, kernel)
+    prof = moment_profiles(state, lam, quad, basis, opts, kernel)
 
     Uf = basis.values                       # (M, N+1)
-    mz = [j for j in range(basis.n_functions) if basis.k_index[j] > 0]
-    Umz = Uf[:, mz]
-    lap_full = basis.laplacian_diagonal()
-    lap_mz = lap_full[mz]
+    Umz = Uf[:, 1:]                         # function 0 is the constant
+    lap = basis.laplacian_diagonal()
+    G1, G2, G3, G4 = (basis.expand(T) for T in (prof.T1, prof.T2, prof.T3, prof.T4))
 
-    G1 = _expand_profile(prof.T1, basis, mz)
-    G2 = _expand_profile(prof.T2, basis, range(basis.n_functions))
-    G3 = _expand_profile(prof.T3, basis, range(basis.n_functions))
-    G4 = _expand_profile(prof.T4, basis, mz)
-
-    A1 = np.diag(lap_mz) + w * (Umz.T @ (-prof.m_e[:, None] * Umz)) + w * (Umz.T @ G1)
-    A2 = (np.diag(lap_full) + lam ** 2 * np.eye(basis.n_functions)
+    A1 = np.diag(lap[1:]) + w * (Umz.T @ (-prof.m_e[:, None] * Umz)) + w * (Umz.T @ G1[:, 1:])
+    A2 = (np.diag(lap) + lam ** 2 * np.eye(basis.n_functions)
           + w * (Uf.T @ (-prof.m_vp[:, None] * Uf)) - w * (Uf.T @ G2))
     B_raw = w * (Umz.T @ (prof.m_p[:, None] * Uf + G3))
-    Bstar_raw = w * (Uf.T @ (prof.m_p[:, None] * Umz + G4))
+    Bstar_raw = w * (Uf.T @ (prof.m_p[:, None] * Umz + G4[:, 1:]))
     C = w * (Umz.T @ prof.c)
     D = w * (Uf.T @ prof.d)
     l = float(w * np.sum(prof.lint) / state.period)

@@ -196,7 +196,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
             or np.any(np.diff(lam_grid) <= 0):
         raise VmspecError("lam grid must be ascending and strictly positive")
-    kernel = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
+    kernel = assembly_kernel(state, quad, basis)
     blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
     modal = modal_truncation(blocks0, tol_eig)
     spectra = [symmetric_eigen(assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel),

@@ -268,7 +268,7 @@ def test_criterion_6_manufactured_equivalence(paper_state, paper_quad):
             mode = vm.from_coefficients(paper_state, lam, phi, psi, b, basis, paper_quad)
             d1p, d2p, d3p, _ = vm.physical_defect_coeffs(paper_state, mode, basis,
                                                          paper_quad)
-            d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode, basis)
+            d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode)
             scale = max(np.max(np.abs(d1o)), np.max(np.abs(d2o)), abs(d3o), 1e-12)
             worst = max(worst, np.max(np.abs(d1p - d1o)) / scale,
                         np.max(np.abs(d2p - d2o)) / scale, abs(d3p - d3o) / scale)

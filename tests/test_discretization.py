@@ -143,3 +143,76 @@ def test_sin_squared_integral():
 def test_basis_requires_even_modes_and_oversampling():
     with pytest.raises(VmspecError):
         vm.build_fourier_basis(1.0, 7)
+
+
+def _is_sin(basis):
+    # the order [const, cos_1, sin_1, cos_2, sin_2, ...]
+    j = np.arange(basis.n_functions)
+    return (j % 2 == 0) & (j > 0)
+
+
+def _half_spectrum_by_function(basis, coeffs):
+    c = np.zeros(basis.n_modes // 2 + 1, dtype=complex)
+    P = basis.period
+    for j, is_sin in enumerate(_is_sin(basis)):
+        k = basis.k_index[j]
+        if k == 0:
+            c[0] += coeffs[j] / np.sqrt(P)
+        elif is_sin:
+            c[k] += -1j * coeffs[j] * np.sqrt(2.0 / P)
+        else:
+            c[k] += coeffs[j] * np.sqrt(2.0 / P)
+    return c
+
+
+def _expand_by_function(basis, T):
+    G = np.empty((basis.x_grid.size, basis.n_functions))
+    P = basis.period
+    for j, is_sin in enumerate(_is_sin(basis)):
+        k = basis.k_index[j]
+        fac = (1.0 / np.sqrt(P)) if k == 0 else np.sqrt(2.0 / P)
+        G[:, j] = fac * (np.imag(T[k]) if is_sin else np.real(T[k]))
+    return G
+
+
+def _derivative_by_swap(basis, coeffs, order):
+    out = np.array(coeffs, dtype=float)
+    is_sin = _is_sin(basis)
+    for _ in range(order):
+        new = np.zeros_like(out)
+        for j in range(1, basis.n_functions):
+            kw = basis.k_index[j] * basis.omega
+            # d/dx cos_k = -k w sin_k ; d/dx sin_k = +k w cos_k
+            if is_sin[j]:
+                new[j - 1] += out[j] * kw
+            else:
+                new[j + 1] += -out[j] * kw
+        out = new
+    return out
+
+
+def test_harmonic_map_matches_the_per_function_loops():
+    # the weights h_j against the per-function loops they replace
+    rng = np.random.default_rng(5)
+
+    def close(got, want, rel):
+        return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+    for n_modes in (2, 4, 32):
+        basis = vm.build_fourier_basis(6.7, n_modes)
+        kw = basis.k_index * basis.omega
+        x = basis.x_grid[:, None]
+        cols = np.where(_is_sin(basis), np.sin(kw * x), np.cos(kw * x))
+        cols *= np.where(basis.k_index > 0, np.sqrt(2.0 / basis.period),
+                         1.0 / np.sqrt(basis.period))
+        assert close(basis.values, cols, 1e-14)
+        for _ in range(3):
+            a = rng.standard_normal(basis.n_functions)
+            assert close(basis.half_spectrum(a), _half_spectrum_by_function(basis, a), 1e-14)
+            assert close(basis.coefficients(basis.half_spectrum(a)), a, 1e-15)
+            for order in (1, 2):
+                assert close(basis.derivative_coeffs(a, order),
+                             _derivative_by_swap(basis, a, order), 1e-14)
+            T = (rng.standard_normal((n_modes // 2 + 1, basis.x_grid.size))
+                 + 1j * rng.standard_normal((n_modes // 2 + 1, basis.x_grid.size)))
+            assert close(basis.expand(T), _expand_by_function(basis, T), 1e-14)

@@ -62,7 +62,7 @@ def test_manufactured_equivalence_homogeneous(paper_state, paper_quad):
             mode = vm.from_coefficients(paper_state, lam, phi, psi, b, basis, paper_quad)
             d1p, d2p, d3p, dropped = vm.physical_defect_coeffs(paper_state, mode,
                                                                basis, paper_quad)
-            d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode, basis)
+            d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode)
             scale = max(np.max(np.abs(d1o)), np.max(np.abs(d2o)), abs(d3o), 1e-12)
             assert np.max(np.abs(d1p - d1o)) <= 1e-6 * scale
             assert np.max(np.abs(d2p - d2o)) <= 1e-6 * scale
@@ -87,7 +87,7 @@ def test_manufactured_equivalence_magnetized(weak_state, aniso_coarse_quad):
     mode = vm.from_coefficients(weak_state, lam, phi, psi, b, basis,
                                 aniso_coarse_quad, opts)
     d1p, d2p, d3p, _ = vm.physical_defect_coeffs(weak_state, mode, basis, aniso_coarse_quad)
-    d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode, basis)
+    d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode)
     scale = max(np.max(np.abs(d1o)), np.max(np.abs(d2o)), abs(d3o), 1e-12)
     assert np.max(np.abs(d1p - d1o)) <= 1e-4 * scale
     assert np.max(np.abs(d2p - d2o)) <= 1e-4 * scale

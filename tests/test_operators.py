@@ -253,17 +253,16 @@ def test_one_orbit_pass_per_assembly(monkeypatch, weak_state, aniso_coarse_quad)
     steps = [0]
     step = ops.rk4_step_arrays
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         steps[0] += 1
-        return step(*args)
+        return step(*args, **kwargs)
     monkeypatch.setattr(ops, "rk4_step_arrays", counting)
     opts = EvalOptions(tol_sym=1e-3)
     seen = []
     for n_x in (2, 4):
         basis = vm.build_fourier_basis(weak_state.period, n_x)
         before = steps[0]
-        moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis.n_modes // 2, basis.x_grid,
-                        opts)
+        moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis, opts)
         seen.append(steps[0] - before)
     assert seen[1] <= 1.1 * seen[0], seen
 
@@ -274,9 +273,9 @@ def test_orbit_engine_steps_through_operators(monkeypatch, weak_state, aniso_coa
     steps = [0]
     step = ops.rk4_step_arrays
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         steps[0] += 1
-        return step(*args)
+        return step(*args, **kwargs)
     monkeypatch.setattr(ops, "rk4_step_arrays", counting)
     pt = PhasePoint(1.0, 0.7, -0.4)
     seen = []
@@ -319,9 +318,10 @@ def _straight_line_filter(state, lam, quad, kmax):
     return lam / (lam + 1j * ks * (2.0 * np.pi / state.period) * (quad.v1 / quad.e)[None, :])
 
 
-def _straight_line_profiles(state, lam, quad, kmax, x_grid, opts=None, kernel=None):
+def _straight_line_profiles(state, lam, quad, basis, opts=None, kernel=None):
     """Reference: the per-rate closed form with a complex filter and the
     profile evaluated afresh for each species."""
+    kmax, x_grid = basis.n_modes // 2, basis.x_grid
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
     omega = 2.0 * np.pi / state.period
     ks = np.arange(kmax + 1)[:, None]
@@ -349,7 +349,7 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
     for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
         basis = vm.build_fourier_basis(state.period, 8)
         w = 2 * np.pi / state.period
-        kern = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
+        kern = assembly_kernel(state, quad, basis)
         for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
             got = vm.assemble_blocks(state, lam, basis, quad, kernel=kern)
             with monkeypatch.context() as mp:
@@ -379,17 +379,16 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
         assert n_cls == 5 and cls.max() + 1 == quad.r_nodes.size * n_cls
         assert abs(np.sum(np.bincount(cls, quad.w)) - np.sum(quad.w)) <= 1e-14 * np.sum(quad.w)
         basis = vm.build_fourier_basis(state.period, 8)
-        kern = assembly_kernel(state, quad, basis.n_modes // 2, basis.x_grid)
+        kern = assembly_kernel(state, quad, basis)
         we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
         assert kern.W.shape == (quad.r_nodes.size * n_cls, 2)
         assert abs(np.sum(kern.W[:, 0]) - np.sum(we)) <= 1e-13 * np.sum(np.abs(we))
         w = 2 * np.pi / state.period
         for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
-            prof_lam = moment_profiles(state, lam, quad, basis.n_modes // 2, basis.x_grid,
-                                       kernel=kern)
+            prof_lam = moment_profiles(state, lam, quad, basis, kernel=kern)
             assert not prof_lam.T3.any() and not prof_lam.T4.any()
             assert not prof_lam.c.any() and not prof_lam.d.any()
-            want = _straight_line_profiles(state, lam, quad, basis.n_modes // 2, basis.x_grid)
+            want = _straight_line_profiles(state, lam, quad, basis)
             for name in ("T1", "T2", "lint"):
                 ref = getattr(want, name)
                 err = np.max(np.abs(getattr(prof_lam, name) - ref))
@@ -448,7 +447,7 @@ def test_constant_function_is_null_for_first_block(weak_state, aniso_coarse_quad
     # applied to the constant, the local and averaged terms cancel
     opts = EvalOptions(tol_sym=1e-3, n_per_period=96)
     basis = vm.build_fourier_basis(weak_state.period, 4)
-    prof = moment_profiles(weak_state, 0.0, aniso_coarse_quad, 2, basis.x_grid, opts)
+    prof = moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis, opts)
     assert np.max(np.abs(np.real(prof.T1[0]) - prof.m_e)) <= 1e-8 * np.max(np.abs(prof.m_e))
 
 
