@@ -15,17 +15,16 @@ from .equilibrium import (CenterConditions, EquilibriumProfile, EquilibriumState
                           build_profile, check_center_conditions, find_center_amplitude,
                           make_homogeneous_state, solve_equilibrium_potential,
                           source_term, validate_profile)
-from .characteristics import PhasePoint, StepOptions, TrajectorySample, flow, sample_backward
+from .characteristics import PhasePoint, StepOptions, flow
 from .operators import (EvalOptions, ModalBasis, OperatorBlocks, OrbitInfo,
                         ProjectionEvaluator, SmoothingEvaluator, assemble_M, assemble_blocks,
-                        export_blocks, node_moments, orbit_info)
+                        node_moments, orbit_info)
 from .spectra import (INCONCLUSIVE, UNSTABLE_T1, UNSTABLE_T2, CountReport,
                       EigenDecomposition, KernelCrossing, SweepResult, VerdictResult,
                       count_eigenvalues, default_lambda_grid, locate_kernel,
                       locate_kernel_for_state, modal_truncation, sweep,
-                      symmetric_eigen, verdict, write_sweep_csv, write_sweep_summary)
-from .growing_mode import (GrowingMode, ResidualReport, export_mode,
-                           from_coefficients, operator_defect_coeffs,
+                      symmetric_eigen, verdict)
+from .growing_mode import (GrowingMode, ResidualReport, from_coefficients, operator_defect_coeffs,
                            physical_defect_coeffs, reconstruct, residuals)
 from . import errors
 

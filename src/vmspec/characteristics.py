@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConservationError, VmspecError
 
@@ -116,29 +115,9 @@ def flow(state, species, start, s, opts=None):
     e = start.energy
     if abs(start.v1 / e) < STATIONARY_EPS and abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
         return start
-    x, v1, v2, _, _ = _checked_path(state, normalize_species(species), start,
-                                    np.array([float(s)]), opts or StepOptions())
+    x, v1, v2 = _checked_path(state, normalize_species(species), start,
+                              np.array([float(s)]), opts or StepOptions())
     return PhasePoint(float(x[0]), float(v1[0]), float(v2[0]))
-
-
-def backward_gauss_nodes(horizon, n_nodes):
-    """Gauss-Legendre abscissae and weights mapped to [-horizon, 0]."""
-    xs, ws = leggauss(n_nodes)
-    s = -0.5 * horizon * (xs + 1.0)        # descending from ~0 to ~-horizon
-    w = 0.5 * horizon * ws
-    order = np.argsort(-s)
-    return s[order], w[order]
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    species: int
-    s_nodes: np.ndarray            # decreasing, all <= 0
-    x: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    drift_e: float
-    drift_p: float
 
 
 def backward_path(state, species, start, s_nodes, dt=None):
@@ -164,7 +143,7 @@ def backward_path(state, species, start, s_nodes, dt=None):
 
 def _checked_path(state, sign, start, s_nodes, opts):
     """``backward_path`` with the step halved until the drift of both
-    invariants sits below ``opts.tol_cons``; returns (x, v1, v2, de, dp)."""
+    invariants sits below ``opts.tol_cons``; returns (x, v1, v2)."""
     dt = opts.dt if opts.dt is not None else default_dt(state)
     e0 = start.energy
     p0 = start.momentum(state, sign)
@@ -173,19 +152,8 @@ def _checked_path(state, sign, start, s_nodes, opts):
         de = float(np.max(np.abs(np.sqrt(1.0 + v1s ** 2 + v2s ** 2) - e0)))
         dp = float(np.max(np.abs(v2s + sign * state.psi0(xs) - p0)))
         if de <= opts.tol_cons and dp <= opts.tol_cons:
-            return xs, v1s, v2s, de, dp
+            return xs, v1s, v2s
         dt *= 0.5
     raise ConservationError(
         "conservation failure: |de|=%.3e |dp|=%.3e after %d halvings" % (de, dp, opts.max_halvings),
         drift_e=de, drift_p=dp)
-
-
-def sample_backward(state, species, start, horizon, n_nodes, opts=None):
-    """States at Gauss nodes on [-horizon, 0]; the step halves until the
-    drift of both invariants sits below ``opts.tol_cons``."""
-    sign = normalize_species(species)
-    if n_nodes < 2:
-        raise VmspecError("sample_backward needs at least 2 nodes")
-    s_nodes, _ = backward_gauss_nodes(horizon, n_nodes)
-    return TrajectorySample(sign, s_nodes,
-                            *_checked_path(state, sign, start, s_nodes, opts or StepOptions()))

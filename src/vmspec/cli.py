@@ -1,7 +1,8 @@
 """Command-line pipeline: validate, equilibrium, assemble, sweep, analyze, mode.
 
-Configuration is plain ``section.key = value`` text; every artifact embeds
-the configuration hash so a report can be traced to its inputs.  Exit
+Configuration is plain ``section.key = value`` text, one key per
+``RunConfig`` field; every report embeds the configuration hash so that it
+can be traced to its inputs.  This module writes every artifact file.  Exit
 codes: 0 analysis ran (whatever the verdict), 2 bad configuration,
 3 numerical failure, 4 golden-value mismatch.
 """
@@ -9,6 +10,7 @@ codes: 0 analysis ran (whatever the verdict), 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -23,11 +25,10 @@ from .discretization import build_fourier_basis, build_velocity_quadrature
 from .equilibrium import (build_profile, check_center_conditions, make_homogeneous_state,
                           solve_equilibrium_potential, validate_profile)
 from .errors import ConfigError, GoldenMismatchError, HypothesisError, QuadratureError, VmspecError
-from .growing_mode import export_mode, reconstruct, residuals
-from .operators import EvalOptions, assemble_blocks, export_blocks
+from .growing_mode import reconstruct, residuals
+from .operators import EvalOptions, assemble_blocks
 from .spectra import (INCONCLUSIVE, count_eigenvalues, default_lambda_grid,
-                      locate_kernel_for_state, sweep, sweep_summary_dict, verdict,
-                      write_sweep_csv)
+                      locate_kernel_for_state, sweep, verdict)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,48 +36,61 @@ EXIT_NUMERICAL = 3
 EXIT_GOLDEN = 4
 
 
+def _key(key, default=None):
+    """A setting read from the ``section.key`` line of a configuration file."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    profile_name: str = "paper_homogeneous"
-    profile_params: dict = field(default_factory=dict)
-    weight_c: float = None         # None: profile default
-    weight_alpha: float = None
-    period: float = None           # homogeneous states; None picks a default
-    epsilon: float = None          # weak-field amplitude (builds the potential)
-    n_r: int = 96
-    n_theta: int = 256
-    n_r_tail: int = 24
-    n_x: int = 32                  # trigonometric modes
-    n: int = 8                     # truncation size
-    n_per_period: int = 128
-    tol_tail: float = 1e-8
-    tol_eig: float = None
-    tol_kernel: float = None
-    tol_sym: float = None          # None: 1e-8 on homogeneous states, 1e-4 on magnetized ones
-    tol_residual: float = 1e-4
-    tol_validate: float = 1e-12
-    lambda_min: float = 1e-2       # units of 2*pi/P
-    lambda_max: float = 1e2
-    lambda_points: int = 48
-    find_mode: bool = False
-    emit_spectra: bool = False
-    out: str = "out"
-    canonical: bool = False        # drop timings for byte-stable reports
+    profile_name: str = _key("profile.name", "paper_homogeneous")
+    profile_params: dict = field(default_factory=dict)     # profile.param.<name>
+    weight_c: float = _key("weight.c")                      # None: profile default
+    weight_alpha: float = _key("weight.alpha")
+    period: float = _key("state.period")        # homogeneous states; None picks a default
+    epsilon: float = _key("state.epsilon")      # weak-field amplitude (builds the potential)
+    n_r: int = _key("disc.n_r", 96)
+    n_theta: int = _key("disc.n_theta", 256)
+    n_r_tail: int = _key("disc.n_r_tail", 24)
+    n_x: int = _key("disc.n_x", 32)                         # trigonometric modes
+    n: int = _key("disc.n", 8)                              # truncation size
+    n_per_period: int = _key("disc.n_per_period", 128)
+    tol_tail: float = _key("tol.tail", 1e-8)
+    tol_eig: float = _key("tol.eig")
+    tol_kernel: float = _key("tol.kernel")
+    tol_sym: float = _key("tol.sym")    # None: 1e-8 on homogeneous states, 1e-4 on magnetized ones
+    tol_residual: float = _key("tol.residual", 1e-4)
+    tol_validate: float = _key("tol.validate", 1e-12)
+    lambda_min: float = _key("lambda.min", 1e-2)            # units of 2*pi/P
+    lambda_max: float = _key("lambda.max", 1e2)
+    lambda_points: int = _key("lambda.points", 48)
+    find_mode: bool = _key("run.find_mode", False)
+    emit_spectra: bool = _key("run.emit_spectra", False)
+    out: str = _key("run.out", "out")
+    canonical: bool = _key("run.canonical", False)          # drop timings for byte-stable reports
 
     def validate(self):
-        for name in ("n_r", "n_theta", "n_r_tail", "n_x", "n", "n_per_period", "lambda_points"):
-            if int(getattr(self, name)) <= 0:
-                raise ConfigError("%s must be positive" % name)
-        for name in ("tol_tail", "tol_sym", "tol_residual", "tol_validate"):
-            v = getattr(self, name)
-            if v is not None and not (0.0 < v < 1.0):
-                raise ConfigError("%s must lie in (0, 1)" % name)
+        value = {key: getattr(self, name) for key, name in _KEYMAP.items()}
+        for key in ("disc.n_r", "disc.n_theta", "disc.n_r_tail", "disc.n_x", "disc.n",
+                    "disc.n_per_period", "lambda.points"):
+            if int(value[key]) <= 0:
+                raise ConfigError("%s must be positive" % key)
+        for key in ("tol.tail", "tol.sym", "tol.residual", "tol.validate"):
+            if value[key] is not None and not (0.0 < value[key] < 1.0):
+                raise ConfigError("%s must lie in (0, 1)" % key)
+        if self.n_x % 2:
+            raise ConfigError("disc.n_x must be even")
         if self.n_per_period < 64:
-            raise ConfigError("n_per_period must be at least 64")
+            raise ConfigError("disc.n_per_period must be at least 64")
+        if self.lambda_points < 2:
+            raise ConfigError("lambda.points must be at least 2")
         if self.lambda_min <= 0 or self.lambda_max <= self.lambda_min:
-            raise ConfigError("lambda grid needs 0 < lambda_min < lambda_max")
+            raise ConfigError("lambda grid needs 0 < lambda.min < lambda.max")
         if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+            raise ConfigError("state.epsilon must be positive")
+        if self.epsilon is not None and self.period is not None:
+            raise ConfigError("state.period and state.epsilon exclude each other: "
+                              "the potential sets the period")
         return self
 
     def hash(self):
@@ -85,32 +99,7 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_KEYMAP = {
-    "profile.name": "profile_name",
-    "weight.c": "weight_c",
-    "weight.alpha": "weight_alpha",
-    "state.period": "period",
-    "state.epsilon": "epsilon",
-    "disc.n_r": "n_r",
-    "disc.n_theta": "n_theta",
-    "disc.n_r_tail": "n_r_tail",
-    "disc.n_x": "n_x",
-    "disc.n": "n",
-    "disc.n_per_period": "n_per_period",
-    "tol.tail": "tol_tail",
-    "tol.eig": "tol_eig",
-    "tol.kernel": "tol_kernel",
-    "tol.sym": "tol_sym",
-    "tol.residual": "tol_residual",
-    "tol.validate": "tol_validate",
-    "lambda.min": "lambda_min",
-    "lambda.max": "lambda_max",
-    "lambda.points": "lambda_points",
-    "run.find_mode": "find_mode",
-    "run.emit_spectra": "emit_spectra",
-    "run.out": "out",
-    "run.canonical": "canonical",
-}
+_KEYMAP = {f.metadata["key"]: f.name for f in fields(RunConfig) if "key" in f.metadata}
 
 
 def _coerce(text):
@@ -211,15 +200,84 @@ def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
     return rep
 
 
-def _write_json(path, payload):
+def _outdir(cfg):
+    return os.environ.get("VMSPEC_OUT", cfg.out)
+
+
+# ---------------------------------------------------------------------------
+# artifacts: JSON with indent 2, sorted keys and a final newline; CSV with a
+# header row and floats as ``repr``, which reads back to the same double
+# ---------------------------------------------------------------------------
+
+def _open_out(path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
+    return open(path, "w", newline="")
+
+
+def _write_json(path, payload):
+    with _open_out(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _outdir(cfg):
-    return os.environ.get("VMSPEC_OUT", cfg.out)
+def _write_csv(path, header, rows):
+    """Integers as they are, every other value as ``repr(float(v))``."""
+    with _open_out(path) as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        wtr.writerows([v if isinstance(v, int) else repr(float(v)) for v in row] for row in rows)
+
+
+def export_blocks(blocks, outdir, stem, extra):
+    """``row,col,value`` CSV per block plus a JSON manifest; returns the manifest path."""
+    for name in ("A1", "A2", "B", "C", "D"):
+        mat = np.atleast_2d(getattr(blocks, name))
+        _write_csv(os.path.join(outdir, "%s_%s.csv" % (stem, name)), ["row", "col", "value"],
+                   ((i, j, mat[i, j]) for i, j in np.ndindex(mat.shape)))
+    path = os.path.join(outdir, "%s_manifest.json" % stem)
+    _write_json(path, {"lambda": blocks.lam, "n_modes": blocks.n_modes, "period": blocks.period,
+                       "l": blocks.l, "defects": blocks.defects, **extra})
+    return path
+
+
+def write_sweep_csv(path, sw):
+    ev = sw.eigenvalues
+    _write_csv(path, ["lambda", "eig_index", "eigenvalue"],
+               ((lam, j, ev[j, i]) for i, lam in enumerate(sw.lam_grid)
+                for j in range(ev.shape[0])))
+
+
+def sweep_summary_dict(sw, verdict_result=None):
+    return {
+        "n": sw.n,
+        "l0": sw.l0,
+        "neg_a1": sw.neg_a1,
+        "neg_a2": sw.neg_a2,
+        "k_count": sw.k_count,
+        "counts": [{"lambda": float(l), "neg": c.neg, "zero": c.zero, "pos": c.pos}
+                   for l, c in zip(sw.lam_grid, sw.counts)],
+        "crossings": sw.crossings,
+        "verdict": None if verdict_result is None else verdict_result.verdict,
+    }
+
+
+def export_mode(mode, outdir, report=None, quad=None):
+    """JSON manifest, field table, and a distribution table on about 64 nodes;
+    returns the manifest path."""
+    path = os.path.join(outdir, "mode_manifest.json")
+    _write_json(path, {"lambda": mode.lam, "b": mode.b, "nontrivial": mode.nontrivial,
+                       "residuals": None if report is None else report.as_dict()})
+    _write_csv(os.path.join(outdir, "mode_fields.csv"), ["x", "phi", "psi", "E1", "E2", "B"],
+               zip(mode.x, mode.phi, mode.psi, mode.e1, mode.e2, mode.bfield))
+    if quad is not None and mode.fplus is not None:
+        idx = np.arange(0, quad.n_nodes, max(1, quad.n_nodes // 64))
+        r = np.hypot(quad.v1, quad.v2)
+        th = np.mod(np.arctan2(quad.v2, quad.v1), 2.0 * np.pi)
+        _write_csv(os.path.join(outdir, "mode_distribution.csv"),
+                   ["x", "r", "theta", "fplus", "fminus"],
+                   ((x, r[j], th[j], mode.fplus[m, j], mode.fminus[m, j])
+                    for m, x in enumerate(mode.x) for j in idx))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +329,23 @@ def cmd_equilibrium(cfg):
 
 
 def cmd_assemble(cfg, lam=0.0):
+    if lam < 0:
+        raise ConfigError("--lam must not be negative")
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
     basis = build_fourier_basis(state.period, cfg.n_x)
     opts = _eval_options(cfg, state)
     blocks = assemble_blocks(state, lam, basis, quad, opts)
-    path = export_blocks(blocks, _outdir(cfg), stem="blocks_lam%g" % lam,
-                         tolerances={"tol_sym": opts.tol_sym, "tol_tail": cfg.tol_tail},
-                         extra={"config_hash": cfg.hash()})
+    path = export_blocks(blocks, _outdir(cfg), "blocks_lam%g" % lam,
+                         {"tolerances": {"tol_sym": opts.tol_sym, "tol_tail": cfg.tol_tail},
+                          "config_hash": cfg.hash()})
     print("blocks at lam=%g exported to %s (defects %s)" % (lam, path, blocks.defects))
     return EXIT_OK
 
 
 def _run_sweep(cfg, state, quad):
+    if cfg.n > cfg.n_x:            # only the truncation reads disc.n
+        raise ConfigError("disc.n = %d exceeds the %d modes of disc.n_x" % (cfg.n, cfg.n_x))
     basis = build_fourier_basis(state.period, cfg.n_x)
     opts = _eval_options(cfg, state)
     grid = default_lambda_grid(state.period, cfg.lambda_points, cfg.lambda_min, cfg.lambda_max)
@@ -306,11 +368,9 @@ def cmd_sweep(cfg):
     state = _build_state(cfg, profile, quad)
     basis, opts, sw = _run_sweep(cfg, state, quad)
     out = _outdir(cfg)
-    os.makedirs(out, exist_ok=True)
     write_sweep_csv(os.path.join(out, "sweep.csv"), sw)
-    payload = sweep_summary_dict(sw)
-    payload["config_hash"] = cfg.hash()
-    _write_json(os.path.join(out, "sweep.json"), payload)
+    _write_json(os.path.join(out, "sweep.json"),
+                dict(sweep_summary_dict(sw), config_hash=cfg.hash()))
     print("sweep: K_n=%d, large-lam count %d, %d crossing interval(s)"
           % (sw.k_count, sw.counts[-1].neg, len(sw.crossings)))
     return EXIT_OK
@@ -472,17 +532,19 @@ def cmd_example(cfg, which):
 # ---------------------------------------------------------------------------
 
 def _make_parser():
-    p = argparse.ArgumentParser(prog="vmspec",
+    # every flag's dest is its RunConfig field; no abbreviations, so that a
+    # subcommand's --lam is not read as a prefix of --lambda-min/--lambda-max
+    p = argparse.ArgumentParser(prog="vmspec", allow_abbrev=False,
                                 description="spectral instability analysis of purely "
                                             "magnetic kinetic equilibria")
     p.add_argument("--config", help="path to key=value configuration")
-    p.add_argument("--profile", help="profile name")
+    p.add_argument("--profile", dest="profile_name", help="profile name")
     p.add_argument("--epsilon", type=float, help="weak-field amplitude")
     p.add_argument("--period", type=float, help="homogeneous period")
     p.add_argument("--n", type=int, help="truncation size")
-    p.add_argument("--n-x", type=int, dest="n_x", help="trigonometric modes")
-    p.add_argument("--lambda-min", type=float, dest="lambda_min")
-    p.add_argument("--lambda-max", type=float, dest="lambda_max")
+    p.add_argument("--n-x", type=int, help="trigonometric modes")
+    p.add_argument("--lambda-min", type=float)
+    p.add_argument("--lambda-max", type=float)
     p.add_argument("--find-mode", action="store_true", default=None)
     p.add_argument("--emit-spectra", action="store_true", default=None)
     p.add_argument("--out", help="output directory (VMSPEC_OUT overrides)")
@@ -505,15 +567,9 @@ def _config_from_args(args):
     cfg = RunConfig()
     if args.config:
         cfg = parse_config_file(args.config, cfg)
-    overrides = {"profile": "profile_name", "epsilon": "epsilon", "period": "period",
-                 "n": "n", "n_x": "n_x", "lambda_min": "lambda_min",
-                 "lambda_max": "lambda_max", "find_mode": "find_mode",
-                 "emit_spectra": "emit_spectra", "out": "out",
-                 "canonical": "canonical"}
-    for arg_name, cfg_name in overrides.items():
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            setattr(cfg, cfg_name, val)
+    for f in fields(cfg):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg.validate()
 
 

@@ -14,9 +14,6 @@ never formed.
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,41 +301,3 @@ def operator_defect_coeffs(blocks, mode):
     d3 = float(blocks.C @ phi_mz - blocks.D @ psi
                - blocks.period * mode.b * (blocks.lam ** 2 - blocks.l))
     return d1, d2, d3
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def export_mode(mode, outdir, report=None, quad=None):
-    """JSON manifest, field table, and a distribution table on about 64 nodes."""
-    os.makedirs(outdir, exist_ok=True)
-    manifest = {
-        "lambda": mode.lam,
-        "b": mode.b,
-        "nontrivial": mode.nontrivial,
-        "residuals": None if report is None else report.as_dict(),
-    }
-    with open(os.path.join(outdir, "mode_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    with open(os.path.join(outdir, "mode_fields.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["x", "phi", "psi", "E1", "E2", "B"])
-        for i in range(mode.x.size):
-            wtr.writerow([repr(float(v)) for v in
-                          (mode.x[i], mode.phi[i], mode.psi[i],
-                           mode.e1[i], mode.e2[i], mode.bfield[i])])
-    if quad is not None and mode.fplus is not None:
-        stride = max(1, quad.n_nodes // 64)
-        idx = np.arange(0, quad.n_nodes, stride)
-        r = np.hypot(quad.v1, quad.v2)
-        th = np.mod(np.arctan2(quad.v2, quad.v1), 2.0 * np.pi)
-        with open(os.path.join(outdir, "mode_distribution.csv"), "w", newline="") as fh:
-            wtr = csv.writer(fh)
-            wtr.writerow(["x", "r", "theta", "fplus", "fminus"])
-            for m in range(mode.x.size):
-                for j in idx:
-                    wtr.writerow([repr(float(v)) for v in
-                                  (mode.x[m], r[j], th[j],
-                                   mode.fplus[m, j], mode.fminus[m, j])])
-    return os.path.join(outdir, "mode_manifest.json")

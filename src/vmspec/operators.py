@@ -41,8 +41,6 @@ and its fold onto the classes of ``AssemblyKernel`` for the assembly.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -723,40 +721,3 @@ def assemble_M(blocks, n, modal):
     out[2 * n, n:2 * n] = M23
     out[2 * n, 2 * n] = M33
     return out
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def write_matrix_csv(path, mat):
-    mat = np.atleast_2d(np.asarray(mat))
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["row", "col", "value"])
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                wtr.writerow([i, j, repr(float(mat[i, j]))])
-
-
-def export_blocks(blocks, outdir, stem="blocks", tolerances=None, extra=None):
-    """CSV matrices plus a JSON manifest; returns the manifest path."""
-    import os
-    os.makedirs(outdir, exist_ok=True)
-    names = {"A1": blocks.A1, "A2": blocks.A2, "B": blocks.B,
-             "C": blocks.C, "D": blocks.D}
-    for name, mat in names.items():
-        write_matrix_csv(os.path.join(outdir, "%s_%s.csv" % (stem, name)), mat)
-    manifest = {
-        "lambda": blocks.lam,
-        "n_modes": blocks.n_modes,
-        "period": blocks.period,
-        "l": blocks.l,
-        "defects": blocks.defects,
-        "tolerances": tolerances or {},
-    }
-    manifest.update(extra or {})
-    mpath = os.path.join(outdir, "%s_manifest.json" % stem)
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return mpath

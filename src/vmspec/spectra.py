@@ -9,8 +9,6 @@ exists and a physical mode can be reconstructed.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,35 +300,3 @@ def locate_kernel_for_state(state, basis, quad, sweep_result, opts=None, tol_ker
         return assemble_M(blocks, sweep_result.n, modal)
 
     return locate_kernel(assemble_fn, iv["lam_lo"], iv["lam_hi"], tol_kernel=tol_kernel)
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def write_sweep_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["lambda", "eig_index", "eigenvalue"])
-        for i, lam in enumerate(result.lam_grid):
-            for j in range(result.eigenvalues.shape[0]):
-                wtr.writerow([repr(float(lam)), j, repr(float(result.eigenvalues[j, i]))])
-
-
-def sweep_summary_dict(result, verdict_result=None):
-    return {
-        "n": result.n,
-        "l0": result.l0,
-        "neg_a1": result.neg_a1,
-        "neg_a2": result.neg_a2,
-        "k_count": result.k_count,
-        "counts": [{"lambda": float(l), "neg": c.neg, "zero": c.zero, "pos": c.pos}
-                   for l, c in zip(result.lam_grid, result.counts)],
-        "crossings": result.crossings,
-        "verdict": None if verdict_result is None else verdict_result.verdict,
-    }
-
-
-def write_sweep_summary(path, result, verdict_result=None):
-    with open(path, "w") as fh:
-        json.dump(sweep_summary_dict(result, verdict_result), fh, indent=2, sort_keys=True)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import vmspec as vm
-from vmspec.characteristics import PhasePoint, StepOptions, backward_gauss_nodes, rk4_step_arrays
+from vmspec.characteristics import PhasePoint, StepOptions, rk4_step_arrays
 from vmspec.equilibrium import EquilibriumState
-from vmspec.errors import VmspecError
 
 
 def test_homogeneous_flow_is_exact_translation(paper_state):
@@ -109,35 +108,6 @@ def test_rk4_step_field_calls(weak_state, monkeypatch):
     calls.clear()
     rk4_step_arrays(weak_state, -1, x, v1, v2, 0.1, b0=start)
     assert len(calls) == 3
-
-
-def test_backward_sample_nodes_and_conservation(weak_state):
-    pt = PhasePoint(0.3, 0.7, 0.1)
-    tr = vm.sample_backward(weak_state, "-", pt, horizon=12.0, n_nodes=32)
-    assert np.all(np.diff(tr.s_nodes) < 0)
-    assert np.all(tr.s_nodes <= 0)
-    assert tr.drift_e <= 1e-10 and tr.drift_p <= 1e-10
-
-
-def test_backward_sample_stationary_point(paper_state):
-    pt = PhasePoint(0.5, 0.0, 0.9)
-    tr = vm.sample_backward(paper_state, "+", pt, horizon=5.0, n_nodes=8)
-    assert np.all(tr.x == pt.x)
-    assert np.all(tr.v1 == pt.v1)
-
-
-def test_backward_sample_short_horizon_stays_near_start(weak_state):
-    pt = PhasePoint(0.3, 0.7, 0.1)
-    tr = vm.sample_backward(weak_state, "-", pt, horizon=1e-4, n_nodes=4)
-    assert np.max(np.abs(tr.x - pt.x)) <= 1e-4
-    with pytest.raises(VmspecError):
-        vm.sample_backward(weak_state, "-", pt, horizon=1.0, n_nodes=1)
-
-
-def test_gauss_nodes_cover_the_window():
-    s, w = backward_gauss_nodes(10.0, 16)
-    assert np.all(np.diff(s) < 0) and s.min() > -10 and s.max() < 0
-    assert abs(np.sum(w) - 10.0) <= 1e-12
 
 
 def test_orbit_info_homogeneous(paper_state):

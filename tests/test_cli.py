@@ -1,8 +1,11 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vmspec import cli
@@ -42,13 +45,37 @@ def test_unknown_config_key_is_rejected(tmp_path, key):
         cli.parse_config_file(str(cfg_path))
 
 
-@pytest.mark.parametrize("line", ["disc.n_r = -5", "disc.n_per_period = 32"],
-                         ids=["negative_n_r", "n_per_period_below_64"])
-def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, line):
+@pytest.mark.parametrize("text, command, key", [
+    ("disc.n_r = -5", ["validate"], "disc.n_r"),
+    ("disc.n_per_period = 32", ["validate"], "disc.n_per_period"),
+    ("disc.n_x = 7", ["validate"], "disc.n_x"),
+    ("disc.n = 9\ndisc.n_x = 8", ["sweep"], "disc.n "),
+    ("lambda.points = 1", ["validate"], "lambda.points"),
+    ("state.period = 9.43\nstate.epsilon = 0.05", ["validate"], "state.period"),
+    ("", ["assemble", "--lam", "-0.3"], "--lam"),
+], ids=["negative_n_r", "n_per_period_below_64", "odd_n_x", "n_above_n_x", "one_lambda_point",
+        "period_and_epsilon", "negative_lam"])
+def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, key):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(line + "\n")
-    code = run(["--config", str(cfg_path), "validate"], tmp_path, monkeypatch)
+    cfg_path.write_text(text + "\n")
+    code = run(["--config", str(cfg_path)] + command, tmp_path, monkeypatch)
     assert code == cli.EXIT_CONFIG
+    assert key in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_readme_lists_every_config_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = " ".join(fh.read().split())
+    listed = re.search(r"The keys are (.*?`)\. ", text).group(1)
+    assert set(re.findall(r"`([^`]+)`", listed)) == set(cli._KEYMAP) | {"profile.param.<name>"}
+
+
+def test_every_flag_sets_its_config_field():
+    fields = set(cli._KEYMAP.values())
+    for action in cli._make_parser()._actions:
+        if action.option_strings and action.dest not in ("help", "config"):
+            assert action.dest in fields, action.option_strings
 
 
 def test_odd_angle_count_exits_2(tmp_path, monkeypatch, capsys):
@@ -91,12 +118,77 @@ def test_analyze_zero_profile_inconclusive(tmp_path, monkeypatch, capsys):
     assert payload["neg_a1"] == 0 and payload["neg_a2"] == 0
 
 
+# the reduced homogeneous discretization of the benchmark's self-test
+SMALL_CONFIG = ("disc.n_r = 24\ndisc.n_theta = 48\ndisc.n_r_tail = 8\ndisc.n_x = 16\n"
+                "disc.n = 6\nlambda.points = 16\n")
+
+
+def _small_family_args(tmp_path, *command):
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    return ["--config", str(cfg_path), "--profile", "weakfield_family", "--period", "9.43",
+            "--canonical"] + list(command)
+
+
 def test_analyze_reports_are_byte_identical(tmp_path, monkeypatch):
-    run(_fast_analyze_args(), tmp_path, monkeypatch, out="a")
-    run(_fast_analyze_args(), tmp_path, monkeypatch, out="b")
-    a = (tmp_path / "a" / "analysis.json").read_bytes()
-    b = (tmp_path / "b" / "analysis.json").read_bytes()
-    assert a == b
+    args = _small_family_args(tmp_path, "--find-mode", "--emit-spectra", "analyze")
+    for out in ("a", "b"):
+        assert run(args, tmp_path, monkeypatch, out=out) == cli.EXIT_OK
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == ["analysis.json", "mode_distribution.csv", "mode_fields.csv",
+                     "mode_manifest.json", "spectra.csv"]
+    assert sorted(os.listdir(tmp_path / "b")) == names
+    for name in names:
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
+        assert a.endswith(b"\n"), name
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def test_csv_artifacts_read_back_exactly(tmp_path, monkeypatch):
+    kept = {}
+
+    def keep(name):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **k: kept.setdefault(name, fn(*a, **k)))
+
+    keep("assemble_blocks")
+    keep("sweep")
+    assert run(_small_family_args(tmp_path, "assemble", "--lam", "0.3"),
+               tmp_path, monkeypatch) == cli.EXIT_OK
+    blocks = kept["assemble_blocks"]
+    assert blocks.lam == 0.3
+    for name in ("A1", "A2", "B", "C", "D"):
+        header, rows = _read_csv(tmp_path / "out" / ("blocks_lam0.3_%s.csv" % name))
+        assert header == ["row", "col", "value"]
+        want = np.atleast_2d(getattr(blocks, name))
+        got = np.zeros(want.shape)
+        for i, j, v in rows:
+            got[int(i), int(j)] = float(v)
+        assert len(rows) == want.size and np.array_equal(got, want), name
+
+    assert run(_small_family_args(tmp_path, "sweep"), tmp_path, monkeypatch,
+               out="sw") == cli.EXIT_OK
+    sw = kept["sweep"]
+    header, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
+    assert header == ["lambda", "eig_index", "eigenvalue"]
+    got = np.array([float(v) for _, _, v in rows]).reshape(sw.lam_grid.size, -1).T
+    assert np.array_equal(got, sw.eigenvalues)
+    assert np.array_equal(np.array([float(l) for l, _, _ in rows[::got.shape[0]]]), sw.lam_grid)
+
+
+def test_assemble_takes_its_rate(tmp_path, monkeypatch):
+    # the top-level parser must not read --lam as a prefix of --lambda-min/--lambda-max
+    code = run(["--profile", "zero", "--n", "2", "--n-x", "8", "assemble", "--lam", "0.3"],
+               tmp_path, monkeypatch)
+    assert code == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "blocks_lam0.3_manifest.json").read_text())
+    assert manifest["lambda"] == 0.3
 
 
 def test_analyze_unstable_family(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vmspec as vm
+from vmspec import cli
 from vmspec.errors import VmspecError
 from vmspec.operators import EvalOptions
 
@@ -123,7 +124,7 @@ def test_mode_export(tmp_path, aniso_state, aniso_quad, aniso_pipeline):
     basis, sw, cr = aniso_pipeline
     mode = vm.reconstruct(aniso_state, cr, basis, aniso_quad, sw.modal)
     rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
-    manifest = vm.export_mode(mode, tmp_path, report=rep, quad=aniso_quad)
+    manifest = cli.export_mode(mode, tmp_path, report=rep, quad=aniso_quad)
     import json
     with open(manifest) as fh:
         data = json.load(fh)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vmspec as vm
+from vmspec import cli
 from vmspec.errors import HypothesisError, SpuriousIntervalError, VmspecError
 
 
@@ -176,8 +177,8 @@ def test_sweep_exports(tmp_path, aniso_state, aniso_quad):
     sw = vm.sweep(aniso_state, basis, aniso_quad, 3, grid)
     csv_path = tmp_path / "sweep.csv"
     json_path = tmp_path / "sweep.json"
-    vm.write_sweep_csv(csv_path, sw)
-    vm.write_sweep_summary(json_path, sw)
+    cli.write_sweep_csv(csv_path, sw)
+    cli._write_json(json_path, cli.sweep_summary_dict(sw))
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "lambda,eig_index,eigenvalue"
     assert len(lines) == 1 + 6 * 7
