@@ -170,7 +170,7 @@ def _eval_options(cfg, state):
 
 
 def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
-                     extra=None, t_start=None):
+                     extra=None, t_start=None, stages=None):
     rep = {
         "config_hash": cfg.hash(),
         "version": __version__,
@@ -197,7 +197,17 @@ def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
         rep.update(extra)
     if not cfg.canonical and t_start is not None:
         rep["timing_seconds"] = time.time() - t_start
+    if not cfg.canonical and stages:
+        rep["diagnostics"] = {"stage_seconds": stages}
     return rep
+
+
+def _timed(stages, name, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its wall time recorded as ``stages[name]``."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    stages[name] = time.perf_counter() - t0
+    return out
 
 
 def _outdir(cfg):
@@ -261,22 +271,24 @@ def sweep_summary_dict(sw, verdict_result=None):
     }
 
 
-def export_mode(mode, outdir, report=None, quad=None):
-    """JSON manifest, field table, and a distribution table on about 64 nodes;
-    returns the manifest path."""
+def export_mode(mode, outdir, report=None, quad=None, extra=None):
+    """JSON manifest (plus ``extra``), field table, and a distribution table on
+    about 64 nodes; returns the manifest path."""
     path = os.path.join(outdir, "mode_manifest.json")
     _write_json(path, {"lambda": mode.lam, "b": mode.b, "nontrivial": mode.nontrivial,
-                       "residuals": None if report is None else report.as_dict()})
+                       "residuals": None if report is None else report.as_dict(),
+                       **(extra or {})})
     _write_csv(os.path.join(outdir, "mode_fields.csv"), ["x", "phi", "psi", "E1", "E2", "B"],
                zip(mode.x, mode.phi, mode.psi, mode.e1, mode.e2, mode.bfield))
-    if quad is not None and mode.fplus is not None:
+    if quad is not None:
         idx = np.arange(0, quad.n_nodes, max(1, quad.n_nodes // 64))
-        r = np.hypot(quad.v1, quad.v2)
-        th = np.mod(np.arctan2(quad.v2, quad.v1), 2.0 * np.pi)
+        r = np.hypot(quad.v1[idx], quad.v2[idx])
+        th = np.mod(np.arctan2(quad.v2[idx], quad.v1[idx]), 2.0 * np.pi)
+        f = mode.contract(cols=idx)
         _write_csv(os.path.join(outdir, "mode_distribution.csv"),
                    ["x", "r", "theta", "fplus", "fminus"],
-                   ((x, r[j], th[j], mode.fplus[m, j], mode.fminus[m, j])
-                    for m, x in enumerate(mode.x) for j in idx))
+                   ((x, r[j], th[j], f[+1][m, j], f[-1][m, j])
+                    for m, x in enumerate(mode.x) for j in range(idx.size)))
     return path
 
 
@@ -353,14 +365,19 @@ def _run_sweep(cfg, state, quad):
     return basis, opts, sw
 
 
-def _find_mode(cfg, state, basis, quad, opts, sw):
+def _find_mode(cfg, state, basis, quad, opts, sw, stages):
     """Kernel in the sweep's first count-change interval, the mode rebuilt
-    from it, its residuals and its export; returns (crossing, report, path)."""
-    crossing = locate_kernel_for_state(state, basis, quad, sw, opts=opts,
-                                       tol_kernel=cfg.tol_kernel)
-    mode = reconstruct(state, crossing, basis, quad, sw.modal, opts)
-    report = residuals(state, mode, basis, quad, tol_residual=cfg.tol_residual)
-    return crossing, report, export_mode(mode, _outdir(cfg), report=report, quad=quad)
+    from it, its residuals and its export; returns (crossing, report, path).
+    Each stage's wall time goes to ``stages``."""
+    crossing = _timed(stages, "locate", locate_kernel_for_state, state, basis, quad, sw,
+                      opts=opts, tol_kernel=cfg.tol_kernel)
+    mode = _timed(stages, "reconstruct", reconstruct, state, crossing, basis, quad, sw.modal,
+                  opts, kernel=sw.assembly)
+    report = _timed(stages, "residuals", residuals, state, mode, basis, quad,
+                    tol_residual=cfg.tol_residual)
+    path = _timed(stages, "export", export_mode, mode, _outdir(cfg), report=report, quad=quad,
+                  extra={"config_hash": cfg.hash()})
+    return crossing, report, path
 
 
 def cmd_sweep(cfg):
@@ -390,7 +407,8 @@ def cmd_analyze(cfg):
     profile, weight, quad = _build_inputs(cfg)
     vrep = validate_profile(profile, weight, tol_validate=cfg.tol_validate)
     state = _build_state(cfg, profile, quad)
-    basis, opts, sw = _run_sweep(cfg, state, quad)
+    stages = {}
+    basis, opts, sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
     vres = _verdict_from_sweep(sw)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}
@@ -399,8 +417,8 @@ def cmd_analyze(cfg):
                                 ("epsilon", "residual_inf", "c1_norm", "critical_period")
                                 if k in state.meta}
     if cfg.find_mode and sw.crossings:
-        crossing, report, _ = _find_mode(cfg, state, basis, quad, opts, sw)
-    payload = _analysis_report(cfg, state, sw, vres, crossing, report, extra, t0)
+        crossing, report, _ = _find_mode(cfg, state, basis, quad, opts, sw, stages)
+    payload = _analysis_report(cfg, state, sw, vres, crossing, report, extra, t0, stages)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "analysis.json"), payload)
     if cfg.emit_spectra:
@@ -421,7 +439,7 @@ def cmd_mode(cfg):
     if not sw.crossings:
         print("no crossing interval found; nothing to reconstruct")
         return EXIT_NUMERICAL
-    crossing, report, path = _find_mode(cfg, state, basis, quad, opts, sw)
+    crossing, report, path = _find_mode(cfg, state, basis, quad, opts, sw, {})
     print("lambda*=%.8f residuals pass=%s -> %s" % (crossing.lambda_star, report.passed, path))
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 

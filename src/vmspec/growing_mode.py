@@ -5,10 +5,13 @@ Given (phi, psi, b) and the growth rate, the perturbed distributions are
     f_s = s * [mu_e phi + mu_p psi - mu_e (Q phi - Q(v2hat psi) - b Q v1hat)]
 
 per species s = +/-1, with Q the backward smoothing average at that rate.
-The field equations then follow from moments of f+ - f-; the residual
-suite evaluates each one as stated physics (charge, both current
-equations, continuity) plus a weak-form transport check against a battery
-of separable test functions, because strong velocity derivatives of f are
+Every reader contracts f_s over the velocity nodes, so a mode hands out
+only f_s @ Y and chosen node columns (``GrowingMode.contract``); on
+straight-line states the (x, v) array is never formed.  The field
+equations then follow from moments of f+ - f-; the residual suite
+evaluates each one as stated physics (charge, both current equations,
+continuity) plus a weak-form transport check against a battery of
+separable test functions, because strong velocity derivatives of f are
 never formed.
 """
 
@@ -19,11 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VmspecError
-from .operators import assembly_kernel, line_filter, species_mu, species_pair_moments
+from .operators import assembly_kernel, line_filter, species_pair_moments
 
 
 @dataclass
 class GrowingMode:
+    """Fields of a mode on the collocation grid, and its distributions f_s
+    as contractions over the velocity nodes (see ``contract``)."""
+
     lam: float
     phi_coeffs: np.ndarray         # full-basis coefficients, zero constant part
     psi_coeffs: np.ndarray
@@ -34,11 +40,15 @@ class GrowingMode:
     e1: np.ndarray                 # -dphi/dx - lam*b
     e2: np.ndarray                 # -lam*psi
     bfield: np.ndarray             # dpsi/dx
-    fplus: np.ndarray = field(repr=False, default=None)     # (n_x, n_v)
-    fminus: np.ndarray = field(repr=False, default=None)
+    mu: dict = field(repr=False, default=None)     # species -> (mu_e, mu_p) it was built from
     rho: np.ndarray = None
     j1: np.ndarray = None
     j2: np.ndarray = None
+    _apply: object = field(repr=False, default=None)
+
+    def contract(self, Y=None, cols=None):
+        """{s: f_s @ Y} for an (N, K) matrix Y, or {s: f_s[:, cols]} for node indices."""
+        return {sign: self._apply(sign, Y, cols) for sign in (-1, +1)}
 
     @property
     def nontrivial(self):
@@ -50,11 +60,13 @@ class GrowingMode:
                      + abs(self.b))
 
 
-def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=None):
+def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=None,
+                      kernel=None):
     """Mode from arbitrary full-basis coefficients (manufactured solutions).
 
     The electric potential must have no constant part; the constant
     direction is the built-in trivial kernel and carries no fields.
+    ``kernel`` is the state's ``AssemblyKernel``, built here when not given.
     """
     phi_coeffs = np.asarray(phi_coeffs, dtype=float)
     psi_coeffs = np.asarray(psi_coeffs, dtype=float)
@@ -70,43 +82,59 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
                        e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi)
 
     kmax = basis.n_modes // 2
-    kernel = assembly_kernel(state, quad, basis)
+    kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
+    # x-free profiles keep one row, which broadcasts over the grid
+    mode.mu = {s: tuple(m[:1] if state.homogeneous else m for m in kernel.mu[s])
+               for s in (-1, +1)}
     c_phi = basis.half_spectrum(phi_coeffs)
     c_psi = basis.half_spectrum(psi_coeffs)
     vh1, vh2 = kernel.vh1, kernel.vh2
 
-    f = {}                         # f_s of the module docstring, per species
     if state.homogeneous:
         # an x-phase p_k times the filter, Re p_k (re + i im) = [Re p, -Im p] @ [re; im],
-        # and x-free mu_e, mu_p: each f_s is one real product over the whole grid
+        # and x-free mu_e, mu_p: f_s = G @ S_s, S_s = [mu_e; mu_p; mu_e*(re; im; re*vh2;
+        # im*vh2; vh1)] with s folded into mu.  S_s @ Y is built row block by row block
+        # from mu_e*Y and mu_e*vh2*Y; neither S_s nor f_s is formed.  A column request
+        # is Y = I on those nodes.
         re, im = line_filter(quad, kmax, basis.omega, lam)
         p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
                        p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
-        H = np.vstack([re, im, re * vh2, im * vh2, vh1])
-        for sign in (-1, +1):
-            mu_e, mu_p = (sign * m[0] for m in kernel.mu[sign])
-            f[sign] = G @ np.vstack([mu_e, mu_p, mu_e * H])
+
+        def apply(sign, Y, cols):
+            on = slice(None) if cols is None else np.asarray(cols)
+            if cols is not None:
+                Y = np.eye(on.size)
+            mu_e, mu_p = (sign * m[0, on] for m in mode.mu[sign])
+            r, i = re[:, on], im[:, on]
+            eY, e2Y = mu_e[:, None] * Y, (mu_e * vh2[on])[:, None] * Y
+            return G @ np.vstack([mu_e @ Y, mu_p @ Y, r @ eY, i @ eY, r @ e2Y, i @ e2Y,
+                                  (mu_e * vh1[on]) @ Y])
     else:
         # one orbit pass over the whole grid; contract the harmonics away
+        f = {}
         for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x,
                                                         opts).items():
             q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
                  - mode.b * mv1)
-            f[sign] = sign * (kernel.mu[sign][0] * (phi_v[:, None] - q)
-                              + kernel.mu[sign][1] * psi_v[:, None])
-    mode.fminus, mode.fplus = f[-1], f[+1]
+            f[sign] = sign * (mode.mu[sign][0] * (phi_v[:, None] - q)
+                              + mode.mu[sign][1] * psi_v[:, None])
+
+        def apply(sign, Y, cols):
+            return f[sign] @ Y if cols is None else f[sign][:, cols]
+    mode._apply = apply
     # charge and currents species by species, without an (M, N) difference
-    V = np.column_stack([quad.w, quad.w * vh1, quad.w * vh2])
-    mode.rho, mode.j1, mode.j2 = (f[+1] @ V - f[-1] @ V).T
+    f_V = mode.contract(np.column_stack([quad.w, quad.w * vh1, quad.w * vh2]))
+    mode.rho, mode.j1, mode.j2 = (f_V[+1] - f_V[-1]).T
     return mode
 
 
-def reconstruct(state, crossing, basis, quad, modal, opts=None):
+def reconstruct(state, crossing, basis, quad, modal, opts=None, kernel=None):
     """Physical mode from a located kernel vector.
 
     The kernel coordinates live in the modal bases of the lam = 0 blocks;
     they are synthesized back to trigonometric coefficients first.
+    ``kernel`` is the sweep's ``AssemblyKernel``, reused when given.
     """
     n = crossing.n
     phi_mz = modal.a1_vectors[:, :n] @ crossing.phi
@@ -115,7 +143,7 @@ def reconstruct(state, crossing, basis, quad, modal, opts=None):
     phi_full = np.zeros(basis.n_functions)
     phi_full[1:] = phi_mz
     return from_coefficients(state, crossing.lambda_star, phi_full, psi_full,
-                             crossing.b, basis, quad, opts)
+                             crossing.b, basis, quad, opts, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -156,85 +184,58 @@ def _rel(basis, lhs, rhs, floor):
     return r / scale, r
 
 
-def _test_battery(basis):
-    """Separable test functions with hand-coded derivatives.
-
-    Spatial factors are low harmonics; velocity factors are polynomials in
-    vhat under a fixed decaying envelope (1+e)^(-4), so every factor has a
-    closed-form gradient.
-    """
-    w = basis.omega
-    spatial = [
-        (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-        (lambda x: np.cos(w * x), lambda x: -w * np.sin(w * x)),
-        (lambda x: np.sin(w * x), lambda x: w * np.cos(w * x)),
-        (lambda x: np.cos(2 * w * x), lambda x: -2 * w * np.sin(2 * w * x)),
-    ]
-    # (q(vh1, vh2), dq/dvh1, dq/dvh2)
-    velocity = [
-        (lambda a, b: np.ones_like(a), lambda a, b: np.zeros_like(a), lambda a, b: np.zeros_like(a)),
-        (lambda a, b: a, lambda a, b: np.ones_like(a), lambda a, b: np.zeros_like(a)),
-        (lambda a, b: b, lambda a, b: np.zeros_like(a), lambda a, b: np.ones_like(a)),
-        (lambda a, b: a * b, lambda a, b: b, lambda a, b: a),
-    ]
-    return spatial, velocity
-
-
 def _weak_vlasov_defect(state, mode, basis, quad, floor):
-    """Max relative weak-form transport defect over the battery.
+    """Max relative weak-form transport defect over a battery of separable
+    test functions g = X(x) q(vhat) env(e) with hand-coded derivatives.
 
-    Separable test functions g = X(x) q(vhat) env(e) let every (x, v)
-    integral reduce to x-profiles of the distributions against a handful
-    of velocity vectors, computed once per species.
+    Spatial factors X are low harmonics; velocity factors q are polynomials
+    in vhat under the fixed decaying envelope env = (1+e)^(-4), so every
+    factor has a closed-form gradient.  Every (x, v) integral reduces to
+    x-profiles of the distributions against a handful of velocity vectors.
     """
-    lam = mode.lam
-    x = basis.x_grid
+    lam, x, w = mode.lam, basis.x_grid, basis.omega
     wq = basis.quad_weight
     vh1 = quad.v1 / quad.e
     vh2 = quad.v2 / quad.e
     env = (1.0 + quad.e) ** (-4.0)
     denv = -4.0 * (1.0 + quad.e) ** (-5.0)
     dv1_h1 = (1.0 - vh1 ** 2) / quad.e
-    dv1_h2 = -vh1 * vh2 / quad.e
-    dv2_h1 = dv1_h2
+    dv1_h2 = -vh1 * vh2 / quad.e           # also d vh1 / d v2
     dv2_h2 = (1.0 - vh2 ** 2) / quad.e
-
-    spatial, velocity = _test_battery(basis)
-    b0 = state.b0(x)
+    # (X, dX/dx) and (q, dq/dvh1, dq/dvh2)
+    spatial = [(np.ones_like(x), np.zeros_like(x)), (np.cos(w * x), -w * np.sin(w * x)),
+               (np.sin(w * x), w * np.cos(w * x)),
+               (np.cos(2 * w * x), -2 * w * np.sin(2 * w * x))]
+    one, zero = np.ones_like(vh1), np.zeros_like(vh1)
+    velocity = [(one, zero, zero), (vh1, one, zero), (vh2, zero, one), (vh1 * vh2, vh2, vh1)]
 
     # per velocity factor: qv, its v1-advection weight and rotation weight
     vecs = []
     for q, dq1, dq2 in velocity:
-        qv = q(vh1, vh2) * env
-        gq1 = (dq1(vh1, vh2) * dv1_h1 + dq2(vh1, vh2) * dv1_h2) * env + q(vh1, vh2) * denv * vh1
-        gq2 = (dq1(vh1, vh2) * dv2_h1 + dq2(vh1, vh2) * dv2_h2) * env + q(vh1, vh2) * denv * vh2
+        qv = q * env
+        gq1 = (dq1 * dv1_h1 + dq2 * dv1_h2) * env + q * denv * vh1
+        gq2 = (dq1 * dv1_h2 + dq2 * dv2_h2) * env + q * denv * vh2
         vecs.append((qv, vh1 * qv, vh2 * gq1 - vh1 * gq2))
 
-    # per q: f against w (qv, vh1 qv, rot), the sources (mu_e vh1, mu_p vh1,
-    # mu_e vh2 + mu_p) against w qv
-    mu = species_mu(state, quad, x)
-    per_species = {}
-    for sign, f in ((-1, mode.fminus), (+1, mode.fplus)):
-        mu_e, mu_p = mu[sign]
-        prof_f = [(f @ (quad.w * qv), f @ (quad.w * adv), f @ (quad.w * rot))
-                  for qv, adv, rot in vecs]
-        src = [((mu_e * vh1) @ (quad.w * qv), (mu_p * vh1) @ (quad.w * qv),
-                (mu_e * vh2 + mu_p) @ (quad.w * qv)) for qv, _, _ in vecs]
-        per_species[sign] = (prof_f, src)
+    # f against w (qv, vh1 qv, rot) for every q in one contraction; the
+    # sources (mu_e vh1, mu_p vh1, mu_e vh2 + mu_p) against w qv; columns are q
+    wY = quad.w[:, None] * np.column_stack([v for vs in vecs for v in vs])
+    fY = mode.contract(wY)
+    src = {sign: [m @ wY[:, 0::3] for m in (mu_e * vh1, mu_p * vh1, mu_e * vh2 + mu_p)]
+           for sign, (mu_e, mu_p) in mode.mu.items()}
+    b0, e1, e2, bf = (v[:, None] for v in (state.b0(x), mode.e1, mode.e2, mode.bfield))
 
     worst = 0.0
     for X, dX in spatial:
-        Xv, dXv = X(x), dX(x)
-        for iq in range(len(vecs)):
-            lhs = rhs = 0.0
-            for sign in (-1, +1):
-                prof_f, src = per_species[sign]
-                fq, fadv, frot = prof_f[iq]
-                s1, s2, s3 = src[iq]
-                lhs += float(np.sum(lam * Xv * fq - dXv * fadv - sign * b0 * Xv * frot) * wq)
-                rhs += float(np.sum(sign * Xv * (-mode.e1 * s1 + mode.bfield * s2
-                                                 - mode.e2 * s3)) * wq)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor))
+        X, dX = X[:, None], dX[:, None]
+        lhs = rhs = 0.0
+        for sign in (-1, +1):
+            fq, fadv, frot = (fY[sign][:, j::3] for j in range(3))
+            s1, s2, s3 = src[sign]
+            lhs = lhs + np.sum(lam * X * fq - dX * fadv - sign * b0 * X * frot, axis=0) * wq
+            rhs = rhs + np.sum(sign * X * (-e1 * s1 + bf * s2 - e2 * s3), axis=0) * wq
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     return worst
 
 
@@ -284,7 +285,7 @@ def physical_defect_coeffs(state, mode, basis, quad):
 
     vh1 = quad.v1 / quad.e
     drop1 = drop2 = 0.0
-    for mu_e, mu_p in species_mu(state, quad, basis.x_grid).values():
+    for mu_e, mu_p in mode.mu.values():
         drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
         drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)

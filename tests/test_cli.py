@@ -142,6 +142,26 @@ def test_analyze_reports_are_byte_identical(tmp_path, monkeypatch):
         a = (tmp_path / "a" / name).read_bytes()
         assert a == (tmp_path / "b" / name).read_bytes(), name
         assert a.endswith(b"\n"), name
+    payload = json.loads((tmp_path / "a" / "analysis.json").read_text())
+    assert "timing_seconds" not in payload and "diagnostics" not in payload
+
+
+def test_analyze_reports_stage_seconds_unless_canonical(tmp_path, monkeypatch):
+    args = [a for a in _small_family_args(tmp_path, "--find-mode", "analyze")
+            if a != "--canonical"]
+    assert run(args, tmp_path, monkeypatch) == cli.EXIT_OK
+    payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    stages = payload["diagnostics"]["stage_seconds"]
+    assert sorted(stages) == ["export", "locate", "reconstruct", "residuals", "sweep"]
+    assert all(0.0 <= t <= payload["timing_seconds"] for t in stages.values())
+
+
+def test_mode_manifest_carries_the_config_hash(tmp_path, monkeypatch):
+    assert run(_small_family_args(tmp_path, "--find-mode", "analyze"),
+               tmp_path, monkeypatch) == cli.EXIT_OK
+    analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    manifest = json.loads((tmp_path / "out" / "mode_manifest.json").read_text())
+    assert manifest["config_hash"] == analysis["config_hash"]
 
 
 def _read_csv(path):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import vmspec as vm
 from vmspec import cli
 from vmspec.errors import VmspecError
-from vmspec.operators import EvalOptions
+from vmspec.operators import EvalOptions, assembly_kernel, line_filter, species_pair_moments
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +138,83 @@ def test_mode_export(tmp_path, aniso_state, aniso_quad, aniso_pipeline):
     dist = (tmp_path / "mode_distribution.csv").read_text().splitlines()
     assert dist[0] == "x,r,theta,fplus,fminus"
     assert len(dist) > basis.x_grid.size
+
+
+def _dense_distributions(state, mode, basis, quad, opts=None):
+    """Reference: each species' f_s as one (M, N) array, formed the direct way."""
+    kmax = basis.n_modes // 2
+    kernel = assembly_kernel(state, quad, basis)
+    c_phi, c_psi = basis.half_spectrum(mode.phi_coeffs), basis.half_spectrum(mode.psi_coeffs)
+    vh1, vh2 = kernel.vh1, kernel.vh2
+    f = {}
+    if state.homogeneous:
+        re, im = line_filter(quad, kmax, basis.omega, mode.lam)
+        p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
+        G = np.hstack([mode.phi[:, None], mode.psi[:, None], -p_phi.real, p_phi.imag,
+                       p_psi.real, -p_psi.imag, np.full((mode.x.size, 1), mode.b)])
+        H = np.vstack([re, im, re * vh2, im * vh2, vh1])
+        for sign in (-1, +1):
+            mu_e, mu_p = (sign * m[0] for m in kernel.mu[sign])
+            f[sign] = G @ np.vstack([mu_e, mu_p, mu_e * H])
+        return f
+    for sign, (m0, m1, mv1) in species_pair_moments(state, mode.lam, quad, kmax, mode.x,
+                                                    opts).items():
+        q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
+             - mode.b * mv1)
+        mu_e, mu_p = kernel.mu[sign]
+        f[sign] = sign * (mu_e * (mode.phi[:, None] - q) + mu_p * mode.psi[:, None])
+    return f
+
+
+def _close(got, want, rel):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["homogeneous", "magnetized"])
+def test_contraction_matches_the_dense_distributions(request, which):
+    if which == "homogeneous":
+        state, quad = request.getfixturevalue("aniso_state"), request.getfixturevalue("aniso_quad")
+        n_x, opts = 8, None
+    else:
+        state = request.getfixturevalue("weak_state")
+        quad = request.getfixturevalue("aniso_coarse_quad")
+        n_x, opts = 2, EvalOptions(tol_sym=1e-3, n_per_period=128)
+    basis = vm.build_fourier_basis(state.period, n_x)
+    rng = np.random.default_rng(7)
+    phi = rng.standard_normal(basis.n_functions)
+    phi[0] = 0.0
+    psi = rng.standard_normal(basis.n_functions)
+    mode = vm.from_coefficients(state, 0.6, phi, psi, 0.8, basis, quad, opts)
+    f = _dense_distributions(state, mode, basis, quad, opts)
+
+    Y = rng.standard_normal((quad.n_nodes, 5))
+    cols = np.arange(3, quad.n_nodes, 37)
+    fY, fcols = mode.contract(Y), mode.contract(cols=cols)
+    for sign in (-1, +1):
+        assert _close(fY[sign], f[sign] @ Y, 1e-13)
+        assert _close(fcols[sign], f[sign][:, cols], 1e-13)
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    V = np.column_stack([quad.w, quad.w * vh1, quad.w * vh2])
+    for got, want in zip((mode.rho, mode.j1, mode.j2), (f[+1] @ V - f[-1] @ V).T):
+        assert _close(got, want, 1e-13)
+
+
+def test_mode_stages_stay_below_one_distribution_array(tmp_path):
+    # the CLI defaults: weakfield_family at P = 9.43, n_x = 32, 79,872 nodes; an
+    # (M, N) float64 array is the size of one species' distribution
+    cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
+    profile, _, quad = cli._build_inputs(cfg)
+    state = cli._build_state(cfg, profile, quad)
+    basis, opts, sw = cli._run_sweep(cfg, state, quad)
+    crossing = vm.locate_kernel_for_state(state, basis, quad, sw, opts=opts)
+    assert quad.n_nodes == 79872 and basis.x_grid.size == 128
+    tracemalloc.start()
+    try:
+        mode = vm.reconstruct(state, crossing, basis, quad, sw.modal, opts, kernel=sw.assembly)
+        report = vm.residuals(state, mode, basis, quad)
+        cli.export_mode(mode, tmp_path, report=report, quad=quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < basis.x_grid.size * quad.n_nodes * 8
