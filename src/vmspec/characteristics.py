@@ -64,8 +64,6 @@ def default_dt(state):
     Trajectories move at most one unit of x per unit of s, so P/64 tracks
     the field's spatial variation; the 1/b bound covers strong rotation.
     """
-    if state.homogeneous:
-        return state.period / 64.0
     bmax = max(state.potential.b_max, 1e-6)
     return min(0.25, state.period / 64.0, 0.25 / bmax)
 

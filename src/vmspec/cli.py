@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .discretization import build_fourier_basis, build_velocity_quadrature
-from .equilibrium import (build_profile, check_center_conditions, make_homogeneous_state,
-                          solve_equilibrium_potential, validate_profile)
+from .discretization import build_fourier_basis, build_velocity_quadrature, integrate_velocity
+from .equilibrium import (WeightSpec, build_profile, check_center_conditions,
+                          make_homogeneous_state, solve_equilibrium_potential, validate_profile)
 from .errors import ConfigError, GoldenMismatchError, HypothesisError, QuadratureError, VmspecError
 from .growing_mode import reconstruct, residuals
 from .operators import EvalOptions, assemble_blocks
-from .spectra import (INCONCLUSIVE, count_eigenvalues, default_lambda_grid,
+from .spectra import (INCONCLUSIVE, VerdictResult, count_eigenvalues, default_lambda_grid,
                       locate_kernel_for_state, sweep, verdict)
 
 EXIT_OK = 0
@@ -144,7 +144,6 @@ def parse_config_file(path, cfg=None):
 def _build_inputs(cfg):
     profile, weight = build_profile(cfg.profile_name, cfg.profile_params or None)
     if cfg.weight_c is not None or cfg.weight_alpha is not None:
-        from .equilibrium import WeightSpec
         weight = WeightSpec(c=cfg.weight_c if cfg.weight_c is not None else weight.c,
                             alpha=cfg.weight_alpha if cfg.weight_alpha is not None else weight.alpha)
     try:
@@ -177,8 +176,8 @@ def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
         "profile": cfg.profile_name,
         "period": state.period,
         "homogeneous": state.homogeneous,
-        "verdict": verdict_result.verdict if verdict_result else INCONCLUSIVE,
-        "verdict_reason": verdict_result.reason if verdict_result else None,
+        "verdict": verdict_result.verdict,
+        "verdict_reason": verdict_result.reason,
         "l0": sw.l0,
         "neg_a1": sw.neg_a1,
         "neg_a2": sw.neg_a2,
@@ -271,24 +270,22 @@ def sweep_summary_dict(sw, verdict_result=None):
     }
 
 
-def export_mode(mode, outdir, report=None, quad=None, extra=None):
+def export_mode(mode, outdir, report, quad, extra=None):
     """JSON manifest (plus ``extra``), field table, and a distribution table on
     about 64 nodes; returns the manifest path."""
     path = os.path.join(outdir, "mode_manifest.json")
     _write_json(path, {"lambda": mode.lam, "b": mode.b, "nontrivial": mode.nontrivial,
-                       "residuals": None if report is None else report.as_dict(),
-                       **(extra or {})})
+                       "residuals": report.as_dict(), **(extra or {})})
     _write_csv(os.path.join(outdir, "mode_fields.csv"), ["x", "phi", "psi", "E1", "E2", "B"],
                zip(mode.x, mode.phi, mode.psi, mode.e1, mode.e2, mode.bfield))
-    if quad is not None:
-        idx = np.arange(0, quad.n_nodes, max(1, quad.n_nodes // 64))
-        r = np.hypot(quad.v1[idx], quad.v2[idx])
-        th = np.mod(np.arctan2(quad.v2[idx], quad.v1[idx]), 2.0 * np.pi)
-        f = mode.contract(cols=idx)
-        _write_csv(os.path.join(outdir, "mode_distribution.csv"),
-                   ["x", "r", "theta", "fplus", "fminus"],
-                   ((x, r[j], th[j], f[+1][m, j], f[-1][m, j])
-                    for m, x in enumerate(mode.x) for j in range(idx.size)))
+    idx = np.arange(0, quad.n_nodes, max(1, quad.n_nodes // 64))
+    r = np.hypot(quad.v1[idx], quad.v2[idx])
+    th = np.mod(np.arctan2(quad.v2[idx], quad.v1[idx]), 2.0 * np.pi)
+    f = mode.contract(cols=idx)
+    _write_csv(os.path.join(outdir, "mode_distribution.csv"),
+               ["x", "r", "theta", "fplus", "fminus"],
+               ((x, r[j], th[j], f[+1][m, j], f[-1][m, j])
+                for m, x in enumerate(mode.x) for j in range(idx.size)))
     return path
 
 
@@ -328,6 +325,7 @@ def cmd_equilibrium(cfg):
         "gprime0": cc.gprime0,
         "center_ok": cc.ok,
         "residual_inf": state.meta["residual_inf"],
+        "period_delta": state.meta["period_delta"],
         "c1_norm": state.meta["c1_norm"],
         "sup_mu_e": sup_mu_e,
         "bad_set_measure": sb,
@@ -398,7 +396,6 @@ def _verdict_from_sweep(sw):
     try:
         return verdict(min(sw.n, sw.neg_a1), min(sw.n, sw.neg_a2), sw.l0, ker_trivial)
     except HypothesisError as exc:
-        from .spectra import VerdictResult
         return VerdictResult(INCONCLUSIVE, str(exc), sw.neg_a1, sw.neg_a2, sw.l0)
 
 
@@ -414,8 +411,8 @@ def cmd_analyze(cfg):
     extra = {"validation_passed": vrep.passed}
     if state.meta:
         extra["equilibrium"] = {k: state.meta[k] for k in
-                                ("epsilon", "residual_inf", "c1_norm", "critical_period")
-                                if k in state.meta}
+                                ("epsilon", "residual_inf", "period_delta", "c1_norm",
+                                 "critical_period") if k in state.meta}
     if cfg.find_mode and sw.crossings:
         crossing, report, _ = _find_mode(cfg, state, basis, quad, opts, sw, stages)
     payload = _analysis_report(cfg, state, sw, vres, crossing, report, extra, t0, stages)
@@ -453,7 +450,6 @@ GOLDEN_TAIL_MOMENT = np.sqrt(np.pi) / 2.0 + 2.0    # |int_sqrt3^inf tail' r dr|
 
 
 def _golden_homogeneous(profile, quad):
-    from .discretization import integrate_velocity
     mismatches = []
 
     def mu_e_minus(v1, v2):

@@ -208,13 +208,9 @@ class EquilibriumState:
         return self.potential.period
 
     def psi0(self, x):
-        if self.homogeneous:
-            return np.zeros(np.shape(x))
         return self.potential.psi(x)
 
     def b0(self, x):
-        if self.homogeneous:
-            return np.zeros(np.shape(x))
         return self.potential.b(x)
 
     def __repr__(self):

@@ -83,9 +83,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
 
     kmax = basis.n_modes // 2
     kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
-    # x-free profiles keep one row, which broadcasts over the grid
-    mode.mu = {s: tuple(m[:1] if state.homogeneous else m for m in kernel.mu[s])
-               for s in (-1, +1)}
+    mode.mu = kernel.mu
     c_phi = basis.half_spectrum(phi_coeffs)
     c_psi = basis.half_spectrum(psi_coeffs)
     vh1, vh2 = kernel.vh1, kernel.vh2
@@ -292,13 +290,11 @@ def physical_defect_coeffs(state, mode, basis, quad):
 
 
 def operator_defect_coeffs(blocks, mode):
-    """Same defects from the assembled one-sided blocks."""
+    """Same defects from the assembled blocks."""
     phi_mz = mode.phi_coeffs[1:]
     psi = mode.psi_coeffs
-    B_raw = blocks.raw["B"]
-    Bstar_raw = blocks.raw["Bstar"]
-    d1 = -(blocks.A1 @ phi_mz) + B_raw @ psi + blocks.C * mode.b
-    d2 = -(Bstar_raw @ phi_mz) - blocks.A2 @ psi + blocks.D * mode.b
+    d1 = -(blocks.A1 @ phi_mz) + blocks.B @ psi + blocks.C * mode.b
+    d2 = -(blocks.B.T @ phi_mz) - blocks.A2 @ psi + blocks.D * mode.b
     d3 = float(blocks.C @ phi_mz - blocks.D @ psi
                - blocks.period * mode.b * (blocks.lam ** 2 - blocks.l))
     return d1, d2, d3

@@ -107,11 +107,9 @@ class SmoothingEvaluator:
             half = 0.5 * (b - a)
             nodes.append(half * xs + 0.5 * (a + b))
             weights.append(np.abs(half) * ws)
-        s = np.concatenate(nodes)
-        w = np.concatenate(weights)
-        order = np.argsort(-s)
-        self.s_nodes = s[order]
-        self.weights = w[order] * self.lam * np.exp(self.lam * self.s_nodes)
+        # descending already: panels run from 0 down, and half < 0 within each
+        self.s_nodes = np.concatenate(nodes)
+        self.weights = np.concatenate(weights) * self.lam * np.exp(self.lam * self.s_nodes)
 
     def path(self, species, point):
         key = (normalize_species(species), point.x, point.v1, point.v2)
@@ -480,9 +478,10 @@ def _quarter_classes(quad):
 class AssemblyKernel:
     """The lam-independent part of the assembly on one state and grid.
 
-    ``mu[s]`` holds species s's (mu_e, mu_p) at the M collocation points
-    and m_e, m_vp, m_p the local moments.  On straight-line (homogeneous)
-    states the filter lam^2/(lam^2 + a^2), a = k w vh1, and the summed mu_e w
+    ``mu[s]`` holds species s's (mu_e, mu_p) as ``species_mu`` returns them
+    and m_e, m_vp, m_p the local moments; an x-free profile keeps one row,
+    which every reader broadcasts.  On straight-line (homogeneous) states
+    the filter lam^2/(lam^2 + a^2), a = k w vh1, and the summed mu_e w
     are even in v1 and v2 (ions mirror electrons), so per class of
     ``_quarter_classes`` it keeps a2 = a^2 and W = [mu_e w, mu_e vh2^2 w]: a
     rate costs one filter on a quarter of the nodes.  T3, T4, c and d are 0.
@@ -513,12 +512,10 @@ def species_mu(state, quad, x):
 
 def assembly_kernel(state, quad, basis):
     """Evaluate the profile once; build per state, quadrature and basis."""
-    M = basis.x_grid.size
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
     kern = AssemblyKernel(vh1=vh1, vh2=vh2, mu={}, m_e=0.0, m_vp=0.0, m_p=0.0)
     for sign, (mu_e, mu_p) in species_mu(state, quad, basis.x_grid).items():
-        kern.mu[sign] = (np.broadcast_to(mu_e, (M, quad.n_nodes)),
-                         np.broadcast_to(mu_p, (M, quad.n_nodes)))
+        kern.mu[sign] = (mu_e, mu_p)
         kern.m_e = kern.m_e + np.sum(mu_e * quad.w, axis=1)
         kern.m_vp = kern.m_vp + np.sum(vh2 * mu_p * quad.w, axis=1)
         kern.m_p = kern.m_p + np.sum(mu_p * quad.w, axis=1)
@@ -530,8 +527,6 @@ def assembly_kernel(state, quad, basis):
         ks = np.arange(basis.n_modes // 2 + 1)[:, None] * basis.omega
         kern.a2 = (ks * rep[None, :]) ** 2
         kern.lint = float(kern.W[:, 0] @ (rep * rep))
-    kern.m_e, kern.m_vp, kern.m_p = (np.broadcast_to(v, M)
-                                     for v in (kern.m_e, kern.m_vp, kern.m_p))
     return kern
 
 
@@ -599,7 +594,7 @@ class OperatorBlocks:
     A1 acts on the zero-mean electric potential, A2 on the full magnetic
     potential, B couples them, C and D couple to the mean-field amplitude
     and l is the current-response scalar.  ``defects`` records the
-    pre-symmetrization asymmetry; ``raw`` keeps the one-sided assemblies.
+    pre-symmetrization asymmetry.
     """
 
     lam: float
@@ -612,16 +607,17 @@ class OperatorBlocks:
     D: np.ndarray
     l: float
     defects: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def _symmetrize(Mx, name, tol_sym, defects):
-    defect = float(np.max(np.abs(Mx - Mx.T)))
+    asym = np.abs(Mx - Mx.T)
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    defect = float(asym[i, j])
     scale = max(float(np.max(np.abs(Mx))), 1e-300)
     defects[name] = defect / scale
     if defect > tol_sym * scale:
-        raise AssemblyError("assembly inconsistency: %s asymmetry %.3e (relative %.3e)"
-                            % (name, defect, defect / scale))
+        raise AssemblyError("assembly inconsistency: %s asymmetry %.3e at (%d, %d) (relative "
+                            "%.3e, tol_sym %.1e)" % (name, defect, i, j, defect / scale, tol_sym))
     return 0.5 * (Mx + Mx.T)
 
 
@@ -659,8 +655,7 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     B = 0.5 * (B_raw + Bstar_raw.T)
 
     return OperatorBlocks(lam=float(lam), n_modes=basis.n_modes, period=state.period,
-                          A1=A1, A2=A2, B=B, C=C, D=D, l=l, defects=defects,
-                          raw={"B": B_raw, "Bstar": Bstar_raw})
+                          A1=A1, A2=A2, B=B, C=C, D=D, l=l, defects=defects)
 
 
 @dataclass(frozen=True)
@@ -702,14 +697,13 @@ def assemble_M(blocks, n, modal):
     M23 = -(Ze.T @ blocks.D)
     M33 = -blocks.period * (blocks.lam ** 2 - blocks.l)
     if blocks.lam == 0.0:
-        worst = max(float(np.max(np.abs(M12))) if M12.size else 0.0,
-                    float(np.max(np.abs(M13))) if M13.size else 0.0,
-                    float(np.max(np.abs(M23))) if M23.size else 0.0)
-        if worst > TOL_ZERO:
-            raise AssemblyError("couplings fail to vanish at lam=0: %.3e" % worst)
-        M12 = np.zeros_like(M12)
-        M13 = np.zeros_like(M13)
-        M23 = np.zeros_like(M23)
+        for name, Mx in (("B", M12), ("C", M13), ("D", -M23)):
+            k = np.unravel_index(np.argmax(np.abs(Mx)), Mx.shape)
+            if abs(Mx[k]) > TOL_ZERO:
+                raise AssemblyError("coupling %s fails to vanish at lam=0: modal entry %s is "
+                                    "%.3e, above TOL_ZERO %.1e"
+                                    % (name, list(map(int, k)), Mx[k], TOL_ZERO))
+        M12, M13, M23 = (np.zeros_like(Mx) for Mx in (M12, M13, M23))
     out = np.zeros((2 * n + 1, 2 * n + 1))
     out[:n, :n] = 0.5 * (M11 + M11.T)
     out[n:2 * n, n:2 * n] = 0.5 * (M22 + M22.T)

@@ -311,4 +311,6 @@ def test_weakfield_equilibrium_subcommand(tmp_path, monkeypatch):
     assert payload["center_ok"] is True
     assert abs(payload["period"] / payload["critical_period"] - 1.0) < 0.05
     assert payload["residual_inf"] <= 1e-6
+    # the well integrated at h and h/2: the period's convergence estimate
+    assert 0.0 < payload["period_delta"] < 1e-6
     assert "smallness_holds" in payload

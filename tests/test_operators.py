@@ -589,3 +589,28 @@ def test_truncation_size_guard(aniso_state, aniso_quad):
     modal = vm.modal_truncation(blocks0)
     with pytest.raises(VmspecError, match="exceeds"):
         vm.assemble_M(blocks0, 99, modal)
+
+
+def test_zero_rate_coupling_error_names_its_entry():
+    # synthetic lam = 0 blocks on three modes: one C entry of 5e-3 in an
+    # identity modal basis, where modal and basis indices agree
+    eye = np.eye(3)
+    C = np.zeros(3)
+    C[1] = 5e-3
+    blocks = ops.OperatorBlocks(lam=0.0, n_modes=2, period=1.0, A1=eye, A2=eye,
+                                B=np.zeros((3, 3)), C=C, D=np.zeros(3), l=-1.0)
+    modal = ops.ModalBasis(np.ones(3), eye, np.ones(3), eye)
+    with pytest.raises(AssemblyError) as err:
+        vm.assemble_M(blocks, 3, modal)
+    msg = str(err.value)
+    assert "coupling C" in msg and "[1]" in msg and "5.000e-03" in msg
+    assert "TOL_ZERO 1.0e-06" in msg
+
+
+def test_symmetrize_error_names_the_worst_entry():
+    Mx = np.diag([1.0, 2.0, 3.0])
+    Mx[0, 2], Mx[2, 0] = 0.5, 0.5 + 1e-3
+    with pytest.raises(AssemblyError) as err:
+        ops._symmetrize(Mx, "A2", 1e-8, {})
+    msg = str(err.value)
+    assert "A2 asymmetry 1.000e-03" in msg and "(0, 2)" in msg
