@@ -280,11 +280,24 @@ class OdeOptions:
 
 
 def _scalar_spline(x, y):
-    """``CubicSpline(x, y)`` on one float, bit for bit without the array call:
-    bisect for the piece (ends extrapolate), then PPoly's ascending power sum."""
-    from scipy.interpolate import CubicSpline     # only the well ODE needs it
-    sp = CubicSpline(x, y)
-    knots, pieces, last = sp.x.tolist(), sp.c.T.tolist(), sp.x.size - 2
+    """Not-a-knot cubic spline of ``y(x)`` (n >= 4 knots) on one float: the
+    knot slopes and power coefficients of scipy's ``CubicSpline``, so the two
+    agree to roundoff.  Bisect for the piece (ends extrapolate), then take the
+    ascending power sum in ``s - x_i``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # inner rows keep y'' continuous; the end rows are not-a-knot, one cubic
+    # across the first (last) two pieces
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    A = np.diag(np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]])
+    A += np.diag(np.r_[d0, h[:-1]], 1) + np.diag(np.r_[h[1:], d1], -1)
+    yp = np.linalg.solve(A, np.r_[((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
+                                  3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+                                  (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1])
+    t = (yp[:-1] + yp[1:] - 2.0 * m) / h
+    pieces = np.column_stack([t / h, (m - yp[:-1]) / h - t, yp[:-1], y[:-1]]).tolist()
+    knots, last = x.tolist(), x.size - 2
 
     def g(s):
         i = min(max(bisect.bisect_right(knots, s) - 1, 0), last)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import HypothesisError, SpuriousIntervalError, VmspecError
 from .operators import ModalBasis, assemble_M, assemble_blocks, assembly_kernel
@@ -34,24 +33,35 @@ class EigenDecomposition:
 
 
 def _fix_signs(vectors):
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300)
-        if big.any():
-            lead = int(np.argmax(big))
-            if col[lead] < 0:
-                out[:, j] = -col
-    return out
+    """Flip each column whose first coefficient above 1e-12 of its largest is negative."""
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > 1e-12 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
+    return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+
+
+def _canonical_plane(V):
+    """The one orthonormal basis of span(V), whatever V's rotation: the
+    Gram-Schmidt of the pivot unit vectors projected onto the span.  Each
+    pivot is the row longest after the earlier ones are projected out (the
+    first within 1e-8 wins a tie); row lengths, so pivots, ignore rotation."""
+    rest, pivots = V.copy(), []
+    for _ in range(V.shape[1]):
+        norms = np.linalg.norm(rest, axis=1)
+        p = int(np.argmax(norms >= (1.0 - 1e-8) * norms.max()))
+        pivots.append(p)
+        u = rest[p] / norms[p]
+        rest -= np.outer(rest @ u, u)
+    q, r = np.linalg.qr(V @ V[pivots].T)
+    return q * np.sign(np.diag(r))
 
 
 def symmetric_eigen(A):
     """Full decomposition of a symmetric matrix with a deterministic layout.
 
     A relative asymmetry above 1e-8 is an error.  Eigenvalues come out
-    ascending; degenerate clusters are ordered by the index of each
-    vector's largest coefficient, and every vector's first significant
-    coefficient is made positive.
+    ascending.  A near-degenerate cluster gets the one basis of its space
+    that roundoff in ``A`` or the LAPACK driver cannot turn, and every
+    vector's first significant coefficient is made positive.
     """
     A = np.asarray(A, dtype=float)
     scale = max(float(np.max(np.abs(A))), 1e-300)
@@ -59,21 +69,16 @@ def symmetric_eigen(A):
     if defect > 1e-8 * scale:
         raise VmspecError("matrix asymmetry %.3e above tolerance" % defect)
     As = 0.5 * (A + A.T)
-    vals, vecs = eigh(As)
-    # stable order inside near-degenerate clusters
-    order = np.arange(vals.size)
+    vals, vecs = np.linalg.eigh(As)
     i = 0
     while i < vals.size:
         j = i + 1
         while j < vals.size and abs(vals[j] - vals[i]) <= 1e-10 * max(scale, abs(vals[i])):
             j += 1
         if j - i > 1:
-            block = order[i:j]
-            keys = [int(np.argmax(np.abs(vecs[:, b]))) for b in block]
-            order[i:j] = block[np.argsort(keys, kind="stable")]
+            vecs[:, i:j] = _canonical_plane(vecs[:, i:j])
         i = j
-    vals = vals[order]
-    vecs = _fix_signs(vecs[:, order])
+    vecs = _fix_signs(vecs)
     residual = float(np.max(np.abs(As @ vecs - vecs * vals[None, :])))
     return EigenDecomposition(values=vals, vectors=vecs, residual=residual)
 

@@ -88,13 +88,22 @@ def test_odd_angle_count_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_interpolation_unloaded():
-    # only the well ODE's spline needs scipy.interpolate; it is imported there
+    # numpy is the one runtime dependency: importing the CLI, solving a
+    # magnetized well and an eigensolve must not load any part of scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, vmspec.cli; print('scipy.interpolate' in sys.modules)"
+    probe = "\n".join([
+        "import sys, numpy as np, vmspec as vm, vmspec.cli",
+        "prof, weight = vm.build_profile('weakfield_family')",
+        "quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=16, n_theta=16,",
+        "                                    n_r_tail=4)",
+        "vm.solve_equilibrium_potential(prof, 0.05, quad)",
+        "vm.symmetric_eigen(np.diag([1.0, 1.0, 2.0]))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_validate_zero_profile(tmp_path, monkeypatch):

@@ -106,14 +106,24 @@ def test_harmonic_oscillator_hook():
 
 
 def test_scalar_spline_matches_cubic_spline():
-    # the well ODE's scalar evaluation must be the array spline, bit for bit
+    # not-a-knot reproduces any cubic, on uneven knots and beyond the ends
+    xc = np.sort(np.random.default_rng(1).uniform(-1.0, 1.0, 40))
+    cubic = np.polynomial.Polynomial([0.3, -2.0, 0.5, 3.0])
+    gc = _scalar_spline(xc, cubic(xc))
+    assert max(abs(gc(float(s)) - cubic(s)) for s in np.linspace(-1.1, 1.1, 221)) <= 1e-12
+
+    # the well ODE's spline is scipy's not-a-knot CubicSpline up to roundoff:
+    # the same knot slopes, solved for another way
     from scipy.interpolate import CubicSpline
     x = np.linspace(-0.15, 0.15, 321)
     y = np.sin(7.0 * x) - x ** 3 + 0.1 * np.cos(40.0 * x)
     g, sp = _scalar_spline(x, y), CubicSpline(x, y)
-    pts = np.concatenate([x, [-0.3, 0.3],            # knots, then beyond both ends
-                          np.random.default_rng(0).uniform(-0.2, 0.2, 1000)])
-    assert np.array_equal([g(float(s)) for s in pts], sp(pts))
+    pts = np.concatenate([x, [-0.3, -0.2, 0.2, 0.3],       # knots, then beyond both ends
+                          np.random.default_rng(0).uniform(-0.15, 0.15, 1000)])
+    got, want = np.array([g(float(s)) for s in pts]), sp(pts)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    # each piece starts at its knot's value, so every knot but the last is exact
+    assert np.array_equal(got[:x.size - 1], y[:-1])
 
 
 def test_not_a_center_at_large_amplitude():

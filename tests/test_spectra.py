@@ -37,6 +37,20 @@ def test_eigen_sign_convention_is_deterministic():
         assert v1[lead, j] > 0
 
 
+def test_degenerate_cluster_vectors_ignore_roundoff():
+    # eigh may return any rotation of a degenerate plane; the decomposition
+    # must return one basis of it, whatever roundoff the matrix carries
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = (Q * [-1.0, 0.5, 0.5, 2.0, 3.0, 4.0]) @ Q.T
+    A = 0.5 * (A + A.T)
+    ref = vm.symmetric_eigen(A).vectors[:, 1:3]
+    for _ in range(10):
+        noise = 1e-15 * rng.standard_normal((6, 6))
+        got = vm.symmetric_eigen(A + noise + noise.T).vectors[:, 1:3]
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+
 def test_eigen_rejects_asymmetric_input():
     with pytest.raises(VmspecError, match="asymmetry"):
         vm.symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
