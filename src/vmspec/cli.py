@@ -196,8 +196,13 @@ def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
         rep.update(extra)
     if not cfg.canonical and t_start is not None:
         rep["timing_seconds"] = time.time() - t_start
+    diagnostics = {}
     if not cfg.canonical and stages:
-        rep["diagnostics"] = {"stage_seconds": stages}
+        diagnostics["stage_seconds"] = stages
+    if sw.blocks0.cut_lanes is not None:
+        diagnostics["cut_lanes"] = sw.blocks0.cut_lanes
+    if diagnostics:
+        rep["diagnostics"] = diagnostics
     return rep
 
 
@@ -391,8 +396,10 @@ def cmd_sweep(cfg):
     return EXIT_OK
 
 
-def _verdict_from_sweep(sw):
-    ker_trivial = count_eigenvalues(sw.modal.a2_values, None).zero == 0
+def _verdict_from_sweep(sw, state):
+    # a magnetized A2 kernel holds the translation psi0' in exact arithmetic,
+    # however far roundoff moves its eigenvalue from the zero band
+    ker_trivial = state.homogeneous and count_eigenvalues(sw.modal.a2_values, None).zero == 0
     try:
         return verdict(min(sw.n, sw.neg_a1), min(sw.n, sw.neg_a2), sw.l0, ker_trivial)
     except HypothesisError as exc:
@@ -406,7 +413,7 @@ def cmd_analyze(cfg):
     state = _build_state(cfg, profile, quad)
     stages = {}
     basis, opts, sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
-    vres = _verdict_from_sweep(sw)
+    vres = _verdict_from_sweep(sw, state)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}
     if state.meta:
@@ -495,7 +502,7 @@ def cmd_example(cfg, which):
         table, mismatches = _golden_homogeneous(profile, quad)
         state = _build_state(cfg, profile, quad)
         basis, opts, sw = _run_sweep(cfg, state, quad)
-        vres = _verdict_from_sweep(sw)
+        vres = _verdict_from_sweep(sw, state)
         payload = _analysis_report(cfg, state, sw, vres, t_start=t0,
                                    extra={"golden": table})
         _write_json(os.path.join(out, "example_homogeneous.json"), payload)

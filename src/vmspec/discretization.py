@@ -166,6 +166,17 @@ def theta_reflect_permutation(quad):
     return idx[:, ::-1].ravel()
 
 
+def v1_reflect_permutation(quad):
+    """Node permutation realizing (v1, v2) -> (-v1, v2), theta -> pi - theta.
+
+    Node j of a ring goes to n_theta/2 - 1 - j (mod n_theta); at
+    n_theta = 2 (mod 4) the angles pi/2 and 3pi/2 are their own images.
+    """
+    n_th = quad.theta_nodes.size
+    idx = np.arange(quad.r_nodes.size * n_th).reshape(-1, n_th)
+    return idx[:, (n_th // 2 - 1 - np.arange(n_th)) % n_th].ravel()
+
+
 def integrate_velocity(quad, f):
     """Integrate f(v1, v2) over the momentum plane.
 

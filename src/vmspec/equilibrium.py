@@ -138,7 +138,9 @@ class MagneticPotential:
     derivative order, a_k = (1 if k == 0 else 2) (i k omega)^order c_k on
     k = 0..max kept k with zeros at dropped harmonics, is built once here;
     each evaluation is one exp(i omega x) and one Horner pass over a table.
-    ``b_max`` is max |b| on the samples, also computed once.
+    ``b_max`` is max |b| on the samples, also computed once.  ``even`` says
+    that psi0 is even about x = 0 (so b0 is odd): the odd part of the
+    samples, max |Im c_k|, is within the representation bound 1e-9.
     """
 
     def __init__(self, period, samples):
@@ -155,6 +157,7 @@ class MagneticPotential:
         tail = float(np.sum(np.abs(coef[(3 * n) // 8:])))
         if tail > 1e-9 * scale:
             raise VmspecError("potential sample representation above 1e-9: %.3e" % tail)
+        self.even = float(np.max(np.abs(coef.imag))) <= 1e-9 * scale
         keep = np.abs(coef) > 1e-14 * scale
         keep[0] = True
         keep[n // 2:] = False      # drop the ambiguous Nyquist term

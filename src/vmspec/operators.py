@@ -6,14 +6,16 @@ particle paths: the exponentially weighted average lam e^(lam s) on
 one orbit period, which is the projection onto flow-invariant functions.
 
 Magnetized orbits come from one engine, and one assembly makes one pass
-over every lane: M collocation points times N velocity nodes.
+over the lanes, the M collocation points times the N velocity nodes.  On
+an even well a lane and its x-mirror image share one integration
+(``_mirror_lanes``), which halves the lanes.
 ``_orbit_periods_batch`` measures each lane's period, or reports that the
-lane did not close within the horizon; each point stops on its own weight
-and only live lanes are stepped.  ``_orbit_stream`` then yields the
-samples of every lane, each lane taking its own number of substeps per
-sample.  One streaming reducer, ``_weighted_moments``, adds each sample,
-with its weight G, into the three moment families that enter the
-assembly,
+lane did not close within the horizon; each point (or mirror pair of
+points) stops on its own weight and only live lanes are stepped.
+``_orbit_stream`` then yields the samples of every lane, each lane taking
+its own number of substeps per sample.  One streaming reducer,
+``_weighted_moments``, adds each sample, with its weight G, into the three
+moment families that enter the assembly,
 
     m0[k] = sum_j G_j Z_j^k,   m1[k] = sum_j G_j vh2_j Z_j^k,
     mv1 = Re sum_j G_j vh1_j,  with Z = exp(i w X),
@@ -49,7 +51,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .characteristics import (STATIONARY_EPS, backward_path, default_dt, normalize_species,
                               rk4_step_arrays)
-from .discretization import theta_reflect_permutation
+from .discretization import theta_reflect_permutation, v1_reflect_permutation
 from .errors import AssemblyError, OrbitError, VmspecError
 
 N_S_MIN = 128          # node floor of the smoothing rule
@@ -377,6 +379,38 @@ class ProjectionEvaluator:
 # per-node moments for the assembly
 # ---------------------------------------------------------------------------
 
+class NodeMoments(tuple):
+    """(m0, m1, mv1) as ``node_moments`` returns them; ``resolved`` marks the
+    lanes whose orbit closed within the horizon, shaped like mv1."""
+
+    def __new__(cls, m0, m1, mv1, resolved):
+        out = super().__new__(cls, (m0, m1, mv1))
+        out.resolved = resolved
+        return out
+
+
+def _mirror_lanes(state, xs, quad):
+    """Mirror of each of the M*N lanes (point-major), or -1 where it has none.
+
+    When b0 is odd (``state.potential.even``), (x, v1, v2) -> (-x, -v1, v2)
+    maps the orbits of either species onto orbits, with no time reversal:
+    lane (x_a, n) mirrors lane (x_b, perm[n]) when x_a + x_b = 0 mod P,
+    with perm the relabeling theta -> pi - theta.  A lane at x = 0 or P/2
+    may be its own mirror.
+    """
+    M, N = xs.size, quad.n_nodes
+    mirror = np.full((M, N), -1)
+    if state.potential.even:
+        d = (xs[:, None] + xs[None, :]) / state.period
+        a, b = np.nonzero(np.abs(d - np.round(d)) <= 1e-12)
+        mirror[a] = b[:, None] * N + v1_reflect_permutation(quad)[None, :]
+    mirror = mirror.ravel()
+    # repeated positions can break the pairing; their lanes stay unpaired
+    ok = mirror >= 0
+    ok[ok] = mirror[mirror[ok]] == np.flatnonzero(ok)
+    return np.where(ok, mirror, -1)
+
+
 def node_moments(state, species, lam, quad, kmax, x, opts=None):
     """Orbit-engine moments m0[k], m1[k], mv1 of every velocity node at one
     position or an array of M.
@@ -386,8 +420,14 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     close) and reduced with the period weights.  At lam > 0 a lane that
     did not close has no Fourier series; it is sampled backward over the
     window [-S, 0] and reduced with the window weights instead.
-    Returns m0, m1 of shape (kmax+1, M, N) and mv1 of shape (M, N); a
-    scalar ``x`` drops the M axis.
+
+    Of each pair of ``_mirror_lanes`` one lane is integrated, with weight
+    2 in its class (a point and its mirror point).  Along the mirror orbit
+    Z -> conj(Z), vh1 -> -vh1 and vh2 stays, so the image's m0 and m1 are
+    the conjugates and its mv1 the negative (docs/DECISIONS.md section 6).
+
+    Returns ``NodeMoments``: m0, m1 of shape (kmax+1, M, N) and mv1 and
+    ``resolved`` of shape (M, N); a scalar ``x`` drops the M axis.
     """
     sign = normalize_species(species)
     opts = opts or EvalOptions()
@@ -397,14 +437,21 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     omega = 2.0 * np.pi / state.period
     n = opts.n_per_period
     M, N = xs.size, quad.n_nodes
-    x0 = np.repeat(xs, N)
-    v1, v2 = np.tile(quad.v1, M), np.tile(quad.v2, M)
+    # integrate one representative per mirror pair: the lower-numbered lane
+    mirror = _mirror_lanes(state, xs, quad)
+    rep = np.flatnonzero((mirror < 0) | (mirror >= np.arange(M * N)))
+    twin = mirror[rep]
+    paired = twin > rep
+    x0 = np.repeat(xs, N)[rep]
+    v1, v2 = np.tile(quad.v1, M)[rep], np.tile(quad.v2, M)[rep]
+    # a class is labeled by its lower point, which holds its representatives
     periods, resolved, _ = _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon,
-                                                weights=np.tile(quad.w, M),
-                                                groups=np.repeat(np.arange(M), N))
-    m0 = np.empty((kmax + 1, M * N), dtype=complex)
+                                                weights=np.tile(quad.w, M)[rep]
+                                                * np.where(paired, 2.0, 1.0),
+                                                groups=rep // N)
+    m0 = np.empty((kmax + 1, rep.size), dtype=complex)
     m1 = np.empty_like(m0)
-    mv1 = np.empty(M * N)
+    mv1 = np.empty(rep.size)
 
     def reduce(lanes, h, n_samples, G):
         samples = _orbit_stream(state, sign, x0[lanes], v1[lanes], v2[lanes], h, n_samples, dt)
@@ -425,22 +472,33 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
         n_d = 4 * n
         un = np.flatnonzero(~resolved)
         reduce(un, -S / n_d, n_d + 1, _window_weights(lam, S, n_d))
-    if np.ndim(x) == 0:
-        return m0.reshape(kmax + 1, N), m1.reshape(kmax + 1, N), mv1
-    return m0.reshape(kmax + 1, M, N), m1.reshape(kmax + 1, M, N), mv1.reshape(M, N)
+    # every lane from its representative, the mirror images by conjugation
+    images = twin[paired]
+    src = np.empty(M * N, dtype=int)
+    src[rep] = np.arange(rep.size)
+    src[images] = np.flatnonzero(paired)
+    m0, m1, mv1, resolved = m0[:, src], m1[:, src], mv1[src], resolved[src]
+    m0[:, images], m1[:, images], mv1[images] = (m0[:, images].conj(), m1[:, images].conj(),
+                                                 -mv1[images])
+    shape = (N,) if np.ndim(x) == 0 else (M, N)
+    return NodeMoments(m0.reshape(kmax + 1, *shape), m1.reshape(kmax + 1, *shape),
+                       mv1.reshape(shape), resolved.reshape(shape))
 
 
 def species_pair_moments(state, lam, quad, kmax, x, opts=None):
-    """Moments for both species at one position or an array of them.
+    """``NodeMoments`` for both species at one position or an array of them.
 
     Under the mirror pairing the + trajectories are the v2-reflection of
     the - trajectories, to roundoff, so the + moments are the - ones with
     the nodes (the last axis) relabeled: half the trajectory work.
-    ``node_moments(state, +1, ...)`` is the direct reference.
+    ``node_moments(state, +1, ...)`` is the direct reference.  On an even
+    well ``node_moments`` halves the - work again, by the x-reflection.
     """
-    m0, m1, mv1 = node_moments(state, -1, lam, quad, kmax, x, opts)
+    minus = node_moments(state, -1, lam, quad, kmax, x, opts)
+    m0, m1, mv1 = minus
     perm = theta_reflect_permutation(quad)
-    return {-1: (m0, m1, mv1), +1: (m0[..., perm], -m1[..., perm], mv1[..., perm])}
+    return {-1: minus, +1: NodeMoments(m0[..., perm], -m1[..., perm], mv1[..., perm],
+                                       minus.resolved[..., perm])}
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +598,9 @@ class MomentProfiles:
     T4[k,m] = sum_s int mu_e^s v2hat * avg(exp(ikwX)) dv
     c, d, lint are the avg(V1hat) integrals against mu_e, v2hat*mu_e and
     v1hat*mu_e; m_e, m_vp, m_p are the local (average-free) moments.
+    ``cut_lanes`` counts the - lanes whose orbit did not close and gives
+    their share of sum |mu_e| w (the + lanes are their mirror images); it
+    is None on straight lines.
     """
 
     T1: np.ndarray
@@ -552,6 +613,7 @@ class MomentProfiles:
     m_e: np.ndarray
     m_vp: np.ndarray
     m_p: np.ndarray
+    cut_lanes: dict = None
 
 
 def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
@@ -574,8 +636,8 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     vh1, vh2 = kernel.vh1, kernel.vh2
     T = np.zeros((4, kmax + 1, M), dtype=complex)
     c, d, lint = np.zeros(M), np.zeros(M), np.zeros(M)
-    for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x_grid,
-                                                    opts).items():
+    pair = species_pair_moments(state, lam, quad, kmax, x_grid, opts)
+    for sign, (m0, m1, mv1) in pair.items():
         we = kernel.mu[sign][0] * quad.w
         T[0] += np.einsum("kmn,mn->km", m0, we)
         T[1] += np.einsum("kmn,mn->km", m1, we * vh2)
@@ -584,7 +646,12 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
         c += np.sum(we * mv1, axis=1)
         d += np.sum(we * vh2 * mv1, axis=1)
         lint += np.sum(we * vh1 * mv1, axis=1)
-    return MomentProfiles(*T, c, d, lint, kernel.m_e, kernel.m_vp, kernel.m_p)
+    cut = ~pair[-1].resolved
+    dens = np.abs(kernel.mu[-1][0]) * quad.w
+    total = float(np.sum(dens))
+    cut_lanes = {"count": int(np.count_nonzero(cut)), "lanes": cut.size,
+                 "mu_e_share": float(np.sum(dens[cut])) / total if total > 0.0 else 0.0}
+    return MomentProfiles(*T, c, d, lint, kernel.m_e, kernel.m_vp, kernel.m_p, cut_lanes)
 
 
 @dataclass
@@ -594,7 +661,8 @@ class OperatorBlocks:
     A1 acts on the zero-mean electric potential, A2 on the full magnetic
     potential, B couples them, C and D couple to the mean-field amplitude
     and l is the current-response scalar.  ``defects`` records the
-    pre-symmetrization asymmetry.
+    pre-symmetrization asymmetry, and ``cut_lanes`` the orbits that did not
+    close (``MomentProfiles.cut_lanes``).
     """
 
     lam: float
@@ -607,6 +675,7 @@ class OperatorBlocks:
     D: np.ndarray
     l: float
     defects: dict = field(default_factory=dict)
+    cut_lanes: dict = None
 
 
 def _symmetrize(Mx, name, tol_sym, defects):
@@ -655,7 +724,8 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     B = 0.5 * (B_raw + Bstar_raw.T)
 
     return OperatorBlocks(lam=float(lam), n_modes=basis.n_modes, period=state.period,
-                          A1=A1, A2=A2, B=B, C=C, D=D, l=l, defects=defects)
+                          A1=A1, A2=A2, B=B, C=C, D=D, l=l, defects=defects,
+                          cut_lanes=prof.cut_lanes)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -307,6 +308,34 @@ def test_magnetized_assemble_applies_and_records_tol_sym(tmp_path, monkeypatch, 
         else:
             manifest = json.loads((tmp_path / out / "blocks_lam0_manifest.json").read_text())
             assert manifest["tolerances"]["tol_sym"] == recorded
+
+
+def test_magnetized_analyze_reports_cut_lanes(tmp_path, monkeypatch):
+    # the orbits that did not close, counted over every lane of the - pass
+    # (the benchmark's mag-verdict inputs); deterministic, so --canonical
+    # keeps it while it drops the stage times
+    cfg = tmp_path / "mag.cfg"
+    cfg.write_text("disc.n_r = 16\ndisc.n_theta = 16\ndisc.n_r_tail = 4\nlambda.points = 2\n")
+    assert run(["--config", str(cfg), "--profile", "weakfield_family", "--epsilon", "0.05",
+                "--n-x", "2", "--n", "2", "--canonical", "analyze"],
+               tmp_path, monkeypatch) == cli.EXIT_OK
+    payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    assert sorted(payload["diagnostics"]) == ["cut_lanes"]
+    cut = payload["diagnostics"]["cut_lanes"]
+    assert sorted(cut) == ["count", "lanes", "mu_e_share"]
+    assert (cut["count"], cut["lanes"]) == (416, 6656)
+    assert 0.0 < cut["mu_e_share"] < 0.1
+
+
+def test_verdict_treats_a_magnetized_a2_kernel_as_nontrivial():
+    # in exact arithmetic A2 psi0' = 0 on a magnetized state, however far
+    # roundoff moves the translation eigenvalue out of the zero band, so a
+    # count mismatch alone must not give UNSTABLE_T2 there
+    sw = SimpleNamespace(n=3, neg_a1=1, neg_a2=0, l0=-2.0,
+                         modal=SimpleNamespace(a2_values=np.array([3.4e-7, 0.5, 1.0])))
+    for homogeneous, want in ((False, "INCONCLUSIVE"), (True, "UNSTABLE_T2")):
+        got = cli._verdict_from_sweep(sw, SimpleNamespace(homogeneous=homogeneous))
+        assert got.verdict == want, homogeneous
 
 
 def test_weakfield_equilibrium_subcommand(tmp_path, monkeypatch):

@@ -201,3 +201,18 @@ def test_find_center_amplitude_reports_positive_basin(aniso_profile, aniso_coars
     eps0 = vm.find_center_amplitude(prof, aniso_coarse_quad, eps_start=0.02, eps_cap=0.5,
                                     iters=3)
     assert eps0 >= 0.5 or eps0 > 0.02
+
+
+def test_even_flags_wells_sampled_from_a_turning_point(aniso_profile, aniso_coarse_quad):
+    # the well starts at its turning point x = 0, so psi0 is even about it;
+    # the odd part of the samples is roundoff (2.4e-12 on the benchmark's
+    # 832-node rule), far inside the 1e-9 representation bound
+    prof, _ = aniso_profile
+    for eps in (0.049, 0.0495, 0.05):
+        pot = vm.solve_equilibrium_potential(prof, eps, aniso_coarse_quad).potential
+        assert pot.even, eps
+    # two cells of the same well are even about x = 0 as well
+    two = vm.MagneticPotential(2 * pot.period, np.tile(pot.samples, 2))
+    assert two.even
+    # a shifted well is not
+    assert not vm.MagneticPotential(pot.period, np.roll(pot.samples, 3)).even

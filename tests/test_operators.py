@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -247,45 +249,124 @@ def test_node_moments_over_positions_match_per_point_calls(weak_state, aniso_coa
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (lam, i)
 
 
-def test_one_orbit_pass_per_assembly(monkeypatch, weak_state, aniso_coarse_quad):
-    # all collocation points share one pass: doubling them leaves the
-    # number of RK4 calls nearly unchanged (a loop over points doubles it)
-    steps = [0]
+def _uneven_copy(state):
+    """The same field with ``even`` off: every lane takes the direct path."""
+    out = copy.copy(state)
+    out.potential = copy.copy(state.potential)
+    out.potential.even = False
+    return out
+
+
+def _counting_rk4(monkeypatch):
+    """The lane count of every RK4 call at the name the engine looks up (the
+    benchmark trace counts steps there too)."""
+    widths = []
     step = ops.rk4_step_arrays
 
     def counting(*args, **kwargs):
-        steps[0] += 1
-        return step(*args, **kwargs)
+        out = step(*args, **kwargs)
+        widths.append(out[0].size)
+        return out
     monkeypatch.setattr(ops, "rk4_step_arrays", counting)
+    return widths
+
+
+def test_mirror_pairing_matches_direct_path(monkeypatch, weak_state, aniso_coarse_quad):
+    # on the even well only one lane of each x-mirror pair is integrated;
+    # the direct path on the same field is the reference.  Measured: resolved
+    # lanes 1.8e-10 apart at most (median 0), the lanes that did not close
+    # 1.2e-9 (near-separatrix lanes amplify the field's 1e-12 odd part),
+    # the profiles 2.5e-11 of their scale
+    quad = aniso_coarse_quad
+    direct = _uneven_copy(weak_state)
+    basis = vm.build_fourier_basis(weak_state.period, 2)
+    kmax = basis.n_modes // 2
+    widths = _counting_rk4(monkeypatch)
+    pairs = []
+    keep = ops.species_pair_moments
+
+    def keeping(*args, **kwargs):
+        pairs.append(keep(*args, **kwargs))
+        return pairs[-1]
+    monkeypatch.setattr(ops, "species_pair_moments", keeping)
+    for lam in (0.0, 0.4):
+        profiles, steps = [], []
+        for state in (weak_state, direct):
+            before = len(widths)
+            profiles.append(moment_profiles(state, lam, quad, basis))
+            steps.append(widths[before:])
+        # every lane of the even well has its mirror, none is its own; at
+        # lam > 0 the weight table's blocks of CHUNK lanes change the calls
+        assert 2 * sum(steps[0]) == sum(steps[1]), lam
+        if lam == 0.0:
+            assert len(steps[0]) == len(steps[1])
+        paired = pairs[-2]
+        ref = {-1: pairs[-1][-1], +1: vm.node_moments(direct, +1, lam, quad, kmax, basis.x_grid)}
+        for sign in (-1, +1):
+            res = paired[sign].resolved
+            assert np.array_equal(res, ref[sign].resolved)
+            assert (~res).any()
+            for a, b in zip(paired[sign], ref[sign]):
+                diff = np.abs(a - b)
+                assert np.max(diff[..., res]) <= 1e-9, (lam, sign)
+                assert np.max(diff[..., ~res]) <= 1e-8, (lam, sign)
+        # T3, T4 and d vanish under the species mirror: each family is held
+        # to the scale of its largest member
+        got, want = profiles
+        for names, scale in ((("T1", "T2", "T3", "T4"), "T1"), (("c", "d", "lint"), "lint")):
+            size = np.max(np.abs(getattr(want, scale)))
+            for name in names:
+                diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+                assert diff <= 1e-10 * size, (lam, name, diff / size)
+        assert got.cut_lanes == want.cut_lanes
+
+
+def test_uneven_well_takes_the_direct_path(monkeypatch, weak_state, aniso_coarse_quad):
+    # a shifted well is not even: every lane is stepped, and each position
+    # gets exactly what a call on it alone gives.  These positions would
+    # pair on the even well.
+    quad = aniso_coarse_quad
+    pot = weak_state.potential
+    state = vm.EquilibriumState(weak_state.profile,
+                                vm.MagneticPotential(pot.period, np.roll(pot.samples, 3)))
+    assert not state.potential.even
+    xs = np.array([0.0, 0.125, 0.5, 0.875]) * state.period
+    widths = _counting_rk4(monkeypatch)
+    grid = vm.node_moments(state, -1, 0.0, quad, 2, xs)
+    assert widths[0] == xs.size * quad.n_nodes      # the period pass starts on every lane
+    for i, x in enumerate(xs):
+        one = vm.node_moments(state, -1, 0.0, quad, 2, x)
+        for got, want in zip((*grid, grid.resolved), (*one, one.resolved)):
+            assert np.array_equal(got[..., i, :], want), i
+
+
+def test_one_orbit_pass_per_assembly(monkeypatch, weak_state, aniso_coarse_quad):
+    # all collocation points share one pass: doubling them leaves the
+    # number of RK4 calls nearly unchanged (a loop over points doubles it)
+    widths = _counting_rk4(monkeypatch)
     opts = EvalOptions(tol_sym=1e-3)
     seen = []
     for n_x in (2, 4):
         basis = vm.build_fourier_basis(weak_state.period, n_x)
-        before = steps[0]
+        before = len(widths)
         moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis, opts)
-        seen.append(steps[0] - before)
+        seen.append(len(widths) - before)
     assert seen[1] <= 1.1 * seen[0], seen
 
 
 def test_orbit_engine_steps_through_operators(monkeypatch, weak_state, aniso_coarse_quad):
     # the benchmark trace counts RK4 steps at operators.rk4_step_arrays,
     # so every orbit path must step through that name
-    steps = [0]
-    step = ops.rk4_step_arrays
-
-    def counting(*args, **kwargs):
-        steps[0] += 1
-        return step(*args, **kwargs)
-    monkeypatch.setattr(ops, "rk4_step_arrays", counting)
+    widths = _counting_rk4(monkeypatch)
     pt = PhasePoint(1.0, 0.7, -0.4)
     seen = []
     for run in (lambda: vm.orbit_info(weak_state, "-", pt),
                 lambda: vm.ProjectionEvaluator(weak_state).apply(
                     "-", lambda x, a, b: np.cos(x), pt),
                 lambda: vm.node_moments(weak_state, -1, 0.0, aniso_coarse_quad, 2, 0.3)):
-        before = steps[0]
+        before = len(widths)
         run()
-        seen.append(steps[0] - before)
+        seen.append(len(widths) - before)
     assert min(seen) > 0, seen
 
 
