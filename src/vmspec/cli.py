@@ -244,7 +244,7 @@ def _write_csv(path, header, rows):
 
 def export_blocks(blocks, outdir, stem, extra):
     """``row,col,value`` CSV per block plus a JSON manifest; returns the manifest path."""
-    for name in ("A1", "A2", "B", "C", "D"):
+    for name in ("A1", "A2", "C"):
         mat = np.atleast_2d(getattr(blocks, name))
         _write_csv(os.path.join(outdir, "%s_%s.csv" % (stem, name)), ["row", "col", "value"],
                    ((i, j, mat[i, j]) for i, j in np.ndindex(mat.shape)))
@@ -396,10 +396,11 @@ def cmd_sweep(cfg):
     return EXIT_OK
 
 
-def _verdict_from_sweep(sw, state):
+def _verdict_from_sweep(sw, state, tol_eig):
     # a magnetized A2 kernel holds the translation psi0' in exact arithmetic,
-    # however far roundoff moves its eigenvalue from the zero band
-    ker_trivial = state.homogeneous and count_eigenvalues(sw.modal.a2_values, None).zero == 0
+    # however far roundoff moves its eigenvalue from the zero band; the band
+    # is the one the sweep counted with
+    ker_trivial = state.homogeneous and count_eigenvalues(sw.modal.a2_values, tol_eig).zero == 0
     try:
         return verdict(min(sw.n, sw.neg_a1), min(sw.n, sw.neg_a2), sw.l0, ker_trivial)
     except HypothesisError as exc:
@@ -413,7 +414,7 @@ def cmd_analyze(cfg):
     state = _build_state(cfg, profile, quad)
     stages = {}
     basis, opts, sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
-    vres = _verdict_from_sweep(sw, state)
+    vres = _verdict_from_sweep(sw, state, cfg.tol_eig)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}
     if state.meta:
@@ -502,7 +503,7 @@ def cmd_example(cfg, which):
         table, mismatches = _golden_homogeneous(profile, quad)
         state = _build_state(cfg, profile, quad)
         basis, opts, sw = _run_sweep(cfg, state, quad)
-        vres = _verdict_from_sweep(sw, state)
+        vres = _verdict_from_sweep(sw, state, cfg.tol_eig)
         payload = _analysis_report(cfg, state, sw, vres, t_start=t0,
                                    extra={"golden": table})
         _write_json(os.path.join(out, "example_homogeneous.json"), payload)

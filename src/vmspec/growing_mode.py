@@ -290,11 +290,9 @@ def physical_defect_coeffs(state, mode, basis, quad):
 
 
 def operator_defect_coeffs(blocks, mode):
-    """Same defects from the assembled blocks."""
+    """Same defects from the assembled blocks (psi couples to neither phi nor b)."""
     phi_mz = mode.phi_coeffs[1:]
-    psi = mode.psi_coeffs
-    d1 = -(blocks.A1 @ phi_mz) + blocks.B @ psi + blocks.C * mode.b
-    d2 = -(blocks.B.T @ phi_mz) - blocks.A2 @ psi + blocks.D * mode.b
-    d3 = float(blocks.C @ phi_mz - blocks.D @ psi
-               - blocks.period * mode.b * (blocks.lam ** 2 - blocks.l))
+    d1 = -(blocks.A1 @ phi_mz) + blocks.C * mode.b
+    d2 = -(blocks.A2 @ mode.psi_coeffs)
+    d3 = float(blocks.C @ phi_mz - blocks.period * mode.b * (blocks.lam ** 2 - blocks.l))
     return d1, d2, d3

@@ -18,9 +18,9 @@ its own number of substeps per sample.  One streaming reducer,
 moment families that enter the assembly,
 
     m0[k] = sum_j G_j Z_j^k,   m1[k] = sum_j G_j vh2_j Z_j^k,
-    mv1 = Re sum_j G_j vh1_j,  with Z = exp(i w X),
+    mv1 = sum_j G_j vh1_j,  with Z = exp(i w X),
 
-and the rate enters only through G:
+and the rate enters only through the real weights G:
 
 * 1/n at lam = 0, the plain orbit average, one number for every lane;
 * fft(lam/(lam + i m Omega))/n on a closed orbit at lam > 0, which is the
@@ -260,7 +260,7 @@ def _orbit_stream(state, sign, x0, v1, v2, h, n_samples, dt):
 
 def _weighted_moments(samples, G, kmax, omega):
     """m0[k] = sum_j G_j Z_j^k, m1[k] = sum_j G_j vh2_j Z_j^k and
-    mv1 = Re sum_j G_j vh1_j, accumulated over a stream of samples; row
+    mv1 = sum_j G_j vh1_j, accumulated over a stream of samples; row
     G[j] weighs sample j and broadcasts over the lanes."""
     for j, (x, u, w) in enumerate(samples):
         if j == 0:
@@ -270,8 +270,8 @@ def _weighted_moments(samples, G, kmax, omega):
         e = np.sqrt(1.0 + u * u + w * w)
         Z = np.exp(1j * omega * x)
         vh2 = w / e
-        pw = np.broadcast_to(G[j], Z.shape).astype(complex)
-        mv1 += np.real(pw * (u / e))
+        pw = np.broadcast_to(G[j], Z.shape)
+        mv1 += pw * (u / e)
         for k in range(kmax + 1):
             m0[k] += pw
             m1[k] += vh2 * pw
@@ -287,13 +287,15 @@ def _period_weights(lam, periods, n):
     the lanes.  At lam > 0 the samples run forward in own-period time; for a periodic
     signal kappa(s) = sum_m c_m exp(i m Omega s), c_m = fft(samples)/n, the
     backward average is sum_m c_m lam/(lam + i m Omega), which moves onto
-    the samples as the weights fft(lam/(lam + i m Omega))/n.
+    the samples as the weights fft(lam/(lam + i m Omega))/n.  ``hfft``
+    gives mode -m the conjugate filter of mode m and the Nyquist mode the
+    real part of its own, split evenly between -n/2 and n/2: G is real.
     """
     if lam == 0.0:
         return np.full((n, 1), 1.0 / n)
-    m = np.fft.fftfreq(n, d=1.0 / n)[:, None]          # signed integer modes
+    m = np.arange(n // 2 + 1)[:, None]
     fil = lam / (lam + 1j * m * (2.0 * np.pi / periods)[None, :])
-    return np.fft.fft(fil, axis=0) / n
+    return np.fft.hfft(fil, n, axis=0) / n
 
 
 def _window_weights(lam, S, n_d):
@@ -537,12 +539,13 @@ class AssemblyKernel:
     """The lam-independent part of the assembly on one state and grid.
 
     ``mu[s]`` holds species s's (mu_e, mu_p) as ``species_mu`` returns them
-    and m_e, m_vp, m_p the local moments; an x-free profile keeps one row,
+    and m_e, m_vp the local moments, twice those of species - (the species
+    mirror, docs/DECISIONS.md section 4); an x-free profile keeps one row,
     which every reader broadcasts.  On straight-line (homogeneous) states
-    the filter lam^2/(lam^2 + a^2), a = k w vh1, and the summed mu_e w
-    are even in v1 and v2 (ions mirror electrons), so per class of
-    ``_quarter_classes`` it keeps a2 = a^2 and W = [mu_e w, mu_e vh2^2 w]: a
-    rate costs one filter on a quarter of the nodes.  T3, T4, c and d are 0.
+    the filter lam^2/(lam^2 + a^2), a = k w vh1, and vh2^2 are constant on
+    each class of ``_quarter_classes``, so it keeps a2 = a^2 per class and
+    the class sums W = [2 mu_e w, 2 mu_e vh2^2 w]: a rate costs one filter
+    on a quarter of the nodes.  mu_e is even in v1, so c is 0.
     """
 
     vh1: np.ndarray
@@ -550,7 +553,6 @@ class AssemblyKernel:
     mu: dict
     m_e: np.ndarray
     m_vp: np.ndarray
-    m_p: np.ndarray
     a2: np.ndarray = None          # (kmax+1, classes)
     W: np.ndarray = None           # (classes, 2)
     lint: float = 0.0
@@ -571,14 +573,12 @@ def species_mu(state, quad, x):
 def assembly_kernel(state, quad, basis):
     """Evaluate the profile once; build per state, quadrature and basis."""
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
-    kern = AssemblyKernel(vh1=vh1, vh2=vh2, mu={}, m_e=0.0, m_vp=0.0, m_p=0.0)
-    for sign, (mu_e, mu_p) in species_mu(state, quad, basis.x_grid).items():
-        kern.mu[sign] = (mu_e, mu_p)
-        kern.m_e = kern.m_e + np.sum(mu_e * quad.w, axis=1)
-        kern.m_vp = kern.m_vp + np.sum(vh2 * mu_p * quad.w, axis=1)
-        kern.m_p = kern.m_p + np.sum(mu_p * quad.w, axis=1)
+    mu = species_mu(state, quad, basis.x_grid)
+    mu_e, mu_p = mu[-1]
+    kern = AssemblyKernel(vh1=vh1, vh2=vh2, mu=mu, m_e=2.0 * np.sum(mu_e * quad.w, axis=1),
+                          m_vp=2.0 * np.sum(vh2 * mu_p * quad.w, axis=1))
     if state.homogeneous:
-        we = (kern.mu[-1][0][0] + kern.mu[+1][0][0]) * quad.w      # species-summed mu_e w
+        we = 2.0 * mu_e[0] * quad.w
         cls, n_cls = _quarter_classes(quad)
         kern.W = np.column_stack([np.bincount(cls, f) for f in (we, we * vh2 * vh2)])
         rep = vh1.reshape(-1, quad.theta_nodes.size)[:, :n_cls].ravel()
@@ -594,25 +594,19 @@ class MomentProfiles:
 
     T1[k,m] = sum_s int mu_e^s   * avg(exp(ikwX)) dv        at x_m
     T2[k,m] = sum_s int mu_e^s v2hat * avg(V2hat exp(ikwX)) dv
-    T3[k,m] = sum_s int mu_e^s   * avg(V2hat exp(ikwX)) dv
-    T4[k,m] = sum_s int mu_e^s v2hat * avg(exp(ikwX)) dv
-    c, d, lint are the avg(V1hat) integrals against mu_e, v2hat*mu_e and
-    v1hat*mu_e; m_e, m_vp, m_p are the local (average-free) moments.
-    ``cut_lanes`` counts the - lanes whose orbit did not close and gives
-    their share of sum |mu_e| w (the + lanes are their mirror images); it
-    is None on straight lines.
+    c and lint are the avg(V1hat) integrals against mu_e and v1hat*mu_e;
+    m_e, m_vp are the local (average-free) moments.  Each is twice its
+    species - term (docs/DECISIONS.md section 4).  ``cut_lanes`` counts the
+    - lanes whose orbit did not close and gives their share of sum |mu_e| w
+    (the + lanes are their mirror images); it is None on straight lines.
     """
 
     T1: np.ndarray
     T2: np.ndarray
-    T3: np.ndarray
-    T4: np.ndarray
     c: np.ndarray
-    d: np.ndarray
     lint: np.ndarray
     m_e: np.ndarray
     m_vp: np.ndarray
-    m_p: np.ndarray
     cut_lanes: dict = None
 
 
@@ -628,30 +622,24 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
         # the folded table the filter's v1-odd imaginary part is gone
         tau = _damping(lam, kernel.a2) @ kernel.W
         T1, T2 = (tau[:, j:j + 1] * basis.phases for j in range(2))
-        zero = np.zeros_like(T1)
-        return MomentProfiles(T1, T2, zero, zero, np.zeros(M), np.zeros(M),
-                              np.full(M, kernel.lint), kernel.m_e, kernel.m_vp, kernel.m_p)
+        return MomentProfiles(T1, T2, np.zeros(M), np.full(M, kernel.lint), kernel.m_e,
+                              kernel.m_vp)
 
-    # every collocation point in one orbit pass, then contractions over the nodes
-    vh1, vh2 = kernel.vh1, kernel.vh2
-    T = np.zeros((4, kmax + 1, M), dtype=complex)
-    c, d, lint = np.zeros(M), np.zeros(M), np.zeros(M)
-    pair = species_pair_moments(state, lam, quad, kmax, x_grid, opts)
-    for sign, (m0, m1, mv1) in pair.items():
-        we = kernel.mu[sign][0] * quad.w
-        T[0] += np.einsum("kmn,mn->km", m0, we)
-        T[1] += np.einsum("kmn,mn->km", m1, we * vh2)
-        T[2] += np.einsum("kmn,mn->km", m1, we)
-        T[3] += np.einsum("kmn,mn->km", m0, we * vh2)
-        c += np.sum(we * mv1, axis=1)
-        d += np.sum(we * vh2 * mv1, axis=1)
-        lint += np.sum(we * vh1 * mv1, axis=1)
-    cut = ~pair[-1].resolved
-    dens = np.abs(kernel.mu[-1][0]) * quad.w
+    # every collocation point in one orbit pass of species -, then
+    # contractions over the nodes, doubled for species +
+    moments = node_moments(state, -1, lam, quad, kmax, x_grid, opts)
+    m0, m1, mv1 = moments
+    we = 2.0 * kernel.mu[-1][0] * quad.w
+    T1 = np.einsum("kmn,mn->km", m0, we)
+    T2 = np.einsum("kmn,mn->km", m1, we * kernel.vh2)
+    c = np.sum(we * mv1, axis=1)
+    lint = np.sum(we * kernel.vh1 * mv1, axis=1)
+    cut = ~moments.resolved
+    dens = np.abs(we)
     total = float(np.sum(dens))
     cut_lanes = {"count": int(np.count_nonzero(cut)), "lanes": cut.size,
                  "mu_e_share": float(np.sum(dens[cut])) / total if total > 0.0 else 0.0}
-    return MomentProfiles(*T, c, d, lint, kernel.m_e, kernel.m_vp, kernel.m_p, cut_lanes)
+    return MomentProfiles(T1, T2, c, lint, kernel.m_e, kernel.m_vp, cut_lanes)
 
 
 @dataclass
@@ -659,8 +647,9 @@ class OperatorBlocks:
     """Galerkin matrices of the linearized field system at one lam.
 
     A1 acts on the zero-mean electric potential, A2 on the full magnetic
-    potential, B couples them, C and D couple to the mean-field amplitude
-    and l is the current-response scalar.  ``defects`` records the
+    potential, C couples the first to the mean-field amplitude and l is the
+    current-response scalar; the species mirror makes psi's couplings zero
+    (docs/DECISIONS.md section 4).  ``defects`` records the
     pre-symmetrization asymmetry, and ``cut_lanes`` the orbits that did not
     close (``MomentProfiles.cut_lanes``).
     """
@@ -670,9 +659,7 @@ class OperatorBlocks:
     period: float
     A1: np.ndarray
     A2: np.ndarray
-    B: np.ndarray
     C: np.ndarray
-    D: np.ndarray
     l: float
     defects: dict = field(default_factory=dict)
     cut_lanes: dict = None
@@ -705,27 +692,19 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     Uf = basis.values                       # (M, N+1)
     Umz = Uf[:, 1:]                         # function 0 is the constant
     lap = basis.laplacian_diagonal()
-    G1, G2, G3, G4 = (basis.expand(T) for T in (prof.T1, prof.T2, prof.T3, prof.T4))
+    G1, G2 = (basis.expand(T) for T in (prof.T1, prof.T2))
 
     A1 = np.diag(lap[1:]) + w * (Umz.T @ (-prof.m_e[:, None] * Umz)) + w * (Umz.T @ G1[:, 1:])
     A2 = (np.diag(lap) + lam ** 2 * np.eye(basis.n_functions)
           + w * (Uf.T @ (-prof.m_vp[:, None] * Uf)) - w * (Uf.T @ G2))
-    B_raw = w * (Umz.T @ (prof.m_p[:, None] * Uf + G3))
-    Bstar_raw = w * (Uf.T @ (prof.m_p[:, None] * Umz + G4[:, 1:]))
     C = w * (Umz.T @ prof.c)
-    D = w * (Uf.T @ prof.d)
     l = float(w * np.sum(prof.lint) / state.period)
 
     defects = {}
     A1 = _symmetrize(A1, "A1", opts.tol_sym, defects)
     A2 = _symmetrize(A2, "A2", opts.tol_sym, defects)
-    scale = max(float(np.max(np.abs(B_raw))), float(np.max(np.abs(Bstar_raw))), 1.0)
-    defects["B_adjoint"] = float(np.max(np.abs(B_raw - Bstar_raw.T))) / scale
-    B = 0.5 * (B_raw + Bstar_raw.T)
-
     return OperatorBlocks(lam=float(lam), n_modes=basis.n_modes, period=state.period,
-                          A1=A1, A2=A2, B=B, C=C, D=D, l=l, defects=defects,
-                          cut_lanes=prof.cut_lanes)
+                          A1=A1, A2=A2, C=C, l=l, defects=defects, cut_lanes=prof.cut_lanes)
 
 
 @dataclass(frozen=True)
@@ -750,9 +729,10 @@ class ModalBasis:
 def assemble_M(blocks, n, modal):
     """Truncated symmetric matrix of size 2n+1 in the modal coordinates.
 
-    At lam = 0 the couplings must already be at quadrature-noise level;
-    they are checked against TOL_ZERO and frozen out, which realizes the
-    exact block-diagonal form the counting argument relies on.
+    The psi rows and columns couple to nothing (B = D = 0).  At lam = 0
+    the coupling C must already be at quadrature-noise level; it is checked
+    against TOL_ZERO and frozen out, which realizes the exact
+    block-diagonal form the counting argument relies on.
     """
     if n > modal.n_available:
         raise VmspecError("truncation n=%d exceeds available modes %d" % (n, modal.n_available))
@@ -762,26 +742,17 @@ def assemble_M(blocks, n, modal):
     Ze = modal.a2_vectors[:, :n]
     M11 = -(Xi.T @ blocks.A1 @ Xi)
     M22 = Ze.T @ blocks.A2 @ Ze
-    M12 = Xi.T @ blocks.B @ Ze
     M13 = Xi.T @ blocks.C
-    M23 = -(Ze.T @ blocks.D)
-    M33 = -blocks.period * (blocks.lam ** 2 - blocks.l)
     if blocks.lam == 0.0:
-        for name, Mx in (("B", M12), ("C", M13), ("D", -M23)):
-            k = np.unravel_index(np.argmax(np.abs(Mx)), Mx.shape)
-            if abs(Mx[k]) > TOL_ZERO:
-                raise AssemblyError("coupling %s fails to vanish at lam=0: modal entry %s is "
-                                    "%.3e, above TOL_ZERO %.1e"
-                                    % (name, list(map(int, k)), Mx[k], TOL_ZERO))
-        M12, M13, M23 = (np.zeros_like(Mx) for Mx in (M12, M13, M23))
+        k = int(np.argmax(np.abs(M13)))
+        if abs(M13[k]) > TOL_ZERO:
+            raise AssemblyError("coupling C fails to vanish at lam=0: modal entry [%d] is "
+                                "%.3e, above TOL_ZERO %.1e" % (k, M13[k], TOL_ZERO))
+        M13 = np.zeros_like(M13)
     out = np.zeros((2 * n + 1, 2 * n + 1))
     out[:n, :n] = 0.5 * (M11 + M11.T)
     out[n:2 * n, n:2 * n] = 0.5 * (M22 + M22.T)
-    out[:n, n:2 * n] = M12
-    out[n:2 * n, :n] = M12.T
     out[:n, 2 * n] = M13
     out[2 * n, :n] = M13
-    out[n:2 * n, 2 * n] = M23
-    out[2 * n, n:2 * n] = M23
-    out[2 * n, 2 * n] = M33
+    out[2 * n, 2 * n] = -blocks.period * (blocks.lam ** 2 - blocks.l)
     return out

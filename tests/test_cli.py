@@ -193,7 +193,7 @@ def test_csv_artifacts_read_back_exactly(tmp_path, monkeypatch):
                tmp_path, monkeypatch) == cli.EXIT_OK
     blocks = kept["assemble_blocks"]
     assert blocks.lam == 0.3
-    for name in ("A1", "A2", "B", "C", "D"):
+    for name in ("A1", "A2", "C"):
         header, rows = _read_csv(tmp_path / "out" / ("blocks_lam0.3_%s.csv" % name))
         assert header == ["row", "col", "value"]
         want = np.atleast_2d(getattr(blocks, name))
@@ -334,8 +334,15 @@ def test_verdict_treats_a_magnetized_a2_kernel_as_nontrivial():
     sw = SimpleNamespace(n=3, neg_a1=1, neg_a2=0, l0=-2.0,
                          modal=SimpleNamespace(a2_values=np.array([3.4e-7, 0.5, 1.0])))
     for homogeneous, want in ((False, "INCONCLUSIVE"), (True, "UNSTABLE_T2")):
-        got = cli._verdict_from_sweep(sw, SimpleNamespace(homogeneous=homogeneous))
+        got = cli._verdict_from_sweep(sw, SimpleNamespace(homogeneous=homogeneous), None)
         assert got.verdict == want, homogeneous
+    # the kernel is judged in the band the sweep counted with: at tol.eig =
+    # 1e-5 the eigenvalue -1e-6 is a zero, not a negative, so the kernel is
+    # nontrivial; the default band would count it negative and read UNSTABLE_T2
+    sw.modal.a2_values = np.array([-1e-6, 1.0, 2.0])
+    homogeneous = SimpleNamespace(homogeneous=True)
+    assert cli._verdict_from_sweep(sw, homogeneous, 1e-5).verdict == "INCONCLUSIVE"
+    assert cli._verdict_from_sweep(sw, homogeneous, None).verdict == "UNSTABLE_T2"
 
 
 def test_weakfield_equilibrium_subcommand(tmp_path, monkeypatch):

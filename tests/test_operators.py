@@ -163,7 +163,8 @@ def test_projection_matches_batched_orbit_average(weak_state, aniso_coarse_quad)
 
 def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, aniso_coarse_quad):
     # at lam > 0 the period weights fft(filter)/n equal the resolvent
-    # filter applied to each harmonic's discrete Fourier series
+    # filter applied to each harmonic's discrete Fourier series, with the
+    # Nyquist mode split evenly between -n/2 and n/2
     quad, kmax, n, lam = aniso_coarse_quad, 3, 128, 0.4
     calls = []
     stream = ops._orbit_stream
@@ -187,18 +188,38 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
         lanes = [node[ab] for ab in zip(v1, v2)]
         modes = np.fft.fftfreq(n, d=1.0 / n)[:, None]
         fil = lam / (lam + 1j * modes * (2 * np.pi / (h * n))[None, :])
+        fil[n // 2] = fil[n // 2].real
 
         def filtered(f):
             return np.sum(np.fft.fft(f, axis=0) / n * fil, axis=0)
         e = np.sqrt(1 + v1s**2 + v2s**2)
         Z = np.exp(1j * omega * xs)
-        pairs = [(mv1[lanes], filtered(v1s / e + 0j).real)]
+        pairs = [(mv1[lanes], filtered(v1s / e))]
         for k in range(kmax + 1):
             pairs += [(m0[k, lanes], filtered(Z**k)), (m1[k, lanes], filtered(v2s / e * Z**k))]
         for got, ref in pairs:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += len(lanes)
     assert checked == np.count_nonzero(_resolved_lanes(weak_state, quad, 0.7)[0])
+
+
+def test_period_weights_are_real():
+    # the filter of mode -m is the conjugate of mode m's, and the Nyquist
+    # mode, which has no partner among the n modes, is split evenly between
+    # -n/2 and n/2; the unsplit filter gave |Im G| = 2.3e-4 here
+    n, lam, periods = 128, 0.4, np.array([6.0, 30.0])
+    G = ops._period_weights(lam, periods, n)
+    modes = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    fil = lam / (lam + 1j * modes * (2 * np.pi / periods)[None, :])
+    fil[n // 2] = fil[n // 2].real
+    ref = np.fft.fft(fil, axis=0) / n
+    assert np.max(np.abs(ref.imag)) <= 1e-15
+    assert np.max(np.abs(G - ref)) <= 1e-15
+    # each mode of a real sampled signal gets the real part of its filter
+    j = np.arange(n)[:, None]
+    for m in (0, 1, 5, n // 2):
+        got = G.T @ np.cos(2 * np.pi * m * j / n)
+        assert np.max(np.abs(got[:, 0] - fil[m].real)) <= 1e-15, m
 
 
 def test_orbit_sampling_below_64_per_period_is_rejected():
@@ -280,15 +301,14 @@ def test_mirror_pairing_matches_direct_path(monkeypatch, weak_state, aniso_coars
     quad = aniso_coarse_quad
     direct = _uneven_copy(weak_state)
     basis = vm.build_fourier_basis(weak_state.period, 2)
-    kmax = basis.n_modes // 2
     widths = _counting_rk4(monkeypatch)
-    pairs = []
-    keep = ops.species_pair_moments
+    kept = []
+    keep = ops.node_moments
 
     def keeping(*args, **kwargs):
-        pairs.append(keep(*args, **kwargs))
-        return pairs[-1]
-    monkeypatch.setattr(ops, "species_pair_moments", keeping)
+        kept.append(keep(*args, **kwargs))
+        return kept[-1]
+    monkeypatch.setattr(ops, "node_moments", keeping)
     for lam in (0.0, 0.4):
         profiles, steps = [], []
         for state in (weak_state, direct):
@@ -300,20 +320,20 @@ def test_mirror_pairing_matches_direct_path(monkeypatch, weak_state, aniso_coars
         assert 2 * sum(steps[0]) == sum(steps[1]), lam
         if lam == 0.0:
             assert len(steps[0]) == len(steps[1])
-        paired = pairs[-2]
-        ref = {-1: pairs[-1][-1], +1: vm.node_moments(direct, +1, lam, quad, kmax, basis.x_grid)}
-        for sign in (-1, +1):
-            res = paired[sign].resolved
-            assert np.array_equal(res, ref[sign].resolved)
-            assert (~res).any()
-            for a, b in zip(paired[sign], ref[sign]):
-                diff = np.abs(a - b)
-                assert np.max(diff[..., res]) <= 1e-9, (lam, sign)
-                assert np.max(diff[..., ~res]) <= 1e-8, (lam, sign)
-        # T3, T4 and d vanish under the species mirror: each family is held
-        # to the scale of its largest member
+        # one pass of species - per assembly
+        assert len(kept) == 2
+        paired, ref = kept
+        kept.clear()
+        res = paired.resolved
+        assert np.array_equal(res, ref.resolved)
+        assert (~res).any()
+        for a, b in zip(paired, ref):
+            diff = np.abs(a - b)
+            assert np.max(diff[..., res]) <= 1e-9, lam
+            assert np.max(diff[..., ~res]) <= 1e-8, lam
+        # each family is held to the scale of its largest member
         got, want = profiles
-        for names, scale in ((("T1", "T2", "T3", "T4"), "T1"), (("c", "d", "lint"), "lint")):
+        for names, scale in ((("T1", "T2"), "T1"), (("c", "lint"), "lint")):
             size = np.max(np.abs(getattr(want, scale)))
             for name in names:
                 diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
@@ -385,9 +405,7 @@ def test_zero_profile_assembles_free_blocks(zero_profile, paper_quad):
         assert np.max(np.abs(blocks.A1 - np.diag((mz_k * w) ** 2))) <= 1e-12
         want = np.diag((basis.k_index * w) ** 2 + lam ** 2)
         assert np.max(np.abs(blocks.A2 - want)) <= 1e-12
-        assert np.max(np.abs(blocks.B)) <= 1e-14
         assert np.max(np.abs(blocks.C)) <= 1e-14
-        assert np.max(np.abs(blocks.D)) <= 1e-14
         assert abs(blocks.l) <= 1e-14
 
 
@@ -407,24 +425,24 @@ def _straight_line_profiles(state, lam, quad, basis, opts=None, kernel=None):
     omega = 2.0 * np.pi / state.period
     ks = np.arange(kmax + 1)[:, None]
     g = _straight_line_filter(state, lam, quad, kmax)
-    tau = np.zeros((3, kmax + 1), dtype=complex)
-    scal = np.zeros(6)
+    tau = np.zeros((2, kmax + 1), dtype=complex)
+    scal = np.zeros(4)
     for sign in (-1, +1):
         mu_e = state.profile.mu_e(sign, quad.e, quad.v2)
         mu_p = state.profile.mu_p(sign, quad.e, quad.v2)
         we = mu_e * quad.w
-        tau += [g @ we, g @ (we * vh2 * vh2), g @ (we * vh2)]
-        scal += [np.sum(we * vh1), np.sum(we * vh2 * vh1), np.sum(we * vh1 * vh1),
-                 np.sum(we), np.sum(vh2 * mu_p * quad.w), np.sum(mu_p * quad.w)]
+        tau += [g @ we, g @ (we * vh2 * vh2)]
+        scal += [np.sum(we * vh1), np.sum(we * vh1 * vh1), np.sum(we),
+                 np.sum(vh2 * mu_p * quad.w)]
     phases = np.exp(1j * ks * omega * x_grid[None, :])
-    T1, T2, T3 = (t[:, None] * phases for t in tau)
-    return MomentProfiles(T1, T2, T3, T3, *(np.full(x_grid.size, v) for v in scal))
+    T1, T2 = (t[:, None] * phases for t in tau)
+    return MomentProfiles(T1, T2, *(np.full(x_grid.size, v) for v in scal))
 
 
 def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, aniso_state,
                                                   paper_quad, aniso_quad):
-    # one kernel serves every rate, in real arithmetic; B, C and D vanish
-    # for these mirror pairs, so they are measured against the A blocks.
+    # one kernel serves every rate, in real arithmetic; C vanishes for these
+    # mirror pairs, so it is measured against the A blocks.
     # The filter's imaginary part cancels in the blocks of v1-even
     # profiles, so the per-node filter of line_filter is checked as well.
     for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
@@ -440,9 +458,8 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
             for name in ("A1", "A2"):
                 ref = getattr(want, name)
                 assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-12 * np.max(np.abs(ref))
-            for name in ("B", "C", "D"):
-                diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
-                assert diff <= 1e-12 * scale, (name, lam, diff)
+            diff = np.max(np.abs(got.C - want.C))
+            assert diff <= 1e-12 * scale, (lam, diff)
             assert abs(got.l - want.l) <= 1e-12 * abs(want.l), (lam, got.l, want.l)
             re, im = ops.line_filter(quad, 4, w, lam)
             ref = _straight_line_filter(state, lam, quad, 4)
@@ -467,8 +484,7 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
         w = 2 * np.pi / state.period
         for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
             prof_lam = moment_profiles(state, lam, quad, basis, kernel=kern)
-            assert not prof_lam.T3.any() and not prof_lam.T4.any()
-            assert not prof_lam.c.any() and not prof_lam.d.any()
+            assert not prof_lam.c.any()
             want = _straight_line_profiles(state, lam, quad, basis)
             for name in ("T1", "T2", "lint"):
                 ref = getattr(want, name)
@@ -500,15 +516,14 @@ def test_constant_mode_entry_sign_identity(paper_state, paper_quad):
 
 
 def test_couplings_vanish_for_mirror_pairs(paper_state, aniso_state, paper_quad, aniso_quad):
-    # the v2 reflection ties the two species' paths together, so the
-    # cross blocks cancel identically at every growth rate
+    # on straight lines mu_e is even in v1, so C, the coupling of phi to
+    # the mean field, cancels at every growth rate (B and D vanish for every
+    # mirror pair and are not formed)
     for state, quad in ((paper_state, paper_quad), (aniso_state, aniso_quad)):
         basis = vm.build_fourier_basis(state.period, 8)
         for lam in (0.0, 0.5):
             blocks = vm.assemble_blocks(state, lam, basis, quad)
-            assert np.max(np.abs(blocks.B)) <= 1e-12
             assert np.max(np.abs(blocks.C)) <= 1e-12
-            assert np.max(np.abs(blocks.D)) <= 1e-12
 
 
 def test_vanishing_moment_identity(paper_state, aniso_state, paper_quad, aniso_quad):
@@ -532,16 +547,6 @@ def test_constant_function_is_null_for_first_block(weak_state, aniso_coarse_quad
     assert np.max(np.abs(np.real(prof.T1[0]) - prof.m_e)) <= 1e-8 * np.max(np.abs(prof.m_e))
 
 
-def test_adjoint_consistency_without_symmetry_shortcut(aniso_orbit_state, aniso_coarse_quad):
-    # the orbit engine on the zero-field state, without the straight-line
-    # shortcut; the direct + species moments are checked against the
-    # relabeled ones in test_species_relabel_matches_direct_moments
-    basis = vm.build_fourier_basis(aniso_orbit_state.period, 4)
-    opts = EvalOptions(tol_sym=1e-3, n_per_period=96)
-    blocks = vm.assemble_blocks(aniso_orbit_state, 0.4, basis, aniso_coarse_quad, opts)
-    assert blocks.defects["B_adjoint"] <= 1e-6
-
-
 def test_species_relabel_matches_direct_moments(weak_state, aniso_coarse_quad):
     # the + trajectories are the v2-reflection of the - ones to roundoff
     # (1.0e-13 of m0 measured), so relabeled nodes stand in for a + pass
@@ -553,6 +558,40 @@ def test_species_relabel_matches_direct_moments(weak_state, aniso_coarse_quad):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lam
 
 
+def test_species_mirror_doubles_and_cancels(weak_state, aniso_coarse_quad):
+    # the assembly reads species - and doubles it: under mu+(e, p) = mu-(e, -p)
+    # the + pass adds what the - pass adds to T1, T2, c, lint, m_e and m_vp,
+    # and cancels it in T3, T4, d and m_p, the sums of B and D
+    # (docs/DECISIONS.md section 4).  Both passes are direct here.
+    quad = aniso_coarse_quad
+    basis = vm.build_fourier_basis(weak_state.period, 4)
+    x = basis.x_grid
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    mu = ops.species_mu(weak_state, quad, x)
+    for lam in (0.0, 0.4):
+        sums = {}
+        for sign in (-1, +1):
+            m0, m1, mv1 = vm.node_moments(weak_state, sign, lam, quad, 2, x)
+            mu_e, mu_p = mu[sign]
+            we = mu_e * quad.w
+            sums[sign] = {
+                "T1": np.einsum("kmn,mn->km", m0, we),
+                "T2": np.einsum("kmn,mn->km", m1, we * vh2),
+                "c": np.sum(we * mv1, axis=1), "lint": np.sum(we * vh1 * mv1, axis=1),
+                "m_e": np.sum(we, axis=1), "m_vp": np.sum(vh2 * mu_p * quad.w, axis=1),
+                "T3": np.einsum("kmn,mn->km", m1, we),
+                "T4": np.einsum("kmn,mn->km", m0, we * vh2),
+                "d": np.sum(we * vh2 * mv1, axis=1), "m_p": np.sum(mu_p * quad.w, axis=1)}
+        minus, plus = sums[-1], sums[+1]
+        for name in ("T1", "T2", "c", "lint", "m_e", "m_vp"):
+            scale = np.max(np.abs(minus[name]))
+            assert np.max(np.abs(plus[name] - minus[name])) <= 1e-10 * scale, (lam, name)
+        for name in ("T3", "T4", "d", "m_p"):
+            scale = np.max(np.abs(minus[name]))
+            assert scale > 0.0, (lam, name)
+            assert np.max(np.abs(plus[name] + minus[name])) <= 1e-10 * scale, (lam, name)
+
+
 def test_generic_backend_matches_closed_forms(aniso_state, aniso_orbit_state, aniso_coarse_quad):
     basis = vm.build_fourier_basis(aniso_state.period, 4)
     lam = 0.8
@@ -562,8 +601,6 @@ def test_generic_backend_matches_closed_forms(aniso_state, aniso_orbit_state, an
     assert np.max(np.abs(bt.A1 - bg.A1)) <= 1e-6 * np.max(np.abs(bt.A1))
     assert np.max(np.abs(bt.A2 - bg.A2)) <= 1e-6 * np.max(np.abs(bt.A2))
     assert abs(bt.l - bg.l) <= 1e-6 * abs(bt.l)
-    assert np.max(np.abs(bg.B)) <= 1e-10
-    assert np.max(np.abs(bg.D)) <= 1e-10
 
 
 def test_rate_continuity_of_blocks(aniso_state, aniso_quad):
@@ -584,8 +621,8 @@ def test_rate_continuity_of_blocks(aniso_state, aniso_quad):
 
 def test_large_rate_limits(aniso_state, aniso_quad):
     # A1 tends to the Laplacian as lam grows.  On this mirror-paired
-    # homogeneous state B, C and D are zero at every rate, so what is left
-    # of them is roundoff: it is bounded, not asked to shrink.
+    # homogeneous state C is zero at every rate, so what is left of it is
+    # roundoff: it is bounded, not asked to shrink.
     basis = vm.build_fourier_basis(aniso_state.period, 8)
     w = 2 * np.pi / aniso_state.period
     mz_k = basis.k_index[basis.k_index > 0]
@@ -594,8 +631,7 @@ def test_large_rate_limits(aniso_state, aniso_quad):
     for lam in (50.0 * w, 200.0 * w):
         blocks = vm.assemble_blocks(aniso_state, lam, basis, aniso_quad)
         gaps.append(np.max(np.abs(blocks.A1 - lap)))
-        for name in ("B", "C", "D"):
-            assert np.max(np.abs(getattr(blocks, name))) <= 1e-12, (name, lam)
+        assert np.max(np.abs(blocks.C)) <= 1e-12, lam
     first, second = gaps
     assert second <= first     # still shrinking
     assert second <= 0.05 * np.max(np.abs(vm.assemble_blocks(
@@ -678,8 +714,7 @@ def test_zero_rate_coupling_error_names_its_entry():
     eye = np.eye(3)
     C = np.zeros(3)
     C[1] = 5e-3
-    blocks = ops.OperatorBlocks(lam=0.0, n_modes=2, period=1.0, A1=eye, A2=eye,
-                                B=np.zeros((3, 3)), C=C, D=np.zeros(3), l=-1.0)
+    blocks = ops.OperatorBlocks(lam=0.0, n_modes=2, period=1.0, A1=eye, A2=eye, C=C, l=-1.0)
     modal = ops.ModalBasis(np.ones(3), eye, np.ones(3), eye)
     with pytest.raises(AssemblyError) as err:
         vm.assemble_M(blocks, 3, modal)
