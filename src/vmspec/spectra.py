@@ -28,8 +28,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 @dataclass(frozen=True)
 class EigenDecomposition:
     values: np.ndarray             # ascending
-    vectors: np.ndarray            # orthonormal columns
-    residual: float                # max |A v - value v|
+    vectors: np.ndarray            # orthonormal columns; None for values only
+    residual: float                # max |A v - value v|; None for values only
 
 
 def _fix_signs(vectors):
@@ -55,13 +55,15 @@ def _canonical_plane(V):
     return q * np.sign(np.diag(r))
 
 
-def symmetric_eigen(A):
-    """Full decomposition of a symmetric matrix with a deterministic layout.
+def symmetric_eigen(A, vectors=True):
+    """Decomposition of a symmetric matrix with a deterministic layout.
 
     A relative asymmetry above 1e-8 is an error.  Eigenvalues come out
     ascending.  A near-degenerate cluster gets the one basis of its space
     that roundoff in ``A`` or the LAPACK driver cannot turn, and every
-    vector's first significant coefficient is made positive.
+    vector's first significant coefficient is made positive.  With
+    ``vectors=False`` only the eigenvalues are computed, and ``vectors``
+    and ``residual`` are None.
     """
     A = np.asarray(A, dtype=float)
     scale = max(float(np.max(np.abs(A))), 1e-300)
@@ -69,6 +71,8 @@ def symmetric_eigen(A):
     if defect > 1e-8 * scale:
         raise VmspecError("matrix asymmetry %.3e above tolerance" % defect)
     As = 0.5 * (A + A.T)
+    if not vectors:
+        return EigenDecomposition(values=np.linalg.eigvalsh(As), vectors=None, residual=None)
     vals, vecs = np.linalg.eigh(As)
     i = 0
     while i < vals.size:
@@ -203,7 +207,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
     modal = modal_truncation(blocks0, tol_eig)
     spectra = [symmetric_eigen(assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel),
-                                          n, modal)).values
+                                          n, modal), vectors=False).values
                for lam in lam_grid]
     eigenvalues = np.column_stack(spectra)
     counts = [count_eigenvalues(eigenvalues[:, i], tol_eig) for i in range(lam_grid.size)]
@@ -240,57 +244,76 @@ class KernelCrossing:
 
 
 def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None):
-    """Bisect a count-change interval down to a kernel of the matrix family,
-    in at most 60 steps.
+    """Find a kernel of the matrix family in a count-change interval, in at
+    most 60 steps.
 
-    ``assemble_fn(lam)`` must return the symmetric matrix.  The count
-    change is necessary but not sufficient for a zero crossing in
-    principle, so the located matrix must actually present an eigenvalue
-    inside tol_kernel; otherwise the interval is reported as spurious.
-    Counting here uses strict signs: a tolerance band would park the
-    bisection at the band edge instead of the crossing itself.
+    ``assemble_fn(lam)`` must return the symmetric matrix.  f(lam), the
+    k-th ascending eigenvalue for k the smaller end count, changes sign
+    across the interval.  Each step goes to the Illinois secant point of a
+    bracket kept by the sign of f (the value at an end is halved when the
+    other end has moved twice in a row), or to the midpoint when that point
+    leaves the bracket or the bracket has not halved in three steps; the
+    search stops once |f| <= tol_kernel and the bracket is within 1e-12 of
+    its upper end.  Signs are strict: a tolerance band would park the search
+    at the band edge.  Steps take eigenvalues only; the vector is column k
+    of one full decomposition, of the step matrix with the smallest |f|.  A
+    count change does not imply a zero crossing in principle, so that |f|
+    must be within tol_kernel, or the interval is reported as spurious.
     """
     lam_lo, lam_hi = float(lam_lo), float(lam_hi)
     if not (0 < lam_lo < lam_hi):
         raise VmspecError("need 0 < lam_lo < lam_hi")
-    dec_lo = symmetric_eigen(assemble_fn(lam_lo))
-    dec_hi = symmetric_eigen(assemble_fn(lam_hi))
-    scale = max(float(np.max(np.abs(dec_lo.values))), float(np.max(np.abs(dec_hi.values))), 1.0)
+    vals_lo = symmetric_eigen(assemble_fn(lam_lo), vectors=False).values
+    vals_hi = symmetric_eigen(assemble_fn(lam_hi), vectors=False).values
+    scale = max(float(np.max(np.abs(vals_lo))), float(np.max(np.abs(vals_hi))), 1.0)
     tol_k = tol_kernel if tol_kernel is not None else 1e-9 * scale
-    neg_lo = count_eigenvalues(dec_lo.values, 0.0).neg
-    neg_hi = count_eigenvalues(dec_hi.values, 0.0).neg
+    neg_lo = count_eigenvalues(vals_lo, 0.0).neg
+    neg_hi = count_eigenvalues(vals_hi, 0.0).neg
     if neg_lo == neg_hi:
         raise VmspecError("interval carries no negative-count change")
 
+    k = min(neg_lo, neg_hi)
+    a, b, fa = lam_lo, lam_hi, vals_lo[k]
+    ga, gb = fa, vals_hi[k]        # f at the ends, halved while the other end moves
+    moved, widths = 0, [b - a]     # +1 (-1) when a (b) moved last
     best = None
-    a, b = lam_lo, lam_hi
     for _ in range(60):
-        mid = 0.5 * (a + b)
-        dec = symmetric_eigen(assemble_fn(mid))
-        idx = int(np.argmin(np.abs(dec.values)))
-        cand = (abs(dec.values[idx]), mid, dec, idx)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        if count_eigenvalues(dec.values, 0.0).neg == neg_lo:
-            a = mid
+        # keep h inside the bracket: next to a root that an end already
+        # sits on, the step then crosses it and closes the bracket
+        h = min(0.25e-12 * b, 0.25 * (b - a))
+        x = min(max(b - gb * (b - a) / (gb - ga), a + h), b - h)
+        if not a < x < b or (len(widths) > 3 and widths[-1] > 0.5 * widths[-4]):
+            x = 0.5 * (a + b)
+        M = assemble_fn(x)
+        fx = symmetric_eigen(M, vectors=False).values[k]
+        if best is None or abs(fx) < best[0]:
+            best = (abs(fx), x, M)
+        if (fx < 0) == (fa < 0):
+            a, fa, ga = x, fx, fx
+            gb = 0.5 * gb if moved == 1 else gb
+            moved = 1
         else:
-            b = mid
-        if cand[0] <= tol_k and (b - a) <= 1e-12 * max(1.0, b):
+            b, gb = x, fx
+            ga = 0.5 * ga if moved == -1 else ga
+            moved = -1
+        widths.append(b - a)
+        if best[0] <= tol_k and b - a <= 1e-12 * b:
             break
-    min_abs, lam_star, dec, idx = best
+    min_abs, lam_star, M = best
     if min_abs > tol_k:
         raise SpuriousIntervalError(
             "spurious interval: count changes but the smallest |eigenvalue| "
             "only reaches %.3e (tol %.1e); the change did not come from a zero crossing"
             % (min_abs, tol_k))
-    vec = dec.vectors[:, idx]
+    dec = symmetric_eigen(M)
+    vec = dec.vectors[:, k]
     n = (vec.size - 1) // 2
     phi, psi, bb = vec[:n], vec[n:2 * n], float(vec[2 * n])
     norm = float(np.linalg.norm(phi) + np.linalg.norm(psi) + abs(bb))
     vec = vec / norm
     return KernelCrossing(lambda_star=float(lam_star), vector=vec,
                           phi=vec[:n], psi=vec[n:2 * n], b=float(vec[2 * n]),
-                          min_abs_eig=float(min_abs / norm), n=n, tol_kernel=tol_k)
+                          min_abs_eig=float(abs(dec.values[k]) / norm), n=n, tol_kernel=tol_k)
 
 
 def locate_kernel_for_state(state, basis, quad, sweep_result, opts=None, tol_kernel=None):

@@ -126,22 +126,68 @@ def test_sweep_rejects_bad_grid(aniso_state, aniso_quad):
         vm.sweep(aniso_state, basis, aniso_quad, 3, np.array([2.0, 1.0]))
 
 
+def _counted(fam):
+    """``fam`` with a call counter, as (wrapped family, one-entry list)."""
+    calls = [0]
+
+    def wrapped(lam):
+        calls[0] += 1
+        return fam(lam)
+    return wrapped, calls
+
+
 def test_locate_kernel_on_synthetic_family():
     # diag(1 - lam, 3, -1): one eigenvalue crosses zero exactly at lam = 1
-    def fam(lam):
-        return np.diag([1.0 - lam, 3.0, -1.0])
+    fam, calls = _counted(lambda lam: np.diag([1.0 - lam, 3.0, -1.0]))
     cr = vm.locate_kernel(fam, 0.5, 1.7)
-    assert abs(cr.lambda_star - 1.0) <= 1e-8
+    assert abs(cr.lambda_star - 1.0) <= 1e-12
     assert cr.min_abs_eig <= 1e-9 * 3.0
     assert cr.n == 1
+    assert calls[0] <= 10
+
+
+def test_locate_kernel_degenerate_pair_is_reproducible():
+    # a curved pair crossing zero together at ln 5 (a count change of 2),
+    # turned by a fixed rotation; roundoff in the family must not turn the
+    # located vector inside the pair's plane
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+
+    def fam(lam, noise=None):
+        g = np.exp(-lam) - 0.2
+        A = (Q * [g, g, 2.0, -1.0, 3.0]) @ Q.T
+        if noise is not None:
+            e = 1e-15 * noise.standard_normal((5, 5))
+            A = A + e + e.T
+        return 0.5 * (A + A.T)
+
+    first = vm.locate_kernel(fam, 0.1, 10.0)
+    noise = np.random.default_rng(6)
+    second = vm.locate_kernel(lambda lam: fam(lam, noise), 0.1, 10.0)
+    for cr in (first, second):
+        assert abs(cr.lambda_star - np.log(5.0)) <= 1e-12 * np.log(5.0)
+        plane = Q[:, :2]
+        v = cr.vector / np.linalg.norm(cr.vector)
+        assert np.linalg.norm(v - plane @ (plane.T @ v)) <= 1e-10
+    assert np.max(np.abs(first.vector - second.vector)) <= 1e-10
+
+
+def test_locate_kernel_through_an_eigenvalue_crossing():
+    # the tracked lowest eigenvalue is min(cos lam, 0.2 + 0.1 lam): the two
+    # branches cross near lam = 1.17, inside the bracket, before the zero at pi/2
+    fam, calls = _counted(lambda lam: np.diag([np.cos(lam), 0.2 + 0.1 * lam, 5.0]))
+    cr = vm.locate_kernel(fam, 0.5, 2.5)
+    assert abs(cr.lambda_star - 0.5 * np.pi) <= 1e-12 * np.pi
+    assert np.allclose(np.abs(cr.vector), [1.0, 0.0, 0.0])
+    assert calls[0] <= 20                                # bisection takes 43
 
 
 def test_locate_kernel_flags_spurious_interval():
     # the count changes by a jump discontinuity, not a crossing
-    def fam(lam):
-        return np.diag([1.0 if lam < 1.0 else -1.0, 2.0, -3.0])
+    fam, calls = _counted(lambda lam: np.diag([1.0 if lam < 1.0 else -1.0, 2.0, -3.0]))
     with pytest.raises(SpuriousIntervalError):
         vm.locate_kernel(fam, 0.5, 1.7)
+    assert calls[0] <= 62                                # both ends and the 60-step cap
 
 
 def test_locate_kernel_needs_count_change():
@@ -151,16 +197,95 @@ def test_locate_kernel_needs_count_change():
         vm.locate_kernel(fam, 0.5, 1.7)
 
 
-def test_locate_kernel_for_state_normalization(aniso_state, aniso_quad):
+def test_locate_kernel_for_state_normalization(monkeypatch, aniso_state, aniso_quad):
     basis = vm.build_fourier_basis(aniso_state.period, 12)
     grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
     sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid)
+    calls = [0]
+    assemble = vm.spectra.assemble_blocks
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(vm.spectra, "assemble_blocks", counted)
     cr = vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    assert calls[0] <= 38                # bisection to the same bracket takes 38
     assert grid[0] < cr.lambda_star < grid[-1]
     norm = np.linalg.norm(cr.phi) + np.linalg.norm(cr.psi) + abs(cr.b)
     assert abs(norm - 1.0) <= 1e-12
     # nontrivial in the magnetic component
     assert np.linalg.norm(cr.psi) + abs(cr.b) > 1e-6
+
+
+def test_sweep_and_search_take_three_full_decompositions(monkeypatch, aniso_state, aniso_quad):
+    # eigenvectors only for the two lam = 0 blocks and the located kernel;
+    # every sweep rate and search step takes eigenvalues alone
+    basis = vm.build_fourier_basis(aniso_state.period, 12)
+    grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(A):
+        calls[0] += 1
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid)
+    vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    assert calls[0] == 3
+    monkeypatch.undo()
+    for i, lam in enumerate(grid):
+        M = vm.assemble_M(vm.assemble_blocks(aniso_state, lam, basis, aniso_quad, None,
+                                             sw.assembly), 4, sw.modal)
+        full = vm.symmetric_eigen(M).values
+        assert np.max(np.abs(sw.eigenvalues[:, i] - full)) <= 1e-12 * np.max(np.abs(M))
+        got = vm.count_eigenvalues(full)
+        assert (got.neg, got.zero, got.pos) == (sw.counts[i].neg, sw.counts[i].zero,
+                                                sw.counts[i].pos)
+
+
+def _homogeneous_symbols(state, quad):
+    """Symbols a1(k, lam), a2(k, lam) from the raw quadrature, species - doubled."""
+    prof, w = state.profile, 2.0 * np.pi / state.period
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    we = 2.0 * prof.mu_e(-1, quad.e, quad.v2) * quad.w
+    m_e = float(np.sum(we))
+    m_vp = float(np.sum(2.0 * vh2 * prof.mu_p(-1, quad.e, quad.v2) * quad.w))
+
+    def damping(k, lam):
+        return lam ** 2 / (lam ** 2 + (k * w * vh1) ** 2)
+
+    def a1(k, lam):
+        return (k * w) ** 2 - m_e + float(np.sum(we * damping(k, lam)))
+
+    def a2(k, lam):
+        return (k * w) ** 2 + lam ** 2 - m_vp - float(np.sum(we * vh2 ** 2 * damping(k, lam)))
+    return a1, a2
+
+
+def test_kernel_matches_the_homogeneous_symbol_root(aniso_state, aniso_quad):
+    from scipy.optimize import brentq
+    a1, a2 = _homogeneous_symbols(aniso_state, aniso_quad)
+    basis = vm.build_fourier_basis(aniso_state.period, 12)
+    # the blocks are diagonal in the Fourier basis, with the symbols on it
+    blocks = vm.assemble_blocks(aniso_state, 0.3, basis, aniso_quad)
+    k = basis.k_index
+    want1 = [a1(kj, 0.3) for kj in k[1:]]
+    want2 = [a2(kj, 0.3) for kj in k]
+    assert np.max(np.abs(np.diag(blocks.A1) - want1)) <= 1e-12 * np.max(np.abs(want1))
+    assert np.max(np.abs(np.diag(blocks.A2) - want2)) <= 1e-12 * np.max(np.abs(want2))
+
+    grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
+    sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid)
+    cr = vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    lo, hi = sw.crossings[0]["lam_lo"], sw.crossings[0]["lam_hi"]
+    changing = [(a, kj) for a in (a1, a2) for kj in range(1, k.max() + 1)
+                if (a(kj, lo) < 0) != (a(kj, hi) < 0)]
+    assert len(changing) == 1
+    a, kj = changing[0]
+    root = brentq(lambda lam: a(kj, lam), lo, hi, xtol=1e-16, rtol=1e-15)
+    assert abs(cr.lambda_star - root) <= 1e-10 * root
 
 
 def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
