@@ -44,13 +44,13 @@ print("negative counts across the grid:", negs)
 print("count-change intervals:", [(round(c['lam_lo'], 4), round(c['lam_hi'], 4))
                                   for c in sw.crossings])
 
-cr = vm.locate_kernel_for_state(state, basis, quad, sw)
+cr = vm.locate_kernel_for_state(sw)
 print(f"\nkernel crossing at lambda* = {cr.lambda_star:.8f} "
       f"(smallest |eigenvalue| {cr.min_abs_eig:.2e})")
 print(f"kernel vector: |phi| = {np.linalg.norm(cr.phi):.4f}, "
       f"|psi| = {np.linalg.norm(cr.psi):.4f}, b = {cr.b:+.4f}")
 
-mode = vm.reconstruct(state, cr, basis, quad, sw.modal)
+mode = vm.reconstruct(sw, cr)
 rep = vm.residuals(state, mode, basis, quad)
 print("\nresiduals of the reconstructed mode:")
 for name in ("gauss", "ampere1", "ampere2", "continuity", "vlasov_weak"):

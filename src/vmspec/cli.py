@@ -304,7 +304,6 @@ def cmd_validate(cfg):
     payload = {"config_hash": cfg.hash(), "profile": cfg.profile_name,
                "max_negativity": rep.max_negativity,
                "max_decay_violation": rep.max_decay_violation,
-               "max_symmetry_violation": rep.max_symmetry_violation,
                "passed": rep.passed}
     _write_json(os.path.join(_outdir(cfg), "validate.json"), payload)
     print(rep.summary())
@@ -364,29 +363,26 @@ def _run_sweep(cfg, state, quad):
     basis = build_fourier_basis(state.period, cfg.n_x)
     opts = _eval_options(cfg, state)
     grid = default_lambda_grid(state.period, cfg.lambda_points, cfg.lambda_min, cfg.lambda_max)
-    sw = sweep(state, basis, quad, cfg.n, grid, opts, tol_eig=cfg.tol_eig)
-    return basis, opts, sw
+    return sweep(state, basis, quad, cfg.n, grid, opts, tol_eig=cfg.tol_eig)
 
 
-def _find_mode(cfg, state, basis, quad, opts, sw, stages):
+def _find_mode(cfg, sw, stages):
     """Kernel in the sweep's first count-change interval, the mode rebuilt
     from it, its residuals and its export; returns (crossing, report, path).
     Each stage's wall time goes to ``stages``."""
-    crossing = _timed(stages, "locate", locate_kernel_for_state, state, basis, quad, sw,
-                      opts=opts, tol_kernel=cfg.tol_kernel)
-    mode = _timed(stages, "reconstruct", reconstruct, state, crossing, basis, quad, sw.modal,
-                  opts, kernel=sw.assembly)
-    report = _timed(stages, "residuals", residuals, state, mode, basis, quad,
+    crossing = _timed(stages, "locate", locate_kernel_for_state, sw, tol_kernel=cfg.tol_kernel)
+    mode = _timed(stages, "reconstruct", reconstruct, sw, crossing)
+    report = _timed(stages, "residuals", residuals, sw.state, mode, sw.basis, sw.quad,
                     tol_residual=cfg.tol_residual)
-    path = _timed(stages, "export", export_mode, mode, _outdir(cfg), report=report, quad=quad,
-                  extra={"config_hash": cfg.hash()})
+    path = _timed(stages, "export", export_mode, mode, _outdir(cfg), report=report,
+                  quad=sw.quad, extra={"config_hash": cfg.hash()})
     return crossing, report, path
 
 
 def cmd_sweep(cfg):
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
-    basis, opts, sw = _run_sweep(cfg, state, quad)
+    sw = _run_sweep(cfg, state, quad)
     out = _outdir(cfg)
     write_sweep_csv(os.path.join(out, "sweep.csv"), sw)
     _write_json(os.path.join(out, "sweep.json"),
@@ -413,7 +409,7 @@ def cmd_analyze(cfg):
     vrep = validate_profile(profile, weight, tol_validate=cfg.tol_validate)
     state = _build_state(cfg, profile, quad)
     stages = {}
-    basis, opts, sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
+    sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
     vres = _verdict_from_sweep(sw, state, cfg.tol_eig)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}
@@ -422,7 +418,7 @@ def cmd_analyze(cfg):
                                 ("epsilon", "residual_inf", "period_delta", "c1_norm",
                                  "critical_period") if k in state.meta}
     if cfg.find_mode and sw.crossings:
-        crossing, report, _ = _find_mode(cfg, state, basis, quad, opts, sw, stages)
+        crossing, report, _ = _find_mode(cfg, sw, stages)
     payload = _analysis_report(cfg, state, sw, vres, crossing, report, extra, t0, stages)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "analysis.json"), payload)
@@ -440,11 +436,11 @@ def cmd_analyze(cfg):
 def cmd_mode(cfg):
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
-    basis, opts, sw = _run_sweep(cfg, state, quad)
+    sw = _run_sweep(cfg, state, quad)
     if not sw.crossings:
         print("no crossing interval found; nothing to reconstruct")
         return EXIT_NUMERICAL
-    crossing, report, path = _find_mode(cfg, state, basis, quad, opts, sw, {})
+    crossing, report, path = _find_mode(cfg, sw, {})
     print("lambda*=%.8f residuals pass=%s -> %s" % (crossing.lambda_star, report.passed, path))
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
@@ -502,7 +498,7 @@ def cmd_example(cfg, which):
         profile, weight, quad = _build_inputs(cfg)
         table, mismatches = _golden_homogeneous(profile, quad)
         state = _build_state(cfg, profile, quad)
-        basis, opts, sw = _run_sweep(cfg, state, quad)
+        sw = _run_sweep(cfg, state, quad)
         vres = _verdict_from_sweep(sw, state, cfg.tol_eig)
         payload = _analysis_report(cfg, state, sw, vres, t_start=t0,
                                    extra={"golden": table})

@@ -81,19 +81,18 @@ class EquilibriumProfile:
 class ValidationReport:
     max_negativity: float
     max_decay_violation: float
-    max_symmetry_violation: float
     tol: float
     passed: bool
     worst_decay_point: tuple = None
 
     def summary(self):
-        return ("negativity=%.3e decay=%.3e symmetry=%.3e -> %s"
+        return ("negativity=%.3e decay=%.3e -> %s"
                 % (self.max_negativity, self.max_decay_violation,
-                   self.max_symmetry_violation, "pass" if self.passed else "FAIL"))
+                   "pass" if self.passed else "FAIL"))
 
 
 def validate_profile(profile, weight, tol_validate=1e-12):
-    """Check nonnegativity, the decay bound and the mirror symmetry on a grid:
+    """Check nonnegativity and the decay bound on a grid:
     500 energies up to where w drops by 1e12, 241 momenta on [-40, 40]."""
     e_max = (1.0 + ENERGY_FLOOR) * (1e12) ** (1.0 / weight.alpha)   # w(e_max) < 1e-12 w(1)
     # log-spaced energies resolve the near-floor region; kink neighborhoods added
@@ -119,10 +118,8 @@ def validate_profile(profile, weight, tol_validate=1e-12):
     bound = np.abs(vals["mu_e"]) + np.abs(vals["mu_p"]) - weight(E)
     decay = max(0.0, float(np.max(bound)))
     iworst = np.unravel_index(np.argmax(bound), bound.shape)
-    # mirror identity mu_plus(e, p) = mu_minus(e, -p), evaluated both ways
-    sym = float(np.max(np.abs(profile.mu(+1, E, Pm) - profile.mu(-1, E, -Pm))))
-    passed = (neg <= tol_validate) and (decay <= tol_validate) and (sym <= tol_validate)
-    return ValidationReport(neg, decay, sym, tol_validate, passed,
+    passed = (neg <= tol_validate) and (decay <= tol_validate)
+    return ValidationReport(neg, decay, tol_validate, passed,
                             worst_decay_point=(float(E[iworst]), float(Pm[iworst])))
 
 

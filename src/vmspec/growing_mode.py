@@ -127,21 +127,22 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     return mode
 
 
-def reconstruct(state, crossing, basis, quad, modal, opts=None, kernel=None):
-    """Physical mode from a located kernel vector.
+def reconstruct(sweep_result, crossing):
+    """Physical mode from a kernel vector located on a sweep's family.
 
     The kernel coordinates live in the modal bases of the lam = 0 blocks;
-    they are synthesized back to trigonometric coefficients first.
-    ``kernel`` is the sweep's ``AssemblyKernel``, reused when given.
+    they are synthesized back to trigonometric coefficients first.  The mode
+    is built on the sweep's state, basis, quadrature, options and
+    ``AssemblyKernel``.
     """
-    n = crossing.n
-    phi_mz = modal.a1_vectors[:, :n] @ crossing.phi
-    psi_full = modal.a2_vectors[:, :n] @ crossing.psi
+    sw, n = sweep_result, crossing.n
+    phi_mz = sw.modal.a1_vectors[:, :n] @ crossing.phi
+    psi_full = sw.modal.a2_vectors[:, :n] @ crossing.psi
     # zero-mean coefficients sit behind the constant, function 0
-    phi_full = np.zeros(basis.n_functions)
+    phi_full = np.zeros(sw.basis.n_functions)
     phi_full[1:] = phi_mz
-    return from_coefficients(state, crossing.lambda_star, phi_full, psi_full,
-                             crossing.b, basis, quad, opts, kernel)
+    return from_coefficients(sw.state, crossing.lambda_star, phi_full, psi_full,
+                             crossing.b, sw.basis, sw.quad, sw.opts, sw.assembly)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,10 @@ def _rel(basis, lhs, rhs, floor):
 
 
 def _weak_vlasov_defect(state, mode, basis, quad, floor):
-    """Max relative weak-form transport defect over a battery of separable
-    test functions g = X(x) q(vhat) env(e) with hand-coded derivatives.
+    """Max relative weak-form transport defect over both species and a
+    battery of separable test functions g = X(x) q(vhat) env(e) with
+    hand-coded derivatives.  Each species is checked on its own: on a mode
+    with f+ = -f- the two equations cancel in their sum.
 
     Spatial factors X are low harmonics; velocity factors q are polynomials
     in vhat under the fixed decaying envelope env = (1+e)^(-4), so every
@@ -226,14 +229,13 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
     worst = 0.0
     for X, dX in spatial:
         X, dX = X[:, None], dX[:, None]
-        lhs = rhs = 0.0
         for sign in (-1, +1):
             fq, fadv, frot = (fY[sign][:, j::3] for j in range(3))
             s1, s2, s3 = src[sign]
-            lhs = lhs + np.sum(lam * X * fq - dX * fadv - sign * b0 * X * frot, axis=0) * wq
-            rhs = rhs + np.sum(sign * X * (-e1 * s1 + bf * s2 - e2 * s3), axis=0) * wq
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+            lhs = np.sum(lam * X * fq - dX * fadv - sign * b0 * X * frot, axis=0) * wq
+            rhs = np.sum(sign * X * (-e1 * s1 + bf * s2 - e2 * s3), axis=0) * wq
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     return worst
 
 

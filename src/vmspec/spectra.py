@@ -175,7 +175,6 @@ class SweepResult:
     lam_grid: np.ndarray
     eigenvalues: np.ndarray        # (2n+1, n_lam)
     counts: list
-    min_abs: np.ndarray
     crossings: list                # dicts {lam_lo, lam_hi, neg_lo, neg_hi}
     n: int
     l0: float
@@ -185,6 +184,12 @@ class SweepResult:
     modal: ModalBasis = field(repr=False, default=None)
     blocks0: object = field(repr=False, default=None)
     assembly: object = field(repr=False, default=None)     # the AssemblyKernel
+    # what the sweep was computed from, read again by the search and the mode
+    state: object = field(repr=False, default=None)
+    basis: object = field(repr=False, default=None)
+    quad: object = field(repr=False, default=None)
+    opts: object = field(repr=False, default=None)
+    family: object = field(repr=False, default=None)       # lam -> truncated matrix M(lam)
 
 
 def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
@@ -196,8 +201,9 @@ def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
 def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     """Counts of negative eigenvalues of the truncated matrix across lam.
 
-    Records the full spectra, the per-lam distance to a kernel, and every
-    interval where the negative count changes.
+    Records the full spectra and every interval where the negative count
+    changes, and keeps its inputs and the matrix family ``lam -> M(lam)``
+    for the kernel search and the mode reconstruction.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
@@ -206,12 +212,13 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     kernel = assembly_kernel(state, quad, basis)
     blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
     modal = modal_truncation(blocks0, tol_eig)
-    spectra = [symmetric_eigen(assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel),
-                                          n, modal), vectors=False).values
-               for lam in lam_grid]
-    eigenvalues = np.column_stack(spectra)
+
+    def family(lam):
+        return assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel), n, modal)
+
+    eigenvalues = np.column_stack([symmetric_eigen(family(lam), vectors=False).values
+                                   for lam in lam_grid])
     counts = [count_eigenvalues(eigenvalues[:, i], tol_eig) for i in range(lam_grid.size)]
-    min_abs = np.min(np.abs(eigenvalues), axis=0)
     crossings = []
     for i in range(lam_grid.size - 1):
         if counts[i].neg != counts[i + 1].neg:
@@ -222,9 +229,10 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     neg_a2 = count_eigenvalues(modal.a2_values, tol_eig).neg
     k_count = n - min(n, neg_a1) + min(n, neg_a2) + neg_scalar(blocks0.l)
     return SweepResult(lam_grid=lam_grid, eigenvalues=eigenvalues, counts=counts,
-                       min_abs=min_abs, crossings=crossings, n=n, l0=blocks0.l,
+                       crossings=crossings, n=n, l0=blocks0.l,
                        neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count,
-                       modal=modal, blocks0=blocks0, assembly=kernel)
+                       modal=modal, blocks0=blocks0, assembly=kernel, state=state,
+                       basis=basis, quad=quad, opts=opts, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +251,12 @@ class KernelCrossing:
     tol_kernel: float
 
 
-def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None):
+def locate_kernel(assemble_fn, lam_lo, lam_hi, vals_lo, vals_hi, tol_kernel=None):
     """Find a kernel of the matrix family in a count-change interval, in at
     most 60 steps.
 
-    ``assemble_fn(lam)`` must return the symmetric matrix.  f(lam), the
+    ``assemble_fn(lam)`` must return the symmetric matrix, and ``vals_lo``,
+    ``vals_hi`` are its ascending eigenvalues at the two ends.  f(lam), the
     k-th ascending eigenvalue for k the smaller end count, changes sign
     across the interval.  Each step goes to the Illinois secant point of a
     bracket kept by the sign of f (the value at an end is halved when the
@@ -263,8 +272,6 @@ def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None):
     lam_lo, lam_hi = float(lam_lo), float(lam_hi)
     if not (0 < lam_lo < lam_hi):
         raise VmspecError("need 0 < lam_lo < lam_hi")
-    vals_lo = symmetric_eigen(assemble_fn(lam_lo), vectors=False).values
-    vals_hi = symmetric_eigen(assemble_fn(lam_hi), vectors=False).values
     scale = max(float(np.max(np.abs(vals_lo))), float(np.max(np.abs(vals_hi))), 1.0)
     tol_k = tol_kernel if tol_kernel is not None else 1e-9 * scale
     neg_lo = count_eigenvalues(vals_lo, 0.0).neg
@@ -316,15 +323,13 @@ def locate_kernel(assemble_fn, lam_lo, lam_hi, tol_kernel=None):
                           min_abs_eig=float(abs(dec.values[k]) / norm), n=n, tol_kernel=tol_k)
 
 
-def locate_kernel_for_state(state, basis, quad, sweep_result, opts=None, tol_kernel=None):
-    """Kernel search inside the first of a sweep's count-change intervals."""
+def locate_kernel_for_state(sweep_result, tol_kernel=None):
+    """Kernel search inside the first of a sweep's count-change intervals,
+    on the sweep's own matrix family, from the spectra it has at both ends."""
     if not sweep_result.crossings:
         raise VmspecError("sweep found no count-change interval")
     iv = sweep_result.crossings[0]
-    modal = sweep_result.modal
-
-    def assemble_fn(lam):
-        blocks = assemble_blocks(state, lam, basis, quad, opts, sweep_result.assembly)
-        return assemble_M(blocks, sweep_result.n, modal)
-
-    return locate_kernel(assemble_fn, iv["lam_lo"], iv["lam_hi"], tol_kernel=tol_kernel)
+    i = int(np.searchsorted(sweep_result.lam_grid, iv["lam_lo"]))
+    vals = sweep_result.eigenvalues
+    return locate_kernel(sweep_result.family, iv["lam_lo"], iv["lam_hi"], vals[:, i],
+                         vals[:, i + 1], tol_kernel=tol_kernel)

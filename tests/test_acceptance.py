@@ -159,14 +159,14 @@ def test_criterion_4_kernel_crossing_end_to_end(paper_profile, paper_quad):
                        "energy-only profile has no kernel crossing at any rate "
                        "(the anisotropic family exercises this path instead); "
                        "see the decisions ledger")
-    cr = vm.locate_kernel_for_state(state, basis, paper_quad, sw)
+    cr = vm.locate_kernel_for_state(sw)
     ok = _report("c4.lambda_star_interior", grid[0] < cr.lambda_star < grid[-1],
                  "lambda*=%.6f" % cr.lambda_star)
-    mode = vm.reconstruct(state, cr, basis, paper_quad, sw.modal)
+    mode = vm.reconstruct(sw, cr)
     rep = vm.residuals(state, mode, basis, paper_quad, tol_residual=1e-4)
     ok &= _report("c4.residuals", rep.passed, str(rep.as_dict()))
     sw2 = vm.sweep(state, basis, paper_quad, 2 * n, grid)
-    cr2 = vm.locate_kernel_for_state(state, basis, paper_quad, sw2)
+    cr2 = vm.locate_kernel_for_state(sw2)
     ok &= _report("c4.rate_stability", abs(cr2.lambda_star - cr.lambda_star)
                   <= 0.05 * cr.lambda_star,
                   "%.6f vs %.6f" % (cr.lambda_star, cr2.lambda_star))

@@ -17,3 +17,14 @@ def test_demo_runs_without_warnings(demo):
     proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_tour_runs():
+    # the README's tour documents the API; it runs as written
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", tour], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-1] == "True"             # the residuals pass

@@ -23,7 +23,6 @@ def test_zero_profile_validates_with_zero_maxima(zero_profile):
     rep = vm.validate_profile(prof, weight)
     assert rep.passed
     assert rep.max_negativity == 0.0
-    assert rep.max_symmetry_violation == 0.0
 
 
 def test_growing_profile_fails_decay_bound():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ def aniso_pipeline(aniso_state, aniso_quad):
     basis = vm.build_fourier_basis(aniso_state.period, 12)
     grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
     sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid)
-    cr = vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    cr = vm.locate_kernel_for_state(sw)
     return basis, sw, cr
 
 
@@ -101,7 +102,7 @@ def test_manufactured_equivalence_magnetized(weak_state, aniso_coarse_quad):
 
 def test_end_to_end_mode_passes_residuals(aniso_state, aniso_quad, aniso_pipeline):
     basis, sw, cr = aniso_pipeline
-    mode = vm.reconstruct(aniso_state, cr, basis, aniso_quad, sw.modal)
+    mode = vm.reconstruct(sw, cr)
     rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
     assert mode.nontrivial
     assert rep.passed, rep.as_dict()
@@ -114,17 +115,30 @@ def test_end_to_end_mode_passes_residuals(aniso_state, aniso_quad, aniso_pipelin
     assert abs(basis.project(mode.phi)[0]) <= 1e-12
 
 
+def test_weak_transport_check_sees_a_wrong_rate(aniso_state, aniso_quad, aniso_pipeline):
+    # on a homogeneous mode f+ = -f-, so the two species' weak equations
+    # cancel in their sum and read 0 = 0 whatever lam is; checked species by
+    # species, a rate 1% off fails
+    basis, sw, cr = aniso_pipeline
+    mode = vm.reconstruct(sw, cr)
+    f = mode.contract(cols=np.arange(0, aniso_quad.n_nodes, 97))
+    assert np.max(np.abs(f[+1] + f[-1])) <= 1e-12 * np.max(np.abs(f[-1]))
+    assert vm.residuals(aniso_state, mode, basis, aniso_quad).vlasov_weak <= 1e-12
+    wrong = dataclasses.replace(mode, lam=1.01 * mode.lam)
+    assert vm.residuals(aniso_state, wrong, basis, aniso_quad).vlasov_weak > 1e-2
+
+
 def test_mode_rate_stable_under_doubling(aniso_state, aniso_quad, aniso_pipeline):
     basis, sw, cr = aniso_pipeline
     grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
     sw2 = vm.sweep(aniso_state, basis, aniso_quad, 8, grid)
-    cr2 = vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw2)
+    cr2 = vm.locate_kernel_for_state(sw2)
     assert abs(cr2.lambda_star - cr.lambda_star) <= 0.05 * cr.lambda_star
 
 
 def test_mode_export(tmp_path, aniso_state, aniso_quad, aniso_pipeline):
     basis, sw, cr = aniso_pipeline
-    mode = vm.reconstruct(aniso_state, cr, basis, aniso_quad, sw.modal)
+    mode = vm.reconstruct(sw, cr)
     rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
     manifest = cli.export_mode(mode, tmp_path, report=rep, quad=aniso_quad)
     import json
@@ -205,12 +219,13 @@ def test_mode_stages_stay_below_one_distribution_array(tmp_path):
     cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
     profile, _, quad = cli._build_inputs(cfg)
     state = cli._build_state(cfg, profile, quad)
-    basis, opts, sw = cli._run_sweep(cfg, state, quad)
-    crossing = vm.locate_kernel_for_state(state, basis, quad, sw, opts=opts)
+    sw = cli._run_sweep(cfg, state, quad)
+    basis = sw.basis
+    crossing = vm.locate_kernel_for_state(sw)
     assert quad.n_nodes == 79872 and basis.x_grid.size == 128
     tracemalloc.start()
     try:
-        mode = vm.reconstruct(state, crossing, basis, quad, sw.modal, opts, kernel=sw.assembly)
+        mode = vm.reconstruct(sw, crossing)
         report = vm.residuals(state, mode, basis, quad)
         cli.export_mode(mode, tmp_path, report=report, quad=quad)
         peak = tracemalloc.get_traced_memory()[1]

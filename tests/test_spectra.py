@@ -3,7 +3,9 @@ import pytest
 
 import vmspec as vm
 from vmspec import cli
+from vmspec import growing_mode as gm
 from vmspec.errors import HypothesisError, SpuriousIntervalError, VmspecError
+from vmspec.operators import EvalOptions
 
 
 def test_eigen_trivial_cases():
@@ -136,10 +138,16 @@ def _counted(fam):
     return wrapped, calls
 
 
+def _search(fam, lam_lo, lam_hi):
+    """``locate_kernel`` on ``fam``, with the end spectra taken as a sweep takes them."""
+    ends = [vm.symmetric_eigen(fam(lam), vectors=False).values for lam in (lam_lo, lam_hi)]
+    return vm.locate_kernel(fam, lam_lo, lam_hi, *ends)
+
+
 def test_locate_kernel_on_synthetic_family():
     # diag(1 - lam, 3, -1): one eigenvalue crosses zero exactly at lam = 1
     fam, calls = _counted(lambda lam: np.diag([1.0 - lam, 3.0, -1.0]))
-    cr = vm.locate_kernel(fam, 0.5, 1.7)
+    cr = _search(fam, 0.5, 1.7)
     assert abs(cr.lambda_star - 1.0) <= 1e-12
     assert cr.min_abs_eig <= 1e-9 * 3.0
     assert cr.n == 1
@@ -161,9 +169,9 @@ def test_locate_kernel_degenerate_pair_is_reproducible():
             A = A + e + e.T
         return 0.5 * (A + A.T)
 
-    first = vm.locate_kernel(fam, 0.1, 10.0)
+    first = _search(fam, 0.1, 10.0)
     noise = np.random.default_rng(6)
-    second = vm.locate_kernel(lambda lam: fam(lam, noise), 0.1, 10.0)
+    second = _search(lambda lam: fam(lam, noise), 0.1, 10.0)
     for cr in (first, second):
         assert abs(cr.lambda_star - np.log(5.0)) <= 1e-12 * np.log(5.0)
         plane = Q[:, :2]
@@ -176,7 +184,7 @@ def test_locate_kernel_through_an_eigenvalue_crossing():
     # the tracked lowest eigenvalue is min(cos lam, 0.2 + 0.1 lam): the two
     # branches cross near lam = 1.17, inside the bracket, before the zero at pi/2
     fam, calls = _counted(lambda lam: np.diag([np.cos(lam), 0.2 + 0.1 * lam, 5.0]))
-    cr = vm.locate_kernel(fam, 0.5, 2.5)
+    cr = _search(fam, 0.5, 2.5)
     assert abs(cr.lambda_star - 0.5 * np.pi) <= 1e-12 * np.pi
     assert np.allclose(np.abs(cr.vector), [1.0, 0.0, 0.0])
     assert calls[0] <= 20                                # bisection takes 43
@@ -186,7 +194,7 @@ def test_locate_kernel_flags_spurious_interval():
     # the count changes by a jump discontinuity, not a crossing
     fam, calls = _counted(lambda lam: np.diag([1.0 if lam < 1.0 else -1.0, 2.0, -3.0]))
     with pytest.raises(SpuriousIntervalError):
-        vm.locate_kernel(fam, 0.5, 1.7)
+        _search(fam, 0.5, 1.7)
     assert calls[0] <= 62                                # both ends and the 60-step cap
 
 
@@ -194,7 +202,7 @@ def test_locate_kernel_needs_count_change():
     def fam(lam):
         return np.diag([1.0 + lam, -1.0, 2.0])
     with pytest.raises(VmspecError, match="count change"):
-        vm.locate_kernel(fam, 0.5, 1.7)
+        _search(fam, 0.5, 1.7)
 
 
 def test_locate_kernel_for_state_normalization(monkeypatch, aniso_state, aniso_quad):
@@ -209,13 +217,50 @@ def test_locate_kernel_for_state_normalization(monkeypatch, aniso_state, aniso_q
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(vm.spectra, "assemble_blocks", counted)
-    cr = vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    cr = vm.locate_kernel_for_state(sw)
     assert calls[0] <= 38                # bisection to the same bracket takes 38
     assert grid[0] < cr.lambda_star < grid[-1]
     norm = np.linalg.norm(cr.phi) + np.linalg.norm(cr.psi) + abs(cr.b)
     assert abs(norm - 1.0) <= 1e-12
     # nontrivial in the magnetic component
     assert np.linalg.norm(cr.psi) + abs(cr.b) > 1e-6
+
+
+def test_search_and_mode_read_the_sweep(monkeypatch, aniso_state, aniso_quad):
+    # the search and the reconstruction run on the sweep's own options and
+    # kernel; the search starts from the sweep's spectra at the two ends
+    opts = EvalOptions(n_per_period=256, tol_sym=1e-6)
+    basis = vm.build_fourier_basis(aniso_state.period, 12)
+    grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
+    sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid, opts)
+    seen = {"assemble": [], "mode": [], "kernels": 0}
+    assemble, from_coefficients = vm.spectra.assemble_blocks, gm.from_coefficients
+    assembly_kernel = gm.assembly_kernel
+
+    def spy_assemble(state, lam, basis, quad, opts=None, kernel=None):
+        seen["assemble"].append((lam, opts, kernel))
+        return assemble(state, lam, basis, quad, opts, kernel)
+
+    def spy_mode(state, lam, phi, psi, b, basis, quad, opts=None, kernel=None):
+        seen["mode"].append((opts, kernel))
+        return from_coefficients(state, lam, phi, psi, b, basis, quad, opts, kernel)
+
+    def spy_kernel(*args):
+        seen["kernels"] += 1
+        return assembly_kernel(*args)
+
+    monkeypatch.setattr(vm.spectra, "assemble_blocks", spy_assemble)
+    monkeypatch.setattr(gm, "from_coefficients", spy_mode)
+    monkeypatch.setattr(gm, "assembly_kernel", spy_kernel)
+    cr = vm.locate_kernel_for_state(sw)
+    rates = [lam for lam, _, _ in seen["assemble"]]
+    assert rates and all(o is opts and k is sw.assembly for _, o, k in seen["assemble"])
+    iv = sw.crossings[0]
+    assert iv["lam_lo"] not in rates and iv["lam_hi"] not in rates
+    vm.reconstruct(sw, cr)
+    assert len(seen["mode"]) == 1
+    assert seen["mode"][0][0] is opts and seen["mode"][0][1] is sw.assembly
+    assert seen["kernels"] == 0
 
 
 def test_sweep_and_search_take_three_full_decompositions(monkeypatch, aniso_state, aniso_quad):
@@ -232,7 +277,7 @@ def test_sweep_and_search_take_three_full_decompositions(monkeypatch, aniso_stat
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid)
-    vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    vm.locate_kernel_for_state(sw)
     assert calls[0] == 3
     monkeypatch.undo()
     for i, lam in enumerate(grid):
@@ -278,7 +323,7 @@ def test_kernel_matches_the_homogeneous_symbol_root(aniso_state, aniso_quad):
 
     grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
     sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid)
-    cr = vm.locate_kernel_for_state(aniso_state, basis, aniso_quad, sw)
+    cr = vm.locate_kernel_for_state(sw)
     lo, hi = sw.crossings[0]["lam_lo"], sw.crossings[0]["lam_hi"]
     changing = [(a, kj) for a in (a1, a2) for kj in range(1, k.max() + 1)
                 if (a(kj, lo) < 0) != (a(kj, hi) < 0)]
@@ -306,7 +351,7 @@ def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
     basis = vm.build_fourier_basis(state.period, 12)
     grid = vm.default_lambda_grid(state.period, n_points=24)
     sw = vm.sweep(state, basis, aniso_quad, 4, grid)
-    vm.locate_kernel_for_state(state, basis, aniso_quad, sw)
+    vm.locate_kernel_for_state(sw)
     assert calls == {"mu_e": 2, "mu_p": 2}
 
 
