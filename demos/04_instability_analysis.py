@@ -22,21 +22,14 @@ print(f"homogeneous anisotropic state, period {period:.4f} "
       f"(1.5 x critical {cc.critical_period:.4f})")
 
 basis = vm.build_fourier_basis(period, 16)
-blocks0 = vm.assemble_blocks(state, 0.0, basis, quad)
-modal = vm.modal_truncation(blocks0)
-neg_a1 = vm.count_eigenvalues(modal.a1_values).neg
-neg_a2 = vm.count_eigenvalues(modal.a2_values).neg
-print(f"\nzero-rate blocks: l0 = {blocks0.l:+.6f}, neg(A1) = {neg_a1}, "
-      f"neg(A2) = {neg_a2}")
-print("lowest A2 eigenvalues:", np.round(modal.a2_values[:4], 4))
-
-v = vm.verdict(neg_a1, neg_a2, blocks0.l,
-               ker_a2_trivial=vm.count_eigenvalues(modal.a2_values).zero == 0)
-print(f"verdict: {v.verdict}  ({v.reason})")
-
 n = 6
 grid = vm.default_lambda_grid(period)
 sw = vm.sweep(state, basis, quad, n, grid)
+print(f"\nzero-rate blocks: l0 = {sw.l0:+.6f}, neg(A1) = {sw.neg_a1}, "
+      f"neg(A2) = {sw.neg_a2}")
+print("lowest A2 eigenvalues:", np.round(sw.modal.a2_values[:4], 4))
+print(f"verdict: {sw.verdict.verdict}  ({sw.verdict.reason})")
+
 print(f"\nsweep with n = {n}: zero-rate count {sw.k_count}, "
       f"large-rate count {sw.counts[-1].neg}")
 negs = [c.neg for c in sw.counts]
@@ -51,7 +44,7 @@ print(f"kernel vector: |phi| = {np.linalg.norm(cr.phi):.4f}, "
       f"|psi| = {np.linalg.norm(cr.psi):.4f}, b = {cr.b:+.4f}")
 
 mode = vm.reconstruct(sw, cr)
-rep = vm.residuals(state, mode, basis, quad)
+rep = vm.residuals(mode)
 print("\nresiduals of the reconstructed mode:")
 for name in ("gauss", "ampere1", "ampere2", "continuity", "vlasov_weak"):
     print(f"  {name:12s} {getattr(rep, name):.2e}")

@@ -21,7 +21,7 @@ from .operators import (EvalOptions, ModalBasis, OperatorBlocks, OrbitInfo,
                         node_moments, orbit_info)
 from .spectra import (INCONCLUSIVE, UNSTABLE_T1, UNSTABLE_T2, CountReport,
                       EigenDecomposition, KernelCrossing, SweepResult, VerdictResult,
-                      count_eigenvalues, default_lambda_grid, locate_kernel,
+                      a2_kernel_trivial, count_eigenvalues, default_lambda_grid, locate_kernel,
                       locate_kernel_for_state, modal_truncation, sweep,
                       symmetric_eigen, verdict)
 from .growing_mode import (GrowingMode, ResidualReport, from_coefficients, operator_defect_coeffs,

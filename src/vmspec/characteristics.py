@@ -3,8 +3,9 @@
 Species sign s = +1/-1 fixes the rotation sense: dx/ds = v1/<v>,
 dv1/ds = s * (v2/<v>) * B0(x), dv2/ds = -s * (v1/<v>) * B0(x).  The
 kinetic energy <v> and the canonical momentum v2 + s*psi0(x) are exact
-invariants; the integrator monitors both and halves its step until their
-drift sits below tolerance.
+invariants, checked by ``flow`` alone (it halves its step until their drift
+is below tolerance): ``backward_path``, so ``SmoothingEvaluator``, and the
+orbit engine in ``operators`` check no drift.
 
 Homogeneous states (B0 = 0) use the exact straight-line flow, written once
 in ``backward_path``.

@@ -24,11 +24,10 @@ from . import __version__
 from .discretization import build_fourier_basis, build_velocity_quadrature, integrate_velocity
 from .equilibrium import (WeightSpec, build_profile, check_center_conditions,
                           make_homogeneous_state, solve_equilibrium_potential, validate_profile)
-from .errors import ConfigError, GoldenMismatchError, HypothesisError, QuadratureError, VmspecError
+from .errors import ConfigError, GoldenMismatchError, QuadratureError, VmspecError
 from .growing_mode import reconstruct, residuals
 from .operators import EvalOptions, assemble_blocks
-from .spectra import (INCONCLUSIVE, VerdictResult, count_eigenvalues, default_lambda_grid,
-                      locate_kernel_for_state, sweep, verdict)
+from .spectra import default_lambda_grid, locate_kernel_for_state, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -168,22 +167,22 @@ def _eval_options(cfg, state):
     return EvalOptions(n_per_period=cfg.n_per_period, tol_sym=tol_sym)
 
 
-def _analysis_report(cfg, state, sw, verdict_result, crossing=None, report=None,
-                     extra=None, t_start=None, stages=None):
+def _analysis_report(cfg, sw, crossing=None, report=None, extra=None, t_start=None,
+                     stages=None):
     rep = {
         "config_hash": cfg.hash(),
         "version": __version__,
         "profile": cfg.profile_name,
-        "period": state.period,
-        "homogeneous": state.homogeneous,
-        "verdict": verdict_result.verdict,
-        "verdict_reason": verdict_result.reason,
+        "period": sw.state.period,
+        "homogeneous": sw.state.homogeneous,
+        "verdict": sw.verdict.verdict,
+        "verdict_reason": sw.verdict.reason,
         "l0": sw.l0,
         "neg_a1": sw.neg_a1,
         "neg_a2": sw.neg_a2,
         "k_count": sw.k_count,
         "n": sw.n,
-        "sweep": sweep_summary_dict(sw, verdict_result),
+        "sweep": sweep_summary_dict(sw),
         "crossing": None,
         "residuals": None,
     }
@@ -261,7 +260,7 @@ def write_sweep_csv(path, sw):
                 for j in range(ev.shape[0])))
 
 
-def sweep_summary_dict(sw, verdict_result=None):
+def sweep_summary_dict(sw):
     return {
         "n": sw.n,
         "l0": sw.l0,
@@ -271,13 +270,14 @@ def sweep_summary_dict(sw, verdict_result=None):
         "counts": [{"lambda": float(l), "neg": c.neg, "zero": c.zero, "pos": c.pos}
                    for l, c in zip(sw.lam_grid, sw.counts)],
         "crossings": sw.crossings,
-        "verdict": None if verdict_result is None else verdict_result.verdict,
+        "verdict": sw.verdict.verdict,
     }
 
 
-def export_mode(mode, outdir, report, quad, extra=None):
+def export_mode(mode, outdir, report, extra=None):
     """JSON manifest (plus ``extra``), field table, and a distribution table on
-    about 64 nodes; returns the manifest path."""
+    about 64 of the mode's quadrature nodes; returns the manifest path."""
+    quad = mode.quad
     path = os.path.join(outdir, "mode_manifest.json")
     _write_json(path, {"lambda": mode.lam, "b": mode.b, "nontrivial": mode.nontrivial,
                        "residuals": report.as_dict(), **(extra or {})})
@@ -372,10 +372,9 @@ def _find_mode(cfg, sw, stages):
     Each stage's wall time goes to ``stages``."""
     crossing = _timed(stages, "locate", locate_kernel_for_state, sw, tol_kernel=cfg.tol_kernel)
     mode = _timed(stages, "reconstruct", reconstruct, sw, crossing)
-    report = _timed(stages, "residuals", residuals, sw.state, mode, sw.basis, sw.quad,
-                    tol_residual=cfg.tol_residual)
+    report = _timed(stages, "residuals", residuals, mode, tol_residual=cfg.tol_residual)
     path = _timed(stages, "export", export_mode, mode, _outdir(cfg), report=report,
-                  quad=sw.quad, extra={"config_hash": cfg.hash()})
+                  extra={"config_hash": cfg.hash()})
     return crossing, report, path
 
 
@@ -392,17 +391,6 @@ def cmd_sweep(cfg):
     return EXIT_OK
 
 
-def _verdict_from_sweep(sw, state, tol_eig):
-    # a magnetized A2 kernel holds the translation psi0' in exact arithmetic,
-    # however far roundoff moves its eigenvalue from the zero band; the band
-    # is the one the sweep counted with
-    ker_trivial = state.homogeneous and count_eigenvalues(sw.modal.a2_values, tol_eig).zero == 0
-    try:
-        return verdict(min(sw.n, sw.neg_a1), min(sw.n, sw.neg_a2), sw.l0, ker_trivial)
-    except HypothesisError as exc:
-        return VerdictResult(INCONCLUSIVE, str(exc), sw.neg_a1, sw.neg_a2, sw.l0)
-
-
 def cmd_analyze(cfg):
     t0 = time.time()
     profile, weight, quad = _build_inputs(cfg)
@@ -410,7 +398,6 @@ def cmd_analyze(cfg):
     state = _build_state(cfg, profile, quad)
     stages = {}
     sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
-    vres = _verdict_from_sweep(sw, state, cfg.tol_eig)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}
     if state.meta:
@@ -419,7 +406,7 @@ def cmd_analyze(cfg):
                                  "critical_period") if k in state.meta}
     if cfg.find_mode and sw.crossings:
         crossing, report, _ = _find_mode(cfg, sw, stages)
-    payload = _analysis_report(cfg, state, sw, vres, crossing, report, extra, t0, stages)
+    payload = _analysis_report(cfg, sw, crossing, report, extra, t0, stages)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "analysis.json"), payload)
     if cfg.emit_spectra:
@@ -499,9 +486,7 @@ def cmd_example(cfg, which):
         table, mismatches = _golden_homogeneous(profile, quad)
         state = _build_state(cfg, profile, quad)
         sw = _run_sweep(cfg, state, quad)
-        vres = _verdict_from_sweep(sw, state, cfg.tol_eig)
-        payload = _analysis_report(cfg, state, sw, vres, t_start=t0,
-                                   extra={"golden": table})
+        payload = _analysis_report(cfg, sw, t_start=t0, extra={"golden": table})
         _write_json(os.path.join(out, "example_homogeneous.json"), payload)
         if cfg.emit_spectra:
             write_sweep_csv(os.path.join(out, "spectra.csv"), sw)

@@ -27,8 +27,8 @@ from .operators import assembly_kernel, line_filter, species_pair_moments
 
 @dataclass
 class GrowingMode:
-    """Fields of a mode on the collocation grid, and its distributions f_s
-    as contractions over the velocity nodes (see ``contract``)."""
+    """Fields of a mode on the collocation grid, its distributions f_s as
+    contractions over the velocity nodes (``contract``), and its inputs."""
 
     lam: float
     phi_coeffs: np.ndarray         # full-basis coefficients, zero constant part
@@ -45,6 +45,9 @@ class GrowingMode:
     j1: np.ndarray = None
     j2: np.ndarray = None
     _apply: object = field(repr=False, default=None)
+    state: object = field(repr=False, default=None)    # read by the residuals and export
+    basis: object = field(repr=False, default=None)
+    quad: object = field(repr=False, default=None)
 
     def contract(self, Y=None, cols=None):
         """{s: f_s @ Y} for an (N, K) matrix Y, or {s: f_s[:, cols]} for node indices."""
@@ -79,7 +82,8 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     dpsi = basis.values @ basis.derivative_coeffs(psi_coeffs, 1)
     mode = GrowingMode(lam=float(lam), phi_coeffs=phi_coeffs, psi_coeffs=psi_coeffs,
                        b=float(b), x=x, phi=phi_v, psi=psi_v,
-                       e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi)
+                       e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi,
+                       state=state, basis=basis, quad=quad)
 
     kmax = basis.n_modes // 2
     kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
@@ -183,7 +187,7 @@ def _rel(basis, lhs, rhs, floor):
     return r / scale, r
 
 
-def _weak_vlasov_defect(state, mode, basis, quad, floor):
+def _weak_vlasov_defect(mode, floor):
     """Max relative weak-form transport defect over both species and a
     battery of separable test functions g = X(x) q(vhat) env(e) with
     hand-coded derivatives.  Each species is checked on its own: on a mode
@@ -194,6 +198,7 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
     factor has a closed-form gradient.  Every (x, v) integral reduces to
     x-profiles of the distributions against a handful of velocity vectors.
     """
+    basis, quad = mode.basis, mode.quad
     lam, x, w = mode.lam, basis.x_grid, basis.omega
     wq = basis.quad_weight
     vh1 = quad.v1 / quad.e
@@ -224,7 +229,7 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
     fY = mode.contract(wY)
     src = {sign: [m @ wY[:, 0::3] for m in (mu_e * vh1, mu_p * vh1, mu_e * vh2 + mu_p)]
            for sign, (mu_e, mu_p) in mode.mu.items()}
-    b0, e1, e2, bf = (v[:, None] for v in (state.b0(x), mode.e1, mode.e2, mode.bfield))
+    b0, e1, e2, bf = (v[:, None] for v in (mode.state.b0(x), mode.e1, mode.e2, mode.bfield))
 
     worst = 0.0
     for X, dX in spatial:
@@ -239,14 +244,14 @@ def _weak_vlasov_defect(state, mode, basis, quad, floor):
     return worst
 
 
-def residuals(state, mode, basis, quad, tol_residual=1e-4):
-    """Relative residuals of every linearized field equation.
+def residuals(mode, tol_residual=1e-4):
+    """Relative residuals of every linearized field equation, on the mode's own inputs.
 
     The floor keeps near-zero components from reporting 0/0; the weak
     transport check integrates the equation against the battery instead of
     differentiating f in v.
     """
-    lam = mode.lam
+    lam, basis = mode.lam, mode.basis
     floor = 1e-3 * max(mode.scale, 1e-12)
     d2phi = basis.values @ basis.derivative_coeffs(mode.phi_coeffs, 2)
     d2psi = basis.values @ basis.derivative_coeffs(mode.psi_coeffs, 2)
@@ -257,7 +262,7 @@ def residuals(state, mode, basis, quad, tol_residual=1e-4):
     amp1_rel, amp1_abs = _rel(basis, lam * mode.e1, -mode.j1, floor)
     amp2_rel, amp2_abs = _rel(basis, -lam ** 2 * mode.psi + d2psi, -mode.j2, floor)
     cont_rel, cont_abs = _rel(basis, dj1, -lam * mode.rho, floor)
-    weak = _weak_vlasov_defect(state, mode, basis, quad, floor)
+    weak = _weak_vlasov_defect(mode, floor)
     return ResidualReport(gauss=gauss_rel, ampere1=amp1_rel, ampere2=amp2_rel,
                           continuity=cont_rel, vlasov_weak=weak, tol=tol_residual,
                           abs_gauss=gauss_abs, abs_ampere1=amp1_abs,
@@ -268,7 +273,7 @@ def residuals(state, mode, basis, quad, tol_residual=1e-4):
 # operator-space versus physical-space consistency
 # ---------------------------------------------------------------------------
 
-def physical_defect_coeffs(state, mode, basis, quad):
+def physical_defect_coeffs(mode):
     """Field-equation defects of a mode, projected to coefficient space.
 
     Returns (d1, d2, d3): the mean-zero projection of phi'' + rho, the full
@@ -276,6 +281,7 @@ def physical_defect_coeffs(state, mode, basis, quad):
     int j1 dx - P lam^2 b.  Also returns the two parity integrals dropped
     in the mean-current reduction, which must vanish.
     """
+    basis, quad = mode.basis, mode.quad
     d2phi = basis.values @ basis.derivative_coeffs(mode.phi_coeffs, 2)
     d2psi = basis.values @ basis.derivative_coeffs(mode.psi_coeffs, 2)
     d1 = basis.project(d2phi + mode.rho)[1:]

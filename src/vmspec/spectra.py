@@ -146,6 +146,14 @@ def verdict(neg_a1, neg_a2, l0, ker_a2_trivial):
                          neg_a1, neg_a2, l0)
 
 
+def a2_kernel_trivial(a2_values, homogeneous, tol_eig=None):
+    """Whether A2 at lam = 0 has a trivial kernel: never on a magnetized state,
+    where A2 psi0' = 0 (a shift in x is another equilibrium), however far
+    roundoff moves that eigenvalue; on a homogeneous one, when no eigenvalue
+    lies in the zero band of ``count_eigenvalues(a2_values, tol_eig)``."""
+    return bool(homogeneous) and count_eigenvalues(a2_values, tol_eig).zero == 0
+
+
 def modal_truncation(blocks0, tol_eig=None):
     """Eigenpairs of the lam = 0 diagonal blocks, with the kernel guard.
 
@@ -181,6 +189,7 @@ class SweepResult:
     neg_a1: int
     neg_a2: int
     k_count: int                   # n - neg(A1) + neg(A2) + neg(l0)
+    verdict: VerdictResult         # from the counts capped at n; INCONCLUSIVE when l0 ~ 0
     modal: ModalBasis = field(repr=False, default=None)
     blocks0: object = field(repr=False, default=None)
     assembly: object = field(repr=False, default=None)     # the AssemblyKernel
@@ -201,9 +210,9 @@ def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
 def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     """Counts of negative eigenvalues of the truncated matrix across lam.
 
-    Records the full spectra and every interval where the negative count
-    changes, and keeps its inputs and the matrix family ``lam -> M(lam)``
-    for the kernel search and the mode reconstruction.
+    Records the full spectra, every count-change interval and the verdict
+    of the lam = 0 counts, and keeps its inputs and the matrix family
+    ``lam -> M(lam)`` for the kernel search and the mode reconstruction.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
@@ -228,9 +237,14 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     neg_a1 = count_eigenvalues(modal.a1_values, tol_eig).neg
     neg_a2 = count_eigenvalues(modal.a2_values, tol_eig).neg
     k_count = n - min(n, neg_a1) + min(n, neg_a2) + neg_scalar(blocks0.l)
+    ker_trivial = a2_kernel_trivial(modal.a2_values, state.homogeneous, tol_eig)
+    try:
+        vres = verdict(min(n, neg_a1), min(n, neg_a2), blocks0.l, ker_trivial)
+    except HypothesisError as exc:
+        vres = VerdictResult(INCONCLUSIVE, str(exc), neg_a1, neg_a2, blocks0.l)
     return SweepResult(lam_grid=lam_grid, eigenvalues=eigenvalues, counts=counts,
                        crossings=crossings, n=n, l0=blocks0.l,
-                       neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count,
+                       neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count, verdict=vres,
                        modal=modal, blocks0=blocks0, assembly=kernel, state=state,
                        basis=basis, quad=quad, opts=opts, family=family)
 

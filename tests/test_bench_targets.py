@@ -46,3 +46,24 @@ def test_benchmark_workload_passes_its_check(workload, tmp_path, monkeypatch):
     setup, run, check = workloads.WORKLOADS[workload]
     ctx = setup(vm, workloads.draw_inputs(0), str(tmp_path))
     assert check(run(vm, ctx), None) == []
+
+
+def test_mag_verdict_agrees_with_the_library_kernel_rule(tmp_path, monkeypatch):
+    # the workload reads the A2 zero band to judge the kernel, where the
+    # library never calls a magnetized kernel trivial; on the seed-0 blocks
+    # both give the same verdict, and this fails once the two rules disagree
+    workloads = _load("workloads")
+    setup, run, _ = workloads.WORKLOADS["mag-verdict"]
+    ctx = setup(vm, workloads.draw_inputs(0), str(tmp_path))
+    kept, assemble = [], vm.assemble_blocks
+
+    def keep(*args):
+        kept.append(assemble(*args))
+        return kept[-1]
+    monkeypatch.setattr(vm, "assemble_blocks", keep)
+    out = run(vm, ctx)
+    blocks0, = kept
+    a2_values = vm.modal_truncation(blocks0).a2_values
+    ker_trivial = vm.a2_kernel_trivial(a2_values, ctx["state"].homogeneous)
+    want = vm.verdict(out["neg_a1"], out["neg_a2"], out["l0"], ker_trivial)
+    assert out["verdict"] == want.verdict

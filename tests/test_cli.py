@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,12 +283,16 @@ def test_emit_spectra_csv(tmp_path, monkeypatch):
 
 
 def test_sweep_subcommand(tmp_path, monkeypatch):
-    code = run(["--profile", "weakfield_family", "--period", "9.43",
-                "--n", "3", "--n-x", "8", "sweep"], tmp_path, monkeypatch)
-    assert code == cli.EXIT_OK
+    args = ["--profile", "weakfield_family", "--period", "9.43", "--n", "3", "--n-x", "8"]
+    assert run(args + ["sweep"], tmp_path, monkeypatch) == cli.EXIT_OK
     assert (tmp_path / "out" / "sweep.csv").exists()
     summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert summary["k_count"] == 6
+    # the sweep carries its verdict: the one analyze reports on the same config
+    assert run(args + ["analyze"], tmp_path, monkeypatch, out="an") == cli.EXIT_OK
+    analysis = json.loads((tmp_path / "an" / "analysis.json").read_text())
+    assert summary["verdict"] == analysis["verdict"] == analysis["sweep"]["verdict"]
+    assert summary["verdict"] == "UNSTABLE_T1"
 
 
 def test_magnetized_assemble_applies_and_records_tol_sym(tmp_path, monkeypatch, capsys):
@@ -325,24 +328,6 @@ def test_magnetized_analyze_reports_cut_lanes(tmp_path, monkeypatch):
     assert sorted(cut) == ["count", "lanes", "mu_e_share"]
     assert (cut["count"], cut["lanes"]) == (416, 6656)
     assert 0.0 < cut["mu_e_share"] < 0.1
-
-
-def test_verdict_treats_a_magnetized_a2_kernel_as_nontrivial():
-    # in exact arithmetic A2 psi0' = 0 on a magnetized state, however far
-    # roundoff moves the translation eigenvalue out of the zero band, so a
-    # count mismatch alone must not give UNSTABLE_T2 there
-    sw = SimpleNamespace(n=3, neg_a1=1, neg_a2=0, l0=-2.0,
-                         modal=SimpleNamespace(a2_values=np.array([3.4e-7, 0.5, 1.0])))
-    for homogeneous, want in ((False, "INCONCLUSIVE"), (True, "UNSTABLE_T2")):
-        got = cli._verdict_from_sweep(sw, SimpleNamespace(homogeneous=homogeneous), None)
-        assert got.verdict == want, homogeneous
-    # the kernel is judged in the band the sweep counted with: at tol.eig =
-    # 1e-5 the eigenvalue -1e-6 is a zero, not a negative, so the kernel is
-    # nontrivial; the default band would count it negative and read UNSTABLE_T2
-    sw.modal.a2_values = np.array([-1e-6, 1.0, 2.0])
-    homogeneous = SimpleNamespace(homogeneous=True)
-    assert cli._verdict_from_sweep(sw, homogeneous, 1e-5).verdict == "INCONCLUSIVE"
-    assert cli._verdict_from_sweep(sw, homogeneous, None).verdict == "UNSTABLE_T2"
 
 
 def test_weakfield_equilibrium_subcommand(tmp_path, monkeypatch):

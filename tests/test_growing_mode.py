@@ -23,7 +23,7 @@ def test_zero_vector_reconstructs_zero_mode(aniso_state, aniso_quad):
     basis = vm.build_fourier_basis(aniso_state.period, 8)
     mode = vm.from_coefficients(aniso_state, 0.5, np.zeros(basis.n_functions),
                                 np.zeros(basis.n_functions), 0.0, basis, aniso_quad)
-    rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
+    rep = vm.residuals(mode)
     assert not mode.nontrivial
     for r in (rep.gauss, rep.ampere1, rep.ampere2, rep.continuity, rep.vlasov_weak):
         assert r == 0.0
@@ -47,7 +47,7 @@ def test_vacuum_mean_field_mode_fails_first_current_equation(zero_profile, paper
     lam, b = 0.7, 1.0
     mode = vm.from_coefficients(state, lam, np.zeros(basis.n_functions),
                                 np.zeros(basis.n_functions), b, basis, paper_quad)
-    rep = vm.residuals(state, mode, basis, paper_quad)
+    rep = vm.residuals(mode)
     assert abs(rep.abs_ampere1 - lam**2 * abs(b)) <= 1e-12
     assert rep.ampere1 > 0.5       # relative residual saturates
     assert rep.gauss == 0.0 and rep.ampere2 == 0.0
@@ -64,8 +64,7 @@ def test_manufactured_equivalence_homogeneous(paper_state, paper_quad):
             psi = rng.standard_normal(basis.n_functions)
             b = float(rng.standard_normal())
             mode = vm.from_coefficients(paper_state, lam, phi, psi, b, basis, paper_quad)
-            d1p, d2p, d3p, dropped = vm.physical_defect_coeffs(paper_state, mode,
-                                                               basis, paper_quad)
+            d1p, d2p, d3p, dropped = vm.physical_defect_coeffs(mode)
             d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode)
             scale = max(np.max(np.abs(d1o)), np.max(np.abs(d2o)), abs(d3o), 1e-12)
             assert np.max(np.abs(d1p - d1o)) <= 1e-6 * scale
@@ -90,7 +89,7 @@ def test_manufactured_equivalence_magnetized(weak_state, aniso_coarse_quad):
     b = float(rng.standard_normal())
     mode = vm.from_coefficients(weak_state, lam, phi, psi, b, basis,
                                 aniso_coarse_quad, opts)
-    d1p, d2p, d3p, _ = vm.physical_defect_coeffs(weak_state, mode, basis, aniso_coarse_quad)
+    d1p, d2p, d3p, _ = vm.physical_defect_coeffs(mode)
     d1o, d2o, d3o = vm.operator_defect_coeffs(blocks, mode)
     scale = max(np.max(np.abs(d1o)), np.max(np.abs(d2o)), abs(d3o), 1e-12)
     assert np.max(np.abs(d1p - d1o)) <= 1e-4 * scale
@@ -100,10 +99,10 @@ def test_manufactured_equivalence_magnetized(weak_state, aniso_coarse_quad):
     assert abs(d3p - d3o) <= 1e-3 * scale
 
 
-def test_end_to_end_mode_passes_residuals(aniso_state, aniso_quad, aniso_pipeline):
+def test_end_to_end_mode_passes_residuals(aniso_pipeline):
     basis, sw, cr = aniso_pipeline
     mode = vm.reconstruct(sw, cr)
-    rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
+    rep = vm.residuals(mode)
     assert mode.nontrivial
     assert rep.passed, rep.as_dict()
     assert max(rep.gauss, rep.ampere1, rep.ampere2, rep.continuity,
@@ -115,7 +114,17 @@ def test_end_to_end_mode_passes_residuals(aniso_state, aniso_quad, aniso_pipelin
     assert abs(basis.project(mode.phi)[0]) <= 1e-12
 
 
-def test_weak_transport_check_sees_a_wrong_rate(aniso_state, aniso_quad, aniso_pipeline):
+def test_mode_records_the_sweep_inputs(aniso_pipeline):
+    # the residuals and the export read the state, basis and quadrature from
+    # the mode, so it must carry the very objects the sweep was built on
+    _, sw, cr = aniso_pipeline
+    mode = vm.reconstruct(sw, cr)
+    assert mode.state is sw.state
+    assert mode.basis is sw.basis
+    assert mode.quad is sw.quad
+
+
+def test_weak_transport_check_sees_a_wrong_rate(aniso_quad, aniso_pipeline):
     # on a homogeneous mode f+ = -f-, so the two species' weak equations
     # cancel in their sum and read 0 = 0 whatever lam is; checked species by
     # species, a rate 1% off fails
@@ -123,9 +132,9 @@ def test_weak_transport_check_sees_a_wrong_rate(aniso_state, aniso_quad, aniso_p
     mode = vm.reconstruct(sw, cr)
     f = mode.contract(cols=np.arange(0, aniso_quad.n_nodes, 97))
     assert np.max(np.abs(f[+1] + f[-1])) <= 1e-12 * np.max(np.abs(f[-1]))
-    assert vm.residuals(aniso_state, mode, basis, aniso_quad).vlasov_weak <= 1e-12
+    assert vm.residuals(mode).vlasov_weak <= 1e-12
     wrong = dataclasses.replace(mode, lam=1.01 * mode.lam)
-    assert vm.residuals(aniso_state, wrong, basis, aniso_quad).vlasov_weak > 1e-2
+    assert vm.residuals(wrong).vlasov_weak > 1e-2
 
 
 def test_mode_rate_stable_under_doubling(aniso_state, aniso_quad, aniso_pipeline):
@@ -136,11 +145,10 @@ def test_mode_rate_stable_under_doubling(aniso_state, aniso_quad, aniso_pipeline
     assert abs(cr2.lambda_star - cr.lambda_star) <= 0.05 * cr.lambda_star
 
 
-def test_mode_export(tmp_path, aniso_state, aniso_quad, aniso_pipeline):
+def test_mode_export(tmp_path, aniso_pipeline):
     basis, sw, cr = aniso_pipeline
     mode = vm.reconstruct(sw, cr)
-    rep = vm.residuals(aniso_state, mode, basis, aniso_quad)
-    manifest = cli.export_mode(mode, tmp_path, report=rep, quad=aniso_quad)
+    manifest = cli.export_mode(mode, tmp_path, report=vm.residuals(mode))
     import json
     with open(manifest) as fh:
         data = json.load(fh)
@@ -226,8 +234,8 @@ def test_mode_stages_stay_below_one_distribution_array(tmp_path):
     tracemalloc.start()
     try:
         mode = vm.reconstruct(sw, crossing)
-        report = vm.residuals(state, mode, basis, quad)
-        cli.export_mode(mode, tmp_path, report=report, quad=quad)
+        report = vm.residuals(mode)
+        cli.export_mode(mode, tmp_path, report=report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

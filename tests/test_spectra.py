@@ -81,6 +81,25 @@ def test_verdict_table():
         vm.verdict(0, 1, 0.0, ker_a2_trivial=True)
 
 
+def test_verdict_treats_a_magnetized_a2_kernel_as_nontrivial():
+    # in exact arithmetic A2 psi0' = 0 on a magnetized state, however far
+    # roundoff moves the translation eigenvalue out of the zero band, so a
+    # count mismatch alone must not give UNSTABLE_T2 there
+    def decide(a2_values, homogeneous, tol_eig=None):
+        a2_values = np.array(a2_values)
+        neg_a2 = vm.count_eigenvalues(a2_values, tol_eig).neg
+        ker_trivial = vm.a2_kernel_trivial(a2_values, homogeneous, tol_eig)
+        return vm.verdict(2, neg_a2, -2.0, ker_trivial).verdict
+
+    assert decide([3.4e-7, 0.5, 1.0], homogeneous=False) == vm.INCONCLUSIVE
+    assert decide([3.4e-7, 0.5, 1.0], homogeneous=True) == vm.UNSTABLE_T2
+    # the kernel is judged in the band the counts used: at tol_eig = 1e-5 the
+    # eigenvalue -1e-6 is a zero, not a negative, so the kernel is nontrivial;
+    # the default band counts it negative, and the kernel is trivial
+    assert decide([-1e-6, 1.0, 2.0], True, tol_eig=1e-5) == vm.INCONCLUSIVE
+    assert decide([-1e-6, 1.0, 2.0], True) == vm.UNSTABLE_T2
+
+
 def test_modal_guard_rejects_zero_mode():
     blocks = type("B", (), {})()
     blocks.lam = 0.0
@@ -98,6 +117,9 @@ def test_sweep_zero_profile_counts(zero_profile, paper_quad):
     sw = vm.sweep(state, basis, quad=paper_quad, n=4, lam_grid=grid)
     assert all(c.neg == 5 for c in sw.counts)            # n + 1 everywhere
     assert sw.crossings == []
+    # l0 = 0 breaks the hypothesis: the sweep's verdict says so, not raises
+    assert sw.verdict.verdict == vm.INCONCLUSIVE
+    assert sw.verdict.reason.startswith("hypothesis failure: l0 ~ 0")
     assert sw.k_count == 4                               # l = 0 contributes nothing
 
 
