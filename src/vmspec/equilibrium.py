@@ -19,6 +19,7 @@ from .discretization import integrate_velocity
 from .errors import OrbitError, ProfileEvaluationError, QuadratureError, VmspecError
 
 ENERGY_FLOOR = 1.0
+_ROUNDER = 1.5 * 2.0 ** 52     # x + _ROUNDER - _ROUNDER == rint(x) for |x| < 2^51
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,12 @@ def validate_profile(profile, weight, tol_validate=1e-12):
     500 energies up to where w drops by 1e12, 241 momenta on [-40, 40]."""
     e_max = (1.0 + ENERGY_FLOOR) * (1e12) ** (1.0 / weight.alpha)   # w(e_max) < 1e-12 w(1)
     # log-spaced energies resolve the near-floor region; kink neighborhoods added
-    e = np.unique(np.concatenate([
+    e = np.sort(np.concatenate([
         1.0 + np.geomspace(1e-9, e_max - 1.0, 500),
         np.concatenate([[k - 1e-9, k, k + 1e-9] for k in profile.kinks]) if profile.kinks else [],
         [ENERGY_FLOOR],
     ]))
+    e = e[np.r_[True, e[1:] != e[:-1]]]     # drop repeats (np.unique loads numpy.ma)
     p = np.linspace(-40.0, 40.0, 241)
     E, Pm = np.meshgrid(e, p, indexing="ij")
 
@@ -133,12 +135,23 @@ class MagneticPotential:
     The field b0 = dpsi0/dx is the exact spectral derivative, so its mean
     over one period vanishes identically.  One coefficient table per
     derivative order, a_k = (1 if k == 0 else 2) (i k omega)^order c_k on
-    k = 0..max kept k with zeros at dropped harmonics, is built once here;
-    each evaluation is one exp(i omega x) and one Horner pass over a table.
-    ``b_max`` is max |b| on the samples, also computed once.  ``even`` says
-    that psi0 is even about x = 0 (so b0 is odd): the odd part of the
-    samples, max |Im c_k|, is within the representation bound 1e-9.
+    k = 0..max kept k with zeros at dropped harmonics, is built once here.
+    ``psi`` and ``d2psi`` sum it directly, one exp(i omega x) and one
+    Horner pass over the harmonics (``_synth``, the spectral reference).
+    ``b``, which the orbit marches call at every RK4 stage, reads a local
+    Taylor table instead: rows b0^(m)(x_j)/m!, m = 0..6, at L uniform
+    points x_j = jP/L, each row one inverse FFT.  L is the smallest power
+    of two >= 256 whose remainder bound sum_k |b_k| (k omega P/2L)^7/7!
+    is at most 2^-60 of max |b| (docs/DECISIONS.md section 8), so an
+    evaluation is a gather and a degree-6 Horner pass in x - x_j, whatever
+    the number of harmonics.  ``b_max`` is max |b| on the samples, also
+    computed once.  ``even`` says that psi0 is even about x = 0 (so b0 is
+    odd): the odd part of the samples, max |Im c_k|, is within the
+    representation bound 1e-9.
     """
+
+    TAYLOR_ORDER = 6
+    MAX_TABLE = 2 ** 16
 
     def __init__(self, period, samples):
         self.period = float(period)
@@ -164,7 +177,35 @@ class MagneticPotential:
         k = np.arange(kmax + 1)
         self._omega = 2.0 * np.pi / self.period
         self._tables = [a * (1j * k * self._omega) ** order for order in range(3)]
+        self._build_field_table()
         self.b_max = float(np.max(np.abs(self.b(self.samples_x))))
+
+    def _build_field_table(self):
+        """Rows b0^(m)(x_j)/m! at x_j = jP/L, m = 0..TAYLOR_ORDER, for the
+        smallest admissible L (see the class docstring)."""
+        bk = self._tables[1]
+        k = np.arange(bk.size)
+        # the rule's scale: max |b| on the samples, spectrally
+        n = self.samples.size
+        b_ref = float(np.max(np.abs(np.fft.irfft(0.5 * bk, n) * n)))
+        # the Taylor remainder at |x - x_j| <= P/2L is at most tail / L^(order+1);
+        # L > 2K keeps every harmonic below the table's Nyquist
+        order = self.TAYLOR_ORDER
+        tail = float(np.sum(np.abs(bk) * (np.pi * k) ** (order + 1))) / math.factorial(order + 1)
+        L = 256
+        while L <= 2 * k[-1] or tail / L ** (order + 1) > 2.0 ** -60 * b_ref:
+            L *= 2
+            if L > self.MAX_TABLE:
+                raise VmspecError("field table needs more than %d points for %d harmonics"
+                                  % (self.MAX_TABLE, k[-1]))
+        m = np.arange(order + 1)[:, None]
+        fact = np.array([math.factorial(i) for i in range(order + 1)])[:, None]
+        # Re sum_k c_k exp(2 pi i k j / L) = L irfft(c / 2) for k >= 1; b_0 = 0
+        rows = np.fft.irfft(0.5 * bk * (1j * k * self._omega) ** m / fact, L, axis=1) * L
+        self._rows = tuple(rows)
+        self._table_size = L
+        self._spacing = self.period / L
+        self._per_point = L / self.period
 
     def _synth(self, x, order):
         a = self._tables[order]
@@ -179,7 +220,21 @@ class MagneticPotential:
         return self._synth(x, 0)
 
     def b(self, x):
-        return self._synth(x, 1)
+        """b0 at ``x`` (any shape, unwrapped or negative) from the Taylor
+        table: j = rint(x / h) and d = x - j h with h = P/L, then Horner in
+        d over the rows gathered at j mod L.  Adding 1.5 * 2^52 rounds x / h
+        to the nearest integer in the low mantissa bits, where the int64
+        view reads j mod L with no float-to-int cast, so a NaN x gives NaN
+        with no warning; exact for |x / h| < 2^51."""
+        y = np.multiply(x, self._per_point) + _ROUNDER
+        i = y.view(np.int64) & (self._table_size - 1)
+        d = x - (y - _ROUNDER) * self._spacing
+        rows = self._rows
+        acc = rows[-1].take(i)
+        for row in rows[-2::-1]:
+            acc *= d           # a fresh array, or a numpy scalar on 0-d input
+            acc += row.take(i)
+        return acc
 
     def d2psi(self, x):
         return self._synth(x, 2)

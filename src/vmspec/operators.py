@@ -171,7 +171,7 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
     lane = np.arange(n)
     g = np.zeros(n, dtype=int) if groups is None else np.asarray(groups)
     wt = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    total = [float(np.sum(wt[g == k])) for k in range(int(g.max()) + 1)]
+    total = np.bincount(g, wt)
     xs = x0.astype(float)
     x = xs.copy()                  # never wrapped: the field is periodic anyway
     u = v1.astype(float).copy()
@@ -191,10 +191,8 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
         # the horizon treatment anyway; a group stops once they hold
         # negligible mass of its weight
         if t > min_t:
-            for k in np.unique(g[live]):
-                mine = live & (g == k)
-                if float(np.sum(wt[mine])) < 5e-4 * total[k]:
-                    live &= ~mine
+            spent = np.bincount(g[live], wt[live], minlength=total.size) < 5e-4 * total
+            live &= ~spent[g]
             if not live.any():
                 break
         xn, un, wn = rk4_step_arrays(state, sign, x, u, w, dt, b)

@@ -81,19 +81,25 @@ def _textbook_rk4(state, sign, y, h):
 
 
 def test_rk4_step_matches_textbook_rk4(weak_state):
+    # lanes as the orbit engine passes them, with a scalar or a per-lane
+    # step; one lane as a 1-element array (orbit_info) and as 0-d numpy
+    # scalars (backward_path), where in-place sums must still land
     rng = np.random.default_rng(5)
     n = 64
     y = np.array([rng.uniform(0.0, weak_state.period, n), rng.uniform(-2, 2, n),
                   rng.uniform(-2, 2, n)])
+    cases = [(y, -0.1), (y, rng.uniform(-0.2, 0.2, n)), (y[:, :1], 0.15),
+             (y[:, :1], np.array([-0.15])), (y[:, 0], -0.15)]
     for sign in (+1, -1):
-        for h in (-0.1, rng.uniform(-0.2, 0.2, n)):
-            want = _textbook_rk4(weak_state, sign, y, h)
-            got = np.array(rk4_step_arrays(weak_state, sign, *y, h))
+        for lanes, h in cases:
+            want = _textbook_rk4(weak_state, sign, lanes, h)
+            got = rk4_step_arrays(weak_state, sign, *lanes, h)
             for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
                 assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
             # a start field handed in is used as is
-            handed = rk4_step_arrays(weak_state, sign, *y, h, b0=weak_state.b0(y[0]))
-            assert np.array_equal(np.array(handed), got)
+            handed = rk4_step_arrays(weak_state, sign, *lanes, h, b0=weak_state.b0(lanes[0]))
+            assert np.array_equal(np.array(handed), np.array(got))
 
 
 def test_rk4_step_field_calls(weak_state, monkeypatch):

@@ -174,25 +174,45 @@ def _synth_by_harmonic(pot, x, order):
     return np.real(acc), size
 
 
-def test_horner_synthesis_matches_the_harmonic_loop(weak_state):
-    # both paths add about 2K roundings of sum |a_k| in float64 with K = 9
-    # harmonics here, a few 1e-15; 1e-13 leaves a wide margin.  x is not
-    # wrapped, as in the period detector.
-    pot = weak_state.potential
-    P = pot.period
+def test_horner_synthesis_matches_the_harmonic_loop(weak_state, aniso_profile,
+                                                   aniso_coarse_quad):
+    # psi and d2psi sum about 2K roundings of sum |a_k| in float64; b reads
+    # a degree-6 Taylor table whose remainder bound is 2^-60 of b_max and
+    # whose rows carry the inverse FFT's roundoff.  Either is a few 1e-15 of
+    # sum |a_k|, here with K = 9, 20 and 145 harmonics (weak field, eps 0.4
+    # and 1.025), so 1e-13 leaves a wide margin.  x is not wrapped, as in
+    # the period detector.  The zero potential's field is exactly 0.
+    prof, _ = aniso_profile
+    pots = [weak_state.potential, vm.MagneticPotential.zero(6.0)]
+    pots += [vm.solve_equilibrium_potential(prof, eps, aniso_coarse_quad).potential
+             for eps in (0.4, 1.025)]
+    assert [p._tables[1].size - 1 for p in pots[2:]] == [20, 145]
     rng = np.random.default_rng(3)
-    inputs = [np.float64(0.37 * P), 25.0 * P, np.array([-2.9 * P]),
-              rng.uniform(-3.0 * P, 25.0 * P, size=(7, 40))]
-    for order, fn in enumerate((pot.psi, pot.b, pot.d2psi)):
-        for x in inputs:
-            got = fn(x)
-            want, size = _synth_by_harmonic(pot, x, order)
-            assert np.shape(got) == np.shape(x)
-            assert np.max(np.abs(got - want)) <= 1e-13 * size
-    # the field is a spectral derivative: its mean over one period vanishes
-    _, size = _synth_by_harmonic(pot, 0.0, 1)
-    assert abs(np.mean(pot.b(pot.samples_x))) <= 1e-13 * size
-    assert pot.b_max == np.max(np.abs(pot.b(pot.samples_x)))
+    for pot in pots:
+        P = pot.period
+        inputs = [np.float64(0.37 * P), 25.0 * P, np.array([-2.9 * P]),
+                  rng.uniform(-3.0 * P, 25.0 * P, size=(7, 40))]
+        for order, fn in enumerate((pot.psi, pot.b, pot.d2psi)):
+            for x in inputs:
+                got = fn(x)
+                want, size = _synth_by_harmonic(pot, x, order)
+                assert np.shape(got) == np.shape(x)
+                assert np.max(np.abs(got - want)) <= 1e-13 * size
+        # the field is a spectral derivative: its mean over one period vanishes
+        _, size = _synth_by_harmonic(pot, 0.0, 1)
+        assert abs(np.mean(pot.b(pot.samples_x))) <= 1e-13 * size
+        assert pot.b_max == np.max(np.abs(pot.b(pot.samples_x)))
+        # a non-finite position gives NaN, with no warning (warnings are errors)
+        assert np.isnan(pot.b(np.nan))
+        assert np.isnan(pot.b(np.array([0.3, np.nan]))[1])
+    assert pots[1].b_max == 0.0
+    assert not np.any(pots[1].b(rng.uniform(-20.0, 200.0, size=300)))
+    # one full-size harmonic at k = 180 needs the largest table, L = 2^16;
+    # at k = 200 no table up to that size meets the remainder bound
+    wave = lambda k: np.cos(2.0 * np.pi * k * np.arange(1024) / 1024)
+    assert vm.MagneticPotential(6.0, wave(180))._table_size == 2 ** 16
+    with pytest.raises(VmspecError, match="field table"):
+        vm.MagneticPotential(6.0, wave(200))
 
 
 def test_find_center_amplitude_reports_positive_basin(aniso_profile, aniso_coarse_quad):

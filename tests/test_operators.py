@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -730,3 +733,24 @@ def test_symmetrize_error_names_the_worst_entry():
         ops._symmetrize(Mx, "A2", 1e-8, {})
     msg = str(err.value)
     assert "A2 asymmetry 1.000e-03" in msg and "(0, 2)" in msg
+
+
+def test_validation_and_orbit_moments_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, 15-18 ms a process; the
+    # validation grid and the period pass's stop rule must do without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "\n".join([
+        "import sys, numpy as np, vmspec as vm",
+        "prof, weight = vm.build_profile('weakfield_family')",
+        "assert vm.validate_profile(prof, weight).passed",
+        "quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=16, n_theta=16,",
+        "                                    n_r_tail=4)",
+        "state = vm.solve_equilibrium_potential(prof, 0.05, quad)",
+        "assert not vm.node_moments(state, -1, 0.0, quad, 1, 0.3).resolved.all()",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
