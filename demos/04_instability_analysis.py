@@ -2,10 +2,11 @@
 
 The anisotropic family carries a positive momentum-anisotropy moment, so
 on any period above the critical one, the magnetic-field operator picks
-up negative eigenvalues at zero growth rate while the large-rate count is
-always n+1.  The count mismatch forces an eigenvalue of the truncated
-matrix through zero; at the crossing a kernel vector reconstructs into a
-physical growing mode that satisfies every linearized field equation.
+up negative eigenvalues at zero growth rate, while at large rates it has
+none.  The truncated matrix splits into an electric pencil on (phi, b) and
+this magnetic pencil on psi; the magnetic count change forces one of its
+eigenvalues through zero, and at the crossing a kernel vector reconstructs
+into a physical growing mode that satisfies every linearized field equation.
 """
 
 import numpy as np
@@ -34,14 +35,15 @@ print(f"\nsweep with n = {n}: zero-rate count {sw.k_count}, "
       f"large-rate count {sw.counts[-1].neg}")
 negs = [c.neg for c in sw.counts]
 print("negative counts across the grid:", negs)
-print("count-change intervals:", [(round(c['lam_lo'], 4), round(c['lam_hi'], 4))
+for p, pn in sw.pencil_counts.items():
+    print(f"  {p:8s} pencil: {pn[0]} -> {pn[-1]}")
+print("count-change intervals:", [(c['pencil'], round(c['lam_lo'], 4), round(c['lam_hi'], 4))
                                   for c in sw.crossings])
 
 cr = vm.locate_kernel_for_state(sw)
 print(f"\nkernel crossing at lambda* = {cr.lambda_star:.8f} "
       f"(smallest |eigenvalue| {cr.min_abs_eig:.2e})")
-print(f"kernel vector: |phi| = {np.linalg.norm(cr.phi):.4f}, "
-      f"|psi| = {np.linalg.norm(cr.psi):.4f}, b = {cr.b:+.4f}")
+print(f"kernel vector: {cr.vector.size} {cr.pencil} coordinates")
 
 mode = vm.reconstruct(sw, cr)
 rep = vm.residuals(mode)

@@ -187,8 +187,8 @@ def _analysis_report(cfg, sw, crossing=None, report=None, extra=None, t_start=No
         "residuals": None,
     }
     if crossing is not None:
-        rep["crossing"] = {"lambda_star": crossing.lambda_star,
-                           "min_abs_eig": crossing.min_abs_eig, "b": crossing.b}
+        rep["crossing"] = {"lambda_star": crossing.lambda_star, "pencil": crossing.pencil,
+                           "min_abs_eig": crossing.min_abs_eig}
     if report is not None:
         rep["residuals"] = report.as_dict()
     if extra:
@@ -234,11 +234,12 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
-    """Integers as they are, every other value as ``repr(float(v))``."""
+    """Integers and strings as they are, every other value as ``repr(float(v))``."""
     with _open_out(path) as fh:
         wtr = csv.writer(fh)
         wtr.writerow(header)
-        wtr.writerows([v if isinstance(v, int) else repr(float(v)) for v in row] for row in rows)
+        wtr.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
+                      for row in rows)
 
 
 def export_blocks(blocks, outdir, stem, extra):
@@ -254,10 +255,9 @@ def export_blocks(blocks, outdir, stem, extra):
 
 
 def write_sweep_csv(path, sw):
-    ev = sw.eigenvalues
-    _write_csv(path, ["lambda", "eig_index", "eigenvalue"],
-               ((lam, j, ev[j, i]) for i, lam in enumerate(sw.lam_grid)
-                for j in range(ev.shape[0])))
+    _write_csv(path, ["lambda", "pencil", "eig_index", "eigenvalue"],
+               ((lam, p, j, v) for i, lam in enumerate(sw.lam_grid)
+                for p, ev in sw.eigenvalues.items() for j, v in enumerate(ev[:, i])))
 
 
 def sweep_summary_dict(sw):
@@ -267,8 +267,9 @@ def sweep_summary_dict(sw):
         "neg_a1": sw.neg_a1,
         "neg_a2": sw.neg_a2,
         "k_count": sw.k_count,
-        "counts": [{"lambda": float(l), "neg": c.neg, "zero": c.zero, "pos": c.pos}
-                   for l, c in zip(sw.lam_grid, sw.counts)],
+        "counts": [{"lambda": float(l), "neg": c.neg, "zero": c.zero, "pos": c.pos,
+                    "neg_by_pencil": {p: negs[i] for p, negs in sw.pencil_counts.items()}}
+                   for i, (l, c) in enumerate(zip(sw.lam_grid, sw.counts))],
         "crossings": sw.crossings,
         "verdict": sw.verdict.verdict,
     }

@@ -55,7 +55,7 @@ class GrowingMode:
 
     @property
     def nontrivial(self):
-        return bool(np.linalg.norm(self.psi_coeffs) + abs(self.b) > 1e-12)
+        return self.scale > 1e-12
 
     @property
     def scale(self):
@@ -134,19 +134,20 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
 def reconstruct(sweep_result, crossing):
     """Physical mode from a kernel vector located on a sweep's family.
 
-    The kernel coordinates live in the modal bases of the lam = 0 blocks;
-    they are synthesized back to trigonometric coefficients first.  The mode
-    is built on the sweep's state, basis, quadrature, options and
-    ``AssemblyKernel``.
+    An electric kernel vector holds (phi, b), a magnetic one psi, in the
+    modal bases of the lam = 0 blocks; they are synthesized back to
+    trigonometric coefficients first.  The mode is built on the sweep's
+    state, basis, quadrature, options and ``AssemblyKernel``.
     """
-    sw, n = sweep_result, crossing.n
-    phi_mz = sw.modal.a1_vectors[:, :n] @ crossing.phi
-    psi_full = sw.modal.a2_vectors[:, :n] @ crossing.psi
+    sw, n, v = sweep_result, sweep_result.n, crossing.vector
+    phi, psi, b = ((v[:n], np.zeros(n), v[n]) if crossing.pencil == "electric"
+                   else (np.zeros(n), v, 0.0))
     # zero-mean coefficients sit behind the constant, function 0
     phi_full = np.zeros(sw.basis.n_functions)
-    phi_full[1:] = phi_mz
-    return from_coefficients(sw.state, crossing.lambda_star, phi_full, psi_full,
-                             crossing.b, sw.basis, sw.quad, sw.opts, sw.assembly)
+    phi_full[1:] = sw.modal.a1_vectors[:, :n] @ phi
+    return from_coefficients(sw.state, crossing.lambda_star, phi_full,
+                             sw.modal.a2_vectors[:, :n] @ psi, b, sw.basis, sw.quad, sw.opts,
+                             sw.assembly)
 
 
 # ---------------------------------------------------------------------------

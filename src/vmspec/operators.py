@@ -725,12 +725,12 @@ class ModalBasis:
 
 
 def assemble_M(blocks, n, modal):
-    """Truncated symmetric matrix of size 2n+1 in the modal coordinates.
-
-    The psi rows and columns couple to nothing (B = D = 0).  At lam = 0
-    the coupling C must already be at quadrature-noise level; it is checked
-    against TOL_ZERO and frozen out, which realizes the exact
-    block-diagonal form the counting argument relies on.
+    """(electric, magnetic): the two diagonal blocks of the truncated matrix,
+    ``[[-A1, C], [C^T, -P(lam^2 - l)]]`` on (phi, b) and ``A2`` on psi, in
+    the modal coordinates (B = D = 0 couple psi to nothing).  At lam = 0 the
+    coupling C must already be at quadrature-noise level; it is checked
+    against TOL_ZERO and frozen out, which realizes the exact block-diagonal
+    form the counting argument relies on.
     """
     if n > modal.n_available:
         raise VmspecError("truncation n=%d exceeds available modes %d" % (n, modal.n_available))
@@ -740,17 +740,13 @@ def assemble_M(blocks, n, modal):
     Ze = modal.a2_vectors[:, :n]
     M11 = -(Xi.T @ blocks.A1 @ Xi)
     M22 = Ze.T @ blocks.A2 @ Ze
-    M13 = Xi.T @ blocks.C
+    c = (Xi.T @ blocks.C)[:, None]
     if blocks.lam == 0.0:
-        k = int(np.argmax(np.abs(M13)))
-        if abs(M13[k]) > TOL_ZERO:
+        k = int(np.argmax(np.abs(c)))
+        if abs(c[k, 0]) > TOL_ZERO:
             raise AssemblyError("coupling C fails to vanish at lam=0: modal entry [%d] is "
-                                "%.3e, above TOL_ZERO %.1e" % (k, M13[k], TOL_ZERO))
-        M13 = np.zeros_like(M13)
-    out = np.zeros((2 * n + 1, 2 * n + 1))
-    out[:n, :n] = 0.5 * (M11 + M11.T)
-    out[n:2 * n, n:2 * n] = 0.5 * (M22 + M22.T)
-    out[:n, 2 * n] = M13
-    out[2 * n, :n] = M13
-    out[2 * n, 2 * n] = -blocks.period * (blocks.lam ** 2 - blocks.l)
-    return out
+                                "%.3e, above TOL_ZERO %.1e" % (k, c[k, 0], TOL_ZERO))
+        c = np.zeros_like(c)
+    electric = np.block([[0.5 * (M11 + M11.T), c],
+                         [c.T, -blocks.period * (blocks.lam ** 2 - blocks.l)]])
+    return electric, 0.5 * (M22 + M22.T)

@@ -1,15 +1,15 @@
 """Symmetric eigensolves, signed counts, instability verdicts, sweeps.
 
-The instability test is a counting argument: the truncated matrix has
-n - neg(A1) + neg(A2) + neg(l) negative eigenvalues at lam = 0 and exactly
-n + 1 for large lam, so a mismatch forces an eigenvalue of the truncated
-matrix through zero at some finite growth rate, where a kernel vector
-exists and a physical mode can be reconstructed.
+The instability test counts negative eigenvalues of the two pencils of the
+truncated matrix: the electric one on (phi, b) goes from n - neg(A1) + neg(l)
+at lam = 0 to n + 1 at large lam, the magnetic one A2 on psi from neg(A2) to
+none.  A count change forces an eigenvalue of its pencil through zero at a
+finite growth rate, where a kernel vector rebuilds a physical mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .operators import ModalBasis, assemble_M, assemble_blocks, assembly_kernel
 UNSTABLE_T1 = "UNSTABLE_T1"
 UNSTABLE_T2 = "UNSTABLE_T2"
 INCONCLUSIVE = "INCONCLUSIVE"
+PENCILS = ("electric", "magnetic")      # the order of ``assemble_M``'s blocks
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +182,10 @@ def modal_truncation(blocks0, tol_eig=None):
 @dataclass
 class SweepResult:
     lam_grid: np.ndarray
-    eigenvalues: np.ndarray        # (2n+1, n_lam)
-    counts: list
-    crossings: list                # dicts {lam_lo, lam_hi, neg_lo, neg_hi}
+    eigenvalues: dict              # pencil -> (size, n_lam); n + 1 electric, n magnetic
+    counts: list                   # both pencils, in one zero band per rate
+    pencil_counts: dict            # pencil -> its negative count per rate, in that band
+    crossings: list                # dicts {pencil, lam_lo, lam_hi, neg_lo, neg_hi}, by lam_lo
     n: int
     l0: float
     neg_a1: int
@@ -198,7 +200,7 @@ class SweepResult:
     basis: object = field(repr=False, default=None)
     quad: object = field(repr=False, default=None)
     opts: object = field(repr=False, default=None)
-    family: object = field(repr=False, default=None)       # lam -> truncated matrix M(lam)
+    family: object = field(repr=False, default=None)       # lam -> {pencil: matrix}
 
 
 def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
@@ -210,9 +212,10 @@ def default_lambda_grid(period, n_points=48, lo=1e-2, hi=1e2):
 def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     """Counts of negative eigenvalues of the truncated matrix across lam.
 
-    Records the full spectra, every count-change interval and the verdict
-    of the lam = 0 counts, and keeps its inputs and the matrix family
-    ``lam -> M(lam)`` for the kernel search and the mode reconstruction.
+    Records each pencil's spectra and counts, every interval where a
+    pencil's count changes and the verdict of the lam = 0 counts, and keeps
+    its inputs and the family ``lam -> {pencil: matrix}`` for the kernel
+    search and the mode reconstruction.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
@@ -223,16 +226,20 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     modal = modal_truncation(blocks0, tol_eig)
 
     def family(lam):
-        return assemble_M(assemble_blocks(state, lam, basis, quad, opts, kernel), n, modal)
+        return dict(zip(PENCILS, assemble_M(assemble_blocks(state, lam, basis, quad, opts,
+                                                            kernel), n, modal)))
 
-    eigenvalues = np.column_stack([symmetric_eigen(family(lam), vectors=False).values
-                                   for lam in lam_grid])
-    counts = [count_eigenvalues(eigenvalues[:, i], tol_eig) for i in range(lam_grid.size)]
-    crossings = []
-    for i in range(lam_grid.size - 1):
-        if counts[i].neg != counts[i + 1].neg:
-            crossings.append({"lam_lo": float(lam_grid[i]), "lam_hi": float(lam_grid[i + 1]),
-                              "neg_lo": counts[i].neg, "neg_hi": counts[i + 1].neg})
+    per_rate = [{p: symmetric_eigen(M, vectors=False).values for p, M in family(lam).items()}
+                for lam in lam_grid]
+    eigenvalues = {p: np.column_stack([s[p] for s in per_rate]) for p in PENCILS}
+    counts = [count_eigenvalues(col, tol_eig) for col in np.vstack(list(eigenvalues.values())).T]
+    pencil_counts = {p: [count_eigenvalues(s[p], c.tol).neg for s, c in zip(per_rate, counts)]
+                     for p in PENCILS}
+    crossings = sorted(({"pencil": p, "lam_lo": float(lam_grid[i]),
+                         "lam_hi": float(lam_grid[i + 1]), "neg_lo": negs[i],
+                         "neg_hi": negs[i + 1]}
+                        for p, negs in pencil_counts.items() for i in range(lam_grid.size - 1)
+                        if negs[i] != negs[i + 1]), key=lambda iv: iv["lam_lo"])
 
     neg_a1 = count_eigenvalues(modal.a1_values, tol_eig).neg
     neg_a2 = count_eigenvalues(modal.a2_values, tol_eig).neg
@@ -243,7 +250,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     except HypothesisError as exc:
         vres = VerdictResult(INCONCLUSIVE, str(exc), neg_a1, neg_a2, blocks0.l)
     return SweepResult(lam_grid=lam_grid, eigenvalues=eigenvalues, counts=counts,
-                       crossings=crossings, n=n, l0=blocks0.l,
+                       pencil_counts=pencil_counts, crossings=crossings, n=n, l0=blocks0.l,
                        neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count, verdict=vres,
                        modal=modal, blocks0=blocks0, assembly=kernel, state=state,
                        basis=basis, quad=quad, opts=opts, family=family)
@@ -256,13 +263,10 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
 @dataclass(frozen=True)
 class KernelCrossing:
     lambda_star: float
-    vector: np.ndarray             # full modal coefficient vector, length 2n+1
-    phi: np.ndarray                # first n entries
-    psi: np.ndarray                # next n entries
-    b: float
-    min_abs_eig: float
-    n: int
+    vector: np.ndarray             # unit kernel vector in the pencil's coordinates
+    min_abs_eig: float             # |eigenvalue| at lambda_star
     tol_kernel: float
+    pencil: str = None             # named by ``locate_kernel_for_state``
 
 
 def locate_kernel(assemble_fn, lam_lo, lam_hi, vals_lo, vals_hi, tol_kernel=None):
@@ -327,23 +331,20 @@ def locate_kernel(assemble_fn, lam_lo, lam_hi, vals_lo, vals_hi, tol_kernel=None
             "only reaches %.3e (tol %.1e); the change did not come from a zero crossing"
             % (min_abs, tol_k))
     dec = symmetric_eigen(M)
-    vec = dec.vectors[:, k]
-    n = (vec.size - 1) // 2
-    phi, psi, bb = vec[:n], vec[n:2 * n], float(vec[2 * n])
-    norm = float(np.linalg.norm(phi) + np.linalg.norm(psi) + abs(bb))
-    vec = vec / norm
-    return KernelCrossing(lambda_star=float(lam_star), vector=vec,
-                          phi=vec[:n], psi=vec[n:2 * n], b=float(vec[2 * n]),
-                          min_abs_eig=float(abs(dec.values[k]) / norm), n=n, tol_kernel=tol_k)
+    return KernelCrossing(lambda_star=float(lam_star), vector=dec.vectors[:, k],
+                          min_abs_eig=float(abs(dec.values[k])), tol_kernel=tol_k)
 
 
 def locate_kernel_for_state(sweep_result, tol_kernel=None):
     """Kernel search inside the first of a sweep's count-change intervals,
-    on the sweep's own matrix family, from the spectra it has at both ends."""
-    if not sweep_result.crossings:
+    on the family of the pencil that changes count there, from the spectra
+    the sweep has at both ends."""
+    sw = sweep_result
+    if not sw.crossings:
         raise VmspecError("sweep found no count-change interval")
-    iv = sweep_result.crossings[0]
-    i = int(np.searchsorted(sweep_result.lam_grid, iv["lam_lo"]))
-    vals = sweep_result.eigenvalues
-    return locate_kernel(sweep_result.family, iv["lam_lo"], iv["lam_hi"], vals[:, i],
-                         vals[:, i + 1], tol_kernel=tol_kernel)
+    iv = sw.crossings[0]
+    i = int(np.searchsorted(sw.lam_grid, iv["lam_lo"]))
+    vals = sw.eigenvalues[iv["pencil"]]
+    cr = locate_kernel(lambda lam: sw.family(lam)[iv["pencil"]], iv["lam_lo"], iv["lam_hi"],
+                       vals[:, i], vals[:, i + 1], tol_kernel=tol_kernel)
+    return replace(cr, pencil=iv["pencil"])

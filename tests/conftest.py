@@ -75,3 +75,31 @@ def weak_state(aniso_profile, aniso_quad):
 @pytest.fixture(scope="session")
 def zero_profile():
     return vm.build_profile("zero")
+
+
+@pytest.fixture(scope="session")
+def two_component_profile(aniso_profile):
+    # weakfield_family plus a cold ring at e = 1.05: both m_e = +1.080 and
+    # m_vp = +0.445 are positive, so neg(A1) > 0 (the nonmonotone case)
+    base, _ = aniso_profile
+
+    def ring(e, p):
+        return 2.5 * np.exp(-((e - 1.05) / 0.02) ** 2) * np.exp(-p ** 2 / 0.05)
+
+    prof = vm.EquilibriumProfile(
+        lambda e, p: base.mu_minus(e, p) + ring(e, p),
+        lambda e, p: base.mu_minus_e(e, p) - 2.0 * (e - 1.05) / 0.02 ** 2 * ring(e, p),
+        lambda e, p: base.mu_minus_p(e, p) - 2.0 * p / 0.05 * ring(e, p),
+        kinks=(1.01, 1.09), name="two_component")
+    return prof, vm.WeightSpec(c=2e4, alpha=5.0)
+
+
+@pytest.fixture(scope="session")
+def two_component_sweep(two_component_profile):
+    """The 48-rate sweep at n = 4 of the homogeneous two-component state on
+    P = 2*pi/0.6, on its default 96/256/24 rule and the n_x = 8 basis."""
+    prof, weight = two_component_profile
+    quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks)
+    state = vm.make_homogeneous_state(prof, period=2.0 * np.pi / 0.6)
+    basis = vm.build_fourier_basis(state.period, 8)
+    return vm.sweep(state, basis, quad, 4, vm.default_lambda_grid(state.period))

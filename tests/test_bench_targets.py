@@ -67,3 +67,22 @@ def test_mag_verdict_agrees_with_the_library_kernel_rule(tmp_path, monkeypatch):
     ker_trivial = vm.a2_kernel_trivial(a2_values, ctx["state"].homogeneous)
     want = vm.verdict(out["neg_a1"], out["neg_a2"], out["l0"], ker_trivial)
     assert out["verdict"] == want.verdict
+
+
+def test_mag_sweep_counts_each_pencil(tmp_path, monkeypatch):
+    # the workload reads the total count; per pencil the electric count is
+    # n + 1 = 3 at both rates and the magnetic one 0, with no crossing
+    workloads = _load("workloads")
+    setup, run, _ = workloads.WORKLOADS["mag-sweep"]
+    ctx = setup(vm, workloads.draw_inputs(0), str(tmp_path))
+    kept, sweep = [], vm.sweep
+
+    def keep(*args):
+        kept.append(sweep(*args))
+        return kept[-1]
+    monkeypatch.setattr(vm, "sweep", keep)
+    out = run(vm, ctx)
+    sw, = kept
+    assert out["counts"] == [3, 3]
+    assert sw.pencil_counts == {"electric": [3, 3], "magnetic": [0, 0]}
+    assert sw.crossings == []

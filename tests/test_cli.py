@@ -205,10 +205,14 @@ def test_csv_artifacts_read_back_exactly(tmp_path, monkeypatch):
                out="sw") == cli.EXIT_OK
     sw = kept["sweep"]
     header, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
-    assert header == ["lambda", "eig_index", "eigenvalue"]
-    got = np.array([float(v) for _, _, v in rows]).reshape(sw.lam_grid.size, -1).T
-    assert np.array_equal(got, sw.eigenvalues)
-    assert np.array_equal(np.array([float(l) for l, _, _ in rows[::got.shape[0]]]), sw.lam_grid)
+    assert header == ["lambda", "pencil", "eig_index", "eigenvalue"]
+    for p, want in sw.eigenvalues.items():
+        mine = [r for r in rows if r[1] == p]
+        got = np.array([float(v) for _, _, _, v in mine]).reshape(sw.lam_grid.size, -1).T
+        assert np.array_equal(got, want), p
+        assert [int(j) for _, _, j, _ in mine[:want.shape[0]]] == list(range(want.shape[0]))
+        assert np.array_equal(np.array([float(l) for l, _, _, _ in mine[::want.shape[0]]]),
+                              sw.lam_grid)
 
 
 def test_assemble_takes_its_rate(tmp_path, monkeypatch):
@@ -242,6 +246,13 @@ def test_find_mode_roundtrip(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
     assert payload["crossing"]["lambda_star"] > 0
+    # the crossing names its pencil, and each count splits into the two pencils
+    assert payload["crossing"]["pencil"] == "magnetic"
+    assert [iv["pencil"] for iv in payload["sweep"]["crossings"]] == ["magnetic"]
+    counts = payload["sweep"]["counts"]
+    assert counts[0]["neg_by_pencil"] == {"electric": 5, "magnetic": 2}
+    assert counts[-1]["neg_by_pencil"] == {"electric": 5, "magnetic": 0}
+    assert all(sum(c["neg_by_pencil"].values()) == c["neg"] for c in counts)
     assert payload["residuals"]["passed"] is True
     assert (tmp_path / "out" / "mode_fields.csv").exists()
     assert (tmp_path / "out" / "mode_manifest.json").exists()
@@ -278,7 +289,7 @@ def test_emit_spectra_csv(tmp_path, monkeypatch):
                 "analyze"], tmp_path, monkeypatch)
     assert code == cli.EXIT_OK
     lines = (tmp_path / "out" / "spectra.csv").read_text().splitlines()
-    assert lines[0] == "lambda,eig_index,eigenvalue"
+    assert lines[0] == "lambda,pencil,eig_index,eigenvalue"
     assert len(lines) > 48
 
 

@@ -137,6 +137,55 @@ def test_weak_transport_check_sees_a_wrong_rate(aniso_quad, aniso_pipeline):
     assert vm.residuals(wrong).vlasov_weak > 1e-2
 
 
+@pytest.fixture(scope="module")
+def two_component_modes(two_component_sweep):
+    """pencil -> (crossing, mode) for each crossing of the two-component sweep."""
+    sw = two_component_sweep
+    out = {}
+    for iv in sw.crossings:
+        cr = vm.locate_kernel_for_state(dataclasses.replace(sw, crossings=[iv]))
+        out[cr.pencil] = (cr, vm.reconstruct(sw, cr))
+    return out
+
+
+def test_two_component_state_grows_in_both_pencils(two_component_sweep, two_component_modes):
+    # neg(A1) = neg(A2) = 2: the paper's coupled rule reads INCONCLUSIVE and
+    # the total count is 5 at every rate, yet the electric pencil goes 3 -> 5
+    # and the magnetic one 2 -> 0 in the same grid interval
+    sw = two_component_sweep
+    assert sw.quad.n_nodes == 129024
+    assert (sw.neg_a1, sw.neg_a2, sw.k_count) == (2, 2, 5)
+    assert sw.verdict.verdict == vm.INCONCLUSIVE
+    assert [c.neg for c in sw.counts] == [5] * 48
+    assert [(iv["pencil"], iv["neg_lo"], iv["neg_hi"]) for iv in sw.crossings] == \
+        [("electric", 3, 5), ("magnetic", 2, 0)]
+    for iv in sw.crossings:
+        assert 0.013139 <= iv["lam_lo"] and iv["lam_hi"] <= 0.015984
+    electric, mode_e = two_component_modes["electric"]
+    magnetic, mode_b = two_component_modes["magnetic"]
+    assert abs(electric.lambda_star - 0.0142080166) <= 1e-10
+    assert abs(magnetic.lambda_star - 0.0136592289) <= 1e-10
+    for mode in (mode_e, mode_b):
+        rep = vm.residuals(mode)
+        assert rep.passed, rep.as_dict()
+        assert max(rep.gauss, rep.ampere1, rep.ampere2, rep.continuity,
+                   rep.vlasov_weak) <= 1e-11
+    # each mode lives on its own pencil's fields: phi alone, psi alone
+    assert mode_e.b == 0.0 and not mode_e.psi_coeffs.any() and mode_e.nontrivial
+    assert not mode_b.phi_coeffs.any() and mode_b.b == 0.0 and mode_b.nontrivial
+
+
+def test_weak_transport_check_sees_a_wrong_electric_rate(two_component_modes):
+    # the electrostatic twin of the magnetic mutation test above: on the
+    # electric mode f+ = -f- too, and a rate 1% off must fail species by species
+    _, mode = two_component_modes["electric"]
+    f = mode.contract(cols=np.arange(0, mode.quad.n_nodes, 97))
+    assert np.max(np.abs(f[+1] + f[-1])) <= 1e-12 * np.max(np.abs(f[-1]))
+    assert vm.residuals(mode).vlasov_weak <= 1e-11
+    wrong = dataclasses.replace(mode, lam=1.01 * mode.lam)
+    assert vm.residuals(wrong).vlasov_weak > 1e-2
+
+
 def test_mode_rate_stable_under_doubling(aniso_state, aniso_quad, aniso_pipeline):
     basis, sw, cr = aniso_pipeline
     grid = vm.default_lambda_grid(aniso_state.period, n_points=24)

@@ -674,9 +674,10 @@ def test_truncated_matrix_zero_profile_spectrum(zero_profile, paper_quad):
     lam = 0.9
     blocks = vm.assemble_blocks(state, lam, basis, paper_quad)
     n = 4
-    M = vm.assemble_M(blocks, n, modal)
+    electric, magnetic = vm.assemble_M(blocks, n, modal)
+    assert electric.shape == (n + 1, n + 1) and magnetic.shape == (n, n)
     w = 2 * np.pi / state.period
-    got = np.sort(vm.symmetric_eigen(M).values)
+    got = np.sort(np.concatenate([vm.symmetric_eigen(M).values for M in (electric, magnetic)]))
     lap_mz = np.sort([(k * w) ** 2 for k in (1, 1, 2, 2)])
     lap_full = np.sort([(k * w) ** 2 for k in (0, 1, 1, 2)])     # constant included
     want = np.sort(np.concatenate([-lap_mz, lap_full + lam**2,
@@ -689,18 +690,16 @@ def test_truncated_matrix_is_diagonal_at_zero_rate(aniso_state, aniso_quad):
     blocks0 = vm.assemble_blocks(aniso_state, 0.0, basis, aniso_quad)
     modal = vm.modal_truncation(blocks0)
     n = 5
-    M = vm.assemble_M(blocks0, n, modal)
-    off = M.copy()
-    off[:n, :n] -= np.diag(np.diag(off[:n, :n]))
-    off[n:2*n, n:2*n] -= np.diag(np.diag(off[n:2*n, n:2*n]))
-    assert np.max(np.abs(off[:n, n:])) == 0.0
-    assert np.max(np.abs(off[n:2*n, 2*n])) == 0.0
-    # spectrum inclusion: every eigenvalue comes from a diagonal block
-    vals = vm.symmetric_eigen(M).values
-    pool = np.concatenate([-modal.a1_values[:n], modal.a2_values[:n],
-                           [aniso_state.period * blocks0.l]])
-    for v in vals:
-        assert np.min(np.abs(pool - v)) <= 1e-9 * max(1.0, abs(v))
+    electric, magnetic = vm.assemble_M(blocks0, n, modal)
+    # the phi-b coupling is frozen out at lam = 0
+    assert np.max(np.abs(electric[:n, n])) == 0.0
+    assert np.max(np.abs(electric[n, :n])) == 0.0
+    # spectrum inclusion: every eigenvalue of a pencil comes from its diagonal blocks
+    pools = ((electric, np.concatenate([-modal.a1_values[:n], [aniso_state.period * blocks0.l]])),
+             (magnetic, modal.a2_values[:n]))
+    for M, pool in pools:
+        for v in vm.symmetric_eigen(M).values:
+            assert np.min(np.abs(pool - v)) <= 1e-9 * max(1.0, abs(v))
 
 
 def test_truncation_size_guard(aniso_state, aniso_quad):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,7 @@ def test_locate_kernel_on_synthetic_family():
     cr = _search(fam, 0.5, 1.7)
     assert abs(cr.lambda_star - 1.0) <= 1e-12
     assert cr.min_abs_eig <= 1e-9 * 3.0
-    assert cr.n == 1
+    assert np.allclose(np.abs(cr.vector), [1.0, 0.0, 0.0]) and cr.pencil is None
     assert calls[0] <= 10
 
 
@@ -242,10 +244,9 @@ def test_locate_kernel_for_state_normalization(monkeypatch, aniso_state, aniso_q
     cr = vm.locate_kernel_for_state(sw)
     assert calls[0] <= 38                # bisection to the same bracket takes 38
     assert grid[0] < cr.lambda_star < grid[-1]
-    norm = np.linalg.norm(cr.phi) + np.linalg.norm(cr.psi) + abs(cr.b)
-    assert abs(norm - 1.0) <= 1e-12
-    # nontrivial in the magnetic component
-    assert np.linalg.norm(cr.psi) + abs(cr.b) > 1e-6
+    assert abs(np.linalg.norm(cr.vector) - 1.0) <= 1e-12
+    # the kernel lies in the magnetic pencil, on psi alone
+    assert cr.pencil == "magnetic" and cr.vector.size == 4
 
 
 def test_search_and_mode_read_the_sweep(monkeypatch, aniso_state, aniso_quad):
@@ -303,11 +304,12 @@ def test_sweep_and_search_take_three_full_decompositions(monkeypatch, aniso_stat
     assert calls[0] == 3
     monkeypatch.undo()
     for i, lam in enumerate(grid):
-        M = vm.assemble_M(vm.assemble_blocks(aniso_state, lam, basis, aniso_quad, None,
-                                             sw.assembly), 4, sw.modal)
-        full = vm.symmetric_eigen(M).values
-        assert np.max(np.abs(sw.eigenvalues[:, i] - full)) <= 1e-12 * np.max(np.abs(M))
-        got = vm.count_eigenvalues(full)
+        pencils = vm.assemble_M(vm.assemble_blocks(aniso_state, lam, basis, aniso_quad, None,
+                                                   sw.assembly), 4, sw.modal)
+        full = [vm.symmetric_eigen(M).values for M in pencils]
+        for p, M, vals in zip(vm.spectra.PENCILS, pencils, full):
+            assert np.max(np.abs(sw.eigenvalues[p][:, i] - vals)) <= 1e-12 * np.max(np.abs(M))
+        got = vm.count_eigenvalues(np.concatenate(full))
         assert (got.neg, got.zero, got.pos) == (sw.counts[i].neg, sw.counts[i].zero,
                                                 sw.counts[i].pos)
 
@@ -355,6 +357,21 @@ def test_kernel_matches_the_homogeneous_symbol_root(aniso_state, aniso_quad):
     assert abs(cr.lambda_star - root) <= 1e-10 * root
 
 
+def test_each_pencil_kernel_matches_its_symbol_root(two_component_sweep):
+    # the two-component state crosses in both pencils in one grid interval:
+    # the electric kernel is the root of a1(1, lam), the magnetic one of a2(1, lam)
+    from scipy.optimize import brentq
+    sw = two_component_sweep
+    a1, a2 = _homogeneous_symbols(sw.state, sw.quad)
+    assert [iv["pencil"] for iv in sw.crossings] == list(vm.spectra.PENCILS)
+    for iv, a in zip(sw.crossings, (a1, a2)):
+        cr = vm.locate_kernel_for_state(dataclasses.replace(sw, crossings=[iv]))
+        assert cr.pencil == iv["pencil"]
+        root = brentq(lambda lam: a(1, lam), iv["lam_lo"], iv["lam_hi"], xtol=1e-16,
+                      rtol=1e-15)
+        assert abs(cr.lambda_star - root) <= 1e-10 * root
+
+
 def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
     # the lam-independent fields come from one kernel per sweep: each
     # species' mu_e and mu_p are evaluated once, not once per assembly
@@ -386,8 +403,11 @@ def test_sweep_exports(tmp_path, aniso_state, aniso_quad):
     cli.write_sweep_csv(csv_path, sw)
     cli._write_json(json_path, cli.sweep_summary_dict(sw))
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "lambda,eig_index,eigenvalue"
-    assert len(lines) == 1 + 6 * 7
+    assert lines[0] == "lambda,pencil,eig_index,eigenvalue"
+    assert len(lines) == 1 + 6 * (4 + 3)                 # electric n + 1, magnetic n
+    assert [line.split(",")[1] for line in lines[1:8]] == ["electric"] * 4 + ["magnetic"] * 3
     import json
     summary = json.loads(json_path.read_text())
     assert summary["n"] == 3 and len(summary["counts"]) == 6
+    for c in summary["counts"]:
+        assert sum(c["neg_by_pencil"].values()) == c["neg"]
