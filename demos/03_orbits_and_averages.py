@@ -11,7 +11,6 @@ import numpy as np
 
 import vmspec as vm
 from vmspec.characteristics import PhasePoint
-from vmspec.operators import EvalOptions
 
 prof, weight = vm.build_profile("weakfield_family")
 quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=32, n_theta=32,
@@ -39,7 +38,7 @@ pt = PhasePoint(0.5, 0.02, 0.9)          # a trapped orbit
 proj = vm.ProjectionEvaluator(state).apply("-", h, pt)
 print(f"{'lam':>8s} {'average':>12s}")
 for lam in (10.0, 1.0, 0.1, 0.01):
-    ev = vm.SmoothingEvaluator(state, lam, EvalOptions(k_osc=1))
+    ev = vm.SmoothingEvaluator(state, lam, k_osc=1)
     print(f"{lam:8g} {ev.apply('-', h, pt):12.6f}")
 print(f"{'orbit avg':>8s} {proj:12.6f}   (the slow-growth limit)")
 print(f"{'value':>8s} {float(h(np.asarray(pt.x), 0, 0)):12.6f}   (the fast-growth limit)")

@@ -1,4 +1,4 @@
-"""Command-line pipeline: validate, equilibrium, assemble, sweep, analyze, mode.
+"""Command-line pipeline: validate, equilibrium, assemble, analyze, mode, example.
 
 Configuration is plain ``section.key = value`` text, one key per
 ``RunConfig`` field; every report embeds the configuration hash so that it
@@ -64,7 +64,6 @@ class RunConfig:
     lambda_max: float = _key("lambda.max", 1e2)
     lambda_points: int = _key("lambda.points", 48)
     find_mode: bool = _key("run.find_mode", False)
-    emit_spectra: bool = _key("run.emit_spectra", False)
     out: str = _key("run.out", "out")
     canonical: bool = _key("run.canonical", False)          # drop timings for byte-stable reports
 
@@ -83,10 +82,16 @@ class RunConfig:
             raise ConfigError("disc.n_per_period must be at least 64")
         if self.lambda_points < 2:
             raise ConfigError("lambda.points must be at least 2")
-        if self.lambda_min <= 0 or self.lambda_max <= self.lambda_min:
+        if not 0 < self.lambda_min < self.lambda_max:
             raise ConfigError("lambda grid needs 0 < lambda.min < lambda.max")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:
             raise ConfigError("state.epsilon must be positive")
+        if self.period is not None and not (np.isfinite(self.period) and self.period > 0):
+            raise ConfigError("state.period must be finite and positive")
+        if self.tol_eig is not None and not self.tol_eig >= 0:
+            raise ConfigError("tol.eig must not be negative")
+        if self.tol_kernel is not None and not self.tol_kernel > 0:
+            raise ConfigError("tol.kernel must be positive")
         if self.epsilon is not None and self.period is not None:
             raise ConfigError("state.period and state.epsilon exclude each other: "
                               "the potential sets the period")
@@ -167,8 +172,7 @@ def _eval_options(cfg, state):
     return EvalOptions(n_per_period=cfg.n_per_period, tol_sym=tol_sym)
 
 
-def _analysis_report(cfg, sw, crossing=None, report=None, extra=None, t_start=None,
-                     stages=None):
+def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
     rep = {
         "config_hash": cfg.hash(),
         "version": __version__,
@@ -191,12 +195,10 @@ def _analysis_report(cfg, sw, crossing=None, report=None, extra=None, t_start=No
                            "min_abs_eig": crossing.min_abs_eig}
     if report is not None:
         rep["residuals"] = report.as_dict()
-    if extra:
-        rep.update(extra)
-    if not cfg.canonical and t_start is not None:
-        rep["timing_seconds"] = time.time() - t_start
+    rep.update(extra)
     diagnostics = {}
-    if not cfg.canonical and stages:
+    if not cfg.canonical:
+        rep["timing_seconds"] = time.time() - t_start
         diagnostics["stage_seconds"] = stages
     if sw.blocks0.cut_lanes is not None:
         diagnostics["cut_lanes"] = sw.blocks0.cut_lanes
@@ -379,19 +381,6 @@ def _find_mode(cfg, sw, stages):
     return crossing, report, path
 
 
-def cmd_sweep(cfg):
-    profile, weight, quad = _build_inputs(cfg)
-    state = _build_state(cfg, profile, quad)
-    sw = _run_sweep(cfg, state, quad)
-    out = _outdir(cfg)
-    write_sweep_csv(os.path.join(out, "sweep.csv"), sw)
-    _write_json(os.path.join(out, "sweep.json"),
-                dict(sweep_summary_dict(sw), config_hash=cfg.hash()))
-    print("sweep: K_n=%d, large-lam count %d, %d crossing interval(s)"
-          % (sw.k_count, sw.counts[-1].neg, len(sw.crossings)))
-    return EXIT_OK
-
-
 def cmd_analyze(cfg):
     t0 = time.time()
     profile, weight, quad = _build_inputs(cfg)
@@ -410,14 +399,12 @@ def cmd_analyze(cfg):
     payload = _analysis_report(cfg, sw, crossing, report, extra, t0, stages)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "analysis.json"), payload)
-    if cfg.emit_spectra:
-        write_sweep_csv(os.path.join(out, "spectra.csv"), sw)
+    write_sweep_csv(os.path.join(out, "sweep.csv"), sw)
     print("verdict: %s (%s)" % (payload["verdict"], payload["verdict_reason"]))
     print("l0=%.6g neg(A1)=%d neg(A2)=%d K_n=%d crossings=%d"
           % (sw.l0, sw.neg_a1, sw.neg_a2, sw.k_count, len(sw.crossings)))
     if crossing is not None:
-        print("lambda*=%.8f residuals pass=%s" % (crossing.lambda_star,
-                                                  report.passed if report else None))
+        print("lambda*=%.8f residuals pass=%s" % (crossing.lambda_star, report.passed))
     return EXIT_OK
 
 
@@ -478,24 +465,18 @@ def _golden_homogeneous(profile, quad):
 
 
 def cmd_example(cfg, which):
-    t0 = time.time()
     out = _outdir(cfg)
-    if which == "homogeneous":
+    if which == "homogeneous":     # the golden integrals; ``analyze`` runs the analysis
         cfg.profile_name = "paper_homogeneous"
         cfg.profile_params = {}
         profile, weight, quad = _build_inputs(cfg)
         table, mismatches = _golden_homogeneous(profile, quad)
-        state = _build_state(cfg, profile, quad)
-        sw = _run_sweep(cfg, state, quad)
-        payload = _analysis_report(cfg, sw, t_start=t0, extra={"golden": table})
-        _write_json(os.path.join(out, "example_homogeneous.json"), payload)
-        if cfg.emit_spectra:
-            write_sweep_csv(os.path.join(out, "spectra.csv"), sw)
+        _write_json(os.path.join(out, "example_homogeneous.json"),
+                    {"config_hash": cfg.hash(), "golden": table})
         for name, row in table.items():
             print("%-14s %+.10f (expected %+.10f, tol %.2g) %s"
                   % (name, row["value"], row["expected"], row["tol"],
                      "ok" if row["ok"] else "MISMATCH"))
-        print("verdict: %s" % payload["verdict"])
         if mismatches:
             raise GoldenMismatchError("golden mismatches: %s" % ", ".join(mismatches),
                                       mismatches)
@@ -550,7 +531,6 @@ def _make_parser():
     p.add_argument("--lambda-min", type=float)
     p.add_argument("--lambda-max", type=float)
     p.add_argument("--find-mode", action="store_true", default=None)
-    p.add_argument("--emit-spectra", action="store_true", default=None)
     p.add_argument("--out", help="output directory (VMSPEC_OUT overrides)")
     p.add_argument("--canonical", action="store_true", default=None,
                    help="byte-stable reports (no timings)")
@@ -559,7 +539,6 @@ def _make_parser():
     sub.add_parser("equilibrium")
     sp = sub.add_parser("assemble")
     sp.add_argument("--lam", type=float, default=0.0)
-    sub.add_parser("sweep")
     sub.add_parser("analyze")
     sub.add_parser("mode")
     sp = sub.add_parser("example")
@@ -591,8 +570,6 @@ def main(argv=None):
             return cmd_equilibrium(cfg)
         if args.command == "assemble":
             return cmd_assemble(cfg, lam=args.lam)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
         if args.command == "analyze":
             return cmd_analyze(cfg)
         if args.command == "mode":

@@ -175,6 +175,8 @@ class ResidualReport:
     def as_dict(self):
         return {"gauss": self.gauss, "ampere1": self.ampere1, "ampere2": self.ampere2,
                 "continuity": self.continuity, "vlasov_weak": self.vlasov_weak,
+                "abs_gauss": self.abs_gauss, "abs_ampere1": self.abs_ampere1,
+                "abs_ampere2": self.abs_ampere2, "abs_continuity": self.abs_continuity,
                 "tol": self.tol, "passed": self.passed}
 
 

@@ -59,20 +59,19 @@ NODES_PER_WAVE = 8.0   # smoothing-rule nodes per oscillation along the path
 MAX_PERIOD = 1e4       # default search limit of ``orbit_info``
 CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
 HORIZON_PERIODS = 25.0  # horizon, in periods, of an orbit that does not close
+TOL_WINDOW = 1e-10     # tail weight e^(-lam S) that the lam > 0 backward window leaves out
 TOL_ZERO = 1e-6        # lam = 0 couplings above this fail the block-diagonal check
 
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """The four knobs shared by the evaluators and the assembly.
+    """The two knobs the orbit engine and the assembly read.
 
-    None of them picks the path: straight lines on homogeneous states, in
+    Neither picks the path: straight lines on homogeneous states, in
     ``line_filter`` and the fold of ``AssemblyKernel``, the orbit engine on
     every other state.  Every orbit march steps at ``default_dt(state)``.
     """
 
-    tol_tail_s: float = 1e-10      # truncation weight for the backward horizon
-    k_osc: int = 16                # assumed highest spatial harmonic of integrands
     n_per_period: int = 128        # orbit samples per period (>= 64)
     tol_sym: float = 1e-8
 
@@ -86,19 +85,23 @@ class EvalOptions:
 # ---------------------------------------------------------------------------
 
 class SmoothingEvaluator:
-    """Exponentially weighted backward-path average at fixed lam > 0."""
+    """Exponentially weighted backward-path average at fixed lam > 0.
 
-    def __init__(self, state, lam, opts=None):
+    ``tol_tail`` is the weight e^(-lam S) cut off beyond the horizon S;
+    ``k_osc`` is the highest spatial harmonic the integrands are assumed
+    to carry, which sets the density of the rule.
+    """
+
+    def __init__(self, state, lam, k_osc=16, tol_tail=1e-10):
         if lam <= 0:
             raise VmspecError("smoothing average needs lam > 0")
         self.state = state
         self.lam = float(lam)
-        self.opts = opts or EvalOptions()
-        self.horizon = -math.log(self.opts.tol_tail_s) / self.lam
+        self.horizon = -math.log(tol_tail) / self.lam
         self._cache = {}
         # composite rule: enough panels for both the exponential scale and
         # the fastest expected oscillation along the path
-        waves = self.opts.k_osc * self.horizon / state.period
+        waves = k_osc * self.horizon / state.period
         n_nodes = max(N_S_MIN, int(NODES_PER_WAVE * waves))
         per_panel = 16
         self.n_panels = max(4, int(math.ceil(n_nodes / per_panel)))
@@ -468,7 +471,7 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
         sl = periodic[lo:lo + block]
         reduce(sl, periods[sl] / n, n, _period_weights(lam, periods[sl], n))
     if lam > 0.0 and not resolved.all():
-        S = min(horizon, -math.log(opts.tol_tail_s) / lam)
+        S = min(horizon, -math.log(TOL_WINDOW) / lam)
         n_d = 4 * n
         un = np.flatnonzero(~resolved)
         reduce(un, -S / n_d, n_d + 1, _window_weights(lam, S, n_d))

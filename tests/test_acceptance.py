@@ -217,7 +217,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
            for x in xs for j in idx[:8]]
     norms = []
     for lam in (1.0, 1e-1, 1e-2, 1e-3):
-        evl = vm.SmoothingEvaluator(paper_state, lam, EvalOptions(k_osc=1))
+        evl = vm.SmoothingEvaluator(paper_state, lam, k_osc=1)
         vals = [evl.apply("-", h, pt) ** 2 for pt in pts]
         norms.append(np.sqrt(np.mean(vals)))
     ok &= _report("c5.vanishing_rate_monotone", all(np.diff(norms) < 0),

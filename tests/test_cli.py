@@ -36,9 +36,11 @@ def test_config_file_parsing(tmp_path):
     assert cfg.profile_params == {"amp": 10.0}
 
 
-@pytest.mark.parametrize("key", ["disc.bogus", "disc.n_s", "tol.cons", "run.seed", "run.jobs"])
+@pytest.mark.parametrize("key", ["disc.bogus", "disc.n_s", "tol.cons", "run.seed", "run.jobs",
+                                 "run.emit_spectra"])
 def test_unknown_config_key_is_rejected(tmp_path, key):
-    # the last four were accepted once and never used
+    # the last five were accepted once; four were never used, and analyze
+    # now always writes the table that run.emit_spectra asked for
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("%s = 3\n" % key)
     with pytest.raises(ConfigError, match="unknown key"):
@@ -49,12 +51,22 @@ def test_unknown_config_key_is_rejected(tmp_path, key):
     ("disc.n_r = -5", ["validate"], "disc.n_r"),
     ("disc.n_per_period = 32", ["validate"], "disc.n_per_period"),
     ("disc.n_x = 7", ["validate"], "disc.n_x"),
-    ("disc.n = 9\ndisc.n_x = 8", ["sweep"], "disc.n "),
+    ("disc.n = 9\ndisc.n_x = 8", ["analyze"], "disc.n "),
     ("lambda.points = 1", ["validate"], "lambda.points"),
     ("state.period = 9.43\nstate.epsilon = 0.05", ["validate"], "state.period"),
     ("", ["assemble", "--lam", "-0.3"], "--lam"),
+    ("state.period = 0", ["analyze"], "state.period"),
+    ("state.period = -5", ["analyze"], "state.period"),
+    ("state.period = inf", ["analyze"], "state.period"),
+    ("tol.eig = -1e-3", ["analyze"], "tol.eig"),
+    ("tol.kernel = -1", ["--find-mode", "analyze"], "tol.kernel"),
+    ("lambda.min = nan", ["analyze"], "lambda.min"),
+    ("state.epsilon = nan", ["analyze"], "state.epsilon"),
+    ("run.emit_spectra = true", ["analyze"], "run.emit_spectra"),
 ], ids=["negative_n_r", "n_per_period_below_64", "odd_n_x", "n_above_n_x", "one_lambda_point",
-        "period_and_epsilon", "negative_lam"])
+        "period_and_epsilon", "negative_lam", "zero_period", "negative_period", "infinite_period",
+        "negative_tol_eig", "negative_tol_kernel", "nan_lambda_min", "nan_epsilon",
+        "emit_spectra_key"])
 def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, key):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text + "\n")
@@ -63,12 +75,29 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, ke
     assert key in json.loads(capsys.readouterr().err)["message"]
 
 
+def _readme_text():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return " ".join(fh.read().split())
+
+
 def test_readme_lists_every_config_key():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        text = " ".join(fh.read().split())
-    listed = re.search(r"The keys are (.*?`)\. ", text).group(1)
+    listed = re.search(r"The keys are (.*?`)\. ", _readme_text()).group(1)
     assert set(re.findall(r"`([^`]+)`", listed)) == set(cli._KEYMAP) | {"profile.param.<name>"}
+
+
+def test_readme_lists_every_subcommand():
+    listed = re.search(r"Subcommands: (.*?`)\. ", _readme_text()).group(1)
+    sub = next(a for a in cli._make_parser()._actions if a.dest == "command")
+    assert re.findall(r"`([^`]+)`", listed) == list(sub.choices)
+
+
+@pytest.mark.parametrize("args", [["sweep"], ["--emit-spectra", "analyze"]],
+                         ids=["sweep", "emit_spectra"])
+def test_removed_surface_exits_2(tmp_path, monkeypatch, args):
+    # analyze writes sweep.csv itself: no sweep subcommand, no selector
+    with pytest.raises(SystemExit) as exc:
+        run(["--profile", "zero"] + args, tmp_path, monkeypatch)
+    assert exc.value.code == cli.EXIT_CONFIG
 
 
 def test_every_flag_sets_its_config_field():
@@ -140,12 +169,12 @@ def _small_family_args(tmp_path, *command):
 
 
 def test_analyze_reports_are_byte_identical(tmp_path, monkeypatch):
-    args = _small_family_args(tmp_path, "--find-mode", "--emit-spectra", "analyze")
+    args = _small_family_args(tmp_path, "--find-mode", "analyze")
     for out in ("a", "b"):
         assert run(args, tmp_path, monkeypatch, out=out) == cli.EXIT_OK
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == ["analysis.json", "mode_distribution.csv", "mode_fields.csv",
-                     "mode_manifest.json", "spectra.csv"]
+                     "mode_manifest.json", "sweep.csv"]
     assert sorted(os.listdir(tmp_path / "b")) == names
     for name in names:
         a = (tmp_path / "a" / name).read_bytes()
@@ -171,6 +200,17 @@ def test_mode_manifest_carries_the_config_hash(tmp_path, monkeypatch):
     analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
     manifest = json.loads((tmp_path / "out" / "mode_manifest.json").read_text())
     assert manifest["config_hash"] == analysis["config_hash"]
+
+
+def test_reports_carry_the_absolute_residuals(tmp_path, monkeypatch):
+    assert run(_small_family_args(tmp_path, "--find-mode", "analyze"),
+               tmp_path, monkeypatch) == cli.EXIT_OK
+    keys = ["abs_ampere1", "abs_ampere2", "abs_continuity", "abs_gauss", "ampere1", "ampere2",
+            "continuity", "gauss", "passed", "tol", "vlasov_weak"]
+    for name in ("analysis.json", "mode_manifest.json"):
+        res = json.loads((tmp_path / "out" / name).read_text())["residuals"]
+        assert sorted(res) == keys, name
+        assert all(res[k] >= 0.0 for k in keys if k.startswith("abs_")), name
 
 
 def _read_csv(path):
@@ -201,7 +241,7 @@ def test_csv_artifacts_read_back_exactly(tmp_path, monkeypatch):
             got[int(i), int(j)] = float(v)
         assert len(rows) == want.size and np.array_equal(got, want), name
 
-    assert run(_small_family_args(tmp_path, "sweep"), tmp_path, monkeypatch,
+    assert run(_small_family_args(tmp_path, "analyze"), tmp_path, monkeypatch,
                out="sw") == cli.EXIT_OK
     sw = kept["sweep"]
     header, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
@@ -272,6 +312,7 @@ def test_example_homogeneous_golden(tmp_path, monkeypatch, capsys):
     text = capsys.readouterr().out
     assert "ring_integral" in text and "MISMATCH" not in text
     payload = json.loads((tmp_path / "out" / "example_homogeneous.json").read_text())
+    assert sorted(payload) == ["config_hash", "golden"]
     assert all(row["ok"] for row in payload["golden"].values())
 
 
@@ -284,26 +325,20 @@ def test_example_golden_mismatch_exits_4(tmp_path, monkeypatch):
     assert code == cli.EXIT_GOLDEN
 
 
-def test_emit_spectra_csv(tmp_path, monkeypatch):
-    code = run(["--profile", "zero", "--n", "2", "--n-x", "8", "--emit-spectra",
-                "analyze"], tmp_path, monkeypatch)
+def test_analyze_writes_the_sweep_csv(tmp_path, monkeypatch):
+    code = run(["--profile", "zero", "--n", "2", "--n-x", "8", "analyze"], tmp_path, monkeypatch)
     assert code == cli.EXIT_OK
-    lines = (tmp_path / "out" / "spectra.csv").read_text().splitlines()
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "lambda,pencil,eig_index,eigenvalue"
-    assert len(lines) > 48
+    assert len(lines) == 1 + 48 * (3 + 2)                # electric n + 1, magnetic n
 
 
-def test_sweep_subcommand(tmp_path, monkeypatch):
+def test_analyze_sweep_carries_the_verdict(tmp_path, monkeypatch):
     args = ["--profile", "weakfield_family", "--period", "9.43", "--n", "3", "--n-x", "8"]
-    assert run(args + ["sweep"], tmp_path, monkeypatch) == cli.EXIT_OK
-    assert (tmp_path / "out" / "sweep.csv").exists()
-    summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert summary["k_count"] == 6
-    # the sweep carries its verdict: the one analyze reports on the same config
-    assert run(args + ["analyze"], tmp_path, monkeypatch, out="an") == cli.EXIT_OK
-    analysis = json.loads((tmp_path / "an" / "analysis.json").read_text())
-    assert summary["verdict"] == analysis["verdict"] == analysis["sweep"]["verdict"]
-    assert summary["verdict"] == "UNSTABLE_T1"
+    assert run(args + ["analyze"], tmp_path, monkeypatch) == cli.EXIT_OK
+    analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    assert analysis["sweep"]["k_count"] == 6
+    assert analysis["verdict"] == analysis["sweep"]["verdict"] == "UNSTABLE_T1"
 
 
 def test_magnetized_assemble_applies_and_records_tol_sym(tmp_path, monkeypatch, capsys):

@@ -37,7 +37,7 @@ def test_smoothing_matches_straight_line_closed_form(paper_state):
     a = w * pt.v1 / pt.energy
     k = lambda x, v1, v2: np.cos(w * x)
     for lam in (0.3, 1.0, 5.0):
-        ev = vm.SmoothingEvaluator(paper_state, lam, EvalOptions(k_osc=2))
+        ev = vm.SmoothingEvaluator(paper_state, lam, k_osc=2)
         got = ev.apply("-", k, pt)
         want = (lam**2 * np.cos(w * pt.x) + lam * a * np.sin(w * pt.x)) / (lam**2 + a**2)
         assert abs(got - want) <= 1e-8, (lam, got, want)
@@ -47,7 +47,7 @@ def test_smoothing_tends_to_spatial_mean_at_small_rate(paper_state):
     w = 2 * np.pi / paper_state.period
     pt = PhasePoint(0.9, 0.65, -0.2)
     k = lambda x, v1, v2: np.cos(w * x)
-    ev = vm.SmoothingEvaluator(paper_state, 1e-3, EvalOptions(k_osc=2))
+    ev = vm.SmoothingEvaluator(paper_state, 1e-3, k_osc=2)
     assert abs(ev.apply("-", k, pt)) <= 2e-3
 
 
@@ -56,7 +56,7 @@ def test_smoothing_tends_to_identity_at_large_rate(paper_state):
     w = 2 * np.pi / paper_state.period
     pt = PhasePoint(0.9, 0.65, -0.2)
     k = lambda x, v1, v2: np.cos(w * x)
-    ev = vm.SmoothingEvaluator(paper_state, 1000.0, EvalOptions(k_osc=2))
+    ev = vm.SmoothingEvaluator(paper_state, 1000.0, k_osc=2)
     assert abs(ev.apply("-", k, pt) - np.cos(w * pt.x)) <= 1e-3
 
 
@@ -126,8 +126,7 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
     w = 2 * np.pi / weak_state.period
     k = lambda x, v1, v2: np.cos(w * x)
     proj = vm.ProjectionEvaluator(weak_state).apply("-", k, pt)
-    ev = vm.SmoothingEvaluator(weak_state, 1e-3,
-                               EvalOptions(k_osc=1, tol_tail_s=1e-8))
+    ev = vm.SmoothingEvaluator(weak_state, 1e-3, k_osc=1, tol_tail=1e-8)
     smooth = ev.apply("-", k, pt)
     assert abs(smooth - proj) <= 1e-3
 
