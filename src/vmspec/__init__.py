@@ -11,7 +11,7 @@ from .discretization import (FourierBasis, VelocityQuadrature, build_fourier_bas
                              build_velocity_quadrature, integrate_spatial,
                              integrate_velocity)
 from .equilibrium import (CenterConditions, EquilibriumProfile, EquilibriumState,
-                          MagneticPotential, OdeOptions, ValidationReport, WeightSpec,
+                          MagneticPotential, ValidationReport, WeightSpec,
                           build_profile, check_center_conditions, find_center_amplitude,
                           make_homogeneous_state, solve_equilibrium_potential,
                           source_term, validate_profile)

@@ -106,19 +106,15 @@ class RunConfig:
 _KEYMAP = {f.metadata["key"]: f.name for f in fields(RunConfig) if "key" in f.metadata}
 
 
-def _coerce(text):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    try:
-        return int(low)
-    except ValueError:
-        pass
-    try:
-        return float(low)
-    except ValueError:
-        pass
-    return low
+def _parse_bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+# each key is read by its field's declared type; profile parameters are floats
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+_KEYTYPE = {f.metadata["key"]: f.type for f in fields(RunConfig) if "key" in f.metadata}
 
 
 def parse_config_file(path, cfg=None):
@@ -132,12 +128,19 @@ def parse_config_file(path, cfg=None):
             if "=" not in line:
                 raise ConfigError("%s:%d: expected key = value" % (path, lineno))
             key, val = (s.strip() for s in line.split("=", 1))
-            if key.startswith("profile.param."):
-                cfg.profile_params[key[len("profile.param."):]] = _coerce(val)
-                continue
-            if key not in _KEYMAP:
+            param = key.startswith("profile.param.")
+            if not (param or key in _KEYMAP):
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            setattr(cfg, _KEYMAP[key], _coerce(val))
+            kind = "float" if param else _KEYTYPE[key]
+            try:
+                value = _PARSERS[kind](val)
+            except ValueError:
+                raise ConfigError("%s:%d: %s = %r: expected %s"
+                                  % (path, lineno, key, val, kind)) from None
+            if param:
+                cfg.profile_params[key[len("profile.param."):]] = value
+            else:
+                setattr(cfg, _KEYMAP[key], value)
     return cfg
 
 
@@ -146,10 +149,14 @@ def parse_config_file(path, cfg=None):
 # ---------------------------------------------------------------------------
 
 def _build_inputs(cfg):
-    profile, weight = build_profile(cfg.profile_name, cfg.profile_params or None)
-    if cfg.weight_c is not None or cfg.weight_alpha is not None:
-        weight = WeightSpec(c=cfg.weight_c if cfg.weight_c is not None else weight.c,
-                            alpha=cfg.weight_alpha if cfg.weight_alpha is not None else weight.alpha)
+    try:                               # an unknown profile or parameter, or a bad weight
+        profile, weight = build_profile(cfg.profile_name, cfg.profile_params or None)
+        if cfg.weight_c is not None or cfg.weight_alpha is not None:
+            weight = WeightSpec(c=cfg.weight_c if cfg.weight_c is not None else weight.c,
+                                alpha=cfg.weight_alpha if cfg.weight_alpha is not None
+                                else weight.alpha)
+    except VmspecError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         quad = build_velocity_quadrature(weight, kinks=profile.kinks, tol_tail=cfg.tol_tail,
                                          n_r=cfg.n_r, n_theta=cfg.n_theta, n_r_tail=cfg.n_r_tail)
@@ -346,8 +353,8 @@ def cmd_equilibrium(cfg):
 
 
 def cmd_assemble(cfg, lam=0.0):
-    if lam < 0:
-        raise ConfigError("--lam must not be negative")
+    if not 0.0 <= lam < np.inf:
+        raise ConfigError("--lam must be finite and not negative")
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
     basis = build_fourier_basis(state.period, cfg.n_x)

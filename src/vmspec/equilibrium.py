@@ -19,6 +19,8 @@ from .discretization import integrate_velocity
 from .errors import OrbitError, ProfileEvaluationError, QuadratureError, VmspecError
 
 ENERGY_FLOOR = 1.0
+TOL_EQUIL = 1e-6            # sup |psi0'' - g(psi0)| allowed on the residual points
+RESIDUAL_POINTS = 64
 _ROUNDER = 1.5 * 2.0 ** 52     # x + _ROUNDER - _ROUNDER == rint(x) for |x| < 2^51
 
 
@@ -30,10 +32,10 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise VmspecError("weight scale c must be positive")
-        if self.alpha <= 2.0:
-            raise VmspecError("weight exponent alpha must exceed 2")
+        if not self.c > 0:
+            raise VmspecError("weight.c must be positive, got %r" % (self.c,))
+        if not self.alpha > 2.0:
+            raise VmspecError("weight.alpha must exceed 2, got %r" % (self.alpha,))
 
     def __call__(self, e):
         return self.c * (1.0 + np.abs(e)) ** (-self.alpha)
@@ -325,15 +327,6 @@ def check_center_conditions(profile, quad, refine_check=True):
     return CenterConditions(g0=g0, gprime0=gp, ok=bool(ok), critical_period=pcr)
 
 
-@dataclass(frozen=True)
-class OdeOptions:
-    n_steps: int = 4096
-    n_samples: int = 1024
-    tol_equil: float = 1e-6
-    g_override: callable = None    # test hook: analytic g(psi) bypassing quadrature
-    residual_points: int = 64
-
-
 def _scalar_spline(x, y):
     """Not-a-knot cubic spline of ``y(x)`` (n >= 4 knots) on one float: the
     knot slopes and power coefficients of scipy's ``CubicSpline``, so the two
@@ -362,132 +355,113 @@ def _scalar_spline(x, y):
     return g
 
 
-def _well_step(g, psi, u, h):
-    """One RK4 step of (psi, u)' = (u, g(psi))."""
-    k1p, k1u = u, g(psi)
-    k2p, k2u = u + 0.5 * h * k1u, g(psi + 0.5 * h * k1p)
-    k3p, k3u = u + 0.5 * h * k2u, g(psi + 0.5 * h * k2p)
-    k4p, k4u = u + h * k3u, g(psi + h * k3p)
-    return (psi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p),
-            u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u))
+def _g_spline(profile, quad, span, n):
+    """Spline of g on ``n`` uniform points of [-span, span]: the quadrature
+    is too slow to call inside the stepper."""
+    grid = np.linspace(-span, span, n)
+    return _scalar_spline(grid, np.array([source_term(profile, quad, s) for s in grid]))
 
 
-def _rk4_well(g, y0, h, n_max):
-    """Integrate (psi, u)' = (u, g(psi)) recording u-sign changes.
+def _well_samples(g, epsilon, gprime0, n_steps=4096, n_samples=1024):
+    """One orbit of the well equation psi'' = g(psi) from its turning point.
 
-    Returns the zero-crossing times; stops after the second crossing.
+    From (psi, psi') = (-epsilon, 0), RK4 runs the orbit at step
+    h = T0 / n_steps and at h / 2, with T0 = 2 pi / sqrt(-g'(0)) the
+    linearized period; the period is twice the time between the first two
+    sign changes of psi' (each interpolated linearly within its step), and
+    the finer one is kept.  One period is then resampled at ``n_samples``
+    uniform points.  Returns (period, samples, |difference of the two
+    periods|); raises OrbitError when the orbit escapes |psi|, |psi'| < 1e6
+    or does not turn twice within 20 T0.
     """
-    psi, u = y0
-    crossings = []
-    t = 0.0
-    for _ in range(n_max):
-        psi_n, u_n = _well_step(g, psi, u, h)
-        if not (abs(psi_n) < 1e6 and abs(u_n) < 1e6):
-            break                  # escaped the well; no closed orbit here
-        if u != 0.0 and (np.sign(u_n) != np.sign(u)) and u_n != 0.0:
-            # linear interpolation of the turning time
-            frac = u / (u - u_n)
-            crossings.append(t + frac * h)
-            if len(crossings) == 2:
-                return crossings
-        psi, u, t = psi_n, u_n, t + h
-    return crossings
+    def step(psi, u, h):
+        k1p, k1u = u, g(psi)
+        k2p, k2u = u + 0.5 * h * k1u, g(psi + 0.5 * h * k1p)
+        k3p, k3u = u + 0.5 * h * k2u, g(psi + 0.5 * h * k2p)
+        k4p, k4u = u + h * k3u, g(psi + h * k3p)
+        return (psi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p),
+                u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u))
+
+    def period(h):
+        psi, u, t = -epsilon, 0.0, 0.0
+        turns = []
+        for _ in range(int(20.0 * t0 / h)):
+            psi_n, u_n = step(psi, u, h)
+            if not (abs(psi_n) < 1e6 and abs(u_n) < 1e6):
+                break                  # escaped the well
+            if u != 0.0 and u_n != 0.0 and (u_n < 0.0) != (u < 0.0):
+                turns.append(t + u / (u - u_n) * h)
+                if len(turns) == 2:
+                    return 2.0 * (turns[1] - turns[0])
+            psi, u, t = psi_n, u_n, t + h
+        raise OrbitError("not a center at this amplitude: orbit fails to close")
+
+    t0 = 2.0 * np.pi / math.sqrt(-gprime0)
+    h = t0 / n_steps
+    coarse, T = period(h), period(h / 2.0)
+    h = T / n_samples
+    psi, u = -epsilon, 0.0
+    samples = np.empty(n_samples)
+    for i in range(n_samples):
+        samples[i] = psi
+        psi, u = step(psi, u, h)
+    return T, samples, abs(coarse - T)
 
 
-def solve_equilibrium_potential(profile, epsilon, quad, opts=None):
+def solve_equilibrium_potential(profile, epsilon, quad):
     """Periodic potential of amplitude epsilon from the phase-plane center.
 
-    Starts at (psi, dpsi) = (-epsilon, 0), integrates one full orbit of
-    d2psi = g(psi) and returns the state with the orbit time as its period.
-    The returned state's ``meta`` carries the achieved residual, the period
-    convergence estimate and the C1 size of the potential.
+    Checks the center conditions, splines g on 321 points of
+    [-3 epsilon, 3 epsilon] and takes one orbit of the well equation from
+    ``_well_samples`` (4,096 steps per linearized period, 1,024 samples).
+    The potential must meet psi0'' = g(psi0), with g from the quadrature
+    rather than the spline, within TOL_EQUIL on RESIDUAL_POINTS points.
+    The returned state's ``meta`` carries that residual, the period and its
+    convergence estimate, the C1 size of the potential and the critical
+    period 2 pi / sqrt(-g'(0)).
     """
-    opts = opts or OdeOptions()
     if epsilon <= 0:
         raise VmspecError("epsilon must be positive")
-
-    if opts.g_override is not None:
-        g = opts.g_override
-        h_probe = 1e-6
-        gp0 = (g(h_probe) - g(-h_probe)) / (2.0 * h_probe)
-    else:
-        cc = check_center_conditions(profile, quad, refine_check=False)
-        if not cc.ok:
-            raise VmspecError("center conditions fail: g0=%.3e g'(0)=%.3e" % (cc.g0, cc.gprime0))
-        gp0 = cc.gprime0
-        # spline of g over the reachable psi range; quadrature is too slow
-        # to call inside the stepper
-        span = 3.0 * epsilon
-        grid = np.linspace(-span, span, 321)
-        gvals = np.array([source_term(profile, quad, s) for s in grid])
-        g = _scalar_spline(grid, gvals)
-
-    t_guess = 2.0 * np.pi / math.sqrt(-gp0)
-
-    def one_orbit(h):
-        # give up after 20 linearized periods
-        crossings = _rk4_well(g, (-epsilon, 0.0), h, int(20.0 * t_guess / h))
-        if len(crossings) < 2:
-            raise OrbitError("not a center at this amplitude: orbit fails to close")
-        return 2.0 * (crossings[1] - crossings[0])
-
-    # the full period is twice the half-period between turning points
-    h = t_guess / opts.n_steps
-    T1 = one_orbit(h)
-    T2 = one_orbit(h / 2.0)
-    period_delta = abs(T1 - T2)
-    T = T2
-
-    # resample on exactly one period
-    h2 = T / opts.n_samples
-    psi, u = -epsilon, 0.0
-    samples = np.empty(opts.n_samples)
-    for i in range(opts.n_samples):
-        samples[i] = psi
-        psi, u = _well_step(g, psi, u, h2)
-
+    cc = check_center_conditions(profile, quad, refine_check=False)
+    if not cc.ok:
+        raise VmspecError("center conditions fail: g0=%.3e g'(0)=%.3e" % (cc.g0, cc.gprime0))
+    T, samples, period_delta = _well_samples(_g_spline(profile, quad, 3.0 * epsilon, 321),
+                                             epsilon, cc.gprime0)
     pot = MagneticPotential(T, samples)
-    state = EquilibriumState(profile, pot)
-
-    # residual against the true quadrature-backed g, not the spline
-    xs = np.linspace(0.0, T, opts.residual_points, endpoint=False)
-    d2 = pot.d2psi(xs)
-    if opts.g_override is not None:
-        gtrue = np.array([g(s) for s in pot.psi(xs)])
-    else:
-        gtrue = np.array([source_term(profile, quad, s) for s in pot.psi(xs)])
-    residual = float(np.max(np.abs(d2 - gtrue)))
-    if residual > opts.tol_equil:
-        raise VmspecError("equilibrium residual %.3e above tol %.1e" % (residual, opts.tol_equil))
+    xs = np.linspace(0.0, T, RESIDUAL_POINTS, endpoint=False)
+    gtrue = np.array([source_term(profile, quad, s) for s in pot.psi(xs)])
+    residual = float(np.max(np.abs(pot.d2psi(xs) - gtrue)))
+    if residual > TOL_EQUIL:
+        raise VmspecError("equilibrium residual %.3e above tol %.1e" % (residual, TOL_EQUIL))
 
     c1 = float(np.max(np.abs(samples)) + np.max(np.abs(pot.b(xs))))
-    state.meta.update(epsilon=float(epsilon), residual_inf=residual,
-                      period=T, period_delta=period_delta, c1_norm=c1,
-                      critical_period=2.0 * np.pi / math.sqrt(-gp0))
-    return state
+    return EquilibriumState(profile, pot, meta=dict(
+        epsilon=float(epsilon), residual_inf=residual, period=T, period_delta=period_delta,
+        c1_norm=c1, critical_period=cc.critical_period))
 
 
 def find_center_amplitude(profile, quad, eps_start=0.01, eps_cap=10.0, iters=12):
     """Bisection estimate of the largest amplitude with a closing orbit.
 
-    One spline of g over the whole candidate range is built up front and
-    reused by every trial solve.
+    One spline of g on 641 points of [-1.5 eps_cap, 1.5 eps_cap] is built up
+    front, with g'(0) from its central difference at +-1e-6.  A trial
+    amplitude passes when ``_well_samples`` (1,024 steps, 256 samples)
+    closes its orbit and the samples build a ``MagneticPotential``.
     """
-    grid = np.linspace(-1.5 * eps_cap, 1.5 * eps_cap, 641)
-    gvals = np.array([source_term(profile, quad, s) for s in grid])
-    gsp = _scalar_spline(grid, gvals)
-    opts = OdeOptions(n_steps=1024, n_samples=256, residual_points=4,
-                      tol_equil=float("inf"), g_override=gsp)
+    gsp = _g_spline(profile, quad, 1.5 * eps_cap, 641)
+    h = 1e-6
+    gp0 = (gsp(h) - gsp(-h)) / (2.0 * h)
 
     def closes(eps):
         try:
-            solve_equilibrium_potential(profile, eps, quad, opts)
+            T, samples, _ = _well_samples(gsp, eps, gp0, 1024, 256)
+            MagneticPotential(T, samples)
             return True
-        except (OrbitError, VmspecError):
+        except VmspecError:
             return False
 
     good = eps_start
-    if not closes(good):
+    if not (good > 0 and closes(good)):
         raise OrbitError("no closing orbit even at the starting amplitude")
     while good < eps_cap:
         trial = min(good * 2.0, eps_cap)
@@ -569,14 +543,16 @@ def _zero():
 
 
 def build_profile(name, params=None):
-    """Named profiles; returns (profile, default WeightSpec)."""
-    if name == "paper_homogeneous":
-        if params:
-            raise VmspecError("paper_homogeneous takes no parameters")
-        return _homogeneous_kinked()
+    """Named profiles; returns (profile, default WeightSpec).  Only
+    weakfield_family takes parameters, the keys of ``_WF``."""
+    takes = {"paper_homogeneous": (), "weakfield_family": tuple(_WF), "zero": ()}
+    if name not in takes:
+        raise VmspecError("unknown profile %r (expected %s)" % (name, ", ".join(takes)))
+    unknown = sorted(set(params or ()) - set(takes[name]))
+    if unknown:
+        raise VmspecError("profile %s has no parameter %s (it takes %s)"
+                          % (name, ", ".join(map(repr, unknown)),
+                             ", ".join(takes[name]) or "none"))
     if name == "weakfield_family":
         return _weakfield(params)
-    if name == "zero":
-        return _zero()
-    raise VmspecError("unknown profile %r (expected paper_homogeneous, weakfield_family, zero)"
-                      % (name,))
+    return _homogeneous_kinked() if name == "paper_homogeneous" else _zero()

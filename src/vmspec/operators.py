@@ -684,8 +684,8 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     ``kernel`` is the state's ``AssemblyKernel`` on this basis and
     quadrature; callers that assemble at many rates build it once.
     """
-    if lam < 0:
-        raise VmspecError("lam must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise VmspecError("lam must be finite and nonnegative")
     opts = opts or EvalOptions()
     w = basis.quad_weight
     prof = moment_profiles(state, lam, quad, basis, opts, kernel)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -63,10 +65,25 @@ def test_unknown_config_key_is_rejected(tmp_path, key):
     ("lambda.min = nan", ["analyze"], "lambda.min"),
     ("state.epsilon = nan", ["analyze"], "state.epsilon"),
     ("run.emit_spectra = true", ["analyze"], "run.emit_spectra"),
+    ("disc.n_r = 2.5", ["validate"], "disc.n_r"),
+    ("disc.n_x = 4.0", ["validate"], "disc.n_x"),
+    ("lambda.points = 2.5", ["validate"], "lambda.points"),
+    ("tol.eig = abc", ["validate"], "tol.eig"),
+    ("profile.name = weakfield_family\nprofile.param.amp = abc", ["validate"],
+     "profile.param.amp"),
+    ("run.find_mode = maybe", ["validate"], "run.find_mode"),
+    ("profile.name = weakfield_family\nprofile.param.foo = 3", ["validate"], "'foo'"),
+    ("profile.name = zero\nprofile.param.amp = 3", ["validate"], "'amp'"),
+    ("", ["--profile", "nosuch", "validate"], "'nosuch'"),
+    ("weight.c = -1", ["validate"], "weight.c"),
+    ("", ["assemble", "--lam", "nan"], "--lam"),
+    ("", ["assemble", "--lam", "inf"], "--lam"),
 ], ids=["negative_n_r", "n_per_period_below_64", "odd_n_x", "n_above_n_x", "one_lambda_point",
         "period_and_epsilon", "negative_lam", "zero_period", "negative_period", "infinite_period",
         "negative_tol_eig", "negative_tol_kernel", "nan_lambda_min", "nan_epsilon",
-        "emit_spectra_key"])
+        "emit_spectra_key", "fractional_n_r", "float_n_x", "fractional_lambda_points",
+        "text_tol_eig", "text_profile_param", "maybe_find_mode", "unknown_profile_param",
+        "param_on_zero_profile", "unknown_profile", "negative_weight_c", "nan_lam", "inf_lam"])
 def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, key):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text + "\n")
@@ -101,10 +118,17 @@ def test_removed_surface_exits_2(tmp_path, monkeypatch, args):
 
 
 def test_every_flag_sets_its_config_field():
-    fields = set(cli._KEYMAP.values())
+    # a flag reads its value as a file reads the key: by the field's declared type
+    kinds = {f.name: f.type for f in dataclasses.fields(cli.RunConfig)}
+    converter = {"int": int, "float": float, "str": None}
     for action in cli._make_parser()._actions:
         if action.option_strings and action.dest not in ("help", "config"):
-            assert action.dest in fields, action.option_strings
+            assert action.dest in set(cli._KEYMAP.values()), action.option_strings
+            kind = kinds[action.dest]
+            if kind == "bool":
+                assert isinstance(action, argparse._StoreTrueAction), action.option_strings
+            else:
+                assert action.type is converter[kind], action.option_strings
 
 
 def test_odd_angle_count_exits_2(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vmspec as vm
-from vmspec.equilibrium import OdeOptions, _scalar_spline
+from vmspec.equilibrium import _scalar_spline, _well_samples
 from vmspec.errors import OrbitError, ProfileEvaluationError, VmspecError
 
 
@@ -96,12 +96,10 @@ def test_center_conditions_zero_profile(zero_profile, aniso_quad):
 
 def test_harmonic_oscillator_hook():
     # with g = -psi the well is exactly harmonic: psi = -eps cos x, T = 2 pi
-    prof, _ = vm.build_profile("zero")
-    opts = OdeOptions(g_override=lambda s: -s)
-    state = vm.solve_equilibrium_potential(prof, 0.3, None, opts)
-    assert abs(state.period - 2 * np.pi) <= 1e-8
-    x = np.linspace(0, state.period, 64, endpoint=False)
-    assert np.max(np.abs(state.psi0(x) - (-0.3 * np.cos(x)))) <= 1e-8
+    T, samples, _ = _well_samples(lambda s: -s, 0.3, -1.0)
+    assert abs(T - 2 * np.pi) <= 1e-8
+    x = np.linspace(0, T, 64, endpoint=False)
+    assert np.max(np.abs(vm.MagneticPotential(T, samples).psi(x) - (-0.3 * np.cos(x)))) <= 1e-8
 
 
 def test_scalar_spline_matches_cubic_spline():
@@ -126,10 +124,8 @@ def test_scalar_spline_matches_cubic_spline():
 
 
 def test_not_a_center_at_large_amplitude():
-    prof, _ = vm.build_profile("zero")
-    opts = OdeOptions(g_override=lambda s: -s + s**3)       # basin |psi| < 1
     with pytest.raises(OrbitError, match="center"):
-        vm.solve_equilibrium_potential(prof, 1.5, None, opts)
+        _well_samples(lambda s: -s + s**3, 1.5, -1.0)       # basin |psi| < 1
 
 
 def test_weakfield_family_properties(aniso_profile, aniso_quad, critical_period):
