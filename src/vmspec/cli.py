@@ -1,10 +1,10 @@
-"""Command-line pipeline: validate, equilibrium, assemble, analyze, mode, example.
+"""Command-line pipeline: validate, equilibrium, assemble, analyze.
 
 Configuration is plain ``section.key = value`` text, one key per
 ``RunConfig`` field; every report embeds the configuration hash so that it
 can be traced to its inputs.  This module writes every artifact file.  Exit
 codes: 0 analysis ran (whatever the verdict), 2 bad configuration,
-3 numerical failure, 4 golden-value mismatch.
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .discretization import build_fourier_basis, build_velocity_quadrature, integrate_velocity
+from .discretization import build_fourier_basis, build_velocity_quadrature
 from .equilibrium import (WeightSpec, build_profile, check_center_conditions,
                           make_homogeneous_state, solve_equilibrium_potential, validate_profile)
-from .errors import ConfigError, GoldenMismatchError, QuadratureError, VmspecError
+from .errors import ConfigError, QuadratureError, VmspecError
 from .growing_mode import reconstruct, residuals
 from .operators import EvalOptions, assemble_blocks
 from .spectra import default_lambda_grid, locate_kernel_for_state, sweep
@@ -32,7 +32,6 @@ from .spectra import default_lambda_grid, locate_kernel_for_state, sweep
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_GOLDEN = 4
 
 
 def _key(key, default=None):
@@ -82,10 +81,10 @@ class RunConfig:
             raise ConfigError("disc.n_per_period must be at least 64")
         if self.lambda_points < 2:
             raise ConfigError("lambda.points must be at least 2")
-        if not 0 < self.lambda_min < self.lambda_max:
-            raise ConfigError("lambda grid needs 0 < lambda.min < lambda.max")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ConfigError("state.epsilon must be positive")
+        if not 0 < self.lambda_min < self.lambda_max < np.inf:
+            raise ConfigError("lambda grid needs 0 < lambda.min < lambda.max < inf")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ConfigError("state.epsilon must be finite and positive")
         if self.period is not None and not (np.isfinite(self.period) and self.period > 0):
             raise ConfigError("state.period must be finite and positive")
         if self.tol_eig is not None and not self.tol_eig >= 0:
@@ -370,6 +369,12 @@ def cmd_assemble(cfg, lam=0.0):
 def _run_sweep(cfg, state, quad):
     if cfg.n > cfg.n_x:            # only the truncation reads disc.n
         raise ConfigError("disc.n = %d exceeds the %d modes of disc.n_x" % (cfg.n, cfg.n_x))
+    unit = 2.0 * np.pi / float(state.period)       # the grid's unit of rate
+    for key in ("lambda.min", "lambda.max"):
+        rate = getattr(cfg, _KEYMAP[key]) * unit
+        if not 0.0 < rate * rate < np.inf:          # float product: no numpy overflow warning
+            raise ConfigError("%s gives the rate %r, whose square is not finite and positive"
+                              % (key, rate))
     basis = build_fourier_basis(state.period, cfg.n_x)
     opts = _eval_options(cfg, state)
     grid = default_lambda_grid(state.period, cfg.lambda_points, cfg.lambda_min, cfg.lambda_max)
@@ -378,14 +383,14 @@ def _run_sweep(cfg, state, quad):
 
 def _find_mode(cfg, sw, stages):
     """Kernel in the sweep's first count-change interval, the mode rebuilt
-    from it, its residuals and its export; returns (crossing, report, path).
+    from it, its residuals and its export; returns (crossing, report).
     Each stage's wall time goes to ``stages``."""
     crossing = _timed(stages, "locate", locate_kernel_for_state, sw, tol_kernel=cfg.tol_kernel)
     mode = _timed(stages, "reconstruct", reconstruct, sw, crossing)
     report = _timed(stages, "residuals", residuals, mode, tol_residual=cfg.tol_residual)
-    path = _timed(stages, "export", export_mode, mode, _outdir(cfg), report=report,
-                  extra={"config_hash": cfg.hash()})
-    return crossing, report, path
+    _timed(stages, "export", export_mode, mode, _outdir(cfg), report=report,
+           extra={"config_hash": cfg.hash()})
+    return crossing, report
 
 
 def cmd_analyze(cfg):
@@ -402,7 +407,7 @@ def cmd_analyze(cfg):
                                 ("epsilon", "residual_inf", "period_delta", "c1_norm",
                                  "critical_period") if k in state.meta}
     if cfg.find_mode and sw.crossings:
-        crossing, report, _ = _find_mode(cfg, sw, stages)
+        crossing, report = _find_mode(cfg, sw, stages)
     payload = _analysis_report(cfg, sw, crossing, report, extra, t0, stages)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "analysis.json"), payload)
@@ -413,110 +418,6 @@ def cmd_analyze(cfg):
     if crossing is not None:
         print("lambda*=%.8f residuals pass=%s" % (crossing.lambda_star, report.passed))
     return EXIT_OK
-
-
-def cmd_mode(cfg):
-    profile, weight, quad = _build_inputs(cfg)
-    state = _build_state(cfg, profile, quad)
-    sw = _run_sweep(cfg, state, quad)
-    if not sw.crossings:
-        print("no crossing interval found; nothing to reconstruct")
-        return EXIT_NUMERICAL
-    crossing, report, path = _find_mode(cfg, sw, {})
-    print("lambda*=%.8f residuals pass=%s -> %s" % (crossing.lambda_star, report.passed, path))
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
-
-
-# ---------------------------------------------------------------------------
-# golden examples
-# ---------------------------------------------------------------------------
-
-GOLDEN_RING_INTEGRAL = 1.5 - np.log(2.0)           # int_0^sqrt(3) r^3/(1+r^2) dr
-GOLDEN_TAIL_MOMENT = np.sqrt(np.pi) / 2.0 + 2.0    # |int_sqrt3^inf tail' r dr|
-
-
-def _golden_homogeneous(profile, quad):
-    mismatches = []
-
-    def mu_e_minus(v1, v2):
-        e = np.sqrt(1.0 + v1 ** 2 + v2 ** 2)
-        return profile.mu_e(-1, e, v2)
-
-    # 2D integral of the kink-interior indicator times v^2/(1+v^2) is
-    # 2*pi times the radial ring integral; the panel edge sits exactly at
-    # the kink radius so the indicator is resolved without smearing
-    ring = integrate_velocity(quad, lambda v1, v2: np.where(
-        v1 ** 2 + v2 ** 2 < 3.0, (v1 ** 2 + v2 ** 2) / (1 + v1 ** 2 + v2 ** 2), 0.0)) \
-        / (2.0 * np.pi)
-    # int mu_e v1hat^2 dv = pi * (ring + tail_ring); subtract the exact ring
-    l0_slice = integrate_velocity(quad, lambda v1, v2: mu_e_minus(v1, v2)
-                                  * v1 ** 2 / (1 + v1 ** 2 + v2 ** 2)) / np.pi
-    tail_ring = l0_slice - GOLDEN_RING_INTEGRAL
-    # int mu_e dv = 2*pi*(3/2 - tail_moment)
-    m_e = integrate_velocity(quad, mu_e_minus)
-    tail_moment = abs(m_e / (2.0 * np.pi) - 1.5)
-
-    checks = [
-        ("ring_integral", ring, GOLDEN_RING_INTEGRAL, 1e-8),
-        ("tail_moment", tail_moment, GOLDEN_TAIL_MOMENT, 1e-6),
-        ("tail_ring", tail_ring, -2.5, 0.15),
-    ]
-    table = {}
-    for name, got, want, tol in checks:
-        ok = bool(abs(got - want) <= tol)
-        table[name] = {"value": float(got), "expected": float(want),
-                       "tol": float(tol), "ok": ok}
-        if not ok:
-            mismatches.append(name)
-    return table, mismatches
-
-
-def cmd_example(cfg, which):
-    out = _outdir(cfg)
-    if which == "homogeneous":     # the golden integrals; ``analyze`` runs the analysis
-        cfg.profile_name = "paper_homogeneous"
-        cfg.profile_params = {}
-        profile, weight, quad = _build_inputs(cfg)
-        table, mismatches = _golden_homogeneous(profile, quad)
-        _write_json(os.path.join(out, "example_homogeneous.json"),
-                    {"config_hash": cfg.hash(), "golden": table})
-        for name, row in table.items():
-            print("%-14s %+.10f (expected %+.10f, tol %.2g) %s"
-                  % (name, row["value"], row["expected"], row["tol"],
-                     "ok" if row["ok"] else "MISMATCH"))
-        if mismatches:
-            raise GoldenMismatchError("golden mismatches: %s" % ", ".join(mismatches),
-                                      mismatches)
-        return EXIT_OK
-
-    if which == "weakfield":
-        cfg.profile_name = "weakfield_family"
-        eps = cfg.epsilon if cfg.epsilon is not None else 0.05
-        profile, weight, quad = _build_inputs(cfg)
-        cc = check_center_conditions(profile, quad)
-        rows = []
-        for e in (4.0 * eps, 2.0 * eps, eps):
-            st = solve_equilibrium_potential(profile, e, quad)
-            rows.append({"epsilon": e, "period": st.period,
-                         "ratio": st.period / cc.critical_period,
-                         "c1_norm": st.meta["c1_norm"],
-                         "residual_inf": st.meta["residual_inf"]})
-        mism = []
-        if abs(rows[-1]["ratio"] - 1.0) > 0.02:
-            mism.append("period_ratio")
-        if not (rows[0]["c1_norm"] > rows[1]["c1_norm"] > rows[2]["c1_norm"]):
-            mism.append("c1_monotone")
-        payload = {"config_hash": cfg.hash(), "critical_period": cc.critical_period,
-                   "family": rows}
-        _write_json(os.path.join(out, "example_weakfield.json"), payload)
-        for r in rows:
-            print("eps=%-6g T=%.6f T/Pcr=%.6f |psi|C1=%.4g resid=%.2e"
-                  % (r["epsilon"], r["period"], r["ratio"], r["c1_norm"], r["residual_inf"]))
-        if mism:
-            raise GoldenMismatchError("golden mismatches: %s" % ", ".join(mism), mism)
-        return EXIT_OK
-
-    raise ConfigError("unknown example %r" % which)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +448,6 @@ def _make_parser():
     sp = sub.add_parser("assemble")
     sp.add_argument("--lam", type=float, default=0.0)
     sub.add_parser("analyze")
-    sub.add_parser("mode")
-    sp = sub.add_parser("example")
-    sp.add_argument("which", choices=["homogeneous", "weakfield"])
     return p
 
 
@@ -579,18 +477,10 @@ def main(argv=None):
             return cmd_assemble(cfg, lam=args.lam)
         if args.command == "analyze":
             return cmd_analyze(cfg)
-        if args.command == "mode":
-            return cmd_mode(cfg)
-        if args.command == "example":
-            return cmd_example(cfg, args.which)
         raise ConfigError("unknown command %r" % args.command)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
-    except GoldenMismatchError as exc:
-        print(json.dumps({"error": "golden", "message": str(exc),
-                          "mismatches": exc.mismatches}), file=sys.stderr)
-        return EXIT_GOLDEN
     except VmspecError as exc:
         print(json.dumps({"error": "numerical", "kind": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)

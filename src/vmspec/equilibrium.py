@@ -371,9 +371,13 @@ def _well_samples(g, epsilon, gprime0, n_steps=4096, n_samples=1024):
     sign changes of psi' (each interpolated linearly within its step), and
     the finer one is kept.  One period is then resampled at ``n_samples``
     uniform points.  Returns (period, samples, |difference of the two
-    periods|); raises OrbitError when the orbit escapes |psi|, |psi'| < 1e6
-    or does not turn twice within 20 T0.
+    periods|); raises OrbitError when g'(0) is not negative (no center),
+    when the orbit escapes |psi|, |psi'| < 1e6 or when it does not turn
+    twice within 20 T0.
     """
+    if not gprime0 < 0.0:
+        raise OrbitError("not a center: g'(0) = %r is not negative" % gprime0)
+
     def step(psi, u, h):
         k1p, k1u = u, g(psi)
         k2p, k2u = u + 0.5 * h * k1u, g(psi + 0.5 * h * k1p)

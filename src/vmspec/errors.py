@@ -50,10 +50,3 @@ class HypothesisError(VmspecError):
 class SpuriousIntervalError(VmspecError):
     """A sign-count change was not caused by an eigenvalue crossing zero."""
 
-
-class GoldenMismatchError(VmspecError):
-    """A golden-value regression check failed."""
-
-    def __init__(self, message, mismatches=None):
-        super().__init__(message)
-        self.mismatches = mismatches or []

@@ -667,6 +667,11 @@ class OperatorBlocks:
 
 
 def _symmetrize(Mx, name, tol_sym, defects):
+    bad = np.argwhere(~np.isfinite(Mx))
+    if bad.size:
+        i, j = bad[0]
+        raise AssemblyError("assembly failure: %s has %d non-finite entries, the first %g at "
+                            "(%d, %d)" % (name, len(bad), Mx[i, j], i, j))
     asym = np.abs(Mx - Mx.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     defect = float(asym[i, j])
@@ -684,8 +689,9 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     ``kernel`` is the state's ``AssemblyKernel`` on this basis and
     quadrature; callers that assemble at many rates build it once.
     """
-    if not 0.0 <= lam < np.inf:
-        raise VmspecError("lam must be finite and nonnegative")
+    if not (lam == 0.0 or (lam > 0.0 and 0.0 < float(lam) * float(lam) < np.inf)):
+        raise VmspecError("lam must be 0, or positive with a finite nonzero square; got %r"
+                          % lam)
     opts = opts or EvalOptions()
     w = basis.quad_weight
     prof = moment_profiles(state, lam, quad, basis, opts, kernel)

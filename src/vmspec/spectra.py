@@ -59,14 +59,17 @@ def _canonical_plane(V):
 def symmetric_eigen(A, vectors=True):
     """Decomposition of a symmetric matrix with a deterministic layout.
 
-    A relative asymmetry above 1e-8 is an error.  Eigenvalues come out
-    ascending.  A near-degenerate cluster gets the one basis of its space
-    that roundoff in ``A`` or the LAPACK driver cannot turn, and every
-    vector's first significant coefficient is made positive.  With
+    A non-finite entry or a relative asymmetry above 1e-8 is an error.
+    Eigenvalues come out ascending.  A near-degenerate cluster gets the one
+    basis of its space that roundoff in ``A`` or the LAPACK driver cannot
+    turn, and every vector's first significant coefficient is made
+    positive.  With
     ``vectors=False`` only the eigenvalues are computed, and ``vectors``
     and ``residual`` are None.
     """
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise VmspecError("matrix has %d non-finite entries" % np.count_nonzero(~np.isfinite(A)))
     scale = max(float(np.max(np.abs(A))), 1e-300)
     defect = float(np.max(np.abs(A - A.T)))
     if defect > 1e-8 * scale:

@@ -78,12 +78,18 @@ def test_unknown_config_key_is_rejected(tmp_path, key):
     ("weight.c = -1", ["validate"], "weight.c"),
     ("", ["assemble", "--lam", "nan"], "--lam"),
     ("", ["assemble", "--lam", "inf"], "--lam"),
+    ("lambda.max = inf", ["analyze"], "lambda.max"),
+    ("disc.n = 2\ndisc.n_x = 8\nlambda.max = 1e300", ["analyze"], "lambda.max"),
+    ("profile.name = weakfield_family\nstate.epsilon = inf", ["analyze"], "state.epsilon"),
+    ("disc.n = 2\ndisc.n_x = 8\nlambda.min = 1e-300\nlambda.max = 1e-299", ["analyze"],
+     "lambda.min"),
 ], ids=["negative_n_r", "n_per_period_below_64", "odd_n_x", "n_above_n_x", "one_lambda_point",
         "period_and_epsilon", "negative_lam", "zero_period", "negative_period", "infinite_period",
         "negative_tol_eig", "negative_tol_kernel", "nan_lambda_min", "nan_epsilon",
         "emit_spectra_key", "fractional_n_r", "float_n_x", "fractional_lambda_points",
         "text_tol_eig", "text_profile_param", "maybe_find_mode", "unknown_profile_param",
-        "param_on_zero_profile", "unknown_profile", "negative_weight_c", "nan_lam", "inf_lam"])
+        "param_on_zero_profile", "unknown_profile", "negative_weight_c", "nan_lam", "inf_lam",
+        "inf_lambda_max", "huge_lambda_max", "inf_epsilon", "underflowing_lambda_grid"])
 def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, key):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text + "\n")
@@ -108,10 +114,19 @@ def test_readme_lists_every_subcommand():
     assert re.findall(r"`([^`]+)`", listed) == list(sub.choices)
 
 
-@pytest.mark.parametrize("args", [["sweep"], ["--emit-spectra", "analyze"]],
-                         ids=["sweep", "emit_spectra"])
+def test_readme_lists_every_exit_code():
+    listed = re.search(r"Exit codes: (.*?)\.", _readme_text()).group(1)
+    codes = {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+    assert sorted(int(c) for c in re.findall(r"\b(\d+) [a-z]", listed)) == sorted(codes)
+
+
+@pytest.mark.parametrize("args", [["sweep"], ["--emit-spectra", "analyze"], ["mode"],
+                                  ["example", "homogeneous"], ["example", "weakfield"]],
+                         ids=["sweep", "emit_spectra", "mode", "example_homogeneous",
+                              "example_weakfield"])
 def test_removed_surface_exits_2(tmp_path, monkeypatch, args):
-    # analyze writes sweep.csv itself: no sweep subcommand, no selector
+    # analyze writes sweep.csv and, with --find-mode, the mode itself: no
+    # sweep or mode subcommand, no selector; the golden integrals are tests
     with pytest.raises(SystemExit) as exc:
         run(["--profile", "zero"] + args, tmp_path, monkeypatch)
     assert exc.value.code == cli.EXIT_CONFIG
@@ -320,33 +335,6 @@ def test_find_mode_roundtrip(tmp_path, monkeypatch):
     assert payload["residuals"]["passed"] is True
     assert (tmp_path / "out" / "mode_fields.csv").exists()
     assert (tmp_path / "out" / "mode_manifest.json").exists()
-
-
-def test_mode_subcommand(tmp_path, monkeypatch):
-    code = run(["--profile", "weakfield_family", "--period", "9.43",
-                "--n", "4", "--n-x", "12", "mode"], tmp_path, monkeypatch)
-    assert code == cli.EXIT_OK
-    assert (tmp_path / "out" / "mode_manifest.json").exists()
-
-
-def test_example_homogeneous_golden(tmp_path, monkeypatch, capsys):
-    code = run(["--n", "4", "--n-x", "16", "example", "homogeneous"],
-               tmp_path, monkeypatch)
-    assert code == cli.EXIT_OK
-    text = capsys.readouterr().out
-    assert "ring_integral" in text and "MISMATCH" not in text
-    payload = json.loads((tmp_path / "out" / "example_homogeneous.json").read_text())
-    assert sorted(payload) == ["config_hash", "golden"]
-    assert all(row["ok"] for row in payload["golden"].values())
-
-
-def test_example_golden_mismatch_exits_4(tmp_path, monkeypatch):
-    # starving the radial rule breaks the golden integrals
-    cfg_path = tmp_path / "starve.cfg"
-    cfg_path.write_text("disc.n_r = 2\ndisc.n_theta = 8\ndisc.n_r_tail = 2\n")
-    code = run(["--config", str(cfg_path), "--n", "2", "--n-x", "8",
-                "example", "homogeneous"], tmp_path, monkeypatch)
-    assert code == cli.EXIT_GOLDEN
 
 
 def test_analyze_writes_the_sweep_csv(tmp_path, monkeypatch):

@@ -128,6 +128,17 @@ def test_not_a_center_at_large_amplitude():
         _well_samples(lambda s: -s + s**3, 1.5, -1.0)       # basin |psi| < 1
 
 
+def test_well_without_a_center_raises(zero_profile):
+    # g'(0) >= 0 has no linearized period: an error, not a division by zero
+    for gprime0 in (1.0, 0.0):
+        with pytest.raises(OrbitError, match="not a center"):
+            _well_samples(lambda s: s, 0.1, gprime0)
+    prof, weight = zero_profile
+    quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=16, n_theta=16, n_r_tail=4)
+    with pytest.raises(OrbitError):
+        vm.find_center_amplitude(prof, quad)
+
+
 def test_weakfield_family_properties(aniso_profile, aniso_quad, critical_period):
     prof, _ = aniso_profile
     rows = []

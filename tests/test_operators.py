@@ -733,6 +733,25 @@ def test_symmetrize_error_names_the_worst_entry():
     assert "A2 asymmetry 1.000e-03" in msg and "(0, 2)" in msg
 
 
+def test_symmetrize_rejects_non_finite_entries():
+    # NaN compares False against the asymmetry bound, so it is checked first
+    Mx = np.diag([1.0, 2.0, 3.0])
+    Mx[1, 2] = Mx[2, 1] = Mx[2, 2] = np.nan
+    with pytest.raises(AssemblyError, match=r"A2 has 3 non-finite entries, the first nan at "
+                                            r"\(1, 2\)"):
+        ops._symmetrize(Mx, "A2", 1e-8, {})
+
+
+def test_rate_without_a_finite_nonzero_square_is_rejected(aniso_profile, aniso_coarse_quad):
+    # at lam = 1e-300 the damping lam^2/(lam^2 + a^2) of row k = 0 is 0/0
+    prof, _ = aniso_profile
+    state = vm.make_homogeneous_state(prof, 2 * np.pi)
+    basis = vm.build_fourier_basis(state.period, 8)
+    for lam in (1e-300, 1e200, np.inf, np.nan, -1.0):
+        with pytest.raises(VmspecError, match="finite nonzero square"):
+            vm.assemble_blocks(state, lam, basis, aniso_coarse_quad)
+
+
 def test_validation_and_orbit_moments_leave_numpy_ma_unloaded():
     # np.unique imports numpy.ma on its first call, 15-18 ms a process; the
     # validation grid and the period pass's stop rule must do without it

@@ -60,6 +60,12 @@ def test_eigen_rejects_asymmetric_input():
         vm.symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigen_rejects_non_finite_input():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(VmspecError, match="1 non-finite"):
+            vm.symmetric_eigen(np.array([[bad, 0.0], [0.0, 1.0]]), vectors=False)
+
+
 def test_count_partition():
     rep = vm.count_eigenvalues(np.array([-2.0, -1e-12, 0.0, 3.0]), tol_eig=1e-9)
     assert (rep.neg, rep.zero, rep.pos) == (1, 2, 1)
@@ -150,6 +156,8 @@ def test_sweep_rejects_bad_grid(aniso_state, aniso_quad):
         vm.sweep(aniso_state, basis, aniso_quad, 3, np.array([0.0, 1.0]))
     with pytest.raises(VmspecError):
         vm.sweep(aniso_state, basis, aniso_quad, 3, np.array([2.0, 1.0]))
+    with pytest.raises(VmspecError, match="finite nonzero square"):     # squares underflow
+        vm.sweep(aniso_state, basis, aniso_quad, 3, np.array([1e-300, 1e-299]))
 
 
 def _counted(fam):
