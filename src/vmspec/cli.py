@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -205,7 +206,7 @@ def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
     diagnostics = {}
     if not cfg.canonical:
         rep["timing_seconds"] = time.time() - t_start
-        diagnostics["stage_seconds"] = stages
+        diagnostics.update(stages)
     if sw.blocks0.cut_lanes is not None:
         diagnostics["cut_lanes"] = sw.blocks0.cut_lanes
     if diagnostics:
@@ -214,10 +215,12 @@ def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
 
 
 def _timed(stages, name, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, its wall time recorded as ``stages[name]``."""
+    """``fn(*args, **kwargs)``; its wall time and the peak RSS after it, in MiB (Linux
+    gives ``ru_maxrss`` in KiB), go to ``stages[key][name]``, keyed as in ``cmd_analyze``."""
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
-    stages[name] = time.perf_counter() - t0
+    stages["stage_seconds"][name] = time.perf_counter() - t0
+    stages["stage_peak_rss_mb"][name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 
@@ -384,7 +387,7 @@ def _run_sweep(cfg, state, quad):
 def _find_mode(cfg, sw, stages):
     """Kernel in the sweep's first count-change interval, the mode rebuilt
     from it, its residuals and its export; returns (crossing, report).
-    Each stage's wall time goes to ``stages``."""
+    Each stage's wall time and peak RSS go to ``stages``."""
     crossing = _timed(stages, "locate", locate_kernel_for_state, sw, tol_kernel=cfg.tol_kernel)
     mode = _timed(stages, "reconstruct", reconstruct, sw, crossing)
     report = _timed(stages, "residuals", residuals, mode, tol_residual=cfg.tol_residual)
@@ -398,7 +401,7 @@ def cmd_analyze(cfg):
     profile, weight, quad = _build_inputs(cfg)
     vrep = validate_profile(profile, weight, tol_validate=cfg.tol_validate)
     state = _build_state(cfg, profile, quad)
-    stages = {}
+    stages = {"stage_seconds": {}, "stage_peak_rss_mb": {}}
     sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}

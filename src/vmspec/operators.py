@@ -37,8 +37,9 @@ composite Gauss-Legendre rule on the RK4 path of ``characteristics``, as
 the independent reference for the small-rate limit.
 
 The state picks the path.  Homogeneous states (no potential) use the
-straight-line closed form instead of the engine: ``line_filter`` per node,
-and its fold onto the classes of ``AssemblyKernel`` for the assembly.
+straight-line closed form instead of the engine, on the quarter classes
+of ``fold_quarters``, where the filter is constant: ``AssemblyKernel``
+for the assembly, and the mode's contraction in ``growing_mode``.
 """
 
 from __future__ import annotations
@@ -61,15 +62,16 @@ CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
 HORIZON_PERIODS = 25.0  # horizon, in periods, of an orbit that does not close
 TOL_WINDOW = 1e-10     # tail weight e^(-lam S) that the lam > 0 backward window leaves out
 TOL_ZERO = 1e-6        # lam = 0 couplings above this fail the block-diagonal check
+UPPER, LOWER = (1, 1, 0, 0), (0, 0, 1, 1)   # the v2 > 0 and v2 < 0 images of a quarter class
 
 
 @dataclass(frozen=True)
 class EvalOptions:
     """The two knobs the orbit engine and the assembly read.
 
-    Neither picks the path: straight lines on homogeneous states, in
-    ``line_filter`` and the fold of ``AssemblyKernel``, the orbit engine on
-    every other state.  Every orbit march steps at ``default_dt(state)``.
+    Neither picks the path: straight lines on homogeneous states, on the
+    classes of ``fold_quarters``, the orbit engine on every other state.
+    Every orbit march steps at ``default_dt(state)``.
     """
 
     n_per_period: int = 128        # orbit samples per period (>= 64)
@@ -508,7 +510,7 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
 # velocity-integrated moment profiles and Galerkin assembly
 # ---------------------------------------------------------------------------
 
-def _damping(lam, a2):
+def damping(lam, a2):
     """lam^2/(lam^2 + a^2), the real part of lam/(lam + i a); at lam = 0 only row k = 0 is 1."""
     if lam == 0.0:
         return np.eye(len(a2), 1) * np.ones_like(a2)
@@ -516,23 +518,24 @@ def _damping(lam, a2):
     return np.divide(lam * lam, re, out=re)
 
 
-def line_filter(quad, kmax, omega, lam):
-    """lam/(lam + i k omega vh1) on every node, as (real, imag) of shape (kmax+1, N):
-    the straight-line path average of exp(i k omega X) divided by its x-phase."""
-    a = np.arange(kmax + 1)[:, None] * omega * (quad.v1 / quad.e)[None, :]
-    re = _damping(lam, a * a)
-    return re, (-(a / lam) * re if lam > 0.0 else np.zeros_like(a))
+def fold_quarters(quad, F, images=(1, 1, 1, 1)):
+    """Sums of F's nodes, its last axis, over the quarter classes: (..., N) -> (..., rings * q).
 
-
-def _quarter_classes(quad):
-    """Class of every node under theta -> -theta and theta -> pi - theta; class
-    j < ceil(n_theta/4) of a ring is angle j and its images.  At n_theta = 2
-    (mod 4) the angle pi/2 is its own image: its class holds two nodes."""
-    n = quad.theta_nodes.size
-    j = np.minimum(np.arange(n), np.arange(n)[::-1])      # theta -> -theta
-    j = np.minimum(j, n // 2 - 1 - j)                     # theta -> pi - theta
-    n_cls = (n + 3) // 4
-    return (np.arange(quad.r_nodes.size)[:, None] * n_cls + j[None, :]).ravel(), n_cls
+    Under theta -> -theta and theta -> pi - theta a ring's angles fall into
+    q = ceil(n_theta/4) classes; class j holds theta_j (v1, v2 > 0), pi - theta_j,
+    pi + theta_j and -theta_j, added in that order where ``images`` holds a 1
+    (``UPPER`` is the v2 > 0 half).  At n_theta = 2 (mod 4) the class of pi/2
+    is its own image under theta -> pi - theta: two nodes."""
+    n, shape = quad.theta_nodes.size, np.shape(F)[:-1]
+    h, q, p = n // 2, (n + 3) // 4, n // 4          # p classes hold four nodes
+    F = np.reshape(F, (-1, quad.r_nodes.size, n))
+    out = np.zeros(F.shape[:2] + (q,))
+    for image, weight in zip((F[..., :q], F[..., h - 1:h - 1 - p:-1], F[..., h:h + q],
+                              F[..., n - 1:n - 1 - p:-1]), images):
+        if weight:
+            view = out[..., :image.shape[-1]]
+            np.add(view, image, out=view)
+    return out.reshape(*shape, -1)
 
 
 @dataclass
@@ -544,7 +547,7 @@ class AssemblyKernel:
     mirror, docs/DECISIONS.md section 4); an x-free profile keeps one row,
     which every reader broadcasts.  On straight-line (homogeneous) states
     the filter lam^2/(lam^2 + a^2), a = k w vh1, and vh2^2 are constant on
-    each class of ``_quarter_classes``, so it keeps a2 = a^2 per class and
+    each class of ``fold_quarters``, so it keeps a2 = a^2 per class and
     the class sums W = [2 mu_e w, 2 mu_e vh2^2 w]: a rate costs one filter
     on a quarter of the nodes.  mu_e is even in v1, so c is 0.
     """
@@ -580,9 +583,8 @@ def assembly_kernel(state, quad, basis):
                           m_vp=2.0 * np.sum(vh2 * mu_p * quad.w, axis=1))
     if state.homogeneous:
         we = 2.0 * mu_e[0] * quad.w
-        cls, n_cls = _quarter_classes(quad)
-        kern.W = np.column_stack([np.bincount(cls, f) for f in (we, we * vh2 * vh2)])
-        rep = vh1.reshape(-1, quad.theta_nodes.size)[:, :n_cls].ravel()
+        kern.W = np.column_stack([fold_quarters(quad, f) for f in (we, we * vh2 * vh2)])
+        rep = fold_quarters(quad, vh1, (1, 0, 0, 0))
         ks = np.arange(basis.n_modes // 2 + 1)[:, None] * basis.omega
         kern.a2 = (ks * rep[None, :]) ** 2
         kern.lint = float(kern.W[:, 0] @ (rep * rep))
@@ -621,7 +623,7 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     if state.homogeneous:
         # translation invariance: velocity integrals once, phases per x; on
         # the folded table the filter's v1-odd imaginary part is gone
-        tau = _damping(lam, kernel.a2) @ kernel.W
+        tau = damping(lam, kernel.a2) @ kernel.W
         T1, T2 = (tau[:, j:j + 1] * basis.phases for j in range(2))
         return MomentProfiles(T1, T2, np.zeros(M), np.full(M, kernel.lint), kernel.m_e,
                               kernel.m_vp)

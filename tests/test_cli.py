@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -224,13 +225,22 @@ def test_analyze_reports_are_byte_identical(tmp_path, monkeypatch):
 
 
 def test_analyze_reports_stage_seconds_unless_canonical(tmp_path, monkeypatch):
-    args = [a for a in _small_family_args(tmp_path, "--find-mode", "analyze")
-            if a != "--canonical"]
-    assert run(args, tmp_path, monkeypatch) == cli.EXIT_OK
+    # wall time and peak RSS (MiB) per stage; the peak never falls
+    args = _small_family_args(tmp_path, "--find-mode", "analyze")
+    assert run(args, tmp_path, monkeypatch, out="canonical") == cli.EXIT_OK
+    payload = json.loads((tmp_path / "canonical" / "analysis.json").read_text())
+    assert "stage_seconds" not in payload.get("diagnostics", {})
+    assert "stage_peak_rss_mb" not in payload.get("diagnostics", {})
+    assert run([a for a in args if a != "--canonical"], tmp_path, monkeypatch) == cli.EXIT_OK
     payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    order = ["sweep", "locate", "reconstruct", "residuals", "export"]
     stages = payload["diagnostics"]["stage_seconds"]
-    assert sorted(stages) == ["export", "locate", "reconstruct", "residuals", "sweep"]
+    assert sorted(stages) == sorted(order)
     assert all(0.0 <= t <= payload["timing_seconds"] for t in stages.values())
+    rss = [payload["diagnostics"]["stage_peak_rss_mb"][name] for name in order]
+    assert len(payload["diagnostics"]["stage_peak_rss_mb"]) == len(order)
+    assert 0.0 < rss[0] and rss == sorted(rss)
+    assert rss[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def test_mode_manifest_carries_the_config_hash(tmp_path, monkeypatch):
@@ -244,12 +254,15 @@ def test_mode_manifest_carries_the_config_hash(tmp_path, monkeypatch):
 def test_reports_carry_the_absolute_residuals(tmp_path, monkeypatch):
     assert run(_small_family_args(tmp_path, "--find-mode", "analyze"),
                tmp_path, monkeypatch) == cli.EXIT_OK
-    keys = ["abs_ampere1", "abs_ampere2", "abs_continuity", "abs_gauss", "ampere1", "ampere2",
-            "continuity", "gauss", "passed", "tol", "vlasov_weak"]
+    keys = ["abs_ampere1", "abs_ampere2", "abs_continuity", "abs_gauss", "abs_vlasov_weak",
+            "ampere1", "ampere2", "continuity", "gauss", "passed", "tol", "vlasov_weak",
+            "vlasov_weak_species", "vlasov_weak_test"]
     for name in ("analysis.json", "mode_manifest.json"):
         res = json.loads((tmp_path / "out" / name).read_text())["residuals"]
         assert sorted(res) == keys, name
         assert all(res[k] >= 0.0 for k in keys if k.startswith("abs_")), name
+        assert res["vlasov_weak_species"] in (-1, 1), name
+        assert len(res["vlasov_weak_test"]) == 2, name
 
 
 def _read_csv(path):

@@ -445,8 +445,6 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
                                                   paper_quad, aniso_quad):
     # one kernel serves every rate, in real arithmetic; C vanishes for these
     # mirror pairs, so it is measured against the A blocks.
-    # The filter's imaginary part cancels in the blocks of v1-even
-    # profiles, so the per-node filter of line_filter is checked as well.
     for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
         basis = vm.build_fourier_basis(state.period, 8)
         w = 2 * np.pi / state.period
@@ -463,9 +461,6 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
             diff = np.max(np.abs(got.C - want.C))
             assert diff <= 1e-12 * scale, (lam, diff)
             assert abs(got.l - want.l) <= 1e-12 * abs(want.l), (lam, got.l, want.l)
-            re, im = ops.line_filter(quad, 4, w, lam)
-            ref = _straight_line_filter(state, lam, quad, 4)
-            assert np.max(np.abs(re + 1j * im - ref)) <= 1e-12
 
 
 def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, paper_profile,
@@ -475,9 +470,22 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
     for state, (prof, weight) in ((paper_state, paper_profile), (aniso_state, aniso_profile)):
         quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=24, n_theta=18,
                                             n_r_tail=8)
-        cls, n_cls = ops._quarter_classes(quad)
-        assert n_cls == 5 and cls.max() + 1 == quad.r_nodes.size * n_cls
-        assert abs(np.sum(np.bincount(cls, quad.w)) - np.sum(quad.w)) <= 1e-14 * np.sum(quad.w)
+        n_cls = 5
+        sizes = ops.fold_quarters(quad, np.ones(quad.n_nodes)).reshape(-1, n_cls)
+        assert (sizes == [4, 4, 4, 4, 2]).all()
+        folded = ops.fold_quarters(quad, quad.w)
+        assert abs(np.sum(folded) - np.sum(quad.w)) <= 1e-14 * np.sum(quad.w)
+        # every member of a class has its representative's |v1|, and the upper
+        # half of a class is its nodes with v2 > 0
+        v1 = np.abs(quad.v1)
+        rep = ops.fold_quarters(quad, v1, (1, 0, 0, 0))
+        diff = ops.fold_quarters(quad, v1) - sizes.ravel() * rep
+        assert np.max(np.abs(diff)) <= 1e-14 * np.max(v1)
+        upper = ops.fold_quarters(quad, np.ones(quad.n_nodes), ops.UPPER)
+        assert (upper == ops.fold_quarters(quad, 1.0 * (quad.v2 > 0), ops.UPPER)).all()
+        assert (upper + ops.fold_quarters(quad, np.ones(quad.n_nodes), ops.LOWER)
+                == sizes.ravel()).all()
+        assert not ops.fold_quarters(quad, 1.0 * (quad.v2 > 0), ops.LOWER).any()
         basis = vm.build_fourier_basis(state.period, 8)
         kern = assembly_kernel(state, quad, basis)
         we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
