@@ -206,7 +206,8 @@ def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
     diagnostics = {}
     if not cfg.canonical:
         rep["timing_seconds"] = time.time() - t_start
-        diagnostics.update(stages)
+        diagnostics["stage_seconds"] = {k: t for k, (t, _) in stages.items()}
+        diagnostics["stage_peak_rss_mb"] = {k: rss for k, (_, rss) in stages.items()}
     if sw.blocks0.cut_lanes is not None:
         diagnostics["cut_lanes"] = sw.blocks0.cut_lanes
     if diagnostics:
@@ -215,12 +216,11 @@ def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
 
 
 def _timed(stages, name, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``; its wall time and the peak RSS after it, in MiB (Linux
-    gives ``ru_maxrss`` in KiB), go to ``stages[key][name]``, keyed as in ``cmd_analyze``."""
+    """``fn(*args, **kwargs)``; ``stages[name]`` gets its wall time and peak RSS after it."""
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
-    stages["stage_seconds"][name] = time.perf_counter() - t0
-    stages["stage_peak_rss_mb"][name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    stages[name] = (time.perf_counter() - t0,       # MiB; Linux gives ru_maxrss in KiB
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return out
 
 
@@ -401,7 +401,7 @@ def cmd_analyze(cfg):
     profile, weight, quad = _build_inputs(cfg)
     vrep = validate_profile(profile, weight, tol_validate=cfg.tol_validate)
     state = _build_state(cfg, profile, quad)
-    stages = {"stage_seconds": {}, "stage_peak_rss_mb": {}}
+    stages = {}
     sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}

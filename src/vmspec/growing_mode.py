@@ -175,13 +175,13 @@ class ResidualReport:
     continuity: float
     vlasov_weak: float
     tol: float
-    abs_gauss: float = 0.0
-    abs_ampere1: float = 0.0
-    abs_ampere2: float = 0.0
-    abs_continuity: float = 0.0
-    abs_vlasov_weak: float = 0.0
-    vlasov_weak_species: int = -1             # the worst entry of the weak check
-    vlasov_weak_test: tuple = ("1", "1")      # its (X, q)
+    abs_gauss: float
+    abs_ampere1: float
+    abs_ampere2: float
+    abs_continuity: float
+    abs_vlasov_weak: float
+    vlasov_weak_species: int                  # the worst entry of the weak check
+    vlasov_weak_test: tuple                   # its (X, q)
 
     @property
     def passed(self):
@@ -226,7 +226,7 @@ def _weak_vlasov_defect(mode, floor):
                 "vh1*vh2": (vh1 * vh2, vh2 * vh2 - vh1 * vh1)}
     b0, e1, e2, bf = mode.state.b0(x), mode.e1, mode.e2, mode.bfield
 
-    worst = dict(vlasov_weak=-1.0)
+    worst = None
     Y = np.empty((3, quad.n_nodes))             # w q env, its v1 advection, its rotation
     for q_name, (q, rot) in velocity.items():
         np.multiply(w_env, q, out=Y[0])
@@ -241,8 +241,8 @@ def _weak_vlasov_defect(mode, floor):
             rhs = sign * ((-e1 * s1 + bf * s2 - e2 * s3) @ X) * basis.quad_weight
             err = np.abs(lhs - rhs)
             rel = err / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-            j = int(np.argmax(rel))
-            if rel[j] > worst["vlasov_weak"]:
+            j = int(np.argmax(rel))                # the first NaN, if any, which then wins
+            if worst is None or np.isnan(rel[j]) or rel[j] > worst["vlasov_weak"]:
                 worst = dict(vlasov_weak=float(rel[j]), abs_vlasov_weak=float(err[j]),
                              vlasov_weak_species=sign, vlasov_weak_test=(list(spatial)[j], q_name))
     return worst
