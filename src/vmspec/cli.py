@@ -199,19 +199,20 @@ def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
     }
     if crossing is not None:
         rep["crossing"] = {"lambda_star": crossing.lambda_star, "pencil": crossing.pencil,
-                           "min_abs_eig": crossing.min_abs_eig}
+                           "min_abs_eig": crossing.min_abs_eig, "tol_kernel": crossing.tol_kernel}
     if report is not None:
         rep["residuals"] = report.as_dict()
     rep.update(extra)
-    diagnostics = {}
+    b0 = sw.blocks0                    # the lam = 0 asymmetry before symmetrization
+    diagnostics = {"defects_lam0": {name: {"relative": b0.defects[name], "row": i, "col": j}
+                                    for name, (i, j) in b0.worst.items()}}
     if not cfg.canonical:
         rep["timing_seconds"] = time.time() - t_start
         diagnostics["stage_seconds"] = {k: t for k, (t, _) in stages.items()}
         diagnostics["stage_peak_rss_mb"] = {k: rss for k, (_, rss) in stages.items()}
-    if sw.blocks0.cut_lanes is not None:
-        diagnostics["cut_lanes"] = sw.blocks0.cut_lanes
-    if diagnostics:
-        rep["diagnostics"] = diagnostics
+    if b0.cut_lanes is not None:
+        diagnostics["cut_lanes"] = b0.cut_lanes
+    rep["diagnostics"] = diagnostics
     return rep
 
 
@@ -244,21 +245,24 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
-    """Integers and strings as they are, every other value as ``repr(float(v))``."""
+def _write_csv(path, header, blocks):
+    """Each block is a tuple of columns: an array column is written as floats,
+    each ``repr(float(v))``, any other column (integers, strings) as it is."""
     with _open_out(path) as fh:
         wtr = csv.writer(fh)
         wtr.writerow(header)
-        wtr.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
-                      for row in rows)
+        for cols in blocks:
+            wtr.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist())
+                                if isinstance(c, np.ndarray) else c for c in cols)))
 
 
 def export_blocks(blocks, outdir, stem, extra):
     """``row,col,value`` CSV per block plus a JSON manifest; returns the manifest path."""
     for name in ("A1", "A2", "C"):
         mat = np.atleast_2d(getattr(blocks, name))
+        rows, cols = np.indices(mat.shape).reshape(2, -1).tolist()
         _write_csv(os.path.join(outdir, "%s_%s.csv" % (stem, name)), ["row", "col", "value"],
-                   ((i, j, mat[i, j]) for i, j in np.ndindex(mat.shape)))
+                   [(rows, cols, mat.ravel())])
     path = os.path.join(outdir, "%s_manifest.json" % stem)
     _write_json(path, {"lambda": blocks.lam, "n_modes": blocks.n_modes, "period": blocks.period,
                        "l": blocks.l, "defects": blocks.defects, **extra})
@@ -267,8 +271,8 @@ def export_blocks(blocks, outdir, stem, extra):
 
 def write_sweep_csv(path, sw):
     _write_csv(path, ["lambda", "pencil", "eig_index", "eigenvalue"],
-               ((lam, p, j, v) for i, lam in enumerate(sw.lam_grid)
-                for p, ev in sw.eigenvalues.items() for j, v in enumerate(ev[:, i])))
+               ((np.full(len(ev), lam), [p] * len(ev), range(len(ev)), ev[:, i])
+                for i, lam in enumerate(sw.lam_grid) for p, ev in sw.eigenvalues.items()))
 
 
 def sweep_summary_dict(sw):
@@ -294,15 +298,16 @@ def export_mode(mode, outdir, report, extra=None):
     _write_json(path, {"lambda": mode.lam, "b": mode.b, "nontrivial": mode.nontrivial,
                        "residuals": report.as_dict(), **(extra or {})})
     _write_csv(os.path.join(outdir, "mode_fields.csv"), ["x", "phi", "psi", "E1", "E2", "B"],
-               zip(mode.x, mode.phi, mode.psi, mode.e1, mode.e2, mode.bfield))
+               [(mode.x, mode.phi, mode.psi, mode.e1, mode.e2, mode.bfield)])
     idx = np.arange(0, quad.n_nodes, max(1, quad.n_nodes // 64))
-    r = np.hypot(quad.v1[idx], quad.v2[idx])
-    th = np.mod(np.arctan2(quad.v2[idx], quad.v1[idx]), 2.0 * np.pi)
+    r, th = (list(map(repr, a.tolist())) for a in      # the same in every x block
+             (np.hypot(quad.v1[idx], quad.v2[idx]),
+              np.mod(np.arctan2(quad.v2[idx], quad.v1[idx]), 2.0 * np.pi)))
     f = mode.contract(cols=idx)
     _write_csv(os.path.join(outdir, "mode_distribution.csv"),
                ["x", "r", "theta", "fplus", "fminus"],
-               ((x, r[j], th[j], f[+1][m, j], f[-1][m, j])
-                for m, x in enumerate(mode.x) for j in range(idx.size)))
+               (([x] * idx.size, r, th, f[+1][m], f[-1][m])
+                for m, x in enumerate(map(repr, mode.x.tolist()))))
     return path
 
 

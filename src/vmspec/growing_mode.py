@@ -25,6 +25,8 @@ from .errors import VmspecError
 from .operators import (LOWER, UPPER, assembly_kernel, damping, fold_quarters,
                         species_pair_moments)
 
+_BLOCK_NODES = 8192     # velocity nodes per block of the homogeneous contraction
+
 
 @dataclass
 class GrowingMode:
@@ -41,7 +43,6 @@ class GrowingMode:
     e1: np.ndarray                 # -dphi/dx - lam*b
     e2: np.ndarray                 # -lam*psi
     bfield: np.ndarray             # dpsi/dx
-    mu: dict = field(repr=False, default=None)     # species -> (mu_e, mu_p) it was built from
     rho: np.ndarray = None
     j1: np.ndarray = None
     j2: np.ndarray = None
@@ -50,6 +51,7 @@ class GrowingMode:
     state: object = field(repr=False, default=None)    # read by the residuals and export
     basis: object = field(repr=False, default=None)
     quad: object = field(repr=False, default=None)
+    kernel: object = field(repr=False, default=None)   # its AssemblyKernel: vh1, vh2, mu
 
     @property
     def nontrivial(self):
@@ -78,53 +80,60 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     psi_v = basis.values @ psi_coeffs
     dphi = basis.values @ basis.derivative_coeffs(phi_coeffs, 1)
     dpsi = basis.values @ basis.derivative_coeffs(psi_coeffs, 1)
+    kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
     mode = GrowingMode(lam=float(lam), phi_coeffs=phi_coeffs, psi_coeffs=psi_coeffs,
                        b=float(b), x=x, phi=phi_v, psi=psi_v,
                        e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi,
-                       state=state, basis=basis, quad=quad)
+                       state=state, basis=basis, quad=quad, kernel=kernel)
 
     kmax = basis.n_modes // 2
-    kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
-    mode.mu = kernel.mu
     c_phi = basis.half_spectrum(phi_coeffs)
     c_psi = basis.half_spectrum(psi_coeffs)
     vh1, vh2 = kernel.vh1, kernel.vh2
 
     if state.homogeneous:
         # x-phases p_k times the filter lam/(lam + i k w vh1) = re + i im, x-free mu: f_s =
-        # G @ S_s, S_s = [mu_e; mu_p; mu_e*(re; im; re*vh2; im*vh2; vh1)], s folded into mu.
-        # re is constant on a quarter class, im = -(k w/lam) vh1 re, and vh2, mu_e and mu_p
-        # on each half (vh2 > 0, < 0) of it, so S_s @ Y needs the half sums of Y and vh1*Y.
-        # Columns are Y = I on those nodes, each its own half, the filter taken there.
+        # s G @ S_s, S_s = [mu_e; mu_p; mu_e*(re; im; re*vh2; im*vh2; vh1)].  re is
+        # constant on a quarter class, im = -(k w/lam) vh1 re, and vh2, mu_e and mu_p on
+        # each half (vh2 > 0, < 0) of it, so S_s @ Y needs the half sums of Y and vh1*Y,
+        # taken one block of rings at a time against the filter on its classes.
         kw = np.arange(kmax + 1)[:, None] * basis.omega
-        re_cls, odd = damping(lam, kernel.a2), (-kw / lam if lam > 0.0 else 0.0 * kw)
+        odd = -kw / lam if lam > 0.0 else 0.0 * kw
         p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
                        p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
+        n_th = quad.theta_nodes.size
+        rings, q = max(1, _BLOCK_NODES // n_th), (n_th + 3) // 4
 
-        def nodes(sign, on):                 # (vh2, mu_e, mu_p) of species sign on nodes
-            return np.stack([vh2[on]] + [sign * m[0, on] for m in mode.mu[sign]])
-        half = {s: [fold_quarters(quad, nodes(s, slice(None)), rep)   # first, third image
-                    for rep in ((1, 0, 0, 0), (0, 0, 1, 0))] for s in (-1, +1)}
+        def rows(on):                   # each species' (vh2, mu_e, mu_p) at the nodes on
+            return np.array([[vh2[on]] + [m[0, on] for m in kernel.mu[s]] for s in (-1, +1)])
+
+        def pieces(Y, cols):   # per block: filter, half sums of Y and vh1 Y, rows by half
+            # columns are Y = I on those nodes, each its own upper half, the filter there
+            if cols is not None:
+                U, R = np.eye(len(cols)), rows(cols)
+                yield damping(lam, (kw * vh1[cols]) ** 2), (U, 0.0, vh1[cols] * U, 0.0), R, R
+                return
+            for r in range(0, quad.r_nodes.size, rings):
+                on = slice(r * n_th, (r + rings) * n_th)
+                Yb, R = np.ascontiguousarray(Y[on].T), rows(on)    # (K, nodes of the block)
+                yield (damping(lam, kernel.a2[:, r * q:(r + rings) * q]),
+                       [fold_quarters(quad, F, h) for F in (Yb, vh1[on] * Yb)
+                        for h in (UPPER, LOWER)],
+                       fold_quarters(quad, R, (1, 0, 0, 0)), fold_quarters(quad, R, (0, 0, 1, 0)))
 
         def contract(Y=None, cols=None):
-            Y = np.ascontiguousarray(Y.T) if cols is None else np.eye(len(cols))   # (K, N)
-            if cols is None:
-                re, reps, Y1 = re_cls, half, vh1 * Y
-                U, L, U1, L1 = (fold_quarters(quad, F, h) for F in (Y, Y1) for h in (UPPER, LOWER))
-            else:                            # each node is its own upper half
-                re, U, U1, L = damping(lam, (kw * vh1[cols]) ** 2), Y, vh1[cols] * Y, 0.0 * Y
-                L1, reps = L, {s: [nodes(s, cols)] * 2 for s in (-1, +1)}
-            out = {}
-            for sign, ((v2u, m_eu, m_pu), (v2l, m_el, m_pl)) in reps.items():
-                # sums of mu_e Y, its vh1, vh2 and vh1 vh2 multiples, and of mu_p Y
-                E = [m_eu * U + m_el * L, m_eu * U1 + m_el * L1]
-                E += [v2u * m_eu * U + v2l * m_el * L, v2u * m_eu * U1 + v2l * m_el * L1]
-                F = (re @ np.vstack(E).T).reshape(len(re), 4, -1)
-                out[sign] = G @ np.vstack([E[0].sum(axis=1), (m_pu * U + m_pl * L).sum(axis=1),
-                                           F[:, 0], odd * F[:, 1], F[:, 2], odd * F[:, 3],
-                                           E[1].sum(axis=1)])
-            return out
+            S = {-1: 0.0, +1: 0.0}
+            for re, (U, L, U1, L1), upper, lower in pieces(Y, cols):
+                for sign, (v2u, m_eu, m_pu), (v2l, m_el, m_pl) in zip(S, upper, lower):
+                    # sums of mu_e Y, its vh1, vh2 and vh1 vh2 multiples, and of mu_p Y
+                    E = [m_eu * U + m_el * L, m_eu * U1 + m_el * L1]
+                    E += [v2u * m_eu * U + v2l * m_el * L, v2u * m_eu * U1 + v2l * m_el * L1]
+                    F = (re @ np.vstack(E).T).reshape(len(re), 4, -1).transpose(1, 0, 2)
+                    S[sign] = S[sign] + np.vstack([E[0].sum(axis=1),
+                                                   (m_pu * U + m_pl * L).sum(axis=1), F[0],
+                                                   odd * F[1], F[2], odd * F[3], E[1].sum(axis=1)])
+            return {sign: sign * G @ Ss for sign, Ss in S.items()}
     else:
         # one orbit pass over the whole grid; contract the harmonics away
         f = {}
@@ -132,14 +141,16 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
                                                         opts).items():
             q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
                  - mode.b * mv1)
-            f[sign] = sign * (mode.mu[sign][0] * (phi_v[:, None] - q)
-                              + mode.mu[sign][1] * psi_v[:, None])
+            f[sign] = sign * (kernel.mu[sign][0] * (phi_v[:, None] - q)
+                              + kernel.mu[sign][1] * psi_v[:, None])
 
         def contract(Y=None, cols=None):
             return {s: fs @ Y if cols is None else fs[:, cols] for s, fs in f.items()}
     mode.contract = contract
     # charge and currents species by species, without an (M, N) difference
-    f_V = mode.contract(np.stack([quad.w, quad.w * vh1, quad.w * vh2]).T)
+    V = np.array([quad.w, vh1, vh2])           # one table: w, w vh1, w vh2
+    V[1:] *= quad.w
+    f_V = mode.contract(V.T)
     mode.rho, mode.j1, mode.j2 = (f_V[+1] - f_V[-1]).T
     return mode
 
@@ -210,30 +221,33 @@ def _weak_vlasov_defect(mode, floor):
     battery of low harmonics X and polynomials q under env = (1+e)^(-4).  The
     rotation vh2 d/dv1 - vh1 d/dv2 leaves env alone and takes q to
     (vh2 dq/dvh1 - vh1 dq/dvh2)/e.  Each q costs one contraction of f against
-    three velocity rows, written into one table.
+    three velocity rows, written in place into one table.
     """
     basis, quad = mode.basis, mode.quad
     lam, x, w = mode.lam, basis.x_grid, basis.omega
-    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
+    vh1, vh2 = mode.kernel.vh1, mode.kernel.vh2
     w_env = quad.w * (1.0 + quad.e) ** (-4.0)
     spatial = {"1": (np.ones_like(x), np.zeros_like(x)),
                "cos(wx)": (np.cos(w * x), -w * np.sin(w * x)),
                "sin(wx)": (np.sin(w * x), w * np.cos(w * x)),
                "cos(2wx)": (np.cos(2 * w * x), -2 * w * np.sin(2 * w * x))}
     X, dX = (np.column_stack(c) for c in zip(*spatial.values()))
-    # q and its rotation numerator vh2 dq/dvh1 - vh1 dq/dvh2
-    velocity = {"1": (1.0, 0.0), "vh1": (vh1, vh2), "vh2": (vh2, -vh1),
-                "vh1*vh2": (vh1 * vh2, vh2 * vh2 - vh1 * vh1)}
+    # the factors of q, and dq/dvh1 and dq/dvh2
+    velocity = {"1": ((), 0.0, 0.0), "vh1": ((vh1,), 1.0, 0.0), "vh2": ((vh2,), 0.0, 1.0),
+                "vh1*vh2": ((vh1, vh2), vh2, vh1)}
     b0, e1, e2, bf = mode.state.b0(x), mode.e1, mode.e2, mode.bfield
 
     worst = None
     Y = np.empty((3, quad.n_nodes))             # w q env, its v1 advection, its rotation
-    for q_name, (q, rot) in velocity.items():
-        np.multiply(w_env, q, out=Y[0])
+    for q_name, (q, dq1, dq2) in velocity.items():
+        Y[0] = w_env
+        for factor in q:
+            Y[0] *= factor
         np.multiply(Y[0], vh1, out=Y[1])
-        np.multiply(w_env / quad.e, rot, out=Y[2])
+        np.subtract(vh2 * dq1, vh1 * dq2, out=Y[2])
+        Y[2] *= w_env / quad.e
         fY = mode.contract(Y.T)
-        for sign, (mu_e, mu_p) in mode.mu.items():
+        for sign, (mu_e, mu_p) in mode.kernel.mu.items():
             fq, fadv, frot = fY[sign].T
             # the sources (mu_e vh1, mu_p vh1, mu_e vh2 + mu_p) against w q env
             s1, s2, s3 = mu_e @ Y[1], mu_p @ Y[1], mu_e @ (vh2 * Y[0]) + mu_p @ Y[0]
@@ -291,9 +305,9 @@ def physical_defect_coeffs(mode):
     wq = basis.quad_weight
     d3 = float(np.sum(mode.j1) * wq - basis.period * mode.lam ** 2 * mode.b)
 
-    vh1 = quad.v1 / quad.e
+    vh1 = mode.kernel.vh1
     drop1 = drop2 = 0.0
-    for mu_e, mu_p in mode.mu.values():
+    for mu_e, mu_p in mode.kernel.mu.values():
         drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
         drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)

@@ -519,7 +519,7 @@ def damping(lam, a2):
 
 
 def fold_quarters(quad, F, images=(1, 1, 1, 1)):
-    """Sums of F's nodes, its last axis, over the quarter classes: (..., N) -> (..., rings * q).
+    """Sums of F's nodes (last axis; any run of whole rings) over the quarter classes.
 
     Under theta -> -theta and theta -> pi - theta a ring's angles fall into
     q = ceil(n_theta/4) classes; class j holds theta_j (v1, v2 > 0), pi - theta_j,
@@ -528,8 +528,8 @@ def fold_quarters(quad, F, images=(1, 1, 1, 1)):
     is its own image under theta -> pi - theta: two nodes."""
     n, shape = quad.theta_nodes.size, np.shape(F)[:-1]
     h, q, p = n // 2, (n + 3) // 4, n // 4          # p classes hold four nodes
-    F = np.reshape(F, (-1, quad.r_nodes.size, n))
-    out = np.zeros(F.shape[:2] + (q,))
+    F = np.reshape(F, shape + (-1, n))
+    out = np.zeros(F.shape[:-1] + (q,))
     for image, weight in zip((F[..., :q], F[..., h - 1:h - 1 - p:-1], F[..., h:h + q],
                               F[..., n - 1:n - 1 - p:-1]), images):
         if weight:
@@ -601,7 +601,8 @@ class MomentProfiles:
     m_e, m_vp are the local (average-free) moments.  Each is twice its
     species - term (docs/DECISIONS.md section 4).  ``cut_lanes`` counts the
     - lanes whose orbit did not close and gives their share of sum |mu_e| w
-    (the + lanes are their mirror images); it is None on straight lines.
+    and their signed share of l (the + lanes are their mirror images); it is
+    None on straight lines.
     """
 
     T1: np.ndarray
@@ -636,12 +637,14 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     T1 = np.einsum("kmn,mn->km", m0, we)
     T2 = np.einsum("kmn,mn->km", m1, we * kernel.vh2)
     c = np.sum(we * mv1, axis=1)
-    lint = np.sum(we * kernel.vh1 * mv1, axis=1)
+    l_lanes = we * kernel.vh1 * mv1
+    lint = np.sum(l_lanes, axis=1)
     cut = ~moments.resolved
     dens = np.abs(we)
-    total = float(np.sum(dens))
+    total, l_sum = float(np.sum(dens)), float(np.sum(lint))
     cut_lanes = {"count": int(np.count_nonzero(cut)), "lanes": cut.size,
-                 "mu_e_share": float(np.sum(dens[cut])) / total if total > 0.0 else 0.0}
+                 "mu_e_share": float(np.sum(dens[cut])) / total if total > 0.0 else 0.0,
+                 "l_share": float(np.sum(l_lanes[cut])) / l_sum if l_sum != 0.0 else 0.0}
     return MomentProfiles(T1, T2, c, lint, kernel.m_e, kernel.m_vp, cut_lanes)
 
 
@@ -654,7 +657,8 @@ class OperatorBlocks:
     current-response scalar; the species mirror makes psi's couplings zero
     (docs/DECISIONS.md section 4).  ``defects`` records the
     pre-symmetrization asymmetry, and ``cut_lanes`` the orbits that did not
-    close (``MomentProfiles.cut_lanes``).
+    close (``MomentProfiles.cut_lanes``); ``worst`` holds the (row, col) of
+    each block's largest asymmetry.
     """
 
     lam: float
@@ -666,9 +670,11 @@ class OperatorBlocks:
     l: float
     defects: dict = field(default_factory=dict)
     cut_lanes: dict = None
+    worst: dict = field(default_factory=dict)
 
 
 def _symmetrize(Mx, name, tol_sym, defects):
+    """(Mx + Mx.T)/2 and the (row, col) of the asymmetry it records in ``defects``."""
     bad = np.argwhere(~np.isfinite(Mx))
     if bad.size:
         i, j = bad[0]
@@ -682,7 +688,7 @@ def _symmetrize(Mx, name, tol_sym, defects):
     if defect > tol_sym * scale:
         raise AssemblyError("assembly inconsistency: %s asymmetry %.3e at (%d, %d) (relative "
                             "%.3e, tol_sym %.1e)" % (name, defect, i, j, defect / scale, tol_sym))
-    return 0.5 * (Mx + Mx.T)
+    return 0.5 * (Mx + Mx.T), (int(i), int(j))
 
 
 def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
@@ -709,11 +715,12 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     C = w * (Umz.T @ prof.c)
     l = float(w * np.sum(prof.lint) / state.period)
 
-    defects = {}
-    A1 = _symmetrize(A1, "A1", opts.tol_sym, defects)
-    A2 = _symmetrize(A2, "A2", opts.tol_sym, defects)
+    defects, worst = {}, {}
+    A1, worst["A1"] = _symmetrize(A1, "A1", opts.tol_sym, defects)
+    A2, worst["A2"] = _symmetrize(A2, "A2", opts.tol_sym, defects)
     return OperatorBlocks(lam=float(lam), n_modes=basis.n_modes, period=state.period,
-                          A1=A1, A2=A2, C=C, l=l, defects=defects, cut_lanes=prof.cut_lanes)
+                          A1=A1, A2=A2, C=C, l=l, defects=defects, cut_lanes=prof.cut_lanes,
+                          worst=worst)
 
 
 @dataclass(frozen=True)

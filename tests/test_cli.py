@@ -221,7 +221,20 @@ def test_analyze_reports_are_byte_identical(tmp_path, monkeypatch):
         assert a == (tmp_path / "b" / name).read_bytes(), name
         assert a.endswith(b"\n"), name
     payload = json.loads((tmp_path / "a" / "analysis.json").read_text())
-    assert "timing_seconds" not in payload and "diagnostics" not in payload
+    # only the deterministic diagnostics stay: the lam = 0 asymmetry of each block
+    assert "timing_seconds" not in payload and sorted(payload["diagnostics"]) == ["defects_lam0"]
+    for name, worst in payload["diagnostics"]["defects_lam0"].items():
+        assert sorted(worst) == ["col", "relative", "row"], name
+        assert 0.0 <= worst["relative"] <= 1e-8, name
+
+
+def test_crossing_reports_the_kernel_tolerance(tmp_path, monkeypatch):
+    # the kernel eigenvalue is reported next to the tolerance it was located to
+    assert run(_small_family_args(tmp_path, "--find-mode", "analyze"),
+               tmp_path, monkeypatch) == cli.EXIT_OK
+    crossing = json.loads((tmp_path / "out" / "analysis.json").read_text())["crossing"]
+    assert sorted(crossing) == ["lambda_star", "min_abs_eig", "pencil", "tol_kernel"]
+    assert 0.0 <= crossing["min_abs_eig"] <= crossing["tol_kernel"]
 
 
 def test_analyze_reports_stage_seconds_unless_canonical(tmp_path, monkeypatch):
@@ -269,6 +282,27 @@ def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def test_column_writer_writes_the_row_writers_bytes(tmp_path):
+    # float columns (signed zero, nan, the infinities, the smallest subnormal,
+    # numpy scalars of other widths and an integer) next to integer and string
+    # columns, written in blocks, give the bytes of a per-value repr(float(v))
+    ints = [0, -3, 7, 2 ** 62, 5]
+    names = ["a", "b,c", 'q"x', "", "electric"]
+    floats = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+    scalars = [np.float64(0.1), np.float32(0.1), np.int64(3), np.float16(-2.5), np.float64(1e300)]
+    header = ["i", "s", "f", "n"]
+    ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+    with open(ref, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        wtr.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
+                      for row in zip(ints, names, floats, scalars))
+    cli._write_csv(str(got), header, [(ints[a:b], names[a:b], np.array(floats[a:b]),
+                                       np.array(scalars[a:b])) for a, b in ((0, 2), (2, 5))])
+    assert got.read_bytes() == ref.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == 6          # csv's line ending, kept
 
 
 def test_csv_artifacts_read_back_exactly(tmp_path, monkeypatch):
@@ -394,11 +428,19 @@ def test_magnetized_analyze_reports_cut_lanes(tmp_path, monkeypatch):
                 "--n-x", "2", "--n", "2", "--canonical", "analyze"],
                tmp_path, monkeypatch) == cli.EXIT_OK
     payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
-    assert sorted(payload["diagnostics"]) == ["cut_lanes"]
+    assert sorted(payload["diagnostics"]) == ["cut_lanes", "defects_lam0"]
     cut = payload["diagnostics"]["cut_lanes"]
-    assert sorted(cut) == ["count", "lanes", "mu_e_share"]
+    assert sorted(cut) == ["count", "l_share", "lanes", "mu_e_share"]
     assert (cut["count"], cut["lanes"]) == (416, 6656)
     assert 0.0 < cut["mu_e_share"] < 0.1
+    assert 0.0 < abs(cut["l_share"]) < 1e-2
+    # the lam = 0 asymmetry of each block, with its worst entry, below the 1e-4 tol.sym
+    defects = payload["diagnostics"]["defects_lam0"]
+    assert sorted(defects) == ["A1", "A2"]
+    for name, size in (("A1", 4), ("A2", 5)):
+        assert sorted(defects[name]) == ["col", "relative", "row"], name
+        assert 0.0 < defects[name]["relative"] < 1e-4, name
+        assert 0 <= defects[name]["row"] < size and 0 <= defects[name]["col"] < size, name
 
 
 def test_weakfield_equilibrium_subcommand(tmp_path, monkeypatch):

@@ -340,7 +340,27 @@ def test_mirror_pairing_matches_direct_path(monkeypatch, weak_state, aniso_coars
             for name in names:
                 diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
                 assert diff <= 1e-10 * size, (lam, name, diff / size)
+        # the counts and the density share match exactly; the share of l reads
+        # the lanes' average of vh1, so it is held like lint
+        l_share = (got.cut_lanes.pop("l_share"), want.cut_lanes.pop("l_share"))
         assert got.cut_lanes == want.cut_lanes
+        assert abs(l_share[0] - l_share[1]) <= 1e-10 * abs(l_share[1]), (lam, l_share)
+
+
+def test_cut_lanes_report_their_share_of_l(weak_state, aniso_coarse_quad):
+    # the lanes that the stop rule cuts before they close carry a small signed
+    # part of l; recomputed here from the orbit pass's own moments
+    quad = aniso_coarse_quad
+    basis = vm.build_fourier_basis(weak_state.period, 2)
+    opts = EvalOptions(tol_sym=1e-3, n_per_period=128)
+    cut = vm.assemble_blocks(weak_state, 0.0, basis, quad, opts).cut_lanes
+    moments = vm.node_moments(weak_state, -1, 0.0, quad, 1, basis.x_grid, opts)
+    mu_e = assembly_kernel(weak_state, quad, basis).mu[-1][0]
+    l_lanes = mu_e * quad.w * (quad.v1 / quad.e) * moments[2]
+    assert cut["count"] == np.count_nonzero(~moments.resolved) > 0
+    assert 0.0 < abs(cut["l_share"]) < 1e-2
+    want = np.sum(l_lanes[~moments.resolved]) / np.sum(l_lanes)
+    assert abs(cut["l_share"] - want) <= 1e-12 * abs(want)
 
 
 def test_uneven_well_takes_the_direct_path(monkeypatch, weak_state, aniso_coarse_quad):
@@ -486,6 +506,10 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
         assert (upper + ops.fold_quarters(quad, np.ones(quad.n_nodes), ops.LOWER)
                 == sizes.ravel()).all()
         assert not ops.fold_quarters(quad, 1.0 * (quad.v2 > 0), ops.LOWER).any()
+        # the nodes of a run of whole rings fold onto that run's classes
+        n = quad.theta_nodes.size
+        assert (ops.fold_quarters(quad, quad.w[5 * n:9 * n], ops.UPPER)
+                == ops.fold_quarters(quad, quad.w, ops.UPPER)[5 * n_cls:9 * n_cls]).all()
         basis = vm.build_fourier_basis(state.period, 8)
         kern = assembly_kernel(state, quad, basis)
         we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
