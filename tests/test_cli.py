@@ -428,12 +428,16 @@ def test_magnetized_analyze_reports_cut_lanes(tmp_path, monkeypatch):
                 "--n-x", "2", "--n", "2", "--canonical", "analyze"],
                tmp_path, monkeypatch) == cli.EXIT_OK
     payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
-    assert sorted(payload["diagnostics"]) == ["cut_lanes", "defects_lam0"]
+    assert sorted(payload["diagnostics"]) == ["cut_lanes", "defects_lam0", "drift"]
     cut = payload["diagnostics"]["cut_lanes"]
     assert sorted(cut) == ["count", "l_share", "lanes", "mu_e_share"]
     assert (cut["count"], cut["lanes"]) == (416, 6656)
     assert 0.0 < cut["mu_e_share"] < 0.1
     assert 0.0 < abs(cut["l_share"]) < 1e-2
+    # the largest drift of e and p over the orbit pass's streams
+    drift = payload["diagnostics"]["drift"]
+    assert sorted(drift) == ["e", "p"]
+    assert 0.0 < drift["e"] <= 1e-9 and 0.0 < drift["p"] <= 1e-9
     # the lam = 0 asymmetry of each block, with its worst entry, below the 1e-4 tol.sym
     defects = payload["diagnostics"]["defects_lam0"]
     assert sorted(defects) == ["A1", "A2"]

@@ -8,7 +8,8 @@ import pytest
 
 import vmspec as vm
 import vmspec.operators as ops
-from vmspec.characteristics import PhasePoint, default_dt
+from reference import PhasePoint, SmoothingEvaluator
+from vmspec.characteristics import default_dt
 from vmspec.errors import AssemblyError, VmspecError
 from vmspec.operators import EvalOptions, MomentProfiles, assembly_kernel, moment_profiles
 
@@ -24,7 +25,7 @@ def test_smoothing_of_one_is_one(paper_state, weak_state):
     one = lambda x, v1, v2: np.ones_like(x)
     for state, pt in ((paper_state, PhasePoint(0.3, 0.5, 0.1)),
                       (weak_state, PhasePoint(1.1, 0.4, -0.6))):
-        ev = vm.SmoothingEvaluator(state, lam=0.7)
+        ev = SmoothingEvaluator(state, lam=0.7)
         got = ev.apply("-", one, pt)
         assert 1.0 - 1e-9 <= got <= 1.0 + 1e-12
 
@@ -37,7 +38,7 @@ def test_smoothing_matches_straight_line_closed_form(paper_state):
     a = w * pt.v1 / pt.energy
     k = lambda x, v1, v2: np.cos(w * x)
     for lam in (0.3, 1.0, 5.0):
-        ev = vm.SmoothingEvaluator(paper_state, lam, k_osc=2)
+        ev = SmoothingEvaluator(paper_state, lam, k_osc=2)
         got = ev.apply("-", k, pt)
         want = (lam**2 * np.cos(w * pt.x) + lam * a * np.sin(w * pt.x)) / (lam**2 + a**2)
         assert abs(got - want) <= 1e-8, (lam, got, want)
@@ -47,7 +48,7 @@ def test_smoothing_tends_to_spatial_mean_at_small_rate(paper_state):
     w = 2 * np.pi / paper_state.period
     pt = PhasePoint(0.9, 0.65, -0.2)
     k = lambda x, v1, v2: np.cos(w * x)
-    ev = vm.SmoothingEvaluator(paper_state, 1e-3, k_osc=2)
+    ev = SmoothingEvaluator(paper_state, 1e-3, k_osc=2)
     assert abs(ev.apply("-", k, pt)) <= 2e-3
 
 
@@ -56,67 +57,64 @@ def test_smoothing_tends_to_identity_at_large_rate(paper_state):
     w = 2 * np.pi / paper_state.period
     pt = PhasePoint(0.9, 0.65, -0.2)
     k = lambda x, v1, v2: np.cos(w * x)
-    ev = vm.SmoothingEvaluator(paper_state, 1000.0, k_osc=2)
+    ev = SmoothingEvaluator(paper_state, 1000.0, k_osc=2)
     assert abs(ev.apply("-", k, pt) - np.cos(w * pt.x)) <= 1e-3
 
 
 def test_smoothing_requires_positive_rate(paper_state):
     with pytest.raises(VmspecError):
-        vm.SmoothingEvaluator(paper_state, 0.0)
+        SmoothingEvaluator(paper_state, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # orbit-average projection
 # ---------------------------------------------------------------------------
 
+def _orbit_average(state, k, *points):
+    """The engine's lam = 0 average of k(x, v1, v2) over each point's orbit
+    period (the horizon where it does not close), from species -."""
+    x, v1, v2 = (np.array(c, dtype=float) for c in zip(*points))
+    dt, n = default_dt(state), EvalOptions().n_per_period
+    periods, _, _ = ops._orbit_periods_batch(state, -1, x, v1, v2, dt,
+                                             ops.HORIZON_PERIODS * state.period)
+    samples = ops._orbit_stream(state, -1, x, v1, v2, periods / n, n, dt)
+    return np.mean([k(xs % state.period, a, b) for xs, a, b in samples], axis=0)
+
+
 def test_projection_of_invariant_functions(weak_state):
     # functions of the conserved pair pass through untouched
-    pt = PhasePoint(1.3, 0.5, 0.4)
-    ev = vm.ProjectionEvaluator(weak_state)
+    pt = (1.3, 0.5, 0.4)
 
     def invariant(x, v1, v2):
         e = np.sqrt(1 + v1**2 + v2**2)
         p = v2 - weak_state.psi0(x)
         return e**2 + 0.3 * p
-    got = ev.apply("-", invariant, pt)
-    want = float(invariant(np.asarray(pt.x), np.asarray(pt.v1), np.asarray(pt.v2)))
+    got = _orbit_average(weak_state, invariant, pt)[0]
+    want = float(invariant(*map(np.asarray, pt)))
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
 def test_projection_kills_mean_zero_spatial_factor(paper_state):
     w = 2 * np.pi / paper_state.period
-    ev = vm.ProjectionEvaluator(paper_state)
-    pt = PhasePoint(0.4, 0.8, 0.3)
-    got = ev.apply("-", lambda x, v1, v2: (v1 / np.sqrt(1 + v1**2 + v2**2))
-                   * np.cos(w * x), pt)
+    got = _orbit_average(paper_state, lambda x, v1, v2: (v1 / np.sqrt(1 + v1**2 + v2**2))
+                         * np.cos(w * x), (0.4, 0.8, 0.3))[0]
     assert abs(got) <= 1e-10
 
 
 def test_projection_idempotence(weak_state):
     # averaging an already orbit-averaged quantity changes nothing
-    pt = PhasePoint(0.8, 0.45, -0.3)
-    ev = vm.ProjectionEvaluator(weak_state)
+    pt = (0.8, 0.45, -0.3)
     w = 2 * np.pi / weak_state.period
     k = lambda x, v1, v2: np.cos(w * x) * v2 / np.sqrt(1 + v1**2 + v2**2)
-    first = ev.apply("-", k, pt)
-    again = ev.apply("-", lambda x, v1, v2: np.full(np.shape(x), first), pt)
+    first = _orbit_average(weak_state, k, pt)[0]
+    again = _orbit_average(weak_state, lambda x, v1, v2: np.full(np.shape(x), first), pt)[0]
     assert abs(again - first) <= 1e-8
-
-
-def test_projection_stationary_point_returns_value(paper_state):
-    ev = vm.ProjectionEvaluator(paper_state)
-    pt = PhasePoint(0.7, 0.0, 0.5)
-    w = 2 * np.pi / paper_state.period
-    k = lambda x, v1, v2: np.cos(w * x)
-    assert abs(ev.apply("-", k, pt) - np.cos(w * pt.x)) <= 1e-14
 
 
 def test_projection_preserves_v1_parity(weak_state):
     # the averaged v1hat flips sign under v1 -> -v1
-    ev = vm.ProjectionEvaluator(weak_state)
     vhat1 = lambda x, v1, v2: v1 / np.sqrt(1 + v1**2 + v2**2)
-    a = ev.apply("-", vhat1, PhasePoint(1.0, 0.55, 0.25))
-    b = ev.apply("-", vhat1, PhasePoint(1.0, -0.55, 0.25))
+    a, b = _orbit_average(weak_state, vhat1, (1.0, 0.55, 0.25), (1.0, -0.55, 0.25))
     assert abs(a + b) <= 1e-6 * max(abs(a), 1e-6)
 
 
@@ -125,8 +123,8 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
     pt = PhasePoint(0.5, 0.01, 0.9)
     w = 2 * np.pi / weak_state.period
     k = lambda x, v1, v2: np.cos(w * x)
-    proj = vm.ProjectionEvaluator(weak_state).apply("-", k, pt)
-    ev = vm.SmoothingEvaluator(weak_state, 1e-3, k_osc=1, tol_tail=1e-8)
+    proj = _orbit_average(weak_state, k, (pt.x, pt.v1, pt.v2))[0]
+    ev = SmoothingEvaluator(weak_state, 1e-3, k_osc=1, tol_tail=1e-8)
     smooth = ev.apply("-", k, pt)
     assert abs(smooth - proj) <= 1e-3
 
@@ -141,26 +139,6 @@ def _resolved_lanes(state, quad, x):
         state, -1, np.full(quad.n_nodes, x), quad.v1, quad.v2, default_dt(state),
         ops.HORIZON_PERIODS * state.period, weights=quad.w)
     return resolved, winding
-
-
-def test_projection_matches_batched_orbit_average(weak_state, aniso_coarse_quad):
-    # at lam = 0 the pointwise projection and the assembly's per-node
-    # moments come from one engine; on the heaviest resolved passing lane
-    # and trapped lane each lane takes the same substeps in both, so they
-    # agree to roundoff (1.7e-16 measured; a separate scalar detector gave 4.1e-9)
-    quad, kmax = aniso_coarse_quad, 3
-    x = 0.3 * weak_state.period
-    w = 2 * np.pi / weak_state.period
-    resolved, winding = _resolved_lanes(weak_state, quad, x)
-    m0 = vm.node_moments(weak_state, -1, 0.0, quad, kmax, x)[0]
-    ev = vm.ProjectionEvaluator(weak_state)
-    for passing in (True, False):
-        j = max(np.flatnonzero(resolved & ((winding != 0) == passing)), key=lambda i: quad.w[i])
-        pt = PhasePoint(x, quad.v1[j], quad.v2[j])
-        assert vm.orbit_info(weak_state, "-", pt).kind == ("passing" if passing else "trapped")
-        for k in range(kmax + 1):
-            got = ev.apply("-", lambda xs, a, b: np.cos(k * w * xs), pt)
-            assert abs(got - m0[k, j].real) <= 1e-9, (passing, k, got, m0[k, j])
 
 
 def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, aniso_coarse_quad):
@@ -238,6 +216,18 @@ def test_node_moments_average_of_one_is_one(weak_state, aniso_coarse_quad):
     for lam in (0.01 * 2 * np.pi / weak_state.period, 0.1):
         m0 = vm.node_moments(weak_state, -1, lam, quad, 0, x)[0]
         assert np.max(np.abs(m0[0] - 1.0)) <= 1e-12, lam
+
+
+def test_node_moments_report_invariant_drift(weak_state, aniso_coarse_quad):
+    # the largest |de| and |dp| between the first and the last sample of
+    # every stream, the backward window of the lanes that did not close
+    # included at lam > 0
+    quad, x = aniso_coarse_quad, 0.7
+    assert not _resolved_lanes(weak_state, quad, x)[0].all()
+    for lam in (0.0, 0.4):
+        drift = vm.node_moments(weak_state, -1, lam, quad, 1, x).drift
+        assert sorted(drift) == ["e", "p"]
+        assert 0.0 < drift["e"] <= 1e-9 and 0.0 < drift["p"] <= 1e-9, (lam, drift)
 
 
 def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
@@ -398,16 +388,12 @@ def test_one_orbit_pass_per_assembly(monkeypatch, weak_state, aniso_coarse_quad)
 
 def test_orbit_engine_steps_through_operators(monkeypatch, weak_state, aniso_coarse_quad):
     # the benchmark trace counts RK4 steps at operators.rk4_step_arrays,
-    # so every orbit path must step through that name
+    # so the engine must step through that name at every rate
     widths = _counting_rk4(monkeypatch)
-    pt = PhasePoint(1.0, 0.7, -0.4)
     seen = []
-    for run in (lambda: vm.orbit_info(weak_state, "-", pt),
-                lambda: vm.ProjectionEvaluator(weak_state).apply(
-                    "-", lambda x, a, b: np.cos(x), pt),
-                lambda: vm.node_moments(weak_state, -1, 0.0, aniso_coarse_quad, 2, 0.3)):
+    for lam in (0.0, 0.4):
         before = len(widths)
-        run()
+        vm.node_moments(weak_state, -1, lam, aniso_coarse_quad, 2, 0.3)
         seen.append(len(widths) - before)
     assert min(seen) > 0, seen
 
