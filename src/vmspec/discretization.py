@@ -45,9 +45,7 @@ class VelocityQuadrature:
     """
 
     r_nodes: np.ndarray
-    r_weights: np.ndarray          # includes the r * dr Jacobian
     theta_nodes: np.ndarray
-    theta_weights: np.ndarray
     r_max: float
     panel_edges: tuple = ()
     n_core_panels: int = 1
@@ -64,10 +62,8 @@ class VelocityQuadrature:
 
     def refined(self, factor=2):
         """Same panel structure with factor-times more radial and angular nodes."""
-        return _build_from_edges(self.panel_edges, self.n_core_panels,
-                                 int(self.n_r * factor),
-                                 int(self.theta_nodes.size * factor),
-                                 int(self.n_r_tail * factor))
+        return _build_from_edges(self.panel_edges, self.n_core_panels, int(self.n_r * factor),
+                                 int(self.theta_nodes.size * factor), int(self.n_r_tail * factor))
 
 
 def _build_from_edges(edges, n_core, n_r, n_theta, n_r_tail):
@@ -87,15 +83,13 @@ def _build_from_edges(edges, n_core, n_r, n_theta, n_r_tail):
     # angular midpoint rule; the half-step offset keeps v1 = 0 and v2 = 0
     # off the node set while preserving both reflection symmetries
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    wth = np.full(n_theta, 2.0 * np.pi / n_theta)
     V1 = np.outer(r_nodes, np.cos(theta)).ravel()
     V2 = np.outer(r_nodes, np.sin(theta)).ravel()
-    W = np.outer(r_weights, wth).ravel()
+    W = np.outer(r_weights, np.full(n_theta, 2.0 * np.pi / n_theta)).ravel()
     E = np.sqrt(1.0 + V1 ** 2 + V2 ** 2)
     return VelocityQuadrature(
-        r_nodes=r_nodes, r_weights=r_weights, theta_nodes=theta, theta_weights=wth,
-        r_max=float(edges[-1]), panel_edges=edges, n_core_panels=n_core,
-        n_r=n_r, n_r_tail=n_r_tail, v1=V1, v2=V2, e=E, w=W)
+        r_nodes=r_nodes, theta_nodes=theta, r_max=float(edges[-1]), panel_edges=edges,
+        n_core_panels=n_core, n_r=n_r, n_r_tail=n_r_tail, v1=V1, v2=V2, e=E, w=W)
 
 
 def weight_tail_radius(weight, tol_tail):
@@ -160,10 +154,7 @@ def theta_reflect_permutation(quad):
     The half-offset angular grid is closed under theta -> -theta, so the
     reflection is an exact relabeling of nodes (weights are equal).
     """
-    n_th = quad.theta_nodes.size
-    n_r = quad.r_nodes.size
-    idx = np.arange(n_r * n_th).reshape(n_r, n_th)
-    return idx[:, ::-1].ravel()
+    return np.arange(quad.n_nodes).reshape(-1, quad.theta_nodes.size)[:, ::-1].ravel()
 
 
 def v1_reflect_permutation(quad):
@@ -173,8 +164,39 @@ def v1_reflect_permutation(quad):
     n_theta = 2 (mod 4) the angles pi/2 and 3pi/2 are their own images.
     """
     n_th = quad.theta_nodes.size
-    idx = np.arange(quad.r_nodes.size * n_th).reshape(-1, n_th)
+    idx = np.arange(quad.n_nodes).reshape(-1, n_th)
     return idx[:, (n_th // 2 - 1 - np.arange(n_th)) % n_th].ravel()
+
+
+UPPER, LOWER = (1, 1, 0, 0), (0, 0, 1, 1)   # the v2 > 0 and v2 < 0 images of a quarter class
+
+
+def fold_quarters(quad, F, images=(1, 1, 1, 1)):
+    """Sums of F's nodes (last axis; any run of whole rings) over the quarter classes.
+
+    Under theta -> -theta and theta -> pi - theta a ring's angles fall into
+    q = ceil(n_theta/4) classes; class j holds theta_j (v1, v2 > 0), pi - theta_j,
+    pi + theta_j and -theta_j, added in that order where ``images`` holds a 1
+    (``UPPER`` is the v2 > 0 half).  At n_theta = 2 (mod 4) the class of pi/2
+    is its own image under theta -> pi - theta: two nodes."""
+    n, shape = quad.theta_nodes.size, np.shape(F)[:-1]
+    h, q, p = n // 2, (n + 3) // 4, n // 4          # p classes hold four nodes
+    F = np.reshape(F, shape + (-1, n))
+    out = np.zeros(F.shape[:-1] + (q,))
+    for image, weight in zip((F[..., :q], F[..., h - 1:h - 1 - p:-1], F[..., h:h + q],
+                              F[..., n - 1:n - 1 - p:-1]), images):
+        if weight:
+            out[..., :image.shape[-1]] += image
+    return out.reshape(*shape, -1)
+
+
+def ring_blocks(quad, max_nodes):
+    """(node slice, class slice) of each run of whole rings, in order, with at most
+    max_nodes nodes but at least one ring; the classes are those of ``fold_quarters``."""
+    n, n_r = quad.theta_nodes.size, quad.r_nodes.size
+    rings, q = max(1, max_nodes // n), (n + 3) // 4
+    for r in range(0, n_r, rings):
+        yield slice(r * n, min(r + rings, n_r) * n), slice(r * q, min(r + rings, n_r) * q)
 
 
 def integrate_velocity(quad, f):
@@ -203,11 +225,11 @@ def integrate_velocity(quad, f):
 class FourierBasis:
     """Orthonormal real trigonometric basis on a period-P interval.
 
-    Functions are ordered [const, cos_1, sin_1, cos_2, sin_2, ...]; the
-    constant is function 0.  ``values`` holds the basis on the collocation
-    grid (grid-point by function), ``k_index`` the harmonic of each function,
-    ``h`` its complex weight, ``phases`` exp(i k omega x_m) on the grid as
-    (kmax+1, M) and ``omega`` the fundamental 2*pi/P.
+    Functions are ordered [const, cos_1, sin_1, cos_2, sin_2, ...]; the constant is
+    function 0.  ``values`` holds the basis on the collocation grid (grid-point by
+    function), ``k_index`` the harmonic of each function, ``h`` its complex weight,
+    ``wavenumbers`` k omega for k = 0..kmax, ``phases`` exp(i k omega x_m) on the grid
+    as (kmax+1, M) and ``omega`` the fundamental 2*pi/P.
     """
 
     period: float
@@ -215,7 +237,10 @@ class FourierBasis:
     x_grid: np.ndarray
     k_index: np.ndarray
     h: np.ndarray
-    phases: np.ndarray
+
+    @cached_property
+    def phases(self):
+        return np.exp(1j * self.wavenumbers[:, None] * self.x_grid[None, :])
 
     @cached_property
     def values(self):
@@ -224,6 +249,10 @@ class FourierBasis:
     @property
     def omega(self):
         return 2.0 * np.pi / self.period
+
+    @property
+    def wavenumbers(self):
+        return np.arange(self.n_modes // 2 + 1) * self.omega
 
     @property
     def n_functions(self):
@@ -252,8 +281,7 @@ class FourierBasis:
 
     def derivative_coeffs(self, coeffs, order=1):
         """Coefficients of the order-th derivative: harmonic k gains (i k omega)^order."""
-        ik = 1j * self.omega * np.arange(self.n_modes // 2 + 1)
-        return self.coefficients(self.half_spectrum(coeffs) * ik ** order)
+        return self.coefficients(self.half_spectrum(coeffs) * (1j * self.wavenumbers) ** order)
 
     def laplacian_diagonal(self):
         """Galerkin entries of -d2/dx2, which is diagonal: (k*omega)^2."""
@@ -270,9 +298,7 @@ def build_fourier_basis(period, n_modes):
     k_index = np.concatenate([[0], np.repeat(np.arange(1, kmax + 1), 2)])
     a = np.sqrt(2.0 / period)
     h = np.concatenate([[1.0 / np.sqrt(period)], np.tile([a, -1j * a], kmax)])
-    ks = np.arange(kmax + 1)[:, None] * (2.0 * np.pi / period)
-    return FourierBasis(period=float(period), n_modes=int(n_modes), x_grid=x, k_index=k_index,
-                        h=h, phases=np.exp(1j * ks * x[None, :]))
+    return FourierBasis(period=float(period), n_modes=int(n_modes), x_grid=x, k_index=k_index, h=h)
 
 
 def integrate_spatial(basis, g):

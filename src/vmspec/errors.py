@@ -32,7 +32,7 @@ class OrbitError(VmspecError):
 
 
 class AssemblyError(VmspecError):
-    """Inconsistent matrix assembly (symmetry or adjoint defect above tolerance)."""
+    """Inconsistent matrix assembly (a non-finite or asymmetric block, or a lam = 0 coupling)."""
 
 
 class HypothesisError(VmspecError):

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .discretization import LOWER, UPPER, fold_quarters, ring_blocks
 from .errors import VmspecError
-from .operators import (LOWER, UPPER, assembly_kernel, damping, fold_quarters,
-                        species_pair_moments)
+from .operators import assembly_kernel, damping, species_pair_moments
 
 _BLOCK_NODES = 8192     # velocity nodes per block of the homogeneous contraction
 
@@ -81,14 +81,11 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     dphi = basis.values @ basis.derivative_coeffs(phi_coeffs, 1)
     dpsi = basis.values @ basis.derivative_coeffs(psi_coeffs, 1)
     kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
-    mode = GrowingMode(lam=float(lam), phi_coeffs=phi_coeffs, psi_coeffs=psi_coeffs,
-                       b=float(b), x=x, phi=phi_v, psi=psi_v,
-                       e1=-dphi - lam * b, e2=-lam * psi_v, bfield=dpsi,
-                       state=state, basis=basis, quad=quad, kernel=kernel)
+    mode = GrowingMode(lam=float(lam), phi_coeffs=phi_coeffs, psi_coeffs=psi_coeffs, b=float(b),
+                       x=x, phi=phi_v, psi=psi_v, e1=-dphi - lam * b, e2=-lam * psi_v,
+                       bfield=dpsi, state=state, basis=basis, quad=quad, kernel=kernel)
 
-    kmax = basis.n_modes // 2
-    c_phi = basis.half_spectrum(phi_coeffs)
-    c_psi = basis.half_spectrum(psi_coeffs)
+    c_phi, c_psi = basis.half_spectrum(phi_coeffs), basis.half_spectrum(psi_coeffs)
     vh1, vh2 = kernel.vh1, kernel.vh2
 
     if state.homogeneous:
@@ -97,13 +94,11 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
         # constant on a quarter class, im = -(k w/lam) vh1 re, and vh2, mu_e and mu_p on
         # each half (vh2 > 0, < 0) of it, so S_s @ Y needs the half sums of Y and vh1*Y,
         # taken one block of rings at a time against the filter on its classes.
-        kw = np.arange(kmax + 1)[:, None] * basis.omega
-        odd = -kw / lam if lam > 0.0 else 0.0 * kw
+        kw = basis.wavenumbers
+        odd = (-kw / lam if lam > 0.0 else 0.0 * kw)[:, None]
         p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
                        p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
-        n_th = quad.theta_nodes.size
-        rings, q = max(1, _BLOCK_NODES // n_th), (n_th + 3) // 4
 
         def rows(on):                   # each species' (vh2, mu_e, mu_p) at the nodes on
             return np.array([[vh2[on]] + [m[0, on] for m in kernel.mu[s]] for s in (-1, +1)])
@@ -112,12 +107,11 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
             # columns are Y = I on those nodes, each its own upper half, the filter there
             if cols is not None:
                 U, R = np.eye(len(cols)), rows(cols)
-                yield damping(lam, (kw * vh1[cols]) ** 2), (U, 0.0, vh1[cols] * U, 0.0), R, R
+                yield damping(lam, kw, vh1[cols]), (U, 0.0, vh1[cols] * U, 0.0), R, R
                 return
-            for r in range(0, quad.r_nodes.size, rings):
-                on = slice(r * n_th, (r + rings) * n_th)
+            for on, classes in ring_blocks(quad, _BLOCK_NODES):
                 Yb, R = np.ascontiguousarray(Y[on].T), rows(on)    # (K, nodes of the block)
-                yield (damping(lam, kernel.a2[:, r * q:(r + rings) * q]),
+                yield (damping(lam, kw, kernel.rep[classes]),
                        [fold_quarters(quad, F, h) for F in (Yb, vh1[on] * Yb)
                         for h in (UPPER, LOWER)],
                        fold_quarters(quad, R, (1, 0, 0, 0)), fold_quarters(quad, R, (0, 0, 1, 0)))
@@ -137,7 +131,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     else:
         # one orbit pass over the whole grid; contract the harmonics away
         f = {}
-        for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, kmax, x,
+        for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, basis.n_modes // 2, x,
                                                         opts).items():
             q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
                  - mode.b * mv1)

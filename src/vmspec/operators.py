@@ -36,9 +36,10 @@ reports the largest drift of the two invariants, e and v2 + s*psi0(x),
 between the first and the last sample of every stream.
 
 The state picks the path.  Homogeneous states (no potential) use the
-straight-line closed form instead of the engine, on the quarter classes
-of ``fold_quarters``, where the filter is constant: ``AssemblyKernel``
-for the assembly, and the mode's contraction in ``growing_mode``.
+straight-line filter ``damping`` instead of the engine, on the quarter
+classes of ``discretization.fold_quarters``, where it is constant:
+``AssemblyKernel`` for the assembly, and the mode's contraction in
+``growing_mode``.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import default_dt, normalize_species, rk4_step_arrays
-from .discretization import theta_reflect_permutation, v1_reflect_permutation
+from .discretization import fold_quarters, theta_reflect_permutation, v1_reflect_permutation
 from .errors import AssemblyError, VmspecError
 
 CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
 HORIZON_PERIODS = 25.0  # horizon, in periods, of an orbit that does not close
 TOL_WINDOW = 1e-10     # tail weight e^(-lam S) that the lam > 0 backward window leaves out
 TOL_ZERO = 1e-6        # lam = 0 couplings above this fail the block-diagonal check
-UPPER, LOWER = (1, 1, 0, 0), (0, 0, 1, 1)   # the v2 > 0 and v2 < 0 images of a quarter class
 
 
 @dataclass(frozen=True)
@@ -407,32 +407,16 @@ def species_pair_moments(state, lam, quad, kmax, x, opts=None):
 # velocity-integrated moment profiles and Galerkin assembly
 # ---------------------------------------------------------------------------
 
-def damping(lam, a2):
-    """lam^2/(lam^2 + a^2), the real part of lam/(lam + i a); at lam = 0 only row k = 0 is 1."""
+def damping(lam, kw, freq):
+    """lam^2/(lam^2 + (kw freq)^2) on the (kw, freq) grid, the real part of the straight-line
+    filter lam/(lam + i kw freq), formed in one array; at lam = 0 only row k = 0 is 1."""
+    out = np.multiply.outer(kw, freq)
     if lam == 0.0:
-        return np.eye(len(a2), 1) * np.ones_like(a2)
-    re = a2 + lam * lam            # the divide runs in place: one fresh array, not two
-    return np.divide(lam * lam, re, out=re)
-
-
-def fold_quarters(quad, F, images=(1, 1, 1, 1)):
-    """Sums of F's nodes (last axis; any run of whole rings) over the quarter classes.
-
-    Under theta -> -theta and theta -> pi - theta a ring's angles fall into
-    q = ceil(n_theta/4) classes; class j holds theta_j (v1, v2 > 0), pi - theta_j,
-    pi + theta_j and -theta_j, added in that order where ``images`` holds a 1
-    (``UPPER`` is the v2 > 0 half).  At n_theta = 2 (mod 4) the class of pi/2
-    is its own image under theta -> pi - theta: two nodes."""
-    n, shape = quad.theta_nodes.size, np.shape(F)[:-1]
-    h, q, p = n // 2, (n + 3) // 4, n // 4          # p classes hold four nodes
-    F = np.reshape(F, shape + (-1, n))
-    out = np.zeros(F.shape[:-1] + (q,))
-    for image, weight in zip((F[..., :q], F[..., h - 1:h - 1 - p:-1], F[..., h:h + q],
-                              F[..., n - 1:n - 1 - p:-1]), images):
-        if weight:
-            view = out[..., :image.shape[-1]]
-            np.add(view, image, out=view)
-    return out.reshape(*shape, -1)
+        out[1:], out[0] = 0.0, 1.0
+        return out
+    np.square(out, out=out)
+    out += lam * lam
+    return np.divide(lam * lam, out, out=out)
 
 
 @dataclass
@@ -443,8 +427,8 @@ class AssemblyKernel:
     and m_e, m_vp the local moments, twice those of species - (the species
     mirror, docs/DECISIONS.md section 4); an x-free profile keeps one row,
     which every reader broadcasts.  On straight-line (homogeneous) states
-    the filter lam^2/(lam^2 + a^2), a = k w vh1, and vh2^2 are constant on
-    each class of ``fold_quarters``, so it keeps a2 = a^2 per class and
+    the filter ``damping`` and vh2^2 are constant on each class of
+    ``fold_quarters``, so it keeps ``rep``, the |vh1| of each class, and
     the class sums W = [2 mu_e w, 2 mu_e vh2^2 w]: a rate costs one filter
     on a quarter of the nodes.  mu_e is even in v1, so c is 0.
     """
@@ -454,7 +438,7 @@ class AssemblyKernel:
     mu: dict
     m_e: np.ndarray
     m_vp: np.ndarray
-    a2: np.ndarray = None          # (kmax+1, classes)
+    rep: np.ndarray = None         # (classes,)
     W: np.ndarray = None           # (classes, 2)
     lint: float = 0.0
 
@@ -481,10 +465,8 @@ def assembly_kernel(state, quad, basis):
     if state.homogeneous:
         we = 2.0 * mu_e[0] * quad.w
         kern.W = np.column_stack([fold_quarters(quad, f) for f in (we, we * vh2 * vh2)])
-        rep = fold_quarters(quad, vh1, (1, 0, 0, 0))
-        ks = np.arange(basis.n_modes // 2 + 1)[:, None] * basis.omega
-        kern.a2 = (ks * rep[None, :]) ** 2
-        kern.lint = float(kern.W[:, 0] @ (rep * rep))
+        kern.rep = fold_quarters(quad, vh1, (1, 0, 0, 0))
+        kern.lint = float(kern.W[:, 0] @ (kern.rep * kern.rep))
     return kern
 
 
@@ -523,7 +505,7 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     if state.homogeneous:
         # translation invariance: velocity integrals once, phases per x; on
         # the folded table the filter's v1-odd imaginary part is gone
-        tau = damping(lam, kernel.a2) @ kernel.W
+        tau = damping(lam, basis.wavenumbers, kernel.rep) @ kernel.W
         T1, T2 = (tau[:, j:j + 1] * basis.phases for j in range(2))
         return MomentProfiles(T1, T2, np.zeros(M), np.full(M, kernel.lint), kernel.m_e,
                               kernel.m_vp)
@@ -646,19 +628,17 @@ class ModalBasis:
 def assemble_M(blocks, n, modal):
     """(electric, magnetic): the two diagonal blocks of the truncated matrix,
     ``[[-A1, C], [C^T, -P(lam^2 - l)]]`` on (phi, b) and ``A2`` on psi, in
-    the modal coordinates (B = D = 0 couple psi to nothing).  At lam = 0 the
-    coupling C must already be at quadrature-noise level; it is checked
-    against TOL_ZERO and frozen out, which realizes the exact block-diagonal
-    form the counting argument relies on.
+    the modal coordinates (B = D = 0 couple psi to nothing); ``symmetric_eigen``
+    checks and removes their roundoff asymmetry.  At lam = 0 the coupling C
+    must already be at quadrature-noise level; it is checked against TOL_ZERO
+    and frozen out, which realizes the exact block-diagonal form the counting
+    argument relies on.
     """
     if n > modal.n_available:
         raise VmspecError("truncation n=%d exceeds available modes %d" % (n, modal.n_available))
     if n < 1:
         raise VmspecError("truncation must keep at least one mode")
-    Xi = modal.a1_vectors[:, :n]
-    Ze = modal.a2_vectors[:, :n]
-    M11 = -(Xi.T @ blocks.A1 @ Xi)
-    M22 = Ze.T @ blocks.A2 @ Ze
+    Xi, Ze = modal.a1_vectors[:, :n], modal.a2_vectors[:, :n]
     c = (Xi.T @ blocks.C)[:, None]
     if blocks.lam == 0.0:
         k = int(np.argmax(np.abs(c)))
@@ -666,6 +646,6 @@ def assemble_M(blocks, n, modal):
             raise AssemblyError("coupling C fails to vanish at lam=0: modal entry [%d] is "
                                 "%.3e, above TOL_ZERO %.1e" % (k, c[k, 0], TOL_ZERO))
         c = np.zeros_like(c)
-    electric = np.block([[0.5 * (M11 + M11.T), c],
+    electric = np.block([[-(Xi.T @ blocks.A1 @ Xi), c],
                          [c.T, -blocks.period * (blocks.lam ** 2 - blocks.l)]])
-    return electric, 0.5 * (M22 + M22.T)
+    return electric, Ze.T @ blocks.A2 @ Ze

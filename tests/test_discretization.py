@@ -1,3 +1,6 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,21 @@ def test_odd_angle_count_is_rejected():
         vm.build_velocity_quadrature(vm.WeightSpec(c=1.0, alpha=4.0), n_r=8, n_theta=33)
 
 
+def test_only_discretization_reads_the_ring_layout():
+    # the angles and radii of the polar rule, and so its rings and quarter
+    # classes, are read in one module; the others go through its routines
+    src = os.path.dirname(vm.__file__)
+    readers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            if any(isinstance(node, ast.Attribute) and node.attr in ("theta_nodes", "r_nodes")
+                   for node in ast.walk(tree)):
+                readers.add(name)
+    assert readers == {"discretization.py"}
+
+
 # ---------------------------------------------------------------------------
 # spatial basis
 # ---------------------------------------------------------------------------
@@ -131,6 +149,14 @@ def test_laplacian_is_diagonal_with_square_frequencies():
         assert abs(lap[j] - (k * w) ** 2) <= 1e-10 * max(1.0, (k * w) ** 2)
         lap[j] = 0.0
         assert np.max(np.abs(lap)) <= 1e-12
+
+
+def test_wavenumbers_set_the_phases():
+    basis = vm.build_fourier_basis(7.3, 16)
+    k = np.arange(9)
+    assert np.array_equal(basis.wavenumbers, k * (2 * np.pi / 7.3))
+    want = np.exp(1j * np.outer(k * (2 * np.pi / 7.3), basis.x_grid))
+    assert np.max(np.abs(basis.phases - want)) <= 1e-14
 
 
 def test_sin_squared_integral():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 import vmspec as vm
 import vmspec.operators as ops
 from reference import PhasePoint, SmoothingEvaluator
+from vmspec import cli
 from vmspec.characteristics import default_dt
+from vmspec.discretization import LOWER, UPPER, fold_quarters, ring_blocks
 from vmspec.errors import AssemblyError, VmspecError
 from vmspec.operators import EvalOptions, MomentProfiles, assembly_kernel, moment_profiles
 
@@ -477,25 +480,38 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
         quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=24, n_theta=18,
                                             n_r_tail=8)
         n_cls = 5
-        sizes = ops.fold_quarters(quad, np.ones(quad.n_nodes)).reshape(-1, n_cls)
+        sizes = fold_quarters(quad, np.ones(quad.n_nodes)).reshape(-1, n_cls)
         assert (sizes == [4, 4, 4, 4, 2]).all()
-        folded = ops.fold_quarters(quad, quad.w)
+        folded = fold_quarters(quad, quad.w)
         assert abs(np.sum(folded) - np.sum(quad.w)) <= 1e-14 * np.sum(quad.w)
         # every member of a class has its representative's |v1|, and the upper
         # half of a class is its nodes with v2 > 0
         v1 = np.abs(quad.v1)
-        rep = ops.fold_quarters(quad, v1, (1, 0, 0, 0))
-        diff = ops.fold_quarters(quad, v1) - sizes.ravel() * rep
+        rep = fold_quarters(quad, v1, (1, 0, 0, 0))
+        diff = fold_quarters(quad, v1) - sizes.ravel() * rep
         assert np.max(np.abs(diff)) <= 1e-14 * np.max(v1)
-        upper = ops.fold_quarters(quad, np.ones(quad.n_nodes), ops.UPPER)
-        assert (upper == ops.fold_quarters(quad, 1.0 * (quad.v2 > 0), ops.UPPER)).all()
-        assert (upper + ops.fold_quarters(quad, np.ones(quad.n_nodes), ops.LOWER)
-                == sizes.ravel()).all()
-        assert not ops.fold_quarters(quad, 1.0 * (quad.v2 > 0), ops.LOWER).any()
+        upper = fold_quarters(quad, np.ones(quad.n_nodes), UPPER)
+        assert (upper == fold_quarters(quad, 1.0 * (quad.v2 > 0), UPPER)).all()
+        assert (upper + fold_quarters(quad, np.ones(quad.n_nodes), LOWER) == sizes.ravel()).all()
+        assert not fold_quarters(quad, 1.0 * (quad.v2 > 0), LOWER).any()
         # the nodes of a run of whole rings fold onto that run's classes
         n = quad.theta_nodes.size
-        assert (ops.fold_quarters(quad, quad.w[5 * n:9 * n], ops.UPPER)
-                == ops.fold_quarters(quad, quad.w, ops.UPPER)[5 * n_cls:9 * n_cls]).all()
+        assert (fold_quarters(quad, quad.w[5 * n:9 * n], UPPER)
+                == fold_quarters(quad, quad.w, UPPER)[5 * n_cls:9 * n_cls]).all()
+        # ring_blocks covers every node and every class once, in order, in runs of
+        # whole rings of at most max_nodes nodes (at least one ring), and each run's
+        # fold is its slice of the full fold
+        nodes, classes = np.arange(quad.n_nodes), np.arange(sizes.size)
+        full = fold_quarters(quad, quad.w, UPPER)
+        for max_nodes in (1, n - 1, n, 3 * n + 1, 7 * n, quad.n_nodes, 10 * quad.n_nodes):
+            runs = list(ring_blocks(quad, max_nodes))
+            assert (np.concatenate([nodes[on] for on, _ in runs]) == nodes).all()
+            assert (np.concatenate([classes[cl] for _, cl in runs]) == classes).all()
+            for on, cl in runs:
+                size = nodes[on].size
+                assert size % n == 0 and n <= size <= max(max_nodes, n), (max_nodes, size)
+                assert classes[cl].size == size // n * n_cls
+                assert (fold_quarters(quad, quad.w[on], UPPER) == full[cl]).all()
         basis = vm.build_fourier_basis(state.period, 8)
         kern = assembly_kernel(state, quad, basis)
         we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
@@ -510,6 +526,24 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
                 ref = getattr(want, name)
                 err = np.max(np.abs(getattr(prof_lam, name) - ref))
                 assert err <= 1e-12 * np.max(np.abs(ref)), (name, lam, err)
+
+
+def test_homogeneous_kernel_keeps_one_v1_per_class():
+    # the CLI defaults: weakfield_family at P = 9.43, 79,872 nodes, n_x = 32.  The
+    # kernel keeps the |vh1| of each class, not a (kmax+1, classes) table of the filter
+    cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
+    profile, _, quad = cli._build_inputs(cfg)
+    state = cli._build_state(cfg, profile, quad)
+    kern = assembly_kernel(state, quad, vm.build_fourier_basis(state.period, cfg.n_x))
+    assert quad.n_nodes == 79872 and kern.rep.ndim == 1
+
+    def nbytes(v):
+        if isinstance(v, (dict, tuple)):
+            return sum(nbytes(a) for a in (v.values() if isinstance(v, dict) else v))
+        return getattr(v, "nbytes", 0)
+
+    total = sum(nbytes(getattr(kern, f.name)) for f in dataclasses.fields(kern))
+    assert total <= 4.5 * 2 ** 20, total
 
 
 def test_paper_profile_current_response_value(paper_state, paper_quad):
