@@ -405,9 +405,10 @@ def _find_mode(cfg, sw, stages):
 def cmd_analyze(cfg):
     t0 = time.time()
     profile, weight, quad = _build_inputs(cfg)
-    vrep = validate_profile(profile, weight, tol_validate=cfg.tol_validate)
-    state = _build_state(cfg, profile, quad)
     stages = {}
+    vrep = _timed(stages, "validate", validate_profile, profile, weight,
+                  tol_validate=cfg.tol_validate)
+    state = _build_state(cfg, profile, quad)
     sw = _timed(stages, "sweep", _run_sweep, cfg, state, quad)
     crossing = report = None
     extra = {"validation_passed": vrep.passed}

@@ -169,6 +169,7 @@ def v1_reflect_permutation(quad):
 
 
 UPPER, LOWER = (1, 1, 0, 0), (0, 0, 1, 1)   # the v2 > 0 and v2 < 0 images of a quarter class
+BLOCK_NODES = 4096     # nodes (or grid points) per block of the homogeneous passes
 
 
 def fold_quarters(quad, F, images=(1, 1, 1, 1)):
@@ -190,7 +191,7 @@ def fold_quarters(quad, F, images=(1, 1, 1, 1)):
     return out.reshape(*shape, -1)
 
 
-def ring_blocks(quad, max_nodes):
+def ring_blocks(quad, max_nodes=BLOCK_NODES):
     """(node slice, class slice) of each run of whole rings, in order, with at most
     max_nodes nodes but at least one ring; the classes are those of ``fold_quarters``."""
     n, n_r = quad.theta_nodes.size, quad.r_nodes.size

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import integrate_velocity
+from .discretization import BLOCK_NODES, integrate_velocity
 from .errors import OrbitError, ProfileEvaluationError, QuadratureError, VmspecError
 
 ENERGY_FLOOR = 1.0
@@ -95,7 +95,7 @@ class ValidationReport:
 
 
 def validate_profile(profile, weight, tol_validate=1e-12):
-    """Check nonnegativity and the decay bound on a grid:
+    """Check nonnegativity and the decay bound on a grid, a block of energies at a time:
     500 energies up to where w drops by 1e12, 241 momenta on [-40, 40]."""
     e_max = (1.0 + ENERGY_FLOOR) * (1e12) ** (1.0 / weight.alpha)   # w(e_max) < 1e-12 w(1)
     # log-spaced energies resolve the near-floor region; kink neighborhoods added
@@ -106,25 +106,27 @@ def validate_profile(profile, weight, tol_validate=1e-12):
     ]))
     e = e[np.r_[True, e[1:] != e[:-1]]]     # drop repeats (np.unique loads numpy.ma)
     p = np.linspace(-40.0, 40.0, 241)
-    E, Pm = np.meshgrid(e, p, indexing="ij")
-
-    vals = {}
-    for nm, fn in (("mu", profile.mu_minus), ("mu_e", profile.mu_minus_e),
-                   ("mu_p", profile.mu_minus_p)):
-        v = np.asarray(fn(E, Pm), dtype=float)
-        if not np.all(np.isfinite(v)):
-            i = np.argwhere(~np.isfinite(v))[0]
-            raise ProfileEvaluationError("profile evaluation failure",
-                                         e=float(E[tuple(i)]), p=float(Pm[tuple(i)]))
-        vals[nm] = v
-
-    neg = max(0.0, float(np.max(-vals["mu"])))
-    bound = np.abs(vals["mu_e"]) + np.abs(vals["mu_p"]) - weight(E)
-    decay = max(0.0, float(np.max(bound)))
-    iworst = np.unravel_index(np.argmax(bound), bound.shape)
+    rows = max(1, BLOCK_NODES // p.size)
+    neg, top, worst, bad = 0.0, -np.inf, None, {}
+    for lo in range(0, e.size, rows):
+        E, Pm = np.meshgrid(e[lo:lo + rows], p, indexing="ij")
+        mu, mu_e, mu_p = vals = [np.asarray(fn(E, Pm), dtype=float) for fn in
+                                 (profile.mu_minus, profile.mu_minus_e, profile.mu_minus_p)]
+        for j, v in enumerate(vals):             # mu's first non-finite point wins, then mu_e's
+            if j not in bad and not np.all(np.isfinite(v)):
+                i = tuple(np.argwhere(~np.isfinite(v))[0])
+                bad[j] = (float(E[i]), float(Pm[i]))
+        if not bad:
+            neg = max(neg, float(np.max(-mu)))
+            bound = np.abs(mu_e) + np.abs(mu_p) - weight(E)
+            i = np.unravel_index(np.argmax(bound), bound.shape)
+            if bound[i] > top:
+                top, worst = float(bound[i]), (float(E[i]), float(Pm[i]))
+    if bad:
+        raise ProfileEvaluationError("profile evaluation failure", *bad[min(bad)])
+    decay = max(0.0, top)
     passed = (neg <= tol_validate) and (decay <= tol_validate)
-    return ValidationReport(neg, decay, tol_validate, passed,
-                            worst_decay_point=(float(E[iworst]), float(Pm[iworst])))
+    return ValidationReport(neg, decay, tol_validate, passed, worst_decay_point=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +339,10 @@ def _scalar_spline(x, y):
     m = np.diff(y) / h
     # inner rows keep y'' continuous; the end rows are not-a-knot, one cubic
     # across the first (last) two pieces
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    A = np.diag(np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]])
-    A += np.diag(np.r_[d0, h[:-1]], 1) + np.diag(np.r_[h[1:], d1], -1)
+    d0, d1, n = x[2] - x[0], x[-1] - x[-3], x.size
+    A = np.zeros((n, n))                   # the three diagonals, filled in place
+    A.flat[::n + 1] = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
+    A.flat[1::n + 1], A.flat[n::n + 1] = np.r_[d0, h[:-1]], np.r_[h[1:], d1]
     yp = np.linalg.solve(A, np.r_[((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
                                   3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
                                   (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1])

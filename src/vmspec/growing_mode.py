@@ -23,9 +23,7 @@ import numpy as np
 
 from .discretization import LOWER, UPPER, fold_quarters, ring_blocks
 from .errors import VmspecError
-from .operators import assembly_kernel, damping, species_pair_moments
-
-_BLOCK_NODES = 8192     # velocity nodes per block of the homogeneous contraction
+from .operators import assembly_kernel, damping, species_mu, species_pair_moments
 
 
 @dataclass
@@ -46,12 +44,13 @@ class GrowingMode:
     rho: np.ndarray = None
     j1: np.ndarray = None
     j2: np.ndarray = None
-    # contract(Y) is {s: f_s @ Y} for an (N, K) matrix Y, contract(cols=...) {s: f_s[:, cols]}
+    # contract(rows) is {s: f_s @ Y.T} with rows(on) Y's (K, nodes) rows on the node slice on,
+    # sums=True adds {s: sums of mu_e Y, mu_p Y, vh2 mu_e Y}; contract(cols=...) {s: f_s[:, cols]}
     contract: object = field(repr=False, default=None)
     state: object = field(repr=False, default=None)    # read by the residuals and export
     basis: object = field(repr=False, default=None)
     quad: object = field(repr=False, default=None)
-    kernel: object = field(repr=False, default=None)   # its AssemblyKernel: vh1, vh2, mu
+    kernel: object = field(repr=False, default=None)   # the sweep's AssemblyKernel
 
     @property
     def nontrivial(self):
@@ -86,48 +85,49 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
                        bfield=dpsi, state=state, basis=basis, quad=quad, kernel=kernel)
 
     c_phi, c_psi = basis.half_spectrum(phi_coeffs), basis.half_spectrum(psi_coeffs)
-    vh1, vh2 = kernel.vh1, kernel.vh2
 
     if state.homogeneous:
         # x-phases p_k times the filter lam/(lam + i k w vh1) = re + i im, x-free mu: f_s =
         # s G @ S_s, S_s = [mu_e; mu_p; mu_e*(re; im; re*vh2; im*vh2; vh1)].  re is
         # constant on a quarter class, im = -(k w/lam) vh1 re, and vh2, mu_e and mu_p on
         # each half (vh2 > 0, < 0) of it, so S_s @ Y needs the half sums of Y and vh1*Y,
-        # taken one block of rings at a time against the filter on its classes.
-        kw = basis.wavenumbers
+        # taken one block of rings at a time against the kernel's class rows.
+        kw, prof = basis.wavenumbers, state.profile
         odd = (-kw / lam if lam > 0.0 else 0.0 * kw)[:, None]
         p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
                        p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
 
-        def rows(on):                   # each species' (vh2, mu_e, mu_p) at the nodes on
-            return np.array([[vh2[on]] + [m[0, on] for m in kernel.mu[s]] for s in (-1, +1)])
-
-        def pieces(Y, cols):   # per block: filter, half sums of Y and vh1 Y, rows by half
+        def pieces(rows, cols):   # per block: filter, half sums of Y and vh1 Y, rows by half
             # columns are Y = I on those nodes, each its own upper half, the filter there
             if cols is not None:
-                U, R = np.eye(len(cols)), rows(cols)
-                yield damping(lam, kw, vh1[cols]), (U, 0.0, vh1[cols] * U, 0.0), R, R
+                e, v2, U = quad.e[cols], quad.v2[cols], np.eye(len(cols))
+                vh1, vh2 = quad.v1[cols] / e, v2 / e
+                R = np.array([[vh2, prof.mu_e(s, e, v2), prof.mu_p(s, e, v2)] for s in (-1, +1)])
+                yield damping(lam, kw, vh1), (U, 0.0, vh1 * U, 0.0), R, R
                 return
-            for on, classes in ring_blocks(quad, _BLOCK_NODES):
-                Yb, R = np.ascontiguousarray(Y[on].T), rows(on)    # (K, nodes of the block)
+            for on, classes in ring_blocks(quad):
+                Y, vh1 = rows(on), quad.v1[on] / quad.e[on]
+                # each species' (vh2, mu_e, mu_p) on the upper and the lower half
+                upper, lower = kernel.halves[:, [[0, 1, 2], [0, 3, 4]], classes]
                 yield (damping(lam, kw, kernel.rep[classes]),
-                       [fold_quarters(quad, F, h) for F in (Yb, vh1[on] * Yb)
-                        for h in (UPPER, LOWER)],
-                       fold_quarters(quad, R, (1, 0, 0, 0)), fold_quarters(quad, R, (0, 0, 1, 0)))
+                       [fold_quarters(quad, F, h) for F in (Y, vh1 * Y) for h in (UPPER, LOWER)],
+                       upper, lower)
 
-        def contract(Y=None, cols=None):
-            S = {-1: 0.0, +1: 0.0}
-            for re, (U, L, U1, L1), upper, lower in pieces(Y, cols):
+        def contract(rows=None, cols=None, sums=False):
+            S, Q = {-1: 0.0, +1: 0.0}, {-1: 0.0, +1: 0.0}
+            for re, (U, L, U1, L1), upper, lower in pieces(rows, cols):
                 for sign, (v2u, m_eu, m_pu), (v2l, m_el, m_pl) in zip(S, upper, lower):
                     # sums of mu_e Y, its vh1, vh2 and vh1 vh2 multiples, and of mu_p Y
                     E = [m_eu * U + m_el * L, m_eu * U1 + m_el * L1]
                     E += [v2u * m_eu * U + v2l * m_el * L, v2u * m_eu * U1 + v2l * m_el * L1]
                     F = (re @ np.vstack(E).T).reshape(len(re), 4, -1).transpose(1, 0, 2)
-                    S[sign] = S[sign] + np.vstack([E[0].sum(axis=1),
-                                                   (m_pu * U + m_pl * L).sum(axis=1), F[0],
-                                                   odd * F[1], F[2], odd * F[3], E[1].sum(axis=1)])
-            return {sign: sign * G @ Ss for sign, Ss in S.items()}
+                    m = [E[0].sum(axis=1), (m_pu * U + m_pl * L).sum(axis=1)]
+                    S[sign] = S[sign] + np.vstack([*m, F[0], odd * F[1], F[2], odd * F[3],
+                                                   E[1].sum(axis=1)])
+                    Q[sign] = Q[sign] + np.array([*m, E[2].sum(axis=1)])
+            f = {sign: sign * G @ Ss for sign, Ss in S.items()}
+            return (f, Q) if sums else f
     else:
         # one orbit pass over the whole grid; contract the harmonics away
         f = {}
@@ -138,13 +138,15 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
             f[sign] = sign * (kernel.mu[sign][0] * (phi_v[:, None] - q)
                               + kernel.mu[sign][1] * psi_v[:, None])
 
-        def contract(Y=None, cols=None):
-            return {s: fs @ Y if cols is None else fs[:, cols] for s, fs in f.items()}
+        def contract(rows=None, cols=None, sums=False):
+            Y = None if rows is None else rows(slice(None)).T
+            fY = {s: fs @ Y if cols is None else fs[:, cols] for s, fs in f.items()}
+            return (fY, {s: np.array([mu_e @ Y, mu_p @ Y, (kernel.vh2 * mu_e) @ Y])
+                         for s, (mu_e, mu_p) in kernel.mu.items()}) if sums else fY
     mode.contract = contract
-    # charge and currents species by species, without an (M, N) difference
-    V = np.array([quad.w, vh1, vh2])           # one table: w, w vh1, w vh2
-    V[1:] *= quad.w
-    f_V = mode.contract(V.T)
+    # charge and currents species by species, without an (M, N) difference: w, w vh1, w vh2
+    f_V = mode.contract(lambda on: np.array([quad.e[on], quad.v1[on], quad.v2[on]]) / quad.e[on]
+                        * quad.w[on])
     mode.rho, mode.j1, mode.j2 = (f_V[+1] - f_V[-1]).T
     return mode
 
@@ -215,36 +217,33 @@ def _weak_vlasov_defect(mode, floor):
     battery of low harmonics X and polynomials q under env = (1+e)^(-4).  The
     rotation vh2 d/dv1 - vh1 d/dv2 leaves env alone and takes q to
     (vh2 dq/dvh1 - vh1 dq/dvh2)/e.  Each q costs one contraction of f against
-    three velocity rows, written in place into one table.
+    three velocity rows, which also gives the equilibrium's source sums.
     """
     basis, quad = mode.basis, mode.quad
     lam, x, w = mode.lam, basis.x_grid, basis.omega
-    vh1, vh2 = mode.kernel.vh1, mode.kernel.vh2
-    w_env = quad.w * (1.0 + quad.e) ** (-4.0)
     spatial = {"1": (np.ones_like(x), np.zeros_like(x)),
                "cos(wx)": (np.cos(w * x), -w * np.sin(w * x)),
                "sin(wx)": (np.sin(w * x), w * np.cos(w * x)),
                "cos(2wx)": (np.cos(2 * w * x), -2 * w * np.sin(2 * w * x))}
     X, dX = (np.column_stack(c) for c in zip(*spatial.values()))
-    # the factors of q, and dq/dvh1 and dq/dvh2
-    velocity = {"1": ((), 0.0, 0.0), "vh1": ((vh1,), 1.0, 0.0), "vh2": ((vh2,), 0.0, 1.0),
-                "vh1*vh2": ((vh1, vh2), vh2, vh1)}
+    # q, dq/dvh1 and dq/dvh2 from (vh1, vh2)
+    velocity = {"1": lambda a, b: (1.0, 0.0, 0.0), "vh1": lambda a, b: (a, 1.0, 0.0),
+                "vh2": lambda a, b: (b, 0.0, 1.0), "vh1*vh2": lambda a, b: (a * b, b, a)}
     b0, e1, e2, bf = mode.state.b0(x), mode.e1, mode.e2, mode.bfield
 
+    def table(on, poly):                # w q env, its v1 advection, its rotation
+        e = quad.e[on]
+        vh1, vh2 = quad.v1[on] / e, quad.v2[on] / e
+        (q, dq1, dq2), env = poly(vh1, vh2), quad.w[on] * (1.0 + e) ** (-4.0)
+        return np.array([env * q, env * q * vh1, env / e * (vh2 * dq1 - vh1 * dq2)])
+
     worst = None
-    Y = np.empty((3, quad.n_nodes))             # w q env, its v1 advection, its rotation
-    for q_name, (q, dq1, dq2) in velocity.items():
-        Y[0] = w_env
-        for factor in q:
-            Y[0] *= factor
-        np.multiply(Y[0], vh1, out=Y[1])
-        np.subtract(vh2 * dq1, vh1 * dq2, out=Y[2])
-        Y[2] *= w_env / quad.e
-        fY = mode.contract(Y.T)
-        for sign, (mu_e, mu_p) in mode.kernel.mu.items():
+    for q_name, poly in velocity.items():
+        fY, sums = mode.contract(lambda on: table(on, poly), sums=True)
+        for sign, S in sums.items():
             fq, fadv, frot = fY[sign].T
             # the sources (mu_e vh1, mu_p vh1, mu_e vh2 + mu_p) against w q env
-            s1, s2, s3 = mu_e @ Y[1], mu_p @ Y[1], mu_e @ (vh2 * Y[0]) + mu_p @ Y[0]
+            s1, s2, s3 = S[0, ..., 1], S[1, ..., 1], S[2, ..., 0] + S[1, ..., 0]
             lhs = ((lam * fq - sign * b0 * frot) @ X - fadv @ dX) * basis.quad_weight
             rhs = sign * ((-e1 * s1 + bf * s2 - e2 * s3) @ X) * basis.quad_weight
             err = np.abs(lhs - rhs)
@@ -299,9 +298,9 @@ def physical_defect_coeffs(mode):
     wq = basis.quad_weight
     d3 = float(np.sum(mode.j1) * wq - basis.period * mode.lam ** 2 * mode.b)
 
-    vh1 = mode.kernel.vh1
+    vh1 = quad.v1 / quad.e
     drop1 = drop2 = 0.0
-    for mu_e, mu_p in mode.kernel.mu.values():
+    for mu_e, mu_p in species_mu(mode.state, quad, mode.x).values():
         drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
         drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)

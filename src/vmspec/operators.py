@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import default_dt, normalize_species, rk4_step_arrays
-from .discretization import fold_quarters, theta_reflect_permutation, v1_reflect_permutation
+from .discretization import (fold_quarters, ring_blocks, theta_reflect_permutation,
+                             v1_reflect_permutation)
 from .errors import AssemblyError, VmspecError
 
 CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
@@ -423,23 +424,26 @@ def damping(lam, kw, freq):
 class AssemblyKernel:
     """The lam-independent part of the assembly on one state and grid.
 
-    ``mu[s]`` holds species s's (mu_e, mu_p) as ``species_mu`` returns them
-    and m_e, m_vp the local moments, twice those of species - (the species
-    mirror, docs/DECISIONS.md section 4); an x-free profile keeps one row,
-    which every reader broadcasts.  On straight-line (homogeneous) states
-    the filter ``damping`` and vh2^2 are constant on each class of
-    ``fold_quarters``, so it keeps ``rep``, the |vh1| of each class, and
-    the class sums W = [2 mu_e w, 2 mu_e vh2^2 w]: a rate costs one filter
-    on a quarter of the nodes.  mu_e is even in v1, so c is 0.
+    m_e, m_vp are the local moments, twice those of species - (the species
+    mirror, docs/DECISIONS.md section 4).  A magnetized state keeps the nodes'
+    vh1, vh2 and ``mu[s]``, species s's (mu_e, mu_p) from ``species_mu``.  On
+    straight lines (homogeneous states) ``damping`` and vh2^2 are constant on
+    each class of ``fold_quarters``, and vh2, mu_e, mu_p on each half of one,
+    so it keeps class tables only, built a block of ``ring_blocks`` at a time:
+    ``rep``, the |vh1| of each class, the sums W = [2 mu_e w, 2 mu_e vh2^2 w],
+    and ``halves``, the rows (vh2, mu_e-, mu_p-, mu_e+, mu_p+) at each class's
+    upper and lower representative.  A rate costs one filter on a quarter of
+    the nodes; mu_e is even in v1, so c is 0.
     """
 
-    vh1: np.ndarray
-    vh2: np.ndarray
-    mu: dict
     m_e: np.ndarray
     m_vp: np.ndarray
+    vh1: np.ndarray = None
+    vh2: np.ndarray = None
+    mu: dict = None
     rep: np.ndarray = None         # (classes,)
     W: np.ndarray = None           # (classes, 2)
+    halves: np.ndarray = None      # (2, 5, classes): upper, lower
     lint: float = 0.0
 
 
@@ -457,16 +461,24 @@ def species_mu(state, quad, x):
 
 def assembly_kernel(state, quad, basis):
     """Evaluate the profile once; build per state, quadrature and basis."""
-    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
-    mu = species_mu(state, quad, basis.x_grid)
-    mu_e, mu_p = mu[-1]
-    kern = AssemblyKernel(vh1=vh1, vh2=vh2, mu=mu, m_e=2.0 * np.sum(mu_e * quad.w, axis=1),
-                          m_vp=2.0 * np.sum(vh2 * mu_p * quad.w, axis=1))
-    if state.homogeneous:
-        we = 2.0 * mu_e[0] * quad.w
-        kern.W = np.column_stack([fold_quarters(quad, f) for f in (we, we * vh2 * vh2)])
-        kern.rep = fold_quarters(quad, vh1, (1, 0, 0, 0))
-        kern.lint = float(kern.W[:, 0] @ (kern.rep * kern.rep))
+    if not state.homogeneous:
+        mu = species_mu(state, quad, basis.x_grid)
+        (mu_e, mu_p), vh2 = mu[-1], quad.v2 / quad.e
+        return AssemblyKernel(2.0 * np.sum(mu_e * quad.w, axis=1),
+                              2.0 * np.sum(vh2 * mu_p * quad.w, axis=1), quad.v1 / quad.e, vh2, mu)
+    prof, blocks = state.profile, list(ring_blocks(quad))
+    n_cls = blocks[-1][1].stop
+    kern = AssemblyKernel(m_e=None, m_vp=np.zeros(1), rep=np.empty(n_cls),
+                          W=np.empty((n_cls, 2)), halves=np.empty((2, 5, n_cls)))
+    for on, cl in blocks:
+        e, v2, w = quad.e[on], quad.v2[on], quad.w[on]
+        R = np.array([v2 / e] + [f(s, e, v2) for s in (-1, +1) for f in (prof.mu_e, prof.mu_p)])
+        we = 2.0 * R[1] * w
+        kern.W[cl] = np.column_stack([fold_quarters(quad, f) for f in (we, we * R[0] * R[0])])
+        kern.rep[cl] = fold_quarters(quad, quad.v1[on] / e, (1, 0, 0, 0))
+        kern.halves[..., cl] = [fold_quarters(quad, R, h) for h in ((1, 0, 0, 0), (0, 0, 1, 0))]
+        kern.m_vp += 2.0 * np.sum(R[0] * R[2] * w)
+    kern.m_e, kern.lint = np.sum(kern.W[:, :1], axis=0), float(kern.W[:, 0] @ kern.rep ** 2)
     return kern
 
 
@@ -504,8 +516,10 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
 
     if state.homogeneous:
         # translation invariance: velocity integrals once, phases per x; on
-        # the folded table the filter's v1-odd imaginary part is gone
-        tau = damping(lam, basis.wavenumbers, kernel.rep) @ kernel.W
+        # the folded table the filter's v1-odd imaginary part is gone, and
+        # the filter is formed one block of rings at a time
+        tau = sum(damping(lam, basis.wavenumbers, kernel.rep[cl]) @ kernel.W[cl]
+                  for _, cl in ring_blocks(quad))
         T1, T2 = (tau[:, j:j + 1] * basis.phases for j in range(2))
         return MomentProfiles(T1, T2, np.zeros(M), np.full(M, kernel.lint), kernel.m_e,
                               kernel.m_vp)

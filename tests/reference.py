@@ -10,7 +10,9 @@ Homogeneous states (B0 = 0) take the exact straight-line translation.
 ``SmoothingEvaluator`` is the backward average at lam > 0 by a direct
 composite Gauss-Legendre rule on the ``backward_path`` samples, the
 independent reference for the engine's Fourier-series filter and for the
-small-rate limit.  None of this is used by the library.
+small-rate limit.  ``validate_profile`` is the profile check on one dense
+(energy, momentum) grid, which the library's walk over blocks of energies
+must reproduce.  None of this is used by the library.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from vmspec.characteristics import default_dt, normalize_species, rk4_step_arrays
-from vmspec.errors import VmspecError
+from vmspec.equilibrium import ENERGY_FLOOR, ValidationReport
+from vmspec.errors import ProfileEvaluationError, VmspecError
 
 STATIONARY_EPS = 1e-14
 N_S_MIN = 128          # node floor of the smoothing rule
@@ -174,3 +177,35 @@ class SmoothingEvaluator:
         xs, v1s, v2s = self.path(species, point)
         vals = np.asarray(k(xs, v1s, v2s), dtype=float)
         return float(np.sum(self.weights * vals))
+
+
+def validate_profile(profile, weight, tol_validate=1e-12):
+    """Nonnegativity and the decay bound on the whole grid at once: 500
+    energies up to where w drops by 1e12, 241 momenta on [-40, 40]."""
+    e_max = (1.0 + ENERGY_FLOOR) * (1e12) ** (1.0 / weight.alpha)
+    e = np.sort(np.concatenate([
+        1.0 + np.geomspace(1e-9, e_max - 1.0, 500),
+        np.concatenate([[k - 1e-9, k, k + 1e-9] for k in profile.kinks]) if profile.kinks else [],
+        [ENERGY_FLOOR],
+    ]))
+    e = e[np.r_[True, e[1:] != e[:-1]]]
+    p = np.linspace(-40.0, 40.0, 241)
+    E, Pm = np.meshgrid(e, p, indexing="ij")
+
+    vals = {}
+    for nm, fn in (("mu", profile.mu_minus), ("mu_e", profile.mu_minus_e),
+                   ("mu_p", profile.mu_minus_p)):
+        v = np.asarray(fn(E, Pm), dtype=float)
+        if not np.all(np.isfinite(v)):
+            i = np.argwhere(~np.isfinite(v))[0]
+            raise ProfileEvaluationError("profile evaluation failure",
+                                         e=float(E[tuple(i)]), p=float(Pm[tuple(i)]))
+        vals[nm] = v
+
+    neg = max(0.0, float(np.max(-vals["mu"])))
+    bound = np.abs(vals["mu_e"]) + np.abs(vals["mu_p"]) - weight(E)
+    decay = max(0.0, float(np.max(bound)))
+    iworst = np.unravel_index(np.argmax(bound), bound.shape)
+    passed = (neg <= tol_validate) and (decay <= tol_validate)
+    return ValidationReport(neg, decay, tol_validate, passed,
+                            worst_decay_point=(float(E[iworst]), float(Pm[iworst])))

@@ -246,7 +246,7 @@ def test_analyze_reports_stage_seconds_unless_canonical(tmp_path, monkeypatch):
     assert "stage_peak_rss_mb" not in payload.get("diagnostics", {})
     assert run([a for a in args if a != "--canonical"], tmp_path, monkeypatch) == cli.EXIT_OK
     payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
-    order = ["sweep", "locate", "reconstruct", "residuals", "export"]
+    order = ["validate", "sweep", "locate", "reconstruct", "residuals", "export"]
     stages = payload["diagnostics"]["stage_seconds"]
     assert sorted(stages) == sorted(order)
     assert all(0.0 <= t <= payload["timing_seconds"] for t in stages.values())

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import reference
 
 import vmspec as vm
 from vmspec.equilibrium import _scalar_spline, _well_samples
@@ -47,6 +50,64 @@ def test_profile_evaluation_failure_carries_location():
     with pytest.raises(ProfileEvaluationError) as err:
         vm.validate_profile(bad, vm.WeightSpec(c=1.0, alpha=3.0))
     assert err.value.e > 5.0
+
+
+def _dipped(prof):
+    """``prof`` minus a bump near e = 3 and p = 5: negative there."""
+    bump = lambda e, p: 0.02 * np.exp(-(e - 3.0) ** 2 - 0.1 * (p - 5.0) ** 2)
+    return vm.EquilibriumProfile(lambda e, p: prof.mu_minus(e, p) - bump(e, p),
+                                 lambda e, p: prof.mu_minus_e(e, p) + 2.0 * (e - 3.0) * bump(e, p),
+                                 lambda e, p: prof.mu_minus_p(e, p) + 0.2 * (p - 5.0) * bump(e, p),
+                                 kinks=prof.kinks, name="dipped")
+
+
+def test_blocked_validation_matches_the_one_grid_reference(paper_profile, aniso_profile):
+    # the report, worst decay point included, is the whole grid's: on the two
+    # named profiles, on one that goes negative and fails the decay bound, and
+    # on one whose bound ties along every momentum row (the first point wins)
+    grow = vm.EquilibriumProfile(lambda e, p: e * np.ones_like(p),
+                                 lambda e, p: np.ones(np.broadcast(e, p).shape),
+                                 lambda e, p: np.zeros(np.broadcast(e, p).shape), name="growing")
+    dipped = _dipped(aniso_profile[0])
+    cases = [paper_profile, aniso_profile, (dipped, aniso_profile[1]),
+             (dipped, vm.WeightSpec(c=1e-3, alpha=3.0)), (grow, vm.WeightSpec(c=100.0, alpha=3.0))]
+    for prof, weight in cases:
+        got, want = vm.validate_profile(prof, weight), reference.validate_profile(prof, weight)
+        assert got == want, (prof.name, got, want)
+    assert not vm.validate_profile(dipped, aniso_profile[1]).passed
+    assert vm.validate_profile(dipped, aniso_profile[1]).max_negativity > 0.0
+
+
+def test_blocked_validation_names_the_first_non_finite_point():
+    # the grid's order decides, function by function: mu's first NaN (at high
+    # energy, in a late block) wins over mu_e's (in the first block), mu_e's
+    # over mu_p's
+    nan_at = lambda lo, hi: (lambda e, p: np.where((e > lo) & (e < hi) & (p > 3.0), np.nan, 0.0)
+                             + 0.0 * p)
+    zero = lambda e, p: np.zeros(np.broadcast(e, p).shape)
+    weight = vm.WeightSpec(c=1.0, alpha=3.0)
+    for fns in ((nan_at(500.0, 1e9), nan_at(1.0, 1.5), zero),
+                (zero, nan_at(1.0, 1.5), nan_at(1.0, 1.2)),
+                (zero, zero, nan_at(40.0, 50.0))):
+        prof = vm.EquilibriumProfile(*fns, name="nan")
+        with pytest.raises(ProfileEvaluationError) as got:
+            vm.validate_profile(prof, weight)
+        with pytest.raises(ProfileEvaluationError) as want:
+            reference.validate_profile(prof, weight)
+        assert (got.value.e, got.value.p) == (want.value.e, want.value.p)
+
+
+def test_validation_walks_its_grid_in_small_blocks(paper_profile, aniso_profile):
+    # the CLI's two profiles: the whole 503 x 241 grid of three functions took
+    # 8.3 MiB traced; a block of energies takes well under 1 MiB
+    for prof, weight in (paper_profile, aniso_profile):
+        tracemalloc.start()
+        try:
+            vm.validate_profile(prof, weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20, (prof.name, peak)
 
 
 def test_species_reflection_integral_identity(aniso_profile, aniso_quad):

@@ -7,7 +7,7 @@ import pytest
 import vmspec as vm
 from vmspec import cli
 from vmspec.errors import VmspecError
-from vmspec.operators import EvalOptions, assembly_kernel, species_pair_moments
+from vmspec.operators import EvalOptions, species_mu, species_pair_moments
 
 from test_operators import _straight_line_filter
 
@@ -164,7 +164,7 @@ def _weak_defects(mode, f):
         gv = g(q, quad.v1, quad.v2)
         rot = (vh2 * (g(q, quad.v1 + h, quad.v2) - g(q, quad.v1 - h, quad.v2))
                - vh1 * (g(q, quad.v1, quad.v2 + h) - g(q, quad.v1, quad.v2 - h))) / (2 * h)
-        for sign, (mu_e, mu_p) in mode.kernel.mu.items():
+        for sign, (mu_e, mu_p) in species_mu(mode.state, quad, x).items():
             force = -mode.e1[:, None] * mu_e * vh1 + mode.bfield[:, None] * mu_p * vh1 \
                 - mode.e2[:, None] * (mu_e * vh2 + mu_p)
             for x_name, (X, dX) in spatial.items():
@@ -286,9 +286,9 @@ def test_mode_export(tmp_path, aniso_pipeline):
 def _dense_distributions(state, mode, basis, quad, opts=None):
     """Reference: each species' f_s as one (M, N) array, formed the direct way."""
     kmax = basis.n_modes // 2
-    kernel = assembly_kernel(state, quad, basis)
+    mu = species_mu(state, quad, mode.x)
     c_phi, c_psi = basis.half_spectrum(mode.phi_coeffs), basis.half_spectrum(mode.psi_coeffs)
-    vh1, vh2 = kernel.vh1, kernel.vh2
+    vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
     f = {}
     if state.homogeneous:
         g = _straight_line_filter(state, mode.lam, quad, kmax)
@@ -298,14 +298,14 @@ def _dense_distributions(state, mode, basis, quad, opts=None):
                        p_psi.real, -p_psi.imag, np.full((mode.x.size, 1), mode.b)])
         H = np.vstack([re, im, re * vh2, im * vh2, vh1])
         for sign in (-1, +1):
-            mu_e, mu_p = (sign * m[0] for m in kernel.mu[sign])
+            mu_e, mu_p = (sign * m[0] for m in mu[sign])
             f[sign] = G @ np.vstack([mu_e, mu_p, mu_e * H])
         return f
     for sign, (m0, m1, mv1) in species_pair_moments(state, mode.lam, quad, kmax, mode.x,
                                                     opts).items():
         q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
              - mode.b * mv1)
-        mu_e, mu_p = kernel.mu[sign]
+        mu_e, mu_p = mu[sign]
         f[sign] = sign * (mu_e * (mode.phi[:, None] - q) + mu_p * mode.psi[:, None])
     return f
 
@@ -343,7 +343,7 @@ def test_contraction_matches_the_dense_distributions(request, which):
 
         Y = rng.standard_normal((quad.n_nodes, 5))
         cols = np.arange(3, quad.n_nodes, 37)
-        fY, fcols = mode.contract(Y), mode.contract(cols=cols)
+        fY, fcols = mode.contract(lambda on: Y[on].T), mode.contract(cols=cols)
         for sign in (-1, +1):
             assert _close(fY[sign], f[sign] @ Y, 1e-13), (quad.n_nodes, lam)
             assert _close(fcols[sign], f[sign][:, cols], 1e-13), (quad.n_nodes, lam)
@@ -362,7 +362,8 @@ def test_contraction_matches_the_dense_distributions(request, which):
 def test_mode_stages_stay_below_one_distribution_array(tmp_path):
     # the CLI defaults: weakfield_family at P = 9.43, n_x = 32, 79,872 nodes.  Each
     # stage's traced peak, counting what earlier stages still hold, stays below
-    # 6 MiB: about ten node rows, against 78 MiB for one species' (M, N) array
+    # 2 MiB (1.1 MiB measured): the tables of a block of rings, no node-sized one,
+    # against 78 MiB for one species' (M, N) array
     cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
     profile, _, quad = cli._build_inputs(cfg)
     state = cli._build_state(cfg, profile, quad)
@@ -370,7 +371,7 @@ def test_mode_stages_stay_below_one_distribution_array(tmp_path):
     basis = sw.basis
     crossing = vm.locate_kernel_for_state(sw)
     assert quad.n_nodes == 79872 and basis.x_grid.size == 128
-    bound = 6 * 2 ** 20
+    bound = 2 * 2 ** 20
     peaks = {}
 
     def stage(name, fn, *args, **kwargs):

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -530,20 +531,44 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
 
 def test_homogeneous_kernel_keeps_one_v1_per_class():
     # the CLI defaults: weakfield_family at P = 9.43, 79,872 nodes, n_x = 32.  The
-    # kernel keeps the |vh1| of each class, not a (kmax+1, classes) table of the filter
+    # kernel keeps the |vh1| of each class, not a (kmax+1, classes) table of the filter,
+    # and class tables only: no field holds a value per node
     cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
     profile, _, quad = cli._build_inputs(cfg)
     state = cli._build_state(cfg, profile, quad)
     kern = assembly_kernel(state, quad, vm.build_fourier_basis(state.period, cfg.n_x))
     assert quad.n_nodes == 79872 and kern.rep.ndim == 1
 
-    def nbytes(v):
+    def arrays(v):
         if isinstance(v, (dict, tuple)):
-            return sum(nbytes(a) for a in (v.values() if isinstance(v, dict) else v))
-        return getattr(v, "nbytes", 0)
+            return [a for u in (v.values() if isinstance(v, dict) else v) for a in arrays(u)]
+        return [v] if isinstance(v, np.ndarray) else []
 
-    total = sum(nbytes(getattr(kern, f.name)) for f in dataclasses.fields(kern))
-    assert total <= 4.5 * 2 ** 20, total
+    held = {f.name: arrays(getattr(kern, f.name)) for f in dataclasses.fields(kern)}
+    total = sum(a.nbytes for group in held.values() for a in group)
+    assert total <= 2.5 * 2 ** 20, total
+    for name, group in held.items():
+        for a in group:
+            assert a.size != quad.n_nodes and quad.n_nodes not in a.shape, (name, a.shape)
+
+
+def test_homogeneous_rate_forms_its_filter_one_block_of_rings_at_a_time():
+    # the CLI defaults: one rate's moment profiles take what a block of rings
+    # needs (0.3 MiB traced), not a (kmax+1, classes) filter (2.6 MiB)
+    cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
+    profile, _, quad = cli._build_inputs(cfg)
+    state = cli._build_state(cfg, profile, quad)
+    basis = vm.build_fourier_basis(state.period, cfg.n_x)
+    kern = assembly_kernel(state, quad, basis)
+    for lam in (0.0, 0.05):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            moment_profiles(state, lam, quad, basis, kernel=kern)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20, (lam, peak)
 
 
 def test_paper_profile_current_response_value(paper_state, paper_quad):

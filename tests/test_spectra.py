@@ -382,15 +382,19 @@ def test_each_pencil_kernel_matches_its_symbol_root(two_component_sweep):
 
 def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
     # the lam-independent fields come from one kernel per sweep: each
-    # species' mu_e and mu_p are evaluated once, not once per assembly
+    # species' mu_e and mu_p are evaluated once at each node, not once per
+    # assembly, in however many blocks of nodes
     prof = aniso_state.profile
-    calls = {"mu_e": 0, "mu_p": 0}
+    seen = {"mu_e": [], "mu_p": []}
 
     def counted(name, fn):
         def wrapped(e, p):
-            calls[name] += 1
+            seen[name].append(np.broadcast_arrays(e, p))
             return fn(e, p)
         return wrapped
+
+    def points(pairs):                 # the (e, p) evaluated, as a sorted multiset
+        return np.sort(np.concatenate([(e + 1j * p).ravel() for e, p in pairs]))
 
     wrapped = vm.EquilibriumProfile(prof.mu_minus, counted("mu_e", prof.mu_minus_e),
                                     counted("mu_p", prof.mu_minus_p), kinks=prof.kinks)
@@ -399,7 +403,10 @@ def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
     grid = vm.default_lambda_grid(state.period, n_points=24)
     sw = vm.sweep(state, basis, aniso_quad, 4, grid)
     vm.locate_kernel_for_state(sw)
-    assert calls == {"mu_e": 2, "mu_p": 2}
+    # species - reads mu_minus at (e, v2), species + at (e, -v2)
+    want = points([(aniso_quad.e, aniso_quad.v2), (aniso_quad.e, -aniso_quad.v2)])
+    for name, pairs in seen.items():
+        assert np.array_equal(points(pairs), want), name
 
 
 def test_sweep_exports(tmp_path, aniso_state, aniso_quad):
