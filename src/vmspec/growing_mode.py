@@ -50,7 +50,7 @@ class GrowingMode:
     state: object = field(repr=False, default=None)    # read by the residuals and export
     basis: object = field(repr=False, default=None)
     quad: object = field(repr=False, default=None)
-    kernel: object = field(repr=False, default=None)   # the sweep's AssemblyKernel
+    kernel: object = field(repr=False, default=None)   # AssemblyKernel; None if magnetized
 
     @property
     def nontrivial(self):
@@ -68,7 +68,8 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
 
     The electric potential must have no constant part; the constant
     direction is the built-in trivial kernel and carries no fields.
-    ``kernel`` is the state's ``AssemblyKernel``, built here when not given.
+    ``kernel`` is a homogeneous state's ``AssemblyKernel``, built here when
+    not given; a magnetized mode evaluates ``species_mu`` itself.
     """
     phi_coeffs = np.asarray(phi_coeffs, dtype=float)
     psi_coeffs = np.asarray(psi_coeffs, dtype=float)
@@ -79,7 +80,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     psi_v = basis.values @ psi_coeffs
     dphi = basis.values @ basis.derivative_coeffs(phi_coeffs, 1)
     dpsi = basis.values @ basis.derivative_coeffs(psi_coeffs, 1)
-    kernel = kernel if kernel is not None else assembly_kernel(state, quad, basis)
+    kernel = assembly_kernel(state, quad) if kernel is None and state.homogeneous else kernel
     mode = GrowingMode(lam=float(lam), phi_coeffs=phi_coeffs, psi_coeffs=psi_coeffs, b=float(b),
                        x=x, phi=phi_v, psi=psi_v, e1=-dphi - lam * b, e2=-lam * psi_v,
                        bfield=dpsi, state=state, basis=basis, quad=quad, kernel=kernel)
@@ -92,32 +93,35 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
         # constant on a quarter class, im = -(k w/lam) vh1 re, and vh2, mu_e and mu_p on
         # each half (vh2 > 0, < 0) of it, so S_s @ Y needs the half sums of Y and vh1*Y,
         # taken one block of rings at a time against the kernel's class rows.
-        kw, prof = basis.wavenumbers, state.profile
+        kw, prof, mirror = basis.wavenumbers, state.profile, np.array([[-1.0], [1.0], [-1.0]])
         odd = (-kw / lam if lam > 0.0 else 0.0 * kw)[:, None]
         p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
                        p_psi.real, -p_psi.imag, np.full((x.size, 1), mode.b)])
 
-        def pieces(rows, cols):   # per block: filter, half sums of Y and vh1 Y, rows by half
-            # columns are Y = I on those nodes, each its own upper half, the filter there
+        def pieces(rows, cols):   # per block: filter, half sums of Y and vh1 Y, and the
+            # class rows (vh2, mu_e, mu_p) of species - on the upper and the lower half
             if cols is not None:
+                # columns are Y = I on those nodes: each is its own upper half, its
+                # v2-image the lower one, and the filter is taken there
                 e, v2, U = quad.e[cols], quad.v2[cols], np.eye(len(cols))
                 vh1, vh2 = quad.v1[cols] / e, v2 / e
-                R = np.array([[vh2, prof.mu_e(s, e, v2), prof.mu_p(s, e, v2)] for s in (-1, +1)])
-                yield damping(lam, kw, vh1), (U, 0.0, vh1 * U, 0.0), R, R
+                R = [np.array([s * vh2, prof.mu_e(-1, e, s * v2), prof.mu_p(-1, e, s * v2)])
+                     for s in (1, -1)]
+                yield damping(lam, kw, vh1), (U, 0.0, vh1 * U, 0.0), *R
                 return
             for on, classes in ring_blocks(quad):
                 Y, vh1 = rows(on), quad.v1[on] / quad.e[on]
-                # each species' (vh2, mu_e, mu_p) on the upper and the lower half
-                upper, lower = kernel.halves[:, [[0, 1, 2], [0, 3, 4]], classes]
                 yield (damping(lam, kw, kernel.rep[classes]),
                        [fold_quarters(quad, F, h) for F in (Y, vh1 * Y) for h in (UPPER, LOWER)],
-                       upper, lower)
+                       *kernel.halves[..., classes])
 
         def contract(rows=None, cols=None, sums=False):
             S, Q = {-1: 0.0, +1: 0.0}, {-1: 0.0, +1: 0.0}
             for re, (U, L, U1, L1), upper, lower in pieces(rows, cols):
-                for sign, (v2u, m_eu, m_pu), (v2l, m_el, m_pl) in zip(S, upper, lower):
+                # species + is the v2-mirror of species -: the other half, vh2 and mu_p negated
+                for sign, (v2u, m_eu, m_pu), (v2l, m_el, m_pl) in zip(
+                        S, (upper, mirror * lower), (lower, mirror * upper)):
                     # sums of mu_e Y, its vh1, vh2 and vh1 vh2 multiples, and of mu_p Y
                     E = [m_eu * U + m_el * L, m_eu * U1 + m_el * L1]
                     E += [v2u * m_eu * U + v2l * m_el * L, v2u * m_eu * U1 + v2l * m_el * L1]
@@ -130,19 +134,18 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
             return (f, Q) if sums else f
     else:
         # one orbit pass over the whole grid; contract the harmonics away
-        f = {}
+        f, mu, vh2 = {}, species_mu(state, quad, x), quad.v2 / quad.e
         for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, basis.n_modes // 2, x,
                                                         opts).items():
             q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
                  - mode.b * mv1)
-            f[sign] = sign * (kernel.mu[sign][0] * (phi_v[:, None] - q)
-                              + kernel.mu[sign][1] * psi_v[:, None])
+            f[sign] = sign * (mu[sign][0] * (phi_v[:, None] - q) + mu[sign][1] * psi_v[:, None])
 
         def contract(rows=None, cols=None, sums=False):
             Y = None if rows is None else rows(slice(None)).T
             fY = {s: fs @ Y if cols is None else fs[:, cols] for s, fs in f.items()}
-            return (fY, {s: np.array([mu_e @ Y, mu_p @ Y, (kernel.vh2 * mu_e) @ Y])
-                         for s, (mu_e, mu_p) in kernel.mu.items()}) if sums else fY
+            return (fY, {s: np.array([mu_e @ Y, mu_p @ Y, (vh2 * mu_e) @ Y])
+                         for s, (mu_e, mu_p) in mu.items()}) if sums else fY
     mode.contract = contract
     # charge and currents species by species, without an (M, N) difference: w, w vh1, w vh2
     f_V = mode.contract(lambda on: np.array([quad.e[on], quad.v1[on], quad.v2[on]]) / quad.e[on]

@@ -422,64 +422,54 @@ def damping(lam, kw, freq):
 
 @dataclass
 class AssemblyKernel:
-    """The lam-independent part of the assembly on one state and grid.
+    """The lam-independent part of the assembly on a homogeneous state.
 
-    m_e, m_vp are the local moments, twice those of species - (the species
-    mirror, docs/DECISIONS.md section 4).  A magnetized state keeps the nodes'
-    vh1, vh2 and ``mu[s]``, species s's (mu_e, mu_p) from ``species_mu``.  On
-    straight lines (homogeneous states) ``damping`` and vh2^2 are constant on
-    each class of ``fold_quarters``, and vh2, mu_e, mu_p on each half of one,
-    so it keeps class tables only, built a block of ``ring_blocks`` at a time:
+    On straight lines ``damping`` and vh2^2 are constant on each class of
+    ``fold_quarters``, and vh2, mu_e, mu_p on each half of one, so the kernel
+    keeps class tables only, built a block of ``ring_blocks`` at a time:
     ``rep``, the |vh1| of each class, the sums W = [2 mu_e w, 2 mu_e vh2^2 w],
-    and ``halves``, the rows (vh2, mu_e-, mu_p-, mu_e+, mu_p+) at each class's
-    upper and lower representative.  A rate costs one filter on a quarter of
-    the nodes; mu_e is even in v1, so c is 0.
+    and ``halves``, the rows (vh2, mu_e, mu_p) of species - at each class's
+    upper and lower representative.  m_e, m_vp and lint are twice those of
+    species -, and species + is the mirror of the rows (the species mirror,
+    docs/DECISIONS.md section 4).  A rate costs one filter on a quarter of the
+    nodes; mu_e is even in v1, so c is 0.  A magnetized state keeps no kernel.
     """
 
     m_e: np.ndarray
     m_vp: np.ndarray
-    vh1: np.ndarray = None
-    vh2: np.ndarray = None
-    mu: dict = None
-    rep: np.ndarray = None         # (classes,)
-    W: np.ndarray = None           # (classes, 2)
-    halves: np.ndarray = None      # (2, 5, classes): upper, lower
-    lint: float = 0.0
+    rep: np.ndarray                # (classes,)
+    W: np.ndarray                  # (classes, 2)
+    halves: np.ndarray             # (2, 3, classes): upper, lower
+    lint: float
 
 
 def species_mu(state, quad, x):
     """Each species' (mu_e, mu_p) at the points x, as (M, N) arrays; without
-    a potential they do not depend on x, and one row (1, N) serves every x."""
+    a potential they do not depend on x, and one row (1, N) serves every x.
+    The profile is called for species - alone: species + is its mirror, (mu_e,
+    -mu_p) at the node ``theta_reflect_permutation`` gives."""
     rows = x[:1] if state.homogeneous else x
-    out = {}
-    for sign in (-1, +1):
-        p = quad.v2[None, :] + sign * state.psi0(rows)[:, None]
-        out[sign] = (state.profile.mu_e(sign, quad.e[None, :], p),
-                     state.profile.mu_p(sign, quad.e[None, :], p))
-    return out
+    e, p = quad.e[None, :], quad.v2[None, :] - state.psi0(rows)[:, None]
+    mu_e, mu_p = state.profile.mu_e(-1, e, p), state.profile.mu_p(-1, e, p)
+    perm = theta_reflect_permutation(quad)
+    return {-1: (mu_e, mu_p), +1: (mu_e[:, perm], -mu_p[:, perm])}
 
 
-def assembly_kernel(state, quad, basis):
-    """Evaluate the profile once; build per state, quadrature and basis."""
-    if not state.homogeneous:
-        mu = species_mu(state, quad, basis.x_grid)
-        (mu_e, mu_p), vh2 = mu[-1], quad.v2 / quad.e
-        return AssemblyKernel(2.0 * np.sum(mu_e * quad.w, axis=1),
-                              2.0 * np.sum(vh2 * mu_p * quad.w, axis=1), quad.v1 / quad.e, vh2, mu)
+def assembly_kernel(state, quad):
+    """A homogeneous state's ``AssemblyKernel``: the profile once per node, for species -."""
     prof, blocks = state.profile, list(ring_blocks(quad))
     n_cls = blocks[-1][1].stop
-    kern = AssemblyKernel(m_e=None, m_vp=np.zeros(1), rep=np.empty(n_cls),
-                          W=np.empty((n_cls, 2)), halves=np.empty((2, 5, n_cls)))
+    rep, W, halves, m_vp = np.empty(n_cls), np.empty((n_cls, 2)), np.empty((2, 3, n_cls)), 0.0
     for on, cl in blocks:
         e, v2, w = quad.e[on], quad.v2[on], quad.w[on]
-        R = np.array([v2 / e] + [f(s, e, v2) for s in (-1, +1) for f in (prof.mu_e, prof.mu_p)])
+        R = np.array([v2 / e, prof.mu_e(-1, e, v2), prof.mu_p(-1, e, v2)])
         we = 2.0 * R[1] * w
-        kern.W[cl] = np.column_stack([fold_quarters(quad, f) for f in (we, we * R[0] * R[0])])
-        kern.rep[cl] = fold_quarters(quad, quad.v1[on] / e, (1, 0, 0, 0))
-        kern.halves[..., cl] = [fold_quarters(quad, R, h) for h in ((1, 0, 0, 0), (0, 0, 1, 0))]
-        kern.m_vp += 2.0 * np.sum(R[0] * R[2] * w)
-    kern.m_e, kern.lint = np.sum(kern.W[:, :1], axis=0), float(kern.W[:, 0] @ kern.rep ** 2)
-    return kern
+        W[cl] = np.column_stack([fold_quarters(quad, f) for f in (we, we * R[0] * R[0])])
+        rep[cl] = fold_quarters(quad, quad.v1[on] / e, (1, 0, 0, 0))
+        halves[..., cl] = [fold_quarters(quad, R, h) for h in ((1, 0, 0, 0), (0, 0, 1, 0))]
+        m_vp += 2.0 * np.sum(R[0] * R[2] * w)
+    return AssemblyKernel(np.sum(W[:, :1], axis=0), np.array([m_vp]), rep, W, halves,
+                          float(W[:, 0] @ rep ** 2))
 
 
 @dataclass
@@ -508,13 +498,13 @@ class MomentProfiles:
 
 
 def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
-    """Moment profiles at one rate; ``kernel`` is built here when not given."""
-    if kernel is None:
-        kernel = assembly_kernel(state, quad, basis)
+    """Moment profiles at one rate; a homogeneous ``kernel`` is built here when not given."""
     kmax, x_grid = basis.n_modes // 2, basis.x_grid
     M = x_grid.size
 
     if state.homogeneous:
+        if kernel is None:
+            kernel = assembly_kernel(state, quad)
         # translation invariance: velocity integrals once, phases per x; on
         # the folded table the filter's v1-odd imaginary part is gone, and
         # the filter is formed one block of rings at a time
@@ -528,11 +518,12 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     # contractions over the nodes, doubled for species +
     moments = node_moments(state, -1, lam, quad, kmax, x_grid, opts)
     m0, m1, mv1 = moments
-    we = 2.0 * kernel.mu[-1][0] * quad.w
+    (mu_e, mu_p), vh2 = species_mu(state, quad, x_grid)[-1], quad.v2 / quad.e
+    we = 2.0 * mu_e * quad.w
     T1 = np.einsum("kmn,mn->km", m0, we)
-    T2 = np.einsum("kmn,mn->km", m1, we * kernel.vh2)
+    T2 = np.einsum("kmn,mn->km", m1, we * vh2)
     c = np.sum(we * mv1, axis=1)
-    l_lanes = we * kernel.vh1 * mv1
+    l_lanes = we * (quad.v1 / quad.e) * mv1
     lint = np.sum(l_lanes, axis=1)
     cut = ~moments.resolved
     dens = np.abs(we)
@@ -540,7 +531,8 @@ def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
     cut_lanes = {"count": int(np.count_nonzero(cut)), "lanes": cut.size,
                  "mu_e_share": float(np.sum(dens[cut])) / total if total > 0.0 else 0.0,
                  "l_share": float(np.sum(l_lanes[cut])) / l_sum if l_sum != 0.0 else 0.0}
-    return MomentProfiles(T1, T2, c, lint, kernel.m_e, kernel.m_vp, cut_lanes, moments.drift)
+    return MomentProfiles(T1, T2, c, lint, np.sum(we, axis=1),
+                          2.0 * np.sum(vh2 * mu_p * quad.w, axis=1), cut_lanes, moments.drift)
 
 
 @dataclass
@@ -591,7 +583,7 @@ def _symmetrize(Mx, name, tol_sym, defects):
 def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
     """All operator blocks at a single growth parameter lam >= 0.
 
-    ``kernel`` is the state's ``AssemblyKernel`` on this basis and
+    ``kernel`` is a homogeneous state's ``AssemblyKernel`` on this
     quadrature; callers that assemble at many rates build it once.
     """
     if not (lam == 0.0 or (lam > 0.0 and 0.0 < float(lam) * float(lam) < np.inf)):

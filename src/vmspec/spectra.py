@@ -197,7 +197,7 @@ class SweepResult:
     verdict: VerdictResult         # from the counts capped at n; INCONCLUSIVE when l0 ~ 0
     modal: ModalBasis = field(repr=False, default=None)
     blocks0: object = field(repr=False, default=None)
-    assembly: object = field(repr=False, default=None)     # the AssemblyKernel
+    assembly: object = field(repr=False, default=None)     # AssemblyKernel; None if magnetized
     # what the sweep was computed from, read again by the search and the mode
     state: object = field(repr=False, default=None)
     basis: object = field(repr=False, default=None)
@@ -224,7 +224,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
             or np.any(np.diff(lam_grid) <= 0):
         raise VmspecError("lam grid must be ascending and strictly positive")
-    kernel = assembly_kernel(state, quad, basis)
+    kernel = assembly_kernel(state, quad) if state.homogeneous else None
     blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
     modal = modal_truncation(blocks0, tol_eig)
 

@@ -10,7 +10,9 @@ Homogeneous states (B0 = 0) take the exact straight-line translation.
 ``SmoothingEvaluator`` is the backward average at lam > 0 by a direct
 composite Gauss-Legendre rule on the ``backward_path`` samples, the
 independent reference for the engine's Fourier-series filter and for the
-small-rate limit.  ``validate_profile`` is the profile check on one dense
+small-rate limit.  ``species_mu_direct`` evaluates the profile for both
+species, the reference for the library's ``species_mu``, which takes
+species + as the mirror of species -.  ``validate_profile`` is the profile check on one dense
 (energy, momentum) grid, which the library's walk over blocks of energies
 must reproduce.  None of this is used by the library.
 """
@@ -132,6 +134,16 @@ def _checked_path(state, sign, start, s_nodes, opts):
     raise ConservationError(
         "conservation failure: |de|=%.3e |dp|=%.3e after %d halvings" % (de, dp, opts.max_halvings),
         drift_e=de, drift_p=dp)
+
+
+def species_mu_direct(state, quad, x):
+    """Each species' (mu_e, mu_p) at the points x, as (M, N) arrays, each
+    species from its own profile call at p = v2 + s*psi0(x)."""
+    e, out = quad.e[None, :], {}
+    for sign in (-1, +1):
+        p = quad.v2[None, :] + sign * state.psi0(np.atleast_1d(x))[:, None]
+        out[sign] = (state.profile.mu_e(sign, e, p), state.profile.mu_p(sign, e, p))
+    return out
 
 
 class SmoothingEvaluator:

@@ -421,13 +421,16 @@ def test_magnetized_assemble_applies_and_records_tol_sym(tmp_path, monkeypatch, 
 def test_magnetized_analyze_reports_cut_lanes(tmp_path, monkeypatch):
     # the orbits that did not close, counted over every lane of the - pass
     # (the benchmark's mag-verdict inputs); deterministic, so --canonical
-    # keeps it while it drops the stage times
+    # keeps it while it drops the stage times, and two runs write the same bytes
     cfg = tmp_path / "mag.cfg"
     cfg.write_text("disc.n_r = 16\ndisc.n_theta = 16\ndisc.n_r_tail = 4\nlambda.points = 2\n")
-    assert run(["--config", str(cfg), "--profile", "weakfield_family", "--epsilon", "0.05",
-                "--n-x", "2", "--n", "2", "--canonical", "analyze"],
-               tmp_path, monkeypatch) == cli.EXIT_OK
-    payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    for out in ("a", "b"):
+        assert run(["--config", str(cfg), "--profile", "weakfield_family", "--epsilon", "0.05",
+                    "--n-x", "2", "--n", "2", "--canonical", "analyze"],
+                   tmp_path, monkeypatch, out=out) == cli.EXIT_OK
+    for name in ("analysis.json", "sweep.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    payload = json.loads((tmp_path / "a" / "analysis.json").read_text())
     assert sorted(payload["diagnostics"]) == ["cut_lanes", "defects_lam0", "drift"]
     cut = payload["diagnostics"]["cut_lanes"]
     assert sorted(cut) == ["count", "l_share", "lanes", "mu_e_share"]

@@ -7,8 +7,9 @@ import pytest
 import vmspec as vm
 from vmspec import cli
 from vmspec.errors import VmspecError
-from vmspec.operators import EvalOptions, species_mu, species_pair_moments
+from vmspec.operators import EvalOptions, species_pair_moments
 
+from reference import species_mu_direct
 from test_operators import _straight_line_filter
 
 
@@ -164,7 +165,7 @@ def _weak_defects(mode, f):
         gv = g(q, quad.v1, quad.v2)
         rot = (vh2 * (g(q, quad.v1 + h, quad.v2) - g(q, quad.v1 - h, quad.v2))
                - vh1 * (g(q, quad.v1, quad.v2 + h) - g(q, quad.v1, quad.v2 - h))) / (2 * h)
-        for sign, (mu_e, mu_p) in species_mu(mode.state, quad, x).items():
+        for sign, (mu_e, mu_p) in species_mu_direct(mode.state, quad, x).items():
             force = -mode.e1[:, None] * mu_e * vh1 + mode.bfield[:, None] * mu_p * vh1 \
                 - mode.e2[:, None] * (mu_e * vh2 + mu_p)
             for x_name, (X, dX) in spatial.items():
@@ -284,9 +285,10 @@ def test_mode_export(tmp_path, aniso_pipeline):
 
 
 def _dense_distributions(state, mode, basis, quad, opts=None):
-    """Reference: each species' f_s as one (M, N) array, formed the direct way."""
+    """Reference: each species' f_s as one (M, N) array, formed the direct way,
+    each species' mu_e and mu_p from its own profile call."""
     kmax = basis.n_modes // 2
-    mu = species_mu(state, quad, mode.x)
+    mu = species_mu_direct(state, quad, mode.x)
     c_phi, c_psi = basis.half_spectrum(mode.phi_coeffs), basis.half_spectrum(mode.psi_coeffs)
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
     f = {}

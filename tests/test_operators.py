@@ -10,12 +10,13 @@ import pytest
 
 import vmspec as vm
 import vmspec.operators as ops
-from reference import PhasePoint, SmoothingEvaluator
+from reference import PhasePoint, SmoothingEvaluator, species_mu_direct
 from vmspec import cli
 from vmspec.characteristics import default_dt
 from vmspec.discretization import LOWER, UPPER, fold_quarters, ring_blocks
 from vmspec.errors import AssemblyError, VmspecError
-from vmspec.operators import EvalOptions, MomentProfiles, assembly_kernel, moment_profiles
+from vmspec.operators import (EvalOptions, MomentProfiles, assembly_kernel, moment_profiles,
+                              species_mu)
 
 RING_EXACT = 1.5 - np.log(2.0)
 TAIL_RING_PINNED = -2.5311167899453655
@@ -349,7 +350,7 @@ def test_cut_lanes_report_their_share_of_l(weak_state, aniso_coarse_quad):
     opts = EvalOptions(tol_sym=1e-3, n_per_period=128)
     cut = vm.assemble_blocks(weak_state, 0.0, basis, quad, opts).cut_lanes
     moments = vm.node_moments(weak_state, -1, 0.0, quad, 1, basis.x_grid, opts)
-    mu_e = assembly_kernel(weak_state, quad, basis).mu[-1][0]
+    mu_e = species_mu(weak_state, quad, basis.x_grid)[-1][0]
     l_lanes = mu_e * quad.w * (quad.v1 / quad.e) * moments[2]
     assert cut["count"] == np.count_nonzero(~moments.resolved) > 0
     assert 0.0 < abs(cut["l_share"]) < 1e-2
@@ -458,7 +459,7 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
     for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
         basis = vm.build_fourier_basis(state.period, 8)
         w = 2 * np.pi / state.period
-        kern = assembly_kernel(state, quad, basis)
+        kern = assembly_kernel(state, quad)
         for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
             got = vm.assemble_blocks(state, lam, basis, quad, kernel=kern)
             with monkeypatch.context() as mp:
@@ -514,7 +515,7 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
                 assert classes[cl].size == size // n * n_cls
                 assert (fold_quarters(quad, quad.w[on], UPPER) == full[cl]).all()
         basis = vm.build_fourier_basis(state.period, 8)
-        kern = assembly_kernel(state, quad, basis)
+        kern = assembly_kernel(state, quad)
         we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
         assert kern.W.shape == (quad.r_nodes.size * n_cls, 2)
         assert abs(np.sum(kern.W[:, 0]) - np.sum(we)) <= 1e-13 * np.sum(np.abs(we))
@@ -536,8 +537,9 @@ def test_homogeneous_kernel_keeps_one_v1_per_class():
     cfg = cli.RunConfig(profile_name="weakfield_family", period=9.43)
     profile, _, quad = cli._build_inputs(cfg)
     state = cli._build_state(cfg, profile, quad)
-    kern = assembly_kernel(state, quad, vm.build_fourier_basis(state.period, cfg.n_x))
+    kern = assembly_kernel(state, quad)
     assert quad.n_nodes == 79872 and kern.rep.ndim == 1
+    assert kern.halves.shape == (2, 3, kern.rep.size)
 
     def arrays(v):
         if isinstance(v, (dict, tuple)):
@@ -546,7 +548,7 @@ def test_homogeneous_kernel_keeps_one_v1_per_class():
 
     held = {f.name: arrays(getattr(kern, f.name)) for f in dataclasses.fields(kern)}
     total = sum(a.nbytes for group in held.values() for a in group)
-    assert total <= 2.5 * 2 ** 20, total
+    assert total <= 1.5 * 2 ** 20, total
     for name, group in held.items():
         for a in group:
             assert a.size != quad.n_nodes and quad.n_nodes not in a.shape, (name, a.shape)
@@ -559,7 +561,7 @@ def test_homogeneous_rate_forms_its_filter_one_block_of_rings_at_a_time():
     profile, _, quad = cli._build_inputs(cfg)
     state = cli._build_state(cfg, profile, quad)
     basis = vm.build_fourier_basis(state.period, cfg.n_x)
-    kern = assembly_kernel(state, quad, basis)
+    kern = assembly_kernel(state, quad)
     for lam in (0.0, 0.05):
         tracemalloc.start()
         try:
@@ -637,16 +639,36 @@ def test_species_relabel_matches_direct_moments(weak_state, aniso_coarse_quad):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lam
 
 
+def test_species_mu_mirrors_species_minus(weak_state, aniso_state, aniso_profile,
+                                         aniso_coarse_quad):
+    # species_mu calls the profile for species - alone and takes species + as
+    # (mu_e, -mu_p) at the v2-reflected node; the direct profile call for each
+    # species is the reference.  On 18 angles (2 mod 4) the class of pi/2 is
+    # its own image under theta -> pi - theta.
+    prof, weight = aniso_profile
+    quad18 = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=24, n_theta=18,
+                                          n_r_tail=8)
+    for state, quad in ((weak_state, aniso_coarse_quad), (aniso_state, quad18)):
+        x = vm.build_fourier_basis(state.period, 4).x_grid
+        got, want = species_mu(state, quad, x), species_mu_direct(state, quad, x)
+        for name, g, w in zip(("mu_e", "mu_p"), got[-1], want[-1]):
+            assert np.array_equal(np.broadcast_to(g, w.shape), w), name
+        for name, g, w in zip(("mu_e", "mu_p"), got[+1], want[+1]):
+            err = np.max(np.abs(g - w))
+            assert err <= 1e-14 * np.max(np.abs(w)), (quad.n_nodes, name, err)
+
+
 def test_species_mirror_doubles_and_cancels(weak_state, aniso_coarse_quad):
     # the assembly reads species - and doubles it: under mu+(e, p) = mu-(e, -p)
     # the + pass adds what the - pass adds to T1, T2, c, lint, m_e and m_vp,
     # and cancels it in T3, T4, d and m_p, the sums of B and D
-    # (docs/DECISIONS.md section 4).  Both passes are direct here.
+    # (docs/DECISIONS.md section 4).  Both passes are direct here, and so are
+    # both species' profile values.
     quad = aniso_coarse_quad
     basis = vm.build_fourier_basis(weak_state.period, 4)
     x = basis.x_grid
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
-    mu = ops.species_mu(weak_state, quad, x)
+    mu = species_mu_direct(weak_state, quad, x)
     for lam in (0.0, 0.4):
         sums = {}
         for sign in (-1, +1):

@@ -380,33 +380,56 @@ def test_each_pencil_kernel_matches_its_symbol_root(two_component_sweep):
         assert abs(cr.lambda_star - root) <= 1e-10 * root
 
 
-def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
-    # the lam-independent fields come from one kernel per sweep: each
-    # species' mu_e and mu_p are evaluated once at each node, not once per
-    # assembly, in however many blocks of nodes
-    prof = aniso_state.profile
-    seen = {"mu_e": [], "mu_p": []}
-
+def _counting_profile(prof, seen):
+    """``prof`` with each (e, p) its species - functions are evaluated at
+    recorded in seen["mu_e"] and seen["mu_p"]."""
     def counted(name, fn):
         def wrapped(e, p):
             seen[name].append(np.broadcast_arrays(e, p))
             return fn(e, p)
         return wrapped
 
-    def points(pairs):                 # the (e, p) evaluated, as a sorted multiset
-        return np.sort(np.concatenate([(e + 1j * p).ravel() for e, p in pairs]))
+    return vm.EquilibriumProfile(prof.mu_minus, counted("mu_e", prof.mu_minus_e),
+                                 counted("mu_p", prof.mu_minus_p), kinks=prof.kinks)
 
-    wrapped = vm.EquilibriumProfile(prof.mu_minus, counted("mu_e", prof.mu_minus_e),
-                                    counted("mu_p", prof.mu_minus_p), kinks=prof.kinks)
-    state = vm.make_homogeneous_state(wrapped, aniso_state.period)
+
+def _points(pairs):
+    """The (e, p) evaluated, as a sorted multiset."""
+    return np.sort(np.concatenate([(e + 1j * p).ravel() for e, p in pairs]))
+
+
+def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
+    # the lam-independent fields come from one kernel per sweep: species -'s
+    # mu_e and mu_p are evaluated once at each node, not once per assembly,
+    # in however many blocks of nodes, and species + is its mirror image
+    seen = {"mu_e": [], "mu_p": []}
+    state = vm.make_homogeneous_state(_counting_profile(aniso_state.profile, seen),
+                                      aniso_state.period)
     basis = vm.build_fourier_basis(state.period, 12)
     grid = vm.default_lambda_grid(state.period, n_points=24)
     sw = vm.sweep(state, basis, aniso_quad, 4, grid)
     vm.locate_kernel_for_state(sw)
-    # species - reads mu_minus at (e, v2), species + at (e, -v2)
-    want = points([(aniso_quad.e, aniso_quad.v2), (aniso_quad.e, -aniso_quad.v2)])
+    # species - reads mu_minus at (e, v2), and nothing reads (e, -v2)
+    want = _points([(aniso_quad.e, aniso_quad.v2)])
     for name, pairs in seen.items():
-        assert np.array_equal(points(pairs), want), name
+        assert np.array_equal(_points(pairs), want), name
+
+
+def test_magnetized_sweep_evaluates_species_minus_only(weak_state, aniso_coarse_quad):
+    # a magnetized sweep keeps no kernel; each assembly evaluates the profile
+    # for species - at its own points (e, v2 - psi0(x_m)), never species +
+    quad, seen = aniso_coarse_quad, {"mu_e": [], "mu_p": []}
+    state = vm.EquilibriumState(_counting_profile(weak_state.profile, seen),
+                                weak_state.potential)
+    basis = vm.build_fourier_basis(state.period, 2)
+    sw = vm.sweep(state, basis, quad, 1, [0.2, 0.4], EvalOptions(tol_sym=1e-3))
+    assert sw.assembly is None
+    x = basis.x_grid
+    want = np.unique(_points([(np.broadcast_to(quad.e, (x.size, quad.n_nodes)),
+                               quad.v2[None, :] - state.psi0(x)[:, None])]))
+    for name, pairs in seen.items():
+        got = _points(pairs)
+        assert got.size and np.array_equal(np.unique(got), want), name
 
 
 def test_sweep_exports(tmp_path, aniso_state, aniso_quad):
