@@ -35,7 +35,7 @@ from .errors import QuadratureError, VmspecError
 # velocity quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)       # compared and hashed by identity
 class VelocityQuadrature:
     """Polar product rule on the disc r <= r_max.
 

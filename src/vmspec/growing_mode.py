@@ -50,7 +50,6 @@ class GrowingMode:
     state: object = field(repr=False, default=None)    # read by the residuals and export
     basis: object = field(repr=False, default=None)
     quad: object = field(repr=False, default=None)
-    kernel: object = field(repr=False, default=None)   # AssemblyKernel; None if magnetized
 
     @property
     def nontrivial(self):
@@ -62,14 +61,13 @@ class GrowingMode:
                      + abs(self.b))
 
 
-def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=None,
-                      kernel=None):
+def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=None):
     """Mode from arbitrary full-basis coefficients (manufactured solutions).
 
     The electric potential must have no constant part; the constant
-    direction is the built-in trivial kernel and carries no fields.
-    ``kernel`` is a homogeneous state's ``AssemblyKernel``, built here when
-    not given; a magnetized mode evaluates ``species_mu`` itself.
+    direction is the built-in trivial kernel and carries no fields.  A
+    homogeneous mode reads the class rows of its ``assembly_kernel``, a
+    magnetized one evaluates ``species_mu``.
     """
     phi_coeffs = np.asarray(phi_coeffs, dtype=float)
     psi_coeffs = np.asarray(psi_coeffs, dtype=float)
@@ -80,10 +78,9 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
     psi_v = basis.values @ psi_coeffs
     dphi = basis.values @ basis.derivative_coeffs(phi_coeffs, 1)
     dpsi = basis.values @ basis.derivative_coeffs(psi_coeffs, 1)
-    kernel = assembly_kernel(state, quad) if kernel is None and state.homogeneous else kernel
     mode = GrowingMode(lam=float(lam), phi_coeffs=phi_coeffs, psi_coeffs=psi_coeffs, b=float(b),
                        x=x, phi=phi_v, psi=psi_v, e1=-dphi - lam * b, e2=-lam * psi_v,
-                       bfield=dpsi, state=state, basis=basis, quad=quad, kernel=kernel)
+                       bfield=dpsi, state=state, basis=basis, quad=quad)
 
     c_phi, c_psi = basis.half_spectrum(phi_coeffs), basis.half_spectrum(psi_coeffs)
 
@@ -94,6 +91,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
         # each half (vh2 > 0, < 0) of it, so S_s @ Y needs the half sums of Y and vh1*Y,
         # taken one block of rings at a time against the kernel's class rows.
         kw, prof, mirror = basis.wavenumbers, state.profile, np.array([[-1.0], [1.0], [-1.0]])
+        kernel = assembly_kernel(state, quad)
         odd = (-kw / lam if lam > 0.0 else 0.0 * kw)[:, None]
         p_phi, p_psi = (basis.phases.T * c[None, :] for c in (c_phi, c_psi))
         G = np.hstack([phi_v[:, None], psi_v[:, None], -p_phi.real, p_phi.imag,
@@ -160,7 +158,7 @@ def reconstruct(sweep_result, crossing):
     An electric kernel vector holds (phi, b), a magnetic one psi, in the
     modal bases of the lam = 0 blocks; they are synthesized back to
     trigonometric coefficients first.  The mode is built on the sweep's
-    state, basis, quadrature, options and ``AssemblyKernel``.
+    state, basis, quadrature and options, so it shares the sweep's ``assembly_kernel``.
     """
     sw, n, v = sweep_result, sweep_result.n, crossing.vector
     phi, psi, b = ((v[:n], np.zeros(n), v[n]) if crossing.pencil == "electric"
@@ -169,8 +167,7 @@ def reconstruct(sweep_result, crossing):
     phi_full = np.zeros(sw.basis.n_functions)
     phi_full[1:] = sw.modal.a1_vectors[:, :n] @ phi
     return from_coefficients(sw.state, crossing.lambda_star, phi_full,
-                             sw.modal.a2_vectors[:, :n] @ psi, b, sw.basis, sw.quad, sw.opts,
-                             sw.assembly)
+                             sw.modal.a2_vectors[:, :n] @ psi, b, sw.basis, sw.quad, sw.opts)
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,16 @@ between the first and the last sample of every stream.
 
 The state picks the path.  Homogeneous states (no potential) use the
 straight-line filter ``damping`` instead of the engine, on the quarter
-classes of ``discretization.fold_quarters``, where it is constant:
-``AssemblyKernel`` for the assembly, and the mode's contraction in
-``growing_mode``.
+classes of ``discretization.fold_quarters``, where it is constant: the
+assembly and the mode's contraction in ``growing_mode`` read the class table
+``AssemblyKernel`` from ``assembly_kernel``, which keeps the last one built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -420,7 +421,7 @@ def damping(lam, kw, freq):
     return np.divide(lam * lam, out, out=out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssemblyKernel:
     """The lam-independent part of the assembly on a homogeneous state.
 
@@ -455,8 +456,11 @@ def species_mu(state, quad, x):
     return {-1: (mu_e, mu_p), +1: (mu_e[:, perm], -mu_p[:, perm])}
 
 
+@lru_cache(maxsize=1)
 def assembly_kernel(state, quad):
-    """A homogeneous state's ``AssemblyKernel``: the profile once per node, for species -."""
+    """A homogeneous state's ``AssemblyKernel``: the profile once per node, for species -.
+    The last one built is returned to the same state and quadrature objects; any other
+    pair builds afresh, so a sweep, its search and its mode share one build."""
     prof, blocks = state.profile, list(ring_blocks(quad))
     n_cls = blocks[-1][1].stop
     rep, W, halves, m_vp = np.empty(n_cls), np.empty((n_cls, 2)), np.empty((2, 3, n_cls)), 0.0
@@ -497,14 +501,13 @@ class MomentProfiles:
     drift: dict = None
 
 
-def moment_profiles(state, lam, quad, basis, opts=None, kernel=None):
-    """Moment profiles at one rate; a homogeneous ``kernel`` is built here when not given."""
+def moment_profiles(state, lam, basis, quad, opts=None):
+    """Moment profiles at one rate; a homogeneous state reads its ``assembly_kernel``."""
     kmax, x_grid = basis.n_modes // 2, basis.x_grid
     M = x_grid.size
 
     if state.homogeneous:
-        if kernel is None:
-            kernel = assembly_kernel(state, quad)
+        kernel = assembly_kernel(state, quad)
         # translation invariance: velocity integrals once, phases per x; on
         # the folded table the filter's v1-odd imaginary part is gone, and
         # the filter is formed one block of rings at a time
@@ -580,18 +583,18 @@ def _symmetrize(Mx, name, tol_sym, defects):
     return 0.5 * (Mx + Mx.T), (int(i), int(j))
 
 
-def assemble_blocks(state, lam, basis, quad, opts=None, kernel=None):
+def assemble_blocks(state, lam, basis, quad, opts=None):
     """All operator blocks at a single growth parameter lam >= 0.
 
-    ``kernel`` is a homogeneous state's ``AssemblyKernel`` on this
-    quadrature; callers that assemble at many rates build it once.
+    A homogeneous state's rates share one ``assembly_kernel``, built at the
+    first of them.
     """
     if not (lam == 0.0 or (lam > 0.0 and 0.0 < float(lam) * float(lam) < np.inf)):
         raise VmspecError("lam must be 0, or positive with a finite nonzero square; got %r"
                           % lam)
     opts = opts or EvalOptions()
     w = basis.quad_weight
-    prof = moment_profiles(state, lam, quad, basis, opts, kernel)
+    prof = moment_profiles(state, lam, basis, quad, opts)
 
     Uf = basis.values                       # (M, N+1)
     Umz = Uf[:, 1:]                         # function 0 is the constant

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import HypothesisError, SpuriousIntervalError, VmspecError
-from .operators import ModalBasis, assemble_M, assemble_blocks, assembly_kernel
+from .operators import ModalBasis, assemble_M, assemble_blocks
 
 UNSTABLE_T1 = "UNSTABLE_T1"
 UNSTABLE_T2 = "UNSTABLE_T2"
@@ -197,7 +197,6 @@ class SweepResult:
     verdict: VerdictResult         # from the counts capped at n; INCONCLUSIVE when l0 ~ 0
     modal: ModalBasis = field(repr=False, default=None)
     blocks0: object = field(repr=False, default=None)
-    assembly: object = field(repr=False, default=None)     # AssemblyKernel; None if magnetized
     # what the sweep was computed from, read again by the search and the mode
     state: object = field(repr=False, default=None)
     basis: object = field(repr=False, default=None)
@@ -224,13 +223,12 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     if lam_grid.ndim != 1 or lam_grid.size < 2 or np.any(lam_grid <= 0) \
             or np.any(np.diff(lam_grid) <= 0):
         raise VmspecError("lam grid must be ascending and strictly positive")
-    kernel = assembly_kernel(state, quad) if state.homogeneous else None
-    blocks0 = assemble_blocks(state, 0.0, basis, quad, opts, kernel)
+    blocks0 = assemble_blocks(state, 0.0, basis, quad, opts)
     modal = modal_truncation(blocks0, tol_eig)
 
     def family(lam):
-        return dict(zip(PENCILS, assemble_M(assemble_blocks(state, lam, basis, quad, opts,
-                                                            kernel), n, modal)))
+        blocks = assemble_blocks(state, lam, basis, quad, opts)
+        return dict(zip(PENCILS, assemble_M(blocks, n, modal)))
 
     per_rate = [{p: symmetric_eigen(M, vectors=False).values for p, M in family(lam).items()}
                 for lam in lam_grid]
@@ -255,8 +253,8 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     return SweepResult(lam_grid=lam_grid, eigenvalues=eigenvalues, counts=counts,
                        pencil_counts=pencil_counts, crossings=crossings, n=n, l0=blocks0.l,
                        neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count, verdict=vres,
-                       modal=modal, blocks0=blocks0, assembly=kernel, state=state,
-                       basis=basis, quad=quad, opts=opts, family=family)
+                       modal=modal, blocks0=blocks0, state=state, basis=basis,
+                       quad=quad, opts=opts, family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import os
@@ -310,7 +311,7 @@ def test_mirror_pairing_matches_direct_path(monkeypatch, weak_state, aniso_coars
         profiles, steps = [], []
         for state in (weak_state, direct):
             before = len(widths)
-            profiles.append(moment_profiles(state, lam, quad, basis))
+            profiles.append(moment_profiles(state, lam, basis, quad))
             steps.append(widths[before:])
         # every lane of the even well has its mirror, none is its own; at
         # lam > 0 the weight table's blocks of CHUNK lanes change the calls
@@ -386,7 +387,7 @@ def test_one_orbit_pass_per_assembly(monkeypatch, weak_state, aniso_coarse_quad)
     for n_x in (2, 4):
         basis = vm.build_fourier_basis(weak_state.period, n_x)
         before = len(widths)
-        moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis, opts)
+        moment_profiles(weak_state, 0.0, basis, aniso_coarse_quad, opts)
         seen.append(len(widths) - before)
     assert seen[1] <= 1.1 * seen[0], seen
 
@@ -430,7 +431,7 @@ def _straight_line_filter(state, lam, quad, kmax):
     return lam / (lam + 1j * ks * (2.0 * np.pi / state.period) * (quad.v1 / quad.e)[None, :])
 
 
-def _straight_line_profiles(state, lam, quad, basis, opts=None, kernel=None):
+def _straight_line_profiles(state, lam, basis, quad, opts=None):
     """Reference: the per-rate closed form with a complex filter and the
     profile evaluated afresh for each species."""
     kmax, x_grid = basis.n_modes // 2, basis.x_grid
@@ -459,9 +460,8 @@ def test_kernel_blocks_match_per_rate_closed_form(monkeypatch, paper_state, anis
     for state, quad in ((aniso_state, aniso_quad), (paper_state, paper_quad)):
         basis = vm.build_fourier_basis(state.period, 8)
         w = 2 * np.pi / state.period
-        kern = assembly_kernel(state, quad)
         for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
-            got = vm.assemble_blocks(state, lam, basis, quad, kernel=kern)
+            got = vm.assemble_blocks(state, lam, basis, quad)
             with monkeypatch.context() as mp:
                 mp.setattr(ops, "moment_profiles", _straight_line_profiles)
                 want = vm.assemble_blocks(state, lam, basis, quad)
@@ -521,13 +521,66 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
         assert abs(np.sum(kern.W[:, 0]) - np.sum(we)) <= 1e-13 * np.sum(np.abs(we))
         w = 2 * np.pi / state.period
         for lam in (0.0, 0.01 * w, 0.8, 100.0 * w):
-            prof_lam = moment_profiles(state, lam, quad, basis, kernel=kern)
+            prof_lam = moment_profiles(state, lam, basis, quad)
             assert not prof_lam.c.any()
-            want = _straight_line_profiles(state, lam, quad, basis)
+            want = _straight_line_profiles(state, lam, basis, quad)
             for name in ("T1", "T2", "lint"):
                 ref = getattr(want, name)
                 err = np.max(np.abs(getattr(prof_lam, name) - ref))
                 assert err <= 1e-12 * np.max(np.abs(ref)), (name, lam, err)
+
+
+def test_kernel_never_meets_another_rule(aniso_state, paper_state, aniso_profile,
+                                         aniso_coarse_quad):
+    # the kernel belongs to one state and one rule: on one state rule A, then
+    # rule B, then A again, and a state with another profile on A, each assembly
+    # is bit-equal to one made after the cache is cleared, and one kernel is held
+    prof, weight = aniso_profile
+    rule_a = aniso_coarse_quad
+    rule_b = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=16, n_theta=32,
+                                          n_r_tail=4)
+    runs = [(aniso_state, rule_a), (aniso_state, rule_b), (aniso_state, rule_a),
+            (paper_state, rule_a)]
+
+    def assemble(state, quad):
+        return vm.assemble_blocks(state, 0.3, vm.build_fourier_basis(state.period, 8), quad)
+
+    want = []
+    for state, quad in runs:
+        assembly_kernel.cache_clear()
+        want.append(assemble(state, quad))
+    assembly_kernel.cache_clear()
+    for (state, quad), ref in zip(runs, want):
+        got = assemble(state, quad)
+        for name in ("A1", "A2", "C", "l"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert assembly_kernel(state, quad) is assembly_kernel(state, quad)
+    info = assembly_kernel.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (len(runs), 1, 1), info
+
+
+def test_only_operators_and_the_mode_know_the_assembly_kernel():
+    # the homogeneous class table is derived from the state and the rule where
+    # it is read: no routine takes it as a parameter, and only the assembly and
+    # the mode's contraction name it
+    src = os.path.dirname(vm.__file__)
+    takers, namers = set(), set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.arguments) and any(
+                        a.arg == "kernel" for a in (*node.posonlyargs, *node.args,
+                                                    *node.kwonlyargs, node.vararg, node.kwarg)
+                        if a is not None):
+                    takers.add(name)
+                # a Name's id, an Attribute's attr, an import's or a definition's name
+                if {getattr(node, key, None) for key in ("id", "attr", "name")} & {
+                        "assembly_kernel", "AssemblyKernel"}:
+                    namers.add(name)
+    assert not takers
+    assert namers == {"operators.py", "growing_mode.py"}
 
 
 def test_homogeneous_kernel_keeps_one_v1_per_class():
@@ -561,12 +614,12 @@ def test_homogeneous_rate_forms_its_filter_one_block_of_rings_at_a_time():
     profile, _, quad = cli._build_inputs(cfg)
     state = cli._build_state(cfg, profile, quad)
     basis = vm.build_fourier_basis(state.period, cfg.n_x)
-    kern = assembly_kernel(state, quad)
+    assembly_kernel(state, quad)        # built before tracing, so the bound measures one rate
     for lam in (0.0, 0.05):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            moment_profiles(state, lam, quad, basis, kernel=kern)
+            moment_profiles(state, lam, basis, quad)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -624,7 +677,7 @@ def test_constant_function_is_null_for_first_block(weak_state, aniso_coarse_quad
     # applied to the constant, the local and averaged terms cancel
     opts = EvalOptions(tol_sym=1e-3, n_per_period=96)
     basis = vm.build_fourier_basis(weak_state.period, 4)
-    prof = moment_profiles(weak_state, 0.0, aniso_coarse_quad, basis, opts)
+    prof = moment_profiles(weak_state, 0.0, basis, aniso_coarse_quad, opts)
     assert np.max(np.abs(np.real(prof.T1[0]) - prof.m_e)) <= 1e-8 * np.max(np.abs(prof.m_e))
 
 

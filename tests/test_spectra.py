@@ -7,7 +7,7 @@ import vmspec as vm
 from vmspec import cli
 from vmspec import growing_mode as gm
 from vmspec.errors import HypothesisError, SpuriousIntervalError, VmspecError
-from vmspec.operators import EvalOptions
+from vmspec.operators import EvalOptions, assembly_kernel
 
 
 def test_eigen_trivial_cases():
@@ -258,40 +258,37 @@ def test_locate_kernel_for_state_normalization(monkeypatch, aniso_state, aniso_q
 
 
 def test_search_and_mode_read_the_sweep(monkeypatch, aniso_state, aniso_quad):
-    # the search and the reconstruction run on the sweep's own options and
-    # kernel; the search starts from the sweep's spectra at the two ends
+    # the search and the reconstruction run on the sweep's own options; the
+    # search starts from the sweep's spectra at the two ends, and sweep, search
+    # and mode build one assembly kernel, which every rate and the mode read
     opts = EvalOptions(n_per_period=256, tol_sym=1e-6)
     basis = vm.build_fourier_basis(aniso_state.period, 12)
     grid = vm.default_lambda_grid(aniso_state.period, n_points=24)
+    assembly_kernel.cache_clear()
     sw = vm.sweep(aniso_state, basis, aniso_quad, 4, grid, opts)
-    seen = {"assemble": [], "mode": [], "kernels": 0}
+    seen = {"assemble": [], "mode": []}
     assemble, from_coefficients = vm.spectra.assemble_blocks, gm.from_coefficients
-    assembly_kernel = gm.assembly_kernel
 
-    def spy_assemble(state, lam, basis, quad, opts=None, kernel=None):
-        seen["assemble"].append((lam, opts, kernel))
-        return assemble(state, lam, basis, quad, opts, kernel)
+    def spy_assemble(state, lam, basis, quad, opts=None):
+        seen["assemble"].append((lam, opts))
+        return assemble(state, lam, basis, quad, opts)
 
-    def spy_mode(state, lam, phi, psi, b, basis, quad, opts=None, kernel=None):
-        seen["mode"].append((opts, kernel))
-        return from_coefficients(state, lam, phi, psi, b, basis, quad, opts, kernel)
-
-    def spy_kernel(*args):
-        seen["kernels"] += 1
-        return assembly_kernel(*args)
+    def spy_mode(state, lam, phi, psi, b, basis, quad, opts=None):
+        seen["mode"].append(opts)
+        return from_coefficients(state, lam, phi, psi, b, basis, quad, opts)
 
     monkeypatch.setattr(vm.spectra, "assemble_blocks", spy_assemble)
     monkeypatch.setattr(gm, "from_coefficients", spy_mode)
-    monkeypatch.setattr(gm, "assembly_kernel", spy_kernel)
     cr = vm.locate_kernel_for_state(sw)
-    rates = [lam for lam, _, _ in seen["assemble"]]
-    assert rates and all(o is opts and k is sw.assembly for _, o, k in seen["assemble"])
+    rates = [lam for lam, _ in seen["assemble"]]
+    assert rates and all(o is opts for _, o in seen["assemble"])
     iv = sw.crossings[0]
     assert iv["lam_lo"] not in rates and iv["lam_hi"] not in rates
     vm.reconstruct(sw, cr)
-    assert len(seen["mode"]) == 1
-    assert seen["mode"][0][0] is opts and seen["mode"][0][1] is sw.assembly
-    assert seen["kernels"] == 0
+    assert len(seen["mode"]) == 1 and seen["mode"][0] is opts
+    # lam = 0 builds it; the sweep's rates, the search's and the mode hit it
+    info = assembly_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, grid.size + len(rates) + 1), info
 
 
 def test_sweep_and_search_take_three_full_decompositions(monkeypatch, aniso_state, aniso_quad):
@@ -312,8 +309,8 @@ def test_sweep_and_search_take_three_full_decompositions(monkeypatch, aniso_stat
     assert calls[0] == 3
     monkeypatch.undo()
     for i, lam in enumerate(grid):
-        pencils = vm.assemble_M(vm.assemble_blocks(aniso_state, lam, basis, aniso_quad, None,
-                                                   sw.assembly), 4, sw.modal)
+        pencils = vm.assemble_M(vm.assemble_blocks(aniso_state, lam, basis, aniso_quad), 4,
+                                sw.modal)
         full = [vm.symmetric_eigen(M).values for M in pencils]
         for p, M, vals in zip(vm.spectra.PENCILS, pencils, full):
             assert np.max(np.abs(sw.eigenvalues[p][:, i] - vals)) <= 1e-12 * np.max(np.abs(M))
@@ -400,15 +397,16 @@ def _points(pairs):
 
 def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
     # the lam-independent fields come from one kernel per sweep: species -'s
-    # mu_e and mu_p are evaluated once at each node, not once per assembly,
-    # in however many blocks of nodes, and species + is its mirror image
+    # mu_e and mu_p are evaluated once at each node, not once per assembly or
+    # again for the mode and its residuals, in however many blocks of nodes,
+    # and species + is its mirror image
     seen = {"mu_e": [], "mu_p": []}
     state = vm.make_homogeneous_state(_counting_profile(aniso_state.profile, seen),
                                       aniso_state.period)
     basis = vm.build_fourier_basis(state.period, 12)
     grid = vm.default_lambda_grid(state.period, n_points=24)
     sw = vm.sweep(state, basis, aniso_quad, 4, grid)
-    vm.locate_kernel_for_state(sw)
+    vm.residuals(vm.reconstruct(sw, vm.locate_kernel_for_state(sw)))
     # species - reads mu_minus at (e, v2), and nothing reads (e, -v2)
     want = _points([(aniso_quad.e, aniso_quad.v2)])
     for name, pairs in seen.items():
@@ -416,14 +414,16 @@ def test_sweep_and_bisection_evaluate_the_profile_once(aniso_state, aniso_quad):
 
 
 def test_magnetized_sweep_evaluates_species_minus_only(weak_state, aniso_coarse_quad):
-    # a magnetized sweep keeps no kernel; each assembly evaluates the profile
+    # a magnetized sweep builds no kernel; each assembly evaluates the profile
     # for species - at its own points (e, v2 - psi0(x_m)), never species +
     quad, seen = aniso_coarse_quad, {"mu_e": [], "mu_p": []}
     state = vm.EquilibriumState(_counting_profile(weak_state.profile, seen),
                                 weak_state.potential)
     basis = vm.build_fourier_basis(state.period, 2)
-    sw = vm.sweep(state, basis, quad, 1, [0.2, 0.4], EvalOptions(tol_sym=1e-3))
-    assert sw.assembly is None
+    assembly_kernel.cache_clear()
+    vm.sweep(state, basis, quad, 1, [0.2, 0.4], EvalOptions(tol_sym=1e-3))
+    info = assembly_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0), info
     x = basis.x_grid
     want = np.unique(_points([(np.broadcast_to(quad.e, (x.size, quad.n_nodes)),
                                quad.v2[None, :] - state.psi0(x)[:, None])]))
