@@ -5,9 +5,12 @@ Given (phi, psi, b) and the growth rate, the perturbed distributions are
     f_s = s * [mu_e phi + mu_p psi - mu_e (Q phi - Q(v2hat psi) - b Q v1hat)]
 
 per species s = +/-1, with Q the backward smoothing average at that rate.
-Every reader contracts f_s over the velocity nodes, so a mode hands out
-only f_s @ Y and chosen node columns (``GrowingMode.contract``); on
-straight-line states the (x, v) array is never formed.  The field
+Under the species mirror the two differ only by a relabeling: with f- = a + p
+split into its phi/b part a and its psi part p, f+ is p - a read at the
+v2-image of each node (docs/DECISIONS.md section 4), so only species -'s
+tables are formed.  Every reader contracts f_s over the velocity nodes, so a
+mode hands out only f_s @ Y and chosen node columns (``GrowingMode.contract``);
+on straight-line states the (x, v) array is never formed.  The field
 equations then follow from moments of f+ - f-; the residual suite
 evaluates each one as stated physics (charge, both current equations,
 continuity) plus a weak-form transport check against a battery of
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .discretization import LOWER, UPPER, fold_quarters, ring_blocks
+from .discretization import LOWER, UPPER, fold_quarters, ring_blocks, theta_reflect_permutation
 from .errors import VmspecError
-from .operators import assembly_kernel, damping, species_mu, species_pair_moments
+from .operators import assembly_kernel, damping, node_moments, species_mu
 
 
 @dataclass
@@ -66,8 +69,10 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
 
     The electric potential must have no constant part; the constant
     direction is the built-in trivial kernel and carries no fields.  A
-    homogeneous mode reads the class rows of its ``assembly_kernel``, a
-    magnetized one evaluates ``species_mu``.
+    homogeneous mode reads the class rows of its ``assembly_kernel``.  A
+    magnetized one makes one ``node_moments`` pass of species - and keeps
+    species -'s tables only, f- and the mirror's p - a, with ``species_mu``;
+    species + is read by relabeling the nodes of Y.
     """
     phi_coeffs = np.asarray(phi_coeffs, dtype=float)
     psi_coeffs = np.asarray(psi_coeffs, dtype=float)
@@ -131,19 +136,25 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
             f = {sign: sign * G @ Ss for sign, Ss in S.items()}
             return (f, Q) if sums else f
     else:
-        # one orbit pass over the whole grid; contract the harmonics away
-        f, mu, vh2 = {}, species_mu(state, quad, x), quad.v2 / quad.e
-        for sign, (m0, m1, mv1) in species_pair_moments(state, lam, quad, basis.n_modes // 2, x,
-                                                        opts).items():
-            q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
-                 - mode.b * mv1)
-            f[sign] = sign * (mu[sign][0] * (phi_v[:, None] - q) + mu[sign][1] * psi_v[:, None])
+        # one orbit pass of species - over the whole grid; contract the harmonics away.
+        # Its f- = a + p splits into the phi/b part a and the psi part p; species + is the
+        # mirror, f+ = p - a read at the v2-image of each node, so only - tables are kept
+        m0, m1, mv1 = node_moments(state, -1, lam, quad, basis.n_modes // 2, x, opts)
+        (mu_e, mu_p), vh2 = species_mu(state, quad, x), quad.v2 / quad.e
+        perm = theta_reflect_permutation(quad)
+        a = mu_e * (np.real(np.tensordot(c_phi, m0, axes=1)) - mode.b * mv1 - phi_v[:, None])
+        p = -(mu_e * np.real(np.tensordot(c_psi, m1, axes=1)) + mu_p * psi_v[:, None])
+        f = {-1: a + p, +1: p - a}
 
         def contract(rows=None, cols=None, sums=False):
+            # species + reads its nodes at their images: Y[perm], perm[cols]
             Y = None if rows is None else rows(slice(None)).T
-            fY = {s: fs @ Y if cols is None else fs[:, cols] for s, fs in f.items()}
-            return (fY, {s: np.array([mu_e @ Y, mu_p @ Y, (vh2 * mu_e) @ Y])
-                         for s, (mu_e, mu_p) in mu.items()}) if sums else fY
+            Ys = {-1: Y, +1: None if Y is None else Y[perm]}
+            fY = {s: fs @ Ys[s] if cols is None else fs[:, cols if s < 0 else perm[cols]]
+                  for s, fs in f.items()}
+            # the sums of mu_e Y, mu_p Y and vh2 mu_e Y; the last two change sign under the mirror
+            return (fY, {s: np.array([mu_e @ Ys[s], -s * (mu_p @ Ys[s]),
+                                      -s * ((vh2 * mu_e) @ Ys[s])]) for s in f}) if sums else fY
     mode.contract = contract
     # charge and currents species by species, without an (M, N) difference: w, w vh1, w vh2
     f_V = mode.contract(lambda on: np.array([quad.e[on], quad.v1[on], quad.v2[on]]) / quad.e[on]
@@ -288,7 +299,8 @@ def physical_defect_coeffs(mode):
     Returns (d1, d2, d3): the mean-zero projection of phi'' + rho, the full
     projection of psi'' - lam^2 psi + j2, and the scalar
     int j1 dx - P lam^2 b.  Also returns the two parity integrals dropped
-    in the mean-current reduction, which must vanish.
+    in the mean-current reduction, which must vanish; species + enters them
+    as the relabeled species - of ``species_mu``, as in the assembly.
     """
     basis, quad = mode.basis, mode.quad
     d2phi = basis.values @ basis.derivative_coeffs(mode.phi_coeffs, 2)
@@ -298,11 +310,13 @@ def physical_defect_coeffs(mode):
     wq = basis.quad_weight
     d3 = float(np.sum(mode.j1) * wq - basis.period * mode.lam ** 2 * mode.b)
 
-    vh1 = quad.v1 / quad.e
+    vh1, perm = quad.v1 / quad.e, theta_reflect_permutation(quad)
+    mu_e, mu_p = species_mu(mode.state, quad, mode.x)
     drop1 = drop2 = 0.0
-    for mu_e, mu_p in species_mu(mode.state, quad, mode.x).values():
-        drop1 += float(((mu_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
-        drop2 += float(((mu_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
+    # species -, then species + as its mirror: (mu_e, -mu_p) at the v2-image of each node
+    for m_e, m_p in ((mu_e, mu_p), (mu_e[:, perm], -mu_p[:, perm])):
+        drop1 += float(((m_e * vh1[None, :]) @ quad.w * mode.phi).sum() * wq)
+        drop2 += float(((m_p * vh1[None, :]) @ quad.w * mode.psi).sum() * wq)
     return d1, d2, d3, (drop1, drop2)
 
 

@@ -51,8 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characteristics import default_dt, normalize_species, rk4_step_arrays
-from .discretization import (fold_quarters, ring_blocks, theta_reflect_permutation,
-                             v1_reflect_permutation)
+from .discretization import fold_quarters, ring_blocks, v1_reflect_permutation
 from .errors import AssemblyError, VmspecError
 
 CHUNK = 1024           # lanes per block of the lam > 0 period-weight table
@@ -389,22 +388,6 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
                        mv1.reshape(shape), resolved.reshape(shape), drift)
 
 
-def species_pair_moments(state, lam, quad, kmax, x, opts=None):
-    """``NodeMoments`` for both species at one position or an array of them.
-
-    Under the mirror pairing the + trajectories are the v2-reflection of
-    the - trajectories, to roundoff, so the + moments are the - ones with
-    the nodes (the last axis) relabeled: half the trajectory work.
-    ``node_moments(state, +1, ...)`` is the direct reference.  On an even
-    well ``node_moments`` halves the - work again, by the x-reflection.
-    """
-    minus = node_moments(state, -1, lam, quad, kmax, x, opts)
-    m0, m1, mv1 = minus
-    perm = theta_reflect_permutation(quad)
-    return {-1: minus, +1: NodeMoments(m0[..., perm], -m1[..., perm], mv1[..., perm],
-                                       minus.resolved[..., perm], minus.drift)}
-
-
 # ---------------------------------------------------------------------------
 # velocity-integrated moment profiles and Galerkin assembly
 # ---------------------------------------------------------------------------
@@ -433,7 +416,8 @@ class AssemblyKernel:
     upper and lower representative.  m_e, m_vp and lint are twice those of
     species -, and species + is the mirror of the rows (the species mirror,
     docs/DECISIONS.md section 4).  A rate costs one filter on a quarter of the
-    nodes; mu_e is even in v1, so c is 0.  A magnetized state keeps no kernel.
+    nodes; mu_e is even in v1, so c is 0.  Every reader shares the one kernel, so
+    its arrays are read-only.  A magnetized state keeps no kernel.
     """
 
     m_e: np.ndarray
@@ -445,15 +429,13 @@ class AssemblyKernel:
 
 
 def species_mu(state, quad, x):
-    """Each species' (mu_e, mu_p) at the points x, as (M, N) arrays; without
-    a potential they do not depend on x, and one row (1, N) serves every x.
-    The profile is called for species - alone: species + is its mirror, (mu_e,
-    -mu_p) at the node ``theta_reflect_permutation`` gives."""
+    """Species -'s (mu_e, mu_p) at the points x, as (M, N) arrays; without a
+    potential they do not depend on x, and one row (1, N) serves every x.
+    Species + is its mirror, (mu_e, -mu_p) at the node ``theta_reflect_permutation``
+    gives, which every reader takes by relabeling its own nodes."""
     rows = x[:1] if state.homogeneous else x
     e, p = quad.e[None, :], quad.v2[None, :] - state.psi0(rows)[:, None]
-    mu_e, mu_p = state.profile.mu_e(-1, e, p), state.profile.mu_p(-1, e, p)
-    perm = theta_reflect_permutation(quad)
-    return {-1: (mu_e, mu_p), +1: (mu_e[:, perm], -mu_p[:, perm])}
+    return state.profile.mu_e(-1, e, p), state.profile.mu_p(-1, e, p)
 
 
 @lru_cache(maxsize=1)
@@ -472,8 +454,10 @@ def assembly_kernel(state, quad):
         rep[cl] = fold_quarters(quad, quad.v1[on] / e, (1, 0, 0, 0))
         halves[..., cl] = [fold_quarters(quad, R, h) for h in ((1, 0, 0, 0), (0, 0, 1, 0))]
         m_vp += 2.0 * np.sum(R[0] * R[2] * w)
-    return AssemblyKernel(np.sum(W[:, :1], axis=0), np.array([m_vp]), rep, W, halves,
-                          float(W[:, 0] @ rep ** 2))
+    tables =np.sum(W[:, :1], axis=0), np.array([m_vp]), rep, W, halves
+    for a in tables:
+        a.setflags(write=False)
+    return AssemblyKernel(*tables, float(W[:, 0] @ rep ** 2))
 
 
 @dataclass
@@ -521,7 +505,7 @@ def moment_profiles(state, lam, basis, quad, opts=None):
     # contractions over the nodes, doubled for species +
     moments = node_moments(state, -1, lam, quad, kmax, x_grid, opts)
     m0, m1, mv1 = moments
-    (mu_e, mu_p), vh2 = species_mu(state, quad, x_grid)[-1], quad.v2 / quad.e
+    (mu_e, mu_p), vh2 = species_mu(state, quad, x_grid), quad.v2 / quad.e
     we = 2.0 * mu_e * quad.w
     T1 = np.einsum("kmn,mn->km", m0, we)
     T2 = np.einsum("kmn,mn->km", m1, we * vh2)

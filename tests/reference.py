@@ -11,8 +11,9 @@ Homogeneous states (B0 = 0) take the exact straight-line translation.
 composite Gauss-Legendre rule on the ``backward_path`` samples, the
 independent reference for the engine's Fourier-series filter and for the
 small-rate limit.  ``species_mu_direct`` evaluates the profile for both
-species, the reference for the library's ``species_mu``, which takes
-species + as the mirror of species -.  ``validate_profile`` is the profile check on one dense
+species, the reference for the library's ``species_mu``, which returns
+species - alone, and for the mode's species +, which the library reads as
+the mirror of species -.  ``validate_profile`` is the profile check on one dense
 (energy, momentum) grid, which the library's walk over blocks of energies
 must reproduce.  None of this is used by the library.
 """

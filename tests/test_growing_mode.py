@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import vmspec as vm
+import vmspec.growing_mode as gm
 from vmspec import cli
+from vmspec.discretization import theta_reflect_permutation
 from vmspec.errors import VmspecError
-from vmspec.operators import EvalOptions, species_pair_moments
+from vmspec.operators import EvalOptions
 
 from reference import species_mu_direct
 from test_operators import _straight_line_filter
@@ -284,9 +286,11 @@ def test_mode_export(tmp_path, aniso_pipeline):
     assert len(dist) > basis.x_grid.size
 
 
-def _dense_distributions(state, mode, basis, quad, opts=None):
+def _dense_distributions(state, mode, basis, quad, opts=None, direct=False):
     """Reference: each species' f_s as one (M, N) array, formed the direct way,
-    each species' mu_e and mu_p from its own profile call."""
+    each species' mu_e and mu_p from its own profile call.  A magnetized f+
+    takes the species - orbit pass relabeled, (m0, -m1, mv1) at the v2-image of
+    each node, or with ``direct`` a species + pass of its own."""
     kmax = basis.n_modes // 2
     mu = species_mu_direct(state, quad, mode.x)
     c_phi, c_psi = basis.half_spectrum(mode.phi_coeffs), basis.half_spectrum(mode.psi_coeffs)
@@ -303,8 +307,12 @@ def _dense_distributions(state, mode, basis, quad, opts=None):
             mu_e, mu_p = (sign * m[0] for m in mu[sign])
             f[sign] = G @ np.vstack([mu_e, mu_p, mu_e * H])
         return f
-    for sign, (m0, m1, mv1) in species_pair_moments(state, mode.lam, quad, kmax, mode.x,
-                                                    opts).items():
+    m0, m1, mv1 = vm.node_moments(state, -1, mode.lam, quad, kmax, mode.x, opts)
+    perm = theta_reflect_permutation(quad)
+    moments = {-1: (m0, m1, mv1),
+               +1: (vm.node_moments(state, +1, mode.lam, quad, kmax, mode.x, opts) if direct
+                    else (m0[..., perm], -m1[..., perm], mv1[..., perm]))}
+    for sign, (m0, m1, mv1) in moments.items():
         q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
              - mode.b * mv1)
         mu_e, mu_p = mu[sign]
@@ -359,6 +367,61 @@ def test_contraction_matches_the_dense_distributions(request, which):
                                    units):
             assert (_close(got, want, 1e-13) if unit is None
                     else np.max(np.abs(got - want)) <= 1e-13 * unit), (quad.n_nodes, lam)
+
+
+def test_magnetized_species_plus_matches_a_direct_pass(monkeypatch, weak_state,
+                                                      aniso_coarse_quad):
+    # the mode makes one orbit pass, of species -, and reads species + as its
+    # mirror; the reference is a species + orbit pass of its own with each
+    # species' profile called directly.  They differ by the trajectory-level
+    # mirror error: f+ by 4.0e-11 of its largest entry at lam = 0 and 7.6e-12 at
+    # 0.6 measured, where the orbit moments of the two passes differ by up to
+    # 1.8e-10 of max|m0| on this grid; f- agrees to 6e-16
+    quad, opts = aniso_coarse_quad, EvalOptions(tol_sym=1e-3, n_per_period=128)
+    basis = vm.build_fourier_basis(weak_state.period, 2)
+    rng = np.random.default_rng(11)
+    phi = rng.standard_normal(basis.n_functions)
+    phi[0] = 0.0
+    psi = rng.standard_normal(basis.n_functions)
+    Y = rng.standard_normal((quad.n_nodes, 4))
+    cols = np.arange(5, quad.n_nodes, 29)
+    passes, node_moments = [], gm.node_moments
+
+    def spy(state, species, *args):
+        passes.append(species)
+        return node_moments(state, species, *args)
+    for lam in (0.0, 0.6):
+        monkeypatch.setattr(gm, "node_moments", spy)
+        mode = vm.from_coefficients(weak_state, lam, phi, psi, 0.8, basis, quad, opts)
+        monkeypatch.undo()
+        assert passes == [-1], passes
+        passes.clear()
+        f = _dense_distributions(weak_state, mode, basis, quad, opts, direct=True)
+        fY, fcols = mode.contract(lambda on: Y[on].T), mode.contract(cols=cols)
+        for sign in (-1, +1):
+            assert _close(fY[sign], f[sign] @ Y, 1e-10), (sign, lam)
+            assert _close(fcols[sign], f[sign][:, cols], 1e-10), (sign, lam)
+
+
+def test_magnetized_mode_holds_no_species_plus_moment_table(weak_state, aniso_coarse_quad):
+    # one species - pass and its tables, not a second, relabeled copy for species
+    # +: the traced peak of one mode stays within six (kmax+1, M, N) complex
+    # tables, 6.75 MiB here (5.39 MiB measured, 7.95 MiB with the copy)
+    quad, opts = aniso_coarse_quad, EvalOptions(tol_sym=1e-3, n_per_period=128)
+    basis = vm.build_fourier_basis(weak_state.period, 4)
+    rng = np.random.default_rng(13)
+    phi = rng.standard_normal(basis.n_functions)
+    phi[0] = 0.0
+    psi = rng.standard_normal(basis.n_functions)
+    table = (basis.n_modes // 2 + 1) * basis.x_grid.size * quad.n_nodes * 16
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        vm.from_coefficients(weak_state, 0.6, phi, psi, 0.8, basis, quad, opts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * table, (peak, table)
 
 
 def test_mode_stages_stay_below_one_distribution_array(tmp_path):

@@ -14,7 +14,8 @@ import vmspec.operators as ops
 from reference import PhasePoint, SmoothingEvaluator, species_mu_direct
 from vmspec import cli
 from vmspec.characteristics import default_dt
-from vmspec.discretization import LOWER, UPPER, fold_quarters, ring_blocks
+from vmspec.discretization import (LOWER, UPPER, fold_quarters, ring_blocks,
+                                   theta_reflect_permutation)
 from vmspec.errors import AssemblyError, VmspecError
 from vmspec.operators import (EvalOptions, MomentProfiles, assembly_kernel, moment_profiles,
                               species_mu)
@@ -351,7 +352,7 @@ def test_cut_lanes_report_their_share_of_l(weak_state, aniso_coarse_quad):
     opts = EvalOptions(tol_sym=1e-3, n_per_period=128)
     cut = vm.assemble_blocks(weak_state, 0.0, basis, quad, opts).cut_lanes
     moments = vm.node_moments(weak_state, -1, 0.0, quad, 1, basis.x_grid, opts)
-    mu_e = species_mu(weak_state, quad, basis.x_grid)[-1][0]
+    mu_e = species_mu(weak_state, quad, basis.x_grid)[0]
     l_lanes = mu_e * quad.w * (quad.v1 / quad.e) * moments[2]
     assert cut["count"] == np.count_nonzero(~moments.resolved) > 0
     assert 0.0 < abs(cut["l_share"]) < 1e-2
@@ -559,26 +560,82 @@ def test_kernel_never_meets_another_rule(aniso_state, paper_state, aniso_profile
     assert (info.misses, info.maxsize, info.currsize) == (len(runs), 1, 1), info
 
 
+def test_kernel_arrays_are_read_only(aniso_state, aniso_coarse_quad):
+    # moment_profiles hands out the shared kernel's m_e and m_vp as they are: a
+    # write into them raises, and a later assembly is bit-equal to a fresh build
+    basis = vm.build_fourier_basis(aniso_state.period, 8)
+    assembly_kernel.cache_clear()
+    prof = moment_profiles(aniso_state, 0.3, basis, aniso_coarse_quad)
+    kern = assembly_kernel(aniso_state, aniso_coarse_quad)
+    assert prof.m_e is kern.m_e and prof.m_vp is kern.m_vp
+    for name in ("m_e", "m_vp", "rep", "W", "halves"):
+        with pytest.raises(ValueError):
+            getattr(kern, name)[...] = 0.0
+    with pytest.raises(ValueError):
+        prof.m_e += 1.0
+    got = vm.assemble_blocks(aniso_state, 0.3, basis, aniso_coarse_quad)
+    assembly_kernel.cache_clear()
+    want = vm.assemble_blocks(aniso_state, 0.3, basis, aniso_coarse_quad)
+    for name in ("A1", "A2", "C", "l"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _library_trees():
+    src = os.path.dirname(vm.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def _is_minus_one(node):
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:
+        return False
+
+
+def test_library_calls_species_minus_only():
+    # species + is the mirror of species - past the profile, and the library
+    # reads it by relabeling: no routine forms species + moment tables, every
+    # orbit pass is a species - pass, and every profile call is for species -
+    named, calls = [], {"node_moments": [], "mu": [], "mu_e": [], "mu_p": []}
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if "species_pair_moments" in {getattr(node, key, None)
+                                          for key in ("id", "attr", "name")}:
+                named.append((name, node.lineno))
+            if isinstance(node, ast.Call):
+                fn = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if fn in calls:
+                    # node_moments(state, species, ...), profile.mu*(species, e, p)
+                    at = 1 if fn == "node_moments" else 0
+                    species = ([k.value for k in node.keywords if k.arg == "species"]
+                               or node.args[at:at + 1])
+                    calls[fn].append((name, node.lineno, bool(species)
+                                      and _is_minus_one(species[0])))
+    assert named == []
+    assert calls["node_moments"] and calls["mu_e"] and calls["mu_p"], calls
+    for fn, found in calls.items():
+        assert all(ok for _, _, ok in found), (fn, found)
+
+
 def test_only_operators_and_the_mode_know_the_assembly_kernel():
     # the homogeneous class table is derived from the state and the rule where
     # it is read: no routine takes it as a parameter, and only the assembly and
     # the mode's contraction name it
-    src = os.path.dirname(vm.__file__)
     takers, namers = set(), set()
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name)) as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.arguments) and any(
-                        a.arg == "kernel" for a in (*node.posonlyargs, *node.args,
-                                                    *node.kwonlyargs, node.vararg, node.kwarg)
-                        if a is not None):
-                    takers.add(name)
-                # a Name's id, an Attribute's attr, an import's or a definition's name
-                if {getattr(node, key, None) for key in ("id", "attr", "name")} & {
-                        "assembly_kernel", "AssemblyKernel"}:
-                    namers.add(name)
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments) and any(
+                    a.arg == "kernel" for a in (*node.posonlyargs, *node.args,
+                                                *node.kwonlyargs, node.vararg, node.kwarg)
+                    if a is not None):
+                takers.add(name)
+            # a Name's id, an Attribute's attr, an import's or a definition's name
+            if {getattr(node, key, None) for key in ("id", "attr", "name")} & {
+                    "assembly_kernel", "AssemblyKernel"}:
+                namers.add(name)
     assert not takers
     assert namers == {"operators.py", "growing_mode.py"}
 
@@ -683,32 +740,31 @@ def test_constant_function_is_null_for_first_block(weak_state, aniso_coarse_quad
 
 def test_species_relabel_matches_direct_moments(weak_state, aniso_coarse_quad):
     # the + trajectories are the v2-reflection of the - ones to roundoff
-    # (1.0e-13 of m0 measured), so relabeled nodes stand in for a + pass
+    # (1.0e-13 of m0 measured), so relabeled nodes stand in for a + pass:
+    # (m0, -m1, mv1) of species - at the node theta_reflect_permutation gives
     quad, kmax, x = aniso_coarse_quad, 3, 0.7
+    perm = theta_reflect_permutation(quad)
     for lam in (0.0, 0.4):
-        pair = ops.species_pair_moments(weak_state, lam, quad, kmax, x)
+        m0, m1, mv1 = vm.node_moments(weak_state, -1, lam, quad, kmax, x)
         direct = vm.node_moments(weak_state, +1, lam, quad, kmax, x)
-        for got, want in zip(pair[+1], direct):
+        for got, want in zip((m0[..., perm], -m1[..., perm], mv1[..., perm]), direct):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lam
 
 
 def test_species_mu_mirrors_species_minus(weak_state, aniso_state, aniso_profile,
                                          aniso_coarse_quad):
-    # species_mu calls the profile for species - alone and takes species + as
-    # (mu_e, -mu_p) at the v2-reflected node; the direct profile call for each
-    # species is the reference.  On 18 angles (2 mod 4) the class of pi/2 is
-    # its own image under theta -> pi - theta.
+    # species_mu calls the profile for species - alone, and its values are the
+    # direct profile call's bit for bit; species + is checked where it is read,
+    # in the mode (test_magnetized_species_plus_matches_a_direct_pass).  On 18
+    # angles (2 mod 4) the class of pi/2 is its own image under theta -> pi - theta.
     prof, weight = aniso_profile
     quad18 = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=24, n_theta=18,
                                           n_r_tail=8)
     for state, quad in ((weak_state, aniso_coarse_quad), (aniso_state, quad18)):
         x = vm.build_fourier_basis(state.period, 4).x_grid
         got, want = species_mu(state, quad, x), species_mu_direct(state, quad, x)
-        for name, g, w in zip(("mu_e", "mu_p"), got[-1], want[-1]):
+        for name, g, w in zip(("mu_e", "mu_p"), got, want[-1]):
             assert np.array_equal(np.broadcast_to(g, w.shape), w), name
-        for name, g, w in zip(("mu_e", "mu_p"), got[+1], want[+1]):
-            err = np.max(np.abs(g - w))
-            assert err <= 1e-14 * np.max(np.abs(w)), (quad.n_nodes, name, err)
 
 
 def test_species_mirror_doubles_and_cancels(weak_state, aniso_coarse_quad):
