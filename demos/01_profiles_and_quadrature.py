@@ -30,12 +30,12 @@ ring = vm.integrate_velocity(quad, lambda v1, v2: np.where(
 print(f"ring integral      {ring:+.12f}   exact 3/2 - ln 2 = {1.5 - np.log(2):+.12f}")
 
 m_e = vm.integrate_velocity(quad, lambda v1, v2: prof.mu_e(
-    -1, np.sqrt(1 + v1**2 + v2**2), v2))
+    np.sqrt(1 + v1**2 + v2**2), v2))
 tail = abs(m_e / (2 * np.pi) - 1.5)
 print(f"tail moment        {tail:+.12f}   exact sqrt(pi)/2 + 2 = {np.sqrt(np.pi)/2 + 2:+.12f}")
 
 l0s = vm.integrate_velocity(quad, lambda v1, v2: prof.mu_e(
-    -1, np.sqrt(1 + v1**2 + v2**2), v2) * v1**2 / (1 + v1**2 + v2**2))
+    np.sqrt(1 + v1**2 + v2**2), v2) * v1**2 / (1 + v1**2 + v2**2))
 print(f"energy-slope moment per species: {l0s:+.6f}  (negative: net falling density)")
 
 print()

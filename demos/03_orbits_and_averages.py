@@ -34,7 +34,7 @@ print(f"at x = {x}: {np.count_nonzero(trapped)} trapped and "
       f"{np.count_nonzero(~trapped)} passing of {quad.n_nodes} velocity nodes")
 
 print("\n== the average of 1 is 1 ==")
-moments = vm.node_moments(state, -1, 0.0, quad, 1, x)
+moments = vm.node_moments(state, 0.0, quad, 1, x)
 m0 = moments[0]
 print(f"max |m0[0] - 1| = {np.max(np.abs(m0[0] - 1)):.2e}")
 print(f"lanes that did not close within the horizon: "
@@ -47,6 +47,6 @@ j = int(np.argmin(np.where(trapped, np.hypot(quad.v1 - 0.02, quad.v2 - 0.9), np.
 print(f"node v = ({quad.v1[j]:.3f}, {quad.v2[j]:.3f}), orbit closed: {moments.resolved[j]}")
 print(f"{'lam':>9s} {'average':>12s}")
 for lam in (100.0, 10.0, 1.0, 0.1, 0.0):
-    avg = vm.node_moments(state, -1, lam, quad, 1, x)[0][1, j].real
+    avg = vm.node_moments(state, lam, quad, 1, x)[0][1, j].real
     print(f"{lam:9g} {avg:12.6f}" + ("   (the orbit average, slow growth)" if lam == 0 else ""))
 print(f"{'value':>9s} {np.cos(w * x):12.6f}   (the fast-growth limit)")

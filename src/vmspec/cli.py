@@ -334,7 +334,7 @@ def cmd_equilibrium(cfg):
         raise ConfigError("equilibrium subcommand needs state.epsilon / --epsilon")
     cc = check_center_conditions(profile, quad)
     state = solve_equilibrium_potential(profile, cfg.epsilon, quad)
-    mu_e = profile.mu_e(-1, quad.e, quad.v2)
+    mu_e = profile.mu_e(quad.e, quad.v2)
     sup_mu_e = float(np.max(mu_e))
     sb = float(np.sum(quad.w[mu_e > 0.0]))         # measure of the set where mu_e > 0
     stab_rhs = np.pi ** 2 / (3.0 * cc.critical_period ** 2 * sb) if sb > 0 else float("inf")

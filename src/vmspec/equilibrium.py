@@ -45,6 +45,9 @@ class WeightSpec:
 class EquilibriumProfile:
     """mu_minus(e, p) >= 0 with derivatives, plus declared kink energies.
 
+    ``mu_e`` and ``mu_p`` evaluate species -'s derivatives above the energy
+    floor.  The ions are the mirror mu_plus(e, p) = mu_minus(e, -p), which is
+    never evaluated: every reader takes species + from species - by relabeling.
     ``kinks`` lists energies where the profile is only piecewise smooth;
     radial quadratures split panels there instead of smoothing the profile.
     """
@@ -62,18 +65,11 @@ class EquilibriumProfile:
             raise VmspecError("energy below the relativistic floor e >= 1")
         return e
 
-    def mu(self, sign, e, p):
-        """Species density: sign=-1 electrons, sign=+1 the mirrored ions."""
-        e = self._check(e)
-        return self.mu_minus(e, -p) if sign > 0 else self.mu_minus(e, p)
+    def mu_e(self, e, p):
+        return self.mu_minus_e(self._check(e), p)
 
-    def mu_e(self, sign, e, p):
-        e = self._check(e)
-        return self.mu_minus_e(e, -p) if sign > 0 else self.mu_minus_e(e, p)
-
-    def mu_p(self, sign, e, p):
-        e = self._check(e)
-        return -self.mu_minus_p(e, -p) if sign > 0 else self.mu_minus_p(e, p)
+    def mu_p(self, e, p):
+        return self.mu_minus_p(self._check(e), p)
 
 
 # ---------------------------------------------------------------------------

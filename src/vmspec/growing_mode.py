@@ -109,7 +109,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
                 # v2-image the lower one, and the filter is taken there
                 e, v2, U = quad.e[cols], quad.v2[cols], np.eye(len(cols))
                 vh1, vh2 = quad.v1[cols] / e, v2 / e
-                R = [np.array([s * vh2, prof.mu_e(-1, e, s * v2), prof.mu_p(-1, e, s * v2)])
+                R = [np.array([s * vh2, prof.mu_e(e, s * v2), prof.mu_p(e, s * v2)])
                      for s in (1, -1)]
                 yield damping(lam, kw, vh1), (U, 0.0, vh1 * U, 0.0), *R
                 return
@@ -139,7 +139,7 @@ def from_coefficients(state, lam, phi_coeffs, psi_coeffs, b, basis, quad, opts=N
         # one orbit pass of species - over the whole grid; contract the harmonics away.
         # Its f- = a + p splits into the phi/b part a and the psi part p; species + is the
         # mirror, f+ = p - a read at the v2-image of each node, so only - tables are kept
-        m0, m1, mv1 = node_moments(state, -1, lam, quad, basis.n_modes // 2, x, opts)
+        m0, m1, mv1 = node_moments(state, lam, quad, basis.n_modes // 2, x, opts)
         (mu_e, mu_p), vh2 = species_mu(state, quad, x), quad.v2 / quad.e
         perm = theta_reflect_permutation(quad)
         a = mu_e * (np.real(np.tensordot(c_phi, m0, axes=1)) - mode.b * mv1 - phi_v[:, None])

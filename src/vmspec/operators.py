@@ -32,8 +32,11 @@ and the rate enters only through the real weights G:
   average of 1 is 1 even where the window cuts the tail e^(-lam S).
 
 ``node_moments`` is the engine's public view, for any state.  It also
-reports the largest drift of the two invariants, e and v2 + s*psi0(x),
+reports the largest drift of the two invariants, e and v2 - psi0(x),
 between the first and the last sample of every stream.
+
+Every orbit is one of species -; every reader takes species + from it by
+relabeling the nodes at their v2-images (docs/DECISIONS.md section 4).
 
 The state picks the path.  Homogeneous states (no potential) use the
 straight-line filter ``damping`` instead of the engine, on the quarter
@@ -50,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characteristics import default_dt, normalize_species, rk4_step_arrays
+from .characteristics import default_dt, rk4_step_arrays
 from .discretization import fold_quarters, ring_blocks, v1_reflect_permutation
 from .errors import AssemblyError, VmspecError
 
@@ -101,7 +104,7 @@ def _hermite_root(F0, F1, D0, D1, h):
     return tau * h
 
 
-def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, groups=None):
+def _orbit_periods_batch(state, x0, v1, v2, dt, horizon, weights=None, groups=None):
     """Periods for a batch of lanes; unresolved lanes get the horizon.
 
     Passing lanes close after advancing one spatial period (the unwrapped
@@ -133,7 +136,7 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
     e = np.sqrt(1.0 + u * u + w * w)
     vh = u / e
     b = state.b0(x)
-    du = sign * (w / e) * b
+    du = -(w / e) * b
     t = 0.0
     n_steps = int(math.ceil(horizon / dt))
     min_t = 8.0 * state.period     # give trapped lanes time to close
@@ -146,11 +149,11 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
             live &= ~spent[g]
             if not live.any():
                 break
-        xn, un, wn = rk4_step_arrays(state, sign, x, u, w, dt, b)
+        xn, un, wn = rk4_step_arrays(state, x, u, w, dt, b)
         en = np.sqrt(1.0 + un * un + wn * wn)
         vh_new = un / en
         bn = state.b0(xn)
-        du_new = sign * (wn / en) * bn
+        du_new = -(wn / en) * bn
         # passing closure: |x - x0| reaches one spatial period
         F0 = np.abs(x - xs) - P
         F1 = np.abs(xn - xs) - P
@@ -182,7 +185,7 @@ def _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon, weights=None, gro
     return periods, resolved, winding
 
 
-def _orbit_stream(state, sign, x0, v1, v2, h, n_samples, dt):
+def _orbit_stream(state, x0, v1, v2, h, n_samples, dt):
     """Yield (x, v1, v2) of every lane at n_samples times h[lane] apart,
     starting at the lane's start (h < 0 runs backward).
 
@@ -203,8 +206,7 @@ def _orbit_stream(state, sign, x0, v1, v2, h, n_samples, dt):
         if j == n_samples - 1:
             break
         for lo in starts:
-            x[lo:], u[lo:], w[lo:] = rk4_step_arrays(state, sign, x[lo:], u[lo:], w[lo:],
-                                                     sub[lo:])
+            x[lo:], u[lo:], w[lo:] = rk4_step_arrays(state, x[lo:], u[lo:], w[lo:], sub[lo:])
 
 
 def _weighted_moments(samples, G, kmax, omega):
@@ -287,7 +289,7 @@ def _mirror_lanes(state, xs, quad):
     """Mirror of each of the M*N lanes (point-major), or -1 where it has none.
 
     When b0 is odd (``state.potential.even``), (x, v1, v2) -> (-x, -v1, v2)
-    maps the orbits of either species onto orbits, with no time reversal:
+    maps orbits onto orbits, with no time reversal:
     lane (x_a, n) mirrors lane (x_b, perm[n]) when x_a + x_b = 0 mod P,
     with perm the relabeling theta -> pi - theta.  A lane at x = 0 or P/2
     may be its own mirror.
@@ -305,9 +307,9 @@ def _mirror_lanes(state, xs, quad):
     return np.where(ok, mirror, -1)
 
 
-def node_moments(state, species, lam, quad, kmax, x, opts=None):
-    """Orbit-engine moments m0[k], m1[k], mv1 of every velocity node at one
-    position or an array of M.
+def node_moments(state, lam, quad, kmax, x, opts=None):
+    """Orbit-engine moments m0[k], m1[k], mv1 of species - at every velocity
+    node, at one position or an array of M.
 
     One period pass and one sampling pass cover all positions at once.
     Each lane is sampled over one period (the horizon when it did not
@@ -323,9 +325,8 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     Returns ``NodeMoments``: m0, m1 of shape (kmax+1, M, N) and mv1 and
     ``resolved`` of shape (M, N); a scalar ``x`` drops the M axis.  Its
     ``drift`` is {"e": max |de|, "p": max |dp|} between the first and the
-    last sample of every stream, with p = v2 + s*psi0(x).
+    last sample of every stream, with p = v2 - psi0(x).
     """
-    sign = normalize_species(species)
     opts = opts or EvalOptions()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     dt = default_dt(state)
@@ -341,7 +342,7 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     x0 = np.repeat(xs, N)[rep]
     v1, v2 = np.tile(quad.v1, M)[rep], np.tile(quad.v2, M)[rep]
     # a class is labeled by its lower point, which holds its representatives
-    periods, resolved, _ = _orbit_periods_batch(state, sign, x0, v1, v2, dt, horizon,
+    periods, resolved, _ = _orbit_periods_batch(state, x0, v1, v2, dt, horizon,
                                                 weights=np.tile(quad.w, M)[rep]
                                                 * np.where(paired, 2.0, 1.0),
                                                 groups=rep // N)
@@ -351,11 +352,11 @@ def node_moments(state, species, lam, quad, kmax, x, opts=None):
     drift = {"e": 0.0, "p": 0.0}
 
     def invariants(x_, u, w):
-        return np.sqrt(1.0 + u * u + w * w), w + sign * state.psi0(x_)
+        return np.sqrt(1.0 + u * u + w * w), w - state.psi0(x_)
 
     def reduce(lanes, h, n_samples, G):
         start = x0[lanes], v1[lanes], v2[lanes]
-        samples = _orbit_stream(state, sign, *start, h, n_samples, dt)
+        samples = _orbit_stream(state, *start, h, n_samples, dt)
         m0[:, lanes], m1[:, lanes], mv1[lanes], end = _weighted_moments(samples, G, kmax, omega)
         for key, a, b in zip("ep", invariants(*start), invariants(*end)):
             drift[key] = max(drift[key], float(np.max(np.abs(b - a))))
@@ -435,7 +436,7 @@ def species_mu(state, quad, x):
     gives, which every reader takes by relabeling its own nodes."""
     rows = x[:1] if state.homogeneous else x
     e, p = quad.e[None, :], quad.v2[None, :] - state.psi0(rows)[:, None]
-    return state.profile.mu_e(-1, e, p), state.profile.mu_p(-1, e, p)
+    return state.profile.mu_e(e, p), state.profile.mu_p(e, p)
 
 
 @lru_cache(maxsize=1)
@@ -448,7 +449,7 @@ def assembly_kernel(state, quad):
     rep, W, halves, m_vp = np.empty(n_cls), np.empty((n_cls, 2)), np.empty((2, 3, n_cls)), 0.0
     for on, cl in blocks:
         e, v2, w = quad.e[on], quad.v2[on], quad.w[on]
-        R = np.array([v2 / e, prof.mu_e(-1, e, v2), prof.mu_p(-1, e, v2)])
+        R = np.array([v2 / e, prof.mu_e(e, v2), prof.mu_p(e, v2)])
         we = 2.0 * R[1] * w
         W[cl] = np.column_stack([fold_quarters(quad, f) for f in (we, we * R[0] * R[0])])
         rep[cl] = fold_quarters(quad, quad.v1[on] / e, (1, 0, 0, 0))
@@ -503,7 +504,7 @@ def moment_profiles(state, lam, basis, quad, opts=None):
 
     # every collocation point in one orbit pass of species -, then
     # contractions over the nodes, doubled for species +
-    moments = node_moments(state, -1, lam, quad, kmax, x_grid, opts)
+    moments = node_moments(state, lam, quad, kmax, x_grid, opts)
     m0, m1, mv1 = moments
     (mu_e, mu_p), vh2 = species_mu(state, quad, x_grid), quad.v2 / quad.e
     we = 2.0 * mu_e * quad.w

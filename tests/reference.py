@@ -6,16 +6,20 @@
 the kinetic energy <v> and the canonical momentum v2 + s*psi0(x), sits
 below tolerance, and raises ``ConservationError`` when it cannot.
 Homogeneous states (B0 = 0) take the exact straight-line translation.
+The library steps species - only; species s is named "-" or "+" (or -1,
++1) here, and species + runs as species - on ``species_plus_state``, the
+state with the negated potential -psi0.
 
 ``SmoothingEvaluator`` is the backward average at lam > 0 by a direct
 composite Gauss-Legendre rule on the ``backward_path`` samples, the
 independent reference for the engine's Fourier-series filter and for the
-small-rate limit.  ``species_mu_direct`` evaluates the profile for both
-species, the reference for the library's ``species_mu``, which returns
-species - alone, and for the mode's species +, which the library reads as
-the mirror of species -.  ``validate_profile`` is the profile check on one dense
-(energy, momentum) grid, which the library's walk over blocks of energies
-must reproduce.  None of this is used by the library.
+small-rate limit.  ``mu_species`` evaluates the profile for either
+species, species + as the mirror mu+(e, p) = mu-(e, -p), and
+``species_mu_direct`` for both at once: the reference for the library's
+``species_mu``, which returns species - alone, and for the mode's species
++, which the library reads as the mirror of species -.
+``validate_profile`` is the profile check on one dense (energy, momentum)
+grid, which the library's walk over blocks of energies must reproduce.  None of this is used by the library.
 """
 
 from __future__ import annotations
@@ -26,13 +30,40 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from vmspec.characteristics import default_dt, normalize_species, rk4_step_arrays
-from vmspec.equilibrium import ENERGY_FLOOR, ValidationReport
+from vmspec.characteristics import default_dt, rk4_step_arrays
+from vmspec.equilibrium import ENERGY_FLOOR, EquilibriumState, MagneticPotential, ValidationReport
 from vmspec.errors import ProfileEvaluationError, VmspecError
 
 STATIONARY_EPS = 1e-14
 N_S_MIN = 128          # node floor of the smoothing rule
 NODES_PER_WAVE = 8.0   # smoothing-rule nodes per oscillation along the path
+
+
+def _species(label):
+    """+1 or -1 from "+"/"-" (or +1/-1)."""
+    if label in ("+", "-", +1, -1):
+        return -1 if label in ("-", -1) else +1
+    raise VmspecError("species must be '+'/'-' or +1/-1, got %r" % (label,))
+
+
+def species_plus_state(state):
+    """The state whose species - orbits are species +'s on ``state``: the
+    potential -psi0, so the force -(v2/<v>)(-B0) and the momentum
+    v2 - (-psi0) are species +'s, bit for bit (docs/DECISIONS.md section 4)."""
+    return EquilibriumState(state.profile, MagneticPotential(state.period,
+                                                             -state.potential.samples))
+
+
+def _orbit_state(state, species):
+    return state if _species(species) < 0 else species_plus_state(state)
+
+
+def mu_species(profile, species, e, p):
+    """(mu_e, mu_p) of a species at (e, p): species -'s own, species + the
+    mirror mu+(e, p) = mu-(e, -p), whose p-derivative is -mu-_p(e, -p)."""
+    if _species(species) < 0:
+        return profile.mu_e(e, p), profile.mu_p(e, p)
+    return profile.mu_e(e, -p), -profile.mu_p(e, -p)
 
 
 class ConservationError(VmspecError):
@@ -59,8 +90,7 @@ class PhasePoint:
         return math.sqrt(1.0 + self.v1 ** 2 + self.v2 ** 2)
 
     def momentum(self, state, species):
-        s = normalize_species(species)
-        return self.v2 + s * float(state.psi0(self.x))
+        return self.v2 + _species(species) * float(state.psi0(self.x))
 
 
 @dataclass(frozen=True)
@@ -70,14 +100,14 @@ class StepOptions:
     max_halvings: int = 8
 
 
-def _integrate_to(state, sign, x, v1, v2, t_target, dt):
-    """March from time 0 to t_target (either sign) with |steps| <= dt."""
+def _integrate_to(state, x, v1, v2, t_target, dt):
+    """March species - from time 0 to t_target (either sign) with |steps| <= dt."""
     if t_target == 0.0:
         return x, v1, v2
     n = max(1, int(math.ceil(abs(t_target) / dt)))
     h = t_target / n
     for _ in range(n):
-        x, v1, v2 = rk4_step_arrays(state, sign, x, v1, v2, h)
+        x, v1, v2 = rk4_step_arrays(state, x, v1, v2, h)
     return x, v1, v2
 
 
@@ -93,8 +123,8 @@ def flow(state, species, start, s, opts=None):
     e = start.energy
     if abs(start.v1 / e) < STATIONARY_EPS and abs((start.v2 / e) * state.b0(start.x)) < STATIONARY_EPS:
         return start
-    x, v1, v2 = _checked_path(state, normalize_species(species), start,
-                              np.array([float(s)]), opts or StepOptions())
+    x, v1, v2 = _checked_path(_orbit_state(state, species), start, np.array([float(s)]),
+                              opts or StepOptions())
     return PhasePoint(float(x[0]), float(v1[0]), float(v2[0]))
 
 
@@ -102,7 +132,7 @@ def backward_path(state, species, start, s_nodes, dt=None):
     """States at the times ``s_nodes``, descending and <= 0 on a backward
     path, one continuous integration with steps of at most ``dt``;
     positions are wrapped."""
-    sign = normalize_species(species)
+    state = _orbit_state(state, species)
     n = s_nodes.size
     if state.homogeneous:
         e = start.energy
@@ -113,22 +143,22 @@ def backward_path(state, species, start, s_nodes, dt=None):
     x, v1, v2 = np.float64(start.x), np.float64(start.v1), np.float64(start.v2)
     t = 0.0
     for i, s in enumerate(s_nodes):
-        x, v1, v2 = _integrate_to(state, sign, x, v1, v2, s - t, dt)
+        x, v1, v2 = _integrate_to(state, x, v1, v2, s - t, dt)
         t = s
         xs[i], v1s[i], v2s[i] = x, v1, v2
     return xs % state.period, v1s, v2s
 
 
-def _checked_path(state, sign, start, s_nodes, opts):
-    """``backward_path`` with the step halved until the drift of both
-    invariants sits below ``opts.tol_cons``; returns (x, v1, v2)."""
+def _checked_path(state, start, s_nodes, opts):
+    """Species -'s ``backward_path`` with the step halved until the drift of
+    both invariants sits below ``opts.tol_cons``; returns (x, v1, v2)."""
     dt = opts.dt if opts.dt is not None else default_dt(state)
     e0 = start.energy
-    p0 = start.momentum(state, sign)
+    p0 = start.momentum(state, "-")
     for _ in range(opts.max_halvings + 1):
-        xs, v1s, v2s = backward_path(state, sign, start, s_nodes, dt)
+        xs, v1s, v2s = backward_path(state, "-", start, s_nodes, dt)
         de = float(np.max(np.abs(np.sqrt(1.0 + v1s ** 2 + v2s ** 2) - e0)))
-        dp = float(np.max(np.abs(v2s + sign * state.psi0(xs) - p0)))
+        dp = float(np.max(np.abs(v2s - state.psi0(xs) - p0)))
         if de <= opts.tol_cons and dp <= opts.tol_cons:
             return xs, v1s, v2s
         dt *= 0.5
@@ -143,7 +173,7 @@ def species_mu_direct(state, quad, x):
     e, out = quad.e[None, :], {}
     for sign in (-1, +1):
         p = quad.v2[None, :] + sign * state.psi0(np.atleast_1d(x))[:, None]
-        out[sign] = (state.profile.mu_e(sign, e, p), state.profile.mu_p(sign, e, p))
+        out[sign] = mu_species(state.profile, sign, e, p)
     return out
 
 
@@ -180,7 +210,7 @@ class SmoothingEvaluator:
         self.weights = np.concatenate(weights) * self.lam * np.exp(self.lam * self.s_nodes)
 
     def path(self, species, point):
-        key = (normalize_species(species), point.x, point.v1, point.v2)
+        key = (_species(species), point.x, point.v1, point.v2)
         if key not in self._cache:
             self._cache[key] = backward_path(self.state, key[0], point, self.s_nodes)
         return self._cache[key]

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import vmspec as vm
-from reference import PhasePoint, SmoothingEvaluator, flow
+from reference import PhasePoint, SmoothingEvaluator, flow, mu_species
 from vmspec.operators import EvalOptions
 
 RING_EXACT = 1.5 - np.log(2.0)
@@ -49,10 +49,10 @@ def test_criterion_1_golden_integrals(paper_profile, paper_quad):
     ring = vm.integrate_velocity(paper_quad, lambda v1, v2: np.where(
         v1**2 + v2**2 < 3.0, (v1**2 + v2**2) / (1 + v1**2 + v2**2), 0.0)) / (2 * np.pi)
     m_e = vm.integrate_velocity(paper_quad, lambda v1, v2: prof.mu_e(
-        -1, np.sqrt(1 + v1**2 + v2**2), v2))
+        np.sqrt(1 + v1**2 + v2**2), v2))
     tail_moment = abs(m_e / (2 * np.pi) - 1.5)
     l0s = vm.integrate_velocity(paper_quad, lambda v1, v2: prof.mu_e(
-        -1, np.sqrt(1 + v1**2 + v2**2), v2) * v1**2 / (1 + v1**2 + v2**2))
+        np.sqrt(1 + v1**2 + v2**2), v2) * v1**2 / (1 + v1**2 + v2**2))
     tail_ring = l0s / np.pi - RING_EXACT
     elapsed = time.monotonic() - t0
 
@@ -240,10 +240,11 @@ def test_criterion_5_operator_properties(paper_profile, paper_state, paper_quad,
     # perfect-derivative moment
     total = 0.0
     for sign in (-1, +1):
-        total += vm.integrate_velocity(paper_quad, lambda v1, v2, s=sign: prof.mu_p(
-            s, np.sqrt(1 + v1**2 + v2**2), v2)
-            + v2 / np.sqrt(1 + v1**2 + v2**2) * prof.mu_e(
-                s, np.sqrt(1 + v1**2 + v2**2), v2))
+        def integrand(v1, v2, s=sign):
+            e = np.sqrt(1 + v1**2 + v2**2)
+            mu_e, mu_p = mu_species(prof, s, e, v2)
+            return mu_p + v2 / e * mu_e
+        total += vm.integrate_velocity(paper_quad, integrand)
     ok &= _report("c5.vanishing_moment", abs(total) <= 1e-8, "%.2e" % total)
 
     # the coupling at zero rate (B and D vanish under the species mirror)
@@ -301,8 +302,8 @@ def test_criterion_7_weakfield_family(aniso_profile):
                   "T/Pcr = %.6f" % (periods[-1] / cc.critical_period))
 
     # smallness condition: evaluated and reported, not asserted
-    sup_mu_e = float(np.max(prof.mu_e(-1, quad.e, quad.v2)))
-    bad = prof.mu_e(-1, quad.e, quad.v2) > 0
+    sup_mu_e = float(np.max(prof.mu_e(quad.e, quad.v2)))
+    bad = prof.mu_e(quad.e, quad.v2) > 0
     s_b = float(np.sum(quad.w[bad]))
     bound = np.pi**2 / (3.0 * cc.critical_period**2 * s_b)
     _report("c7.smallness_reported", True,

@@ -9,6 +9,9 @@ both files as they are and fail first.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,26 @@ def test_every_traced_name_is_where_the_tracer_looks():
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in spans._targets(vm) if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_traced_run_counts_through_every_wrapped_layer(tmp_path):
+    # a wrapped name that the library no longer calls through reads 0 in the
+    # trace, silently: one traced mag-verdict child must count RK4 steps, field
+    # and profile points and the well's source terms, and one orbit pass for
+    # its one assembly
+    result = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), str(result),
+                           "mag-verdict", "0", "1", "0", str(tmp_path)],
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text())
+    assert out["ok"], out.get("error") or out.get("problems")
+    layers = out["layers"]
+    for key in ("characteristics.rk4_steps", "equilibrium.b0_calls", "equilibrium.mu_points",
+                "equilibrium.source_term_calls"):
+        assert layers[key] > 0, key
+    assert layers["operators.node_moments_calls"] == layers["operators.assemble_calls"] == 1
 
 
 # mag-sweep is not in BENCHMARK.json, but it is the only workload that runs

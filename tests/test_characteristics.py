@@ -6,7 +6,7 @@ import pytest
 
 import vmspec as vm
 import vmspec.operators as ops
-from reference import ConservationError, PhasePoint, StepOptions, flow
+from reference import ConservationError, PhasePoint, StepOptions, flow, species_plus_state
 from vmspec.characteristics import default_dt, rk4_step_arrays
 from vmspec.equilibrium import EquilibriumState
 
@@ -97,15 +97,16 @@ def test_rk4_step_matches_textbook_rk4(weak_state):
                   rng.uniform(-2, 2, n)])
     cases = [(y, -0.1), (y, rng.uniform(-0.2, 0.2, n)), (y[:, :1], 0.15),
              (y[:, :1], np.array([-0.15])), (y[:, 0], -0.15)]
-    for sign in (+1, -1):
+    # the library steps species -; species + is its step on the negated potential
+    for sign, state in ((+1, species_plus_state(weak_state)), (-1, weak_state)):
         for lanes, h in cases:
             want = _textbook_rk4(weak_state, sign, lanes, h)
-            got = rk4_step_arrays(weak_state, sign, *lanes, h)
+            got = rk4_step_arrays(state, *lanes, h)
             for g, w in zip(got, want):
                 assert np.shape(g) == np.shape(w)
                 assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
             # a start field handed in is used as is
-            handed = rk4_step_arrays(weak_state, sign, *lanes, h, b0=weak_state.b0(lanes[0]))
+            handed = rk4_step_arrays(state, *lanes, h, b0=state.b0(lanes[0]))
             assert np.array_equal(np.array(handed), np.array(got))
 
 
@@ -115,11 +116,11 @@ def test_rk4_step_field_calls(weak_state, monkeypatch):
     b0 = EquilibriumState.b0
     monkeypatch.setattr(EquilibriumState, "b0", lambda self, x: calls.append(1) or b0(self, x))
     x, v1, v2 = np.array([0.3, 2.0]), np.array([0.5, -0.1]), np.array([0.2, 0.9])
-    rk4_step_arrays(weak_state, -1, x, v1, v2, 0.1)
+    rk4_step_arrays(weak_state, x, v1, v2, 0.1)
     assert len(calls) == 4
     start = weak_state.b0(x)
     calls.clear()
-    rk4_step_arrays(weak_state, -1, x, v1, v2, 0.1, b0=start)
+    rk4_step_arrays(weak_state, x, v1, v2, 0.1, b0=start)
     assert len(calls) == 3
 
 
@@ -140,7 +141,7 @@ def test_one_rk4_marcher():
 def _periods(state, lanes, horizon):
     """The engine's period detector on (x, v1, v2) lanes, at unit weights."""
     x, v1, v2 = (np.array(c, dtype=float) for c in zip(*lanes))
-    return ops._orbit_periods_batch(state, -1, x, v1, v2, default_dt(state), horizon)
+    return ops._orbit_periods_batch(state, x, v1, v2, default_dt(state), horizon)
 
 
 def test_orbit_info_homogeneous(paper_state):

@@ -48,7 +48,7 @@ def test_ring_integral_golden(paper_quad):
 def test_tail_moment_golden(paper_profile, paper_quad):
     prof, _ = paper_profile
     m_e = vm.integrate_velocity(paper_quad, lambda v1, v2: prof.mu_e(
-        -1, np.sqrt(1 + v1**2 + v2**2), v2))
+        np.sqrt(1 + v1**2 + v2**2), v2))
     tail = abs(m_e / (2 * np.pi) - 1.5)
     assert abs(tail - TAIL_MOMENT_EXACT) <= 1e-6
 
@@ -56,7 +56,7 @@ def test_tail_moment_golden(paper_profile, paper_quad):
 def test_tail_ring_integral_within_window_and_pin(paper_profile, paper_quad):
     prof, _ = paper_profile
     l0 = vm.integrate_velocity(paper_quad, lambda v1, v2: prof.mu_e(
-        -1, np.sqrt(1 + v1**2 + v2**2), v2) * v1**2 / (1 + v1**2 + v2**2))
+        np.sqrt(1 + v1**2 + v2**2), v2) * v1**2 / (1 + v1**2 + v2**2))
     tail_ring = l0 / np.pi - RING_EXACT
     assert abs(tail_ring - (-2.5)) <= 0.15
     assert abs(tail_ring - TAIL_RING_PINNED) <= 1e-6
@@ -79,7 +79,7 @@ def test_refinement_stability_of_profile_moments(paper_profile, paper_quad):
     fine = paper_quad.refined(2)
 
     def moments(q):
-        mu_e = lambda v1, v2: prof.mu_e(-1, np.sqrt(1 + v1**2 + v2**2), v2)
+        mu_e = lambda v1, v2: prof.mu_e(np.sqrt(1 + v1**2 + v2**2), v2)
         return np.array([
             vm.integrate_velocity(q, mu_e),
             vm.integrate_velocity(q, lambda a, b: mu_e(a, b) * a**2 / (1 + a**2 + b**2)),

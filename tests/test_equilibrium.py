@@ -114,15 +114,40 @@ def test_species_reflection_integral_identity(aniso_profile, aniso_quad):
     # total |mu_e| mass of one species equals the other's after p -> -p
     prof, _ = aniso_profile
     e = aniso_quad.e
-    plus = vm.integrate_velocity(aniso_quad, lambda v1, v2: np.abs(prof.mu_e(+1, e, v2)))
-    minus = vm.integrate_velocity(aniso_quad, lambda v1, v2: np.abs(prof.mu_e(-1, e, -v2)))
+    plus = vm.integrate_velocity(aniso_quad,
+                                 lambda v1, v2: np.abs(reference.mu_species(prof, "+", e, v2)[0]))
+    minus = vm.integrate_velocity(aniso_quad, lambda v1, v2: np.abs(prof.mu_e(e, -v2)))
     assert abs(plus - minus) <= 1e-10 * max(abs(plus), 1e-300)
+
+
+def test_negated_potential_is_the_exact_mirror(paper_state, aniso_state, weak_state):
+    # the tests run species + as species - on MagneticPotential(P, -samples)
+    # (reference.species_plus_state); that is exact only while b, psi and d2psi come
+    # out exactly negated, at the unwrapped and negative x of the orbit engine's
+    # horizon of 25 periods, and for 0-d input
+    rng = np.random.default_rng(3)
+    pots = [s.potential for s in (weak_state, paper_state, aniso_state)]
+    for pot in pots + [vm.MagneticPotential.zero(2 * np.pi)]:
+        neg = vm.MagneticPotential(pot.period, -pot.samples)
+        x = np.concatenate([np.linspace(-25.0, 25.0, 2001),
+                            rng.uniform(-25.0, 25.0, 2000)]) * pot.period
+        for name in ("b", "psi", "d2psi"):
+            got, want = getattr(neg, name), getattr(pot, name)
+            assert np.array_equal(got(x), -want(x)), (pot.period, name)
+            assert got(np.float64(x[7])) == -want(np.float64(x[7])), (pot.period, name)
+        assert (neg.even, neg.b_max) == (pot.even, pot.b_max)
+    # a zero well's negated samples are -0.0, and the state is still homogeneous
+    neg_zero = vm.MagneticPotential(2 * np.pi, -np.zeros(64))
+    assert np.signbit(neg_zero.samples).all()
+    assert vm.EquilibriumState(paper_state.profile, neg_zero).homogeneous
 
 
 def test_energy_floor_is_enforced(paper_profile):
     prof, _ = paper_profile
     with pytest.raises(VmspecError, match="floor"):
-        prof.mu(-1, np.array([0.5]), np.array([0.0]))
+        prof.mu_e(np.array([0.5]), np.array([0.0]))
+    with pytest.raises(VmspecError, match="floor"):
+        prof.mu_p(np.array([0.5]), np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +169,7 @@ def test_center_slope_against_independent_moment(aniso_profile, aniso_quad):
     prof, _ = aniso_profile
     cc = vm.check_center_conditions(prof, aniso_quad, refine_check=False)
     moment = vm.integrate_velocity(aniso_quad, lambda v1, v2: (
-        v2 / np.sqrt(1 + v1**2 + v2**2)) * prof.mu_p(-1, np.sqrt(1 + v1**2 + v2**2), v2))
+        v2 / np.sqrt(1 + v1**2 + v2**2)) * prof.mu_p(np.sqrt(1 + v1**2 + v2**2), v2))
     assert abs(cc.gprime0 - (-2.0 * moment)) <= 1e-6 * abs(cc.gprime0)
 
 

@@ -11,7 +11,7 @@ from vmspec.discretization import theta_reflect_permutation
 from vmspec.errors import VmspecError
 from vmspec.operators import EvalOptions
 
-from reference import species_mu_direct
+from reference import species_mu_direct, species_plus_state
 from test_operators import _straight_line_filter
 
 
@@ -307,10 +307,11 @@ def _dense_distributions(state, mode, basis, quad, opts=None, direct=False):
             mu_e, mu_p = (sign * m[0] for m in mu[sign])
             f[sign] = G @ np.vstack([mu_e, mu_p, mu_e * H])
         return f
-    m0, m1, mv1 = vm.node_moments(state, -1, mode.lam, quad, kmax, mode.x, opts)
+    m0, m1, mv1 = vm.node_moments(state, mode.lam, quad, kmax, mode.x, opts)
     perm = theta_reflect_permutation(quad)
     moments = {-1: (m0, m1, mv1),
-               +1: (vm.node_moments(state, +1, mode.lam, quad, kmax, mode.x, opts) if direct
+               +1: (vm.node_moments(species_plus_state(state), mode.lam, quad, kmax, mode.x,
+                                    opts) if direct
                     else (m0[..., perm], -m1[..., perm], mv1[..., perm]))}
     for sign, (m0, m1, mv1) in moments.items():
         q = (np.real(np.tensordot(c_phi, m0, axes=1) - np.tensordot(c_psi, m1, axes=1))
@@ -387,14 +388,14 @@ def test_magnetized_species_plus_matches_a_direct_pass(monkeypatch, weak_state,
     cols = np.arange(5, quad.n_nodes, 29)
     passes, node_moments = [], gm.node_moments
 
-    def spy(state, species, *args):
-        passes.append(species)
-        return node_moments(state, species, *args)
+    def spy(state, *args):
+        passes.append(state)
+        return node_moments(state, *args)
     for lam in (0.0, 0.6):
         monkeypatch.setattr(gm, "node_moments", spy)
         mode = vm.from_coefficients(weak_state, lam, phi, psi, 0.8, basis, quad, opts)
         monkeypatch.undo()
-        assert passes == [-1], passes
+        assert passes == [weak_state], passes
         passes.clear()
         f = _dense_distributions(weak_state, mode, basis, quad, opts, direct=True)
         fY, fcols = mode.contract(lambda on: Y[on].T), mode.contract(cols=cols)

@@ -11,8 +11,9 @@ import pytest
 
 import vmspec as vm
 import vmspec.operators as ops
-from reference import PhasePoint, SmoothingEvaluator, species_mu_direct
-from vmspec import cli
+from reference import (PhasePoint, SmoothingEvaluator, mu_species, species_mu_direct,
+                       species_plus_state)
+from vmspec import characteristics, cli
 from vmspec.characteristics import default_dt
 from vmspec.discretization import (LOWER, UPPER, fold_quarters, ring_blocks,
                                    theta_reflect_permutation)
@@ -82,9 +83,9 @@ def _orbit_average(state, k, *points):
     period (the horizon where it does not close), from species -."""
     x, v1, v2 = (np.array(c, dtype=float) for c in zip(*points))
     dt, n = default_dt(state), EvalOptions().n_per_period
-    periods, _, _ = ops._orbit_periods_batch(state, -1, x, v1, v2, dt,
+    periods, _, _ = ops._orbit_periods_batch(state, x, v1, v2, dt,
                                              ops.HORIZON_PERIODS * state.period)
-    samples = ops._orbit_stream(state, -1, x, v1, v2, periods / n, n, dt)
+    samples = ops._orbit_stream(state, x, v1, v2, periods / n, n, dt)
     return np.mean([k(xs % state.period, a, b) for xs, a, b in samples], axis=0)
 
 
@@ -143,7 +144,7 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
 def _resolved_lanes(state, quad, x):
     """The assembly's period detector on every node: (resolved, winding)."""
     _, resolved, winding = ops._orbit_periods_batch(
-        state, -1, np.full(quad.n_nodes, x), quad.v1, quad.v2, default_dt(state),
+        state, np.full(quad.n_nodes, x), quad.v1, quad.v2, default_dt(state),
         ops.HORIZON_PERIODS * state.period, weights=quad.w)
     return resolved, winding
 
@@ -156,15 +157,15 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
     calls = []
     stream = ops._orbit_stream
 
-    def keep(state, sign, x0, v1, v2, h, n_samples, dt):
+    def keep(state, x0, v1, v2, h, n_samples, dt):
         seen = []
-        for sample in stream(state, sign, x0, v1, v2, h, n_samples, dt):
+        for sample in stream(state, x0, v1, v2, h, n_samples, dt):
             seen.append(sample)
             yield sample
         calls.append((v1, v2, np.broadcast_to(h, v1.shape),
                       tuple(np.array(a) for a in zip(*seen))))
     monkeypatch.setattr(ops, "_orbit_stream", keep)
-    m0, m1, mv1 = vm.node_moments(weak_state, -1, lam, quad, kmax, 0.7,
+    m0, m1, mv1 = vm.node_moments(weak_state, lam, quad, kmax, 0.7,
                                   EvalOptions(n_per_period=n))
     omega = 2 * np.pi / weak_state.period
     node = {ab: j for j, ab in enumerate(zip(quad.v1, quad.v2))}
@@ -221,7 +222,7 @@ def test_node_moments_average_of_one_is_one(weak_state, aniso_coarse_quad):
     quad, x = aniso_coarse_quad, 0.7
     assert not _resolved_lanes(weak_state, quad, x)[0].all()
     for lam in (0.01 * 2 * np.pi / weak_state.period, 0.1):
-        m0 = vm.node_moments(weak_state, -1, lam, quad, 0, x)[0]
+        m0 = vm.node_moments(weak_state, lam, quad, 0, x)[0]
         assert np.max(np.abs(m0[0] - 1.0)) <= 1e-12, lam
 
 
@@ -232,9 +233,30 @@ def test_node_moments_report_invariant_drift(weak_state, aniso_coarse_quad):
     quad, x = aniso_coarse_quad, 0.7
     assert not _resolved_lanes(weak_state, quad, x)[0].all()
     for lam in (0.0, 0.4):
-        drift = vm.node_moments(weak_state, -1, lam, quad, 1, x).drift
+        drift = vm.node_moments(weak_state, lam, quad, 1, x).drift
         assert sorted(drift) == ["e", "p"]
         assert 0.0 < drift["e"] <= 1e-9 and 0.0 < drift["p"] <= 1e-9, (lam, drift)
+
+
+def test_negated_state_drift_is_species_plus_momentum(monkeypatch, weak_state,
+                                                     aniso_coarse_quad):
+    # species - on the negated potential conserves v2 - (-psi0(x)) = v2 + psi0(x),
+    # species +'s momentum: the reported drift of p is that momentum's drift between
+    # the first and the last sample of every stream, bit for bit
+    quad, plus = aniso_coarse_quad, species_plus_state(weak_state)
+    ends, stream = [], ops._orbit_stream
+
+    def keep(*args):
+        samples = list(stream(*args))
+        ends.append((samples[0], samples[-1]))
+        yield from samples
+    monkeypatch.setattr(ops, "_orbit_stream", keep)
+    for lam in (0.0, 0.4):
+        ends.clear()
+        drift = vm.node_moments(plus, lam, quad, 1, 0.7).drift
+        want = max(float(np.max(np.abs((w1 + weak_state.psi0(x1)) - (w0 + weak_state.psi0(x0)))))
+                   for (x0, _, w0), (x1, _, w1) in ends)
+        assert drift["p"] == want and want > 0.0, (lam, drift, want)
 
 
 def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
@@ -246,12 +268,12 @@ def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
     xs = np.array([0.1, 0.45, 0.8]) * weak_state.period
     weights = [quad.w, np.ones(N), quad.w]
     dt, horizon = default_dt(weak_state), ops.HORIZON_PERIODS * weak_state.period
-    got = ops._orbit_periods_batch(weak_state, -1, np.repeat(xs, N), np.tile(quad.v1, 3),
+    got = ops._orbit_periods_batch(weak_state, np.repeat(xs, N), np.tile(quad.v1, 3),
                                    np.tile(quad.v2, 3), dt, horizon,
                                    weights=np.concatenate(weights),
                                    groups=np.repeat(np.arange(3), N))
     for i, x in enumerate(xs):
-        want = ops._orbit_periods_batch(weak_state, -1, np.full(N, x), quad.v1, quad.v2, dt,
+        want = ops._orbit_periods_batch(weak_state, np.full(N, x), quad.v1, quad.v2, dt,
                                         horizon, weights=weights[i])
         for a, b in zip(got, want):
             assert np.array_equal(a.reshape(3, N)[i], b), i
@@ -261,10 +283,10 @@ def test_node_moments_over_positions_match_per_point_calls(weak_state, aniso_coa
     quad, kmax = aniso_coarse_quad, 3
     xs = np.array([0.1, 0.45, 0.8]) * weak_state.period
     for lam in (0.0, 0.4):
-        grid = vm.node_moments(weak_state, -1, lam, quad, kmax, xs)
+        grid = vm.node_moments(weak_state, lam, quad, kmax, xs)
         assert grid[0].shape == (kmax + 1, 3, quad.n_nodes) and grid[2].shape == (3, quad.n_nodes)
         for i, x in enumerate(xs):
-            for got, want in zip(grid, vm.node_moments(weak_state, -1, lam, quad, kmax, x)):
+            for got, want in zip(grid, vm.node_moments(weak_state, lam, quad, kmax, x)):
                 got = got[..., i, :]
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (lam, i)
 
@@ -351,7 +373,7 @@ def test_cut_lanes_report_their_share_of_l(weak_state, aniso_coarse_quad):
     basis = vm.build_fourier_basis(weak_state.period, 2)
     opts = EvalOptions(tol_sym=1e-3, n_per_period=128)
     cut = vm.assemble_blocks(weak_state, 0.0, basis, quad, opts).cut_lanes
-    moments = vm.node_moments(weak_state, -1, 0.0, quad, 1, basis.x_grid, opts)
+    moments = vm.node_moments(weak_state, 0.0, quad, 1, basis.x_grid, opts)
     mu_e = species_mu(weak_state, quad, basis.x_grid)[0]
     l_lanes = mu_e * quad.w * (quad.v1 / quad.e) * moments[2]
     assert cut["count"] == np.count_nonzero(~moments.resolved) > 0
@@ -371,10 +393,10 @@ def test_uneven_well_takes_the_direct_path(monkeypatch, weak_state, aniso_coarse
     assert not state.potential.even
     xs = np.array([0.0, 0.125, 0.5, 0.875]) * state.period
     widths = _counting_rk4(monkeypatch)
-    grid = vm.node_moments(state, -1, 0.0, quad, 2, xs)
+    grid = vm.node_moments(state, 0.0, quad, 2, xs)
     assert widths[0] == xs.size * quad.n_nodes      # the period pass starts on every lane
     for i, x in enumerate(xs):
-        one = vm.node_moments(state, -1, 0.0, quad, 2, x)
+        one = vm.node_moments(state, 0.0, quad, 2, x)
         for got, want in zip((*grid, grid.resolved), (*one, one.resolved)):
             assert np.array_equal(got[..., i, :], want), i
 
@@ -400,7 +422,7 @@ def test_orbit_engine_steps_through_operators(monkeypatch, weak_state, aniso_coa
     seen = []
     for lam in (0.0, 0.4):
         before = len(widths)
-        vm.node_moments(weak_state, -1, lam, aniso_coarse_quad, 2, 0.3)
+        vm.node_moments(weak_state, lam, aniso_coarse_quad, 2, 0.3)
         seen.append(len(widths) - before)
     assert min(seen) > 0, seen
 
@@ -443,8 +465,7 @@ def _straight_line_profiles(state, lam, basis, quad, opts=None):
     tau = np.zeros((2, kmax + 1), dtype=complex)
     scal = np.zeros(4)
     for sign in (-1, +1):
-        mu_e = state.profile.mu_e(sign, quad.e, quad.v2)
-        mu_p = state.profile.mu_p(sign, quad.e, quad.v2)
+        mu_e, mu_p = mu_species(state.profile, sign, quad.e, quad.v2)
         we = mu_e * quad.w
         tau += [g @ we, g @ (we * vh2 * vh2)]
         scal += [np.sum(we * vh1), np.sum(we * vh1 * vh1), np.sum(we),
@@ -517,7 +538,7 @@ def test_folded_kernel_counts_self_image_angles_once(paper_state, aniso_state, p
                 assert (fold_quarters(quad, quad.w[on], UPPER) == full[cl]).all()
         basis = vm.build_fourier_basis(state.period, 8)
         kern = assembly_kernel(state, quad)
-        we = sum(state.profile.mu_e(s, quad.e, quad.v2) for s in (-1, +1)) * quad.w
+        we = sum(mu_species(state.profile, s, quad.e, quad.v2)[0] for s in (-1, +1)) * quad.w
         assert kern.W.shape == (quad.r_nodes.size * n_cls, 2)
         assert abs(np.sum(kern.W[:, 0]) - np.sum(we)) <= 1e-13 * np.sum(np.abs(we))
         w = 2 * np.pi / state.period
@@ -588,36 +609,24 @@ def _library_trees():
                 yield name, ast.parse(fh.read())
 
 
-def _is_minus_one(node):
-    try:
-        return ast.literal_eval(node) == -1
-    except ValueError:
-        return False
-
-
-def test_library_calls_species_minus_only():
-    # species + is the mirror of species - past the profile, and the library
-    # reads it by relabeling: no routine forms species + moment tables, every
-    # orbit pass is a species - pass, and every profile call is for species -
-    named, calls = [], {"node_moments": [], "mu": [], "mu_e": [], "mu_p": []}
+def test_library_takes_no_species():
+    # species + is the mirror of species - and the library computes species - only,
+    # reading species + by relabeling: no routine takes a species or a sign, none
+    # forms species + moment tables, and the two-species entry points are gone
+    takers, named = [], []
     for name, tree in _library_trees():
         for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                takers += [(name, a.lineno, a.arg) for a in (*node.posonlyargs, *node.args,
+                                                            *node.kwonlyargs, node.vararg,
+                                                            node.kwarg)
+                           if a is not None and a.arg in ("species", "sign")]
             if "species_pair_moments" in {getattr(node, key, None)
                                           for key in ("id", "attr", "name")}:
                 named.append((name, node.lineno))
-            if isinstance(node, ast.Call):
-                fn = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if fn in calls:
-                    # node_moments(state, species, ...), profile.mu*(species, e, p)
-                    at = 1 if fn == "node_moments" else 0
-                    species = ([k.value for k in node.keywords if k.arg == "species"]
-                               or node.args[at:at + 1])
-                    calls[fn].append((name, node.lineno, bool(species)
-                                      and _is_minus_one(species[0])))
-    assert named == []
-    assert calls["node_moments"] and calls["mu_e"] and calls["mu_p"], calls
-    for fn, found in calls.items():
-        assert all(ok for _, _, ok in found), (fn, found)
+    assert takers == [] and named == [], (takers, named)
+    assert not hasattr(characteristics, "normalize_species")
+    assert not hasattr(vm.EquilibriumProfile, "mu")
 
 
 def test_only_operators_and_the_mode_know_the_assembly_kernel():
@@ -698,8 +707,8 @@ def test_constant_mode_entry_sign_identity(paper_state, paper_quad):
     basis = vm.build_fourier_basis(paper_state.period, 8)
     blocks = vm.assemble_blocks(paper_state, 0.0, basis, paper_quad)
     prof = paper_state.profile
-    inertia = 2.0 * vm.integrate_velocity(paper_quad, lambda v1, v2: prof.mu(
-        -1, np.sqrt(1 + v1**2 + v2**2), v2) * (1 + v1**2) / (1 + v1**2 + v2**2) ** 1.5)
+    inertia = 2.0 * vm.integrate_velocity(paper_quad, lambda v1, v2: prof.mu_minus(
+        np.sqrt(1 + v1**2 + v2**2), v2) * (1 + v1**2) / (1 + v1**2 + v2**2) ** 1.5)
     # with the normalized constant u0 = 1/sqrt(P), A2[0,0] = <A2 1, 1>/P
     got = blocks.A2[0, 0]
     assert got > 0
@@ -723,10 +732,11 @@ def test_vanishing_moment_identity(paper_state, aniso_state, paper_quad, aniso_q
         prof = state.profile
         total = 0.0
         for sign in (-1, +1):
-            total += vm.integrate_velocity(quad, lambda v1, v2, s=sign: prof.mu_p(
-                s, np.sqrt(1 + v1**2 + v2**2), v2)
-                + v2 / np.sqrt(1 + v1**2 + v2**2) * prof.mu_e(
-                    s, np.sqrt(1 + v1**2 + v2**2), v2))
+            def integrand(v1, v2, s=sign):
+                e = np.sqrt(1 + v1**2 + v2**2)
+                mu_e, mu_p = mu_species(prof, s, e, v2)
+                return mu_p + v2 / e * mu_e
+            total += vm.integrate_velocity(quad, integrand)
         assert abs(total) <= 1e-8
 
 
@@ -740,15 +750,39 @@ def test_constant_function_is_null_for_first_block(weak_state, aniso_coarse_quad
 
 def test_species_relabel_matches_direct_moments(weak_state, aniso_coarse_quad):
     # the + trajectories are the v2-reflection of the - ones to roundoff
-    # (1.0e-13 of m0 measured), so relabeled nodes stand in for a + pass:
-    # (m0, -m1, mv1) of species - at the node theta_reflect_permutation gives
+    # (1.0e-13 of m0 measured at this point), so relabeled nodes stand in for a
+    # + pass, here species - on the negated potential: (m0, -m1, mv1) of species
+    # - at the node theta_reflect_permutation gives
     quad, kmax, x = aniso_coarse_quad, 3, 0.7
     perm = theta_reflect_permutation(quad)
     for lam in (0.0, 0.4):
-        m0, m1, mv1 = vm.node_moments(weak_state, -1, lam, quad, kmax, x)
-        direct = vm.node_moments(weak_state, +1, lam, quad, kmax, x)
+        m0, m1, mv1 = vm.node_moments(weak_state, lam, quad, kmax, x)
+        direct = vm.node_moments(species_plus_state(weak_state), lam, quad, kmax, x)
         for got, want in zip((m0[..., perm], -m1[..., perm], mv1[..., perm]), direct):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lam
+
+
+def test_species_relabel_over_the_collocation_grid(weak_state, aniso_coarse_quad):
+    # the relabel of the single-point check above, at every lane of an n_x = 2
+    # assembly's orbit pass, against species + run as species - on the negated
+    # potential.  Measured, relative to each moment's largest entry: resolved
+    # lanes 1.8e-10 at lam = 0 and 3.0e-11 at 0.4, the lanes that did not close
+    # 4.4e-10 and 1.5e-11
+    quad, kmax = aniso_coarse_quad, 3
+    x = vm.build_fourier_basis(weak_state.period, 2).x_grid
+    perm = theta_reflect_permutation(quad)
+    bounds = {0.0: (5e-10, 1e-9), 0.4: (1e-10, 5e-11)}     # resolved, cut
+    for lam, (tol_resolved, tol_cut) in bounds.items():
+        minus = vm.node_moments(weak_state, lam, quad, kmax, x)
+        direct = vm.node_moments(species_plus_state(weak_state), lam, quad, kmax, x)
+        resolved = direct.resolved
+        assert np.array_equal(minus.resolved[:, perm], resolved) and (~resolved).any()
+        for name, got, want in zip(("m0", "m1", "mv1"),
+                                   (minus[0][..., perm], -minus[1][..., perm],
+                                    minus[2][..., perm]), direct):
+            diff = np.abs(got - want) / np.max(np.abs(want))
+            assert np.max(diff[..., resolved]) <= tol_resolved, (lam, name)
+            assert np.max(diff[..., ~resolved]) <= tol_cut, (lam, name)
 
 
 def test_species_mu_mirrors_species_minus(weak_state, aniso_state, aniso_profile,
@@ -778,10 +812,11 @@ def test_species_mirror_doubles_and_cancels(weak_state, aniso_coarse_quad):
     x = basis.x_grid
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
     mu = species_mu_direct(weak_state, quad, x)
+    orbits = {-1: weak_state, +1: species_plus_state(weak_state)}
     for lam in (0.0, 0.4):
         sums = {}
         for sign in (-1, +1):
-            m0, m1, mv1 = vm.node_moments(weak_state, sign, lam, quad, 2, x)
+            m0, m1, mv1 = vm.node_moments(orbits[sign], lam, quad, 2, x)
             mu_e, mu_p = mu[sign]
             we = mu_e * quad.w
             sums[sign] = {
@@ -972,7 +1007,7 @@ def test_validation_and_orbit_moments_leave_numpy_ma_unloaded():
         "quad = vm.build_velocity_quadrature(weight, kinks=prof.kinks, n_r=16, n_theta=16,",
         "                                    n_r_tail=4)",
         "state = vm.solve_equilibrium_potential(prof, 0.05, quad)",
-        "assert not vm.node_moments(state, -1, 0.0, quad, 1, 0.3).resolved.all()",
+        "assert not vm.node_moments(state, 0.0, quad, 1, 0.3).resolved.all()",
         "print('numpy.ma' in sys.modules)",
     ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

@@ -323,9 +323,9 @@ def _homogeneous_symbols(state, quad):
     """Symbols a1(k, lam), a2(k, lam) from the raw quadrature, species - doubled."""
     prof, w = state.profile, 2.0 * np.pi / state.period
     vh1, vh2 = quad.v1 / quad.e, quad.v2 / quad.e
-    we = 2.0 * prof.mu_e(-1, quad.e, quad.v2) * quad.w
+    we = 2.0 * prof.mu_e(quad.e, quad.v2) * quad.w
     m_e = float(np.sum(we))
-    m_vp = float(np.sum(2.0 * vh2 * prof.mu_p(-1, quad.e, quad.v2) * quad.w))
+    m_vp = float(np.sum(2.0 * vh2 * prof.mu_p(quad.e, quad.v2) * quad.w))
 
     def damping(k, lam):
         return lam ** 2 / (lam ** 2 + (k * w * vh1) ** 2)
