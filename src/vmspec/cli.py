@@ -360,7 +360,7 @@ def cmd_equilibrium(cfg):
     return EXIT_OK
 
 
-def cmd_assemble(cfg, lam=0.0):
+def cmd_assemble(cfg, lam):
     if not 0.0 <= lam < np.inf:
         raise ConfigError("--lam must be finite and not negative")
     profile, weight, quad = _build_inputs(cfg)
@@ -413,9 +413,7 @@ def cmd_analyze(cfg):
     crossing = report = None
     extra = {"validation_passed": vrep.passed}
     if state.meta:
-        extra["equilibrium"] = {k: state.meta[k] for k in
-                                ("epsilon", "residual_inf", "period_delta", "c1_norm",
-                                 "critical_period") if k in state.meta}
+        extra["equilibrium"] = dict(state.meta)
     if cfg.find_mode and sw.crossings:
         crossing, report = _find_mode(cfg, sw, stages)
     payload = _analysis_report(cfg, sw, crossing, report, extra, t0, stages)
@@ -473,21 +471,16 @@ def _config_from_args(args):
 
 def main(argv=None):
     args = _make_parser().parse_args(argv)
+    commands = {"validate": cmd_validate, "equilibrium": cmd_equilibrium,
+                "assemble": lambda cfg: cmd_assemble(cfg, args.lam), "analyze": cmd_analyze}
     try:
         cfg = _config_from_args(args)
+        os.makedirs(_outdir(cfg), exist_ok=True)    # before any work, so an unusable path exits 2
     except (ConfigError, OSError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "equilibrium":
-            return cmd_equilibrium(cfg)
-        if args.command == "assemble":
-            return cmd_assemble(cfg, lam=args.lam)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        raise ConfigError("unknown command %r" % args.command)
+        return commands[args.command](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG

@@ -60,10 +60,10 @@ class VelocityQuadrature:
     def n_nodes(self):
         return self.v1.size
 
-    def refined(self, factor=2):
-        """Same panel structure with factor-times more radial and angular nodes."""
-        return _build_from_edges(self.panel_edges, self.n_core_panels, int(self.n_r * factor),
-                                 int(self.theta_nodes.size * factor), int(self.n_r_tail * factor))
+    def refined(self):
+        """Same panel structure with twice the radial and angular nodes."""
+        return _build_from_edges(self.panel_edges, self.n_core_panels, 2 * self.n_r,
+                                 2 * self.theta_nodes.size, 2 * self.n_r_tail)
 
 
 def _build_from_edges(edges, n_core, n_r, n_theta, n_r_tail):
@@ -124,7 +124,7 @@ def weight_tail_radius(weight, tol_tail):
 
 
 def build_velocity_quadrature(weight, kinks=(), tol_tail=1e-8, n_r=96, n_theta=256,
-                              n_r_tail=24, r_max=None):
+                              n_r_tail=24):
     """Build the polar rule for a given decay weight.
 
     ``kinks`` are energies where profiles are only piecewise smooth; panel
@@ -132,10 +132,7 @@ def build_velocity_quadrature(weight, kinks=(), tol_tail=1e-8, n_r=96, n_theta=2
     core region the rule continues with geometrically doubling panels of
     ``n_r_tail`` nodes until the weight's analytic tail bound is met.
     """
-    if weight.alpha <= 2.0:
-        raise QuadratureError("non-integrable weight: alpha must exceed 2")
-    if r_max is None:
-        r_max = weight_tail_radius(weight, tol_tail)
+    r_max = weight_tail_radius(weight, tol_tail)
     kink_radii = sorted(float(np.sqrt(e * e - 1.0)) for e in kinks if e > 1.0 and np.sqrt(e * e - 1.0) < r_max)
     core_end = min(r_max, max(4.0, 2.0 * max(kink_radii) if kink_radii else 4.0))
     edges = [0.0] + kink_radii + [core_end]

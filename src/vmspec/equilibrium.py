@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class EquilibriumProfile:
     mu_minus_p: callable
     kinks: tuple = ()
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def _check(self, e):
         e = np.asarray(e, dtype=float)
@@ -311,7 +310,7 @@ def check_center_conditions(profile, quad, refine_check=True):
     if refine_check:
         # the gate compares the g evaluations themselves; dividing by the
         # difference step would amplify pure quadrature noise
-        fine = quad.refined(2)
+        fine = quad.refined()
         g0f = source_term(profile, fine, 0.0)
         ghf = source_term(profile, fine, h)
         gmhf = source_term(profile, fine, -h)
@@ -419,9 +418,9 @@ def solve_equilibrium_potential(profile, epsilon, quad):
     ``_well_samples`` (4,096 steps per linearized period, 1,024 samples).
     The potential must meet psi0'' = g(psi0), with g from the quadrature
     rather than the spline, within TOL_EQUIL on RESIDUAL_POINTS points.
-    The returned state's ``meta`` carries that residual, the period and its
-    convergence estimate, the C1 size of the potential and the critical
-    period 2 pi / sqrt(-g'(0)).
+    The returned state's ``meta`` carries epsilon, that residual, the
+    period's convergence estimate, the C1 size of the potential and the
+    critical period 2 pi / sqrt(-g'(0)); the period is ``state.period``.
     """
     if epsilon <= 0:
         raise VmspecError("epsilon must be positive")
@@ -439,7 +438,7 @@ def solve_equilibrium_potential(profile, epsilon, quad):
 
     c1 = float(np.max(np.abs(samples)) + np.max(np.abs(pot.b(xs))))
     return EquilibriumState(profile, pot, meta=dict(
-        epsilon=float(epsilon), residual_inf=residual, period=T, period_delta=period_delta,
+        epsilon=float(epsilon), residual_inf=residual, period_delta=period_delta,
         c1_norm=c1, critical_period=cc.critical_period))
 
 
@@ -536,7 +535,7 @@ def _weakfield(params=None):
     def mu_p(e, p):
         return amp * (2.0 * p - 2.0 * p ** 3 / t_p) * np.exp(-p ** 2 / t_p) * envelope(np.asarray(e, dtype=float))
 
-    prof = EquilibriumProfile(mu, mu_e, mu_p, kinks=(), name="weakfield_family", params=q)
+    prof = EquilibriumProfile(mu, mu_e, mu_p, kinks=(), name="weakfield_family")
     return prof, WeightSpec(c=80.0, alpha=5.0)
 
 

@@ -69,7 +69,7 @@ class EvalOptions:
 
     Neither picks the path: straight lines on homogeneous states, on the
     classes of ``fold_quarters``, the orbit engine on every other state.
-    Every orbit march steps at ``default_dt(state)``.
+    Neither sets the step: the engine reads ``default_dt(state)`` itself.
     """
 
     n_per_period: int = 128        # orbit samples per period (>= 64)
@@ -104,7 +104,7 @@ def _hermite_root(F0, F1, D0, D1, h):
     return tau * h
 
 
-def _orbit_periods_batch(state, x0, v1, v2, dt, horizon, weights=None, groups=None):
+def _orbit_periods_batch(state, x0, v1, v2, horizon, weights=None, groups=None):
     """Periods for a batch of lanes; unresolved lanes get the horizon.
 
     Passing lanes close after advancing one spatial period (the unwrapped
@@ -114,10 +114,12 @@ def _orbit_periods_batch(state, x0, v1, v2, dt, horizon, weights=None, groups=No
     each group stops on its own weight, so every lane ends exactly as in a
     run of its group alone.  Only live lanes are stepped.
     Returns (periods, resolved, winding): winding is the direction (+1 or
-    -1) of a lane that closed by passing, 0 otherwise.
+    -1) of a lane that closed by passing, 0 otherwise.  Lanes step at
+    ``default_dt(state)``.
     """
     n = x0.size
     P = state.period
+    dt = default_dt(state)
     periods = np.full(n, horizon)
     resolved = np.zeros(n, dtype=bool)
     winding = np.zeros(n, dtype=int)
@@ -185,16 +187,17 @@ def _orbit_periods_batch(state, x0, v1, v2, dt, horizon, weights=None, groups=No
     return periods, resolved, winding
 
 
-def _orbit_stream(state, x0, v1, v2, h, n_samples, dt):
+def _orbit_stream(state, x0, v1, v2, h, n_samples):
     """Yield (x, v1, v2) of every lane at n_samples times h[lane] apart,
     starting at the lane's start (h < 0 runs backward).
 
-    Each lane takes its own ceil(|h|/dt) substeps per sample.  With the
-    lanes sorted by that count, substep j advances the suffix of lanes
-    that need more than j, so no lane steps finer than it has to.
+    Each lane takes its own ceil(|h|/dt) substeps per sample, with
+    dt = ``default_dt(state)``.  With the lanes sorted by that count,
+    substep j advances the suffix of lanes that need more than j, so no
+    lane steps finer than it has to.
     """
     h = np.broadcast_to(np.asarray(h, dtype=float), x0.shape)
-    m = np.maximum(1, np.ceil(np.abs(h) / dt).astype(int))
+    m = np.maximum(1, np.ceil(np.abs(h) / default_dt(state)).astype(int))
     order = np.argsort(m, kind="stable")
     back = np.argsort(order)
     m = m[order]
@@ -329,7 +332,6 @@ def node_moments(state, lam, quad, kmax, x, opts=None):
     """
     opts = opts or EvalOptions()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    dt = default_dt(state)
     horizon = HORIZON_PERIODS * state.period
     omega = 2.0 * np.pi / state.period
     n = opts.n_per_period
@@ -342,7 +344,7 @@ def node_moments(state, lam, quad, kmax, x, opts=None):
     x0 = np.repeat(xs, N)[rep]
     v1, v2 = np.tile(quad.v1, M)[rep], np.tile(quad.v2, M)[rep]
     # a class is labeled by its lower point, which holds its representatives
-    periods, resolved, _ = _orbit_periods_batch(state, x0, v1, v2, dt, horizon,
+    periods, resolved, _ = _orbit_periods_batch(state, x0, v1, v2, horizon,
                                                 weights=np.tile(quad.w, M)[rep]
                                                 * np.where(paired, 2.0, 1.0),
                                                 groups=rep // N)
@@ -356,7 +358,7 @@ def node_moments(state, lam, quad, kmax, x, opts=None):
 
     def reduce(lanes, h, n_samples, G):
         start = x0[lanes], v1[lanes], v2[lanes]
-        samples = _orbit_stream(state, *start, h, n_samples, dt)
+        samples = _orbit_stream(state, *start, h, n_samples)
         m0[:, lanes], m1[:, lanes], mv1[lanes], end = _weighted_moments(samples, G, kmax, omega)
         for key, a, b in zip("ep", invariants(*start), invariants(*end)):
             drift[key] = max(drift[key], float(np.max(np.abs(b - a))))
@@ -455,7 +457,7 @@ def assembly_kernel(state, quad):
         rep[cl] = fold_quarters(quad, quad.v1[on] / e, (1, 0, 0, 0))
         halves[..., cl] = [fold_quarters(quad, R, h) for h in ((1, 0, 0, 0), (0, 0, 1, 0))]
         m_vp += 2.0 * np.sum(R[0] * R[2] * w)
-    tables =np.sum(W[:, :1], axis=0), np.array([m_vp]), rep, W, halves
+    tables = np.sum(W[:, :1], axis=0), np.array([m_vp]), rep, W, halves
     for a in tables:
         a.setflags(write=False)
     return AssemblyKernel(*tables, float(W[:, 0] @ rep ** 2))

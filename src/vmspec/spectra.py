@@ -124,9 +124,6 @@ def neg_scalar(a):
 class VerdictResult:
     verdict: str
     reason: str
-    neg_a1: int
-    neg_a2: int
-    l0: float
 
 
 def verdict(neg_a1, neg_a2, l0, ker_a2_trivial):
@@ -141,13 +138,10 @@ def verdict(neg_a1, neg_a2, l0, ker_a2_trivial):
         raise HypothesisError("hypothesis failure: l0 ~ 0 (|l0|=%.3e <= 1.0e-10)" % abs(l0))
     rhs = neg_a1 + neg_scalar(-l0)
     if neg_a2 > rhs:
-        return VerdictResult(UNSTABLE_T1, "neg(A2)=%d > %d=neg(A1)+neg(-l0)" % (neg_a2, rhs),
-                             neg_a1, neg_a2, l0)
+        return VerdictResult(UNSTABLE_T1, "neg(A2)=%d > %d=neg(A1)+neg(-l0)" % (neg_a2, rhs))
     if ker_a2_trivial and neg_a2 != rhs:
-        return VerdictResult(UNSTABLE_T2, "neg(A2)=%d != %d with trivial A2 kernel" % (neg_a2, rhs),
-                             neg_a1, neg_a2, l0)
-    return VerdictResult(INCONCLUSIVE, "neg(A2)=%d vs neg(A1)+neg(-l0)=%d" % (neg_a2, rhs),
-                         neg_a1, neg_a2, l0)
+        return VerdictResult(UNSTABLE_T2, "neg(A2)=%d != %d with trivial A2 kernel" % (neg_a2, rhs))
+    return VerdictResult(INCONCLUSIVE, "neg(A2)=%d vs neg(A1)+neg(-l0)=%d" % (neg_a2, rhs))
 
 
 def a2_kernel_trivial(a2_values, homogeneous, tol_eig=None):
@@ -249,7 +243,7 @@ def sweep(state, basis, quad, n, lam_grid, opts=None, tol_eig=None):
     try:
         vres = verdict(min(n, neg_a1), min(n, neg_a2), blocks0.l, ker_trivial)
     except HypothesisError as exc:
-        vres = VerdictResult(INCONCLUSIVE, str(exc), neg_a1, neg_a2, blocks0.l)
+        vres = VerdictResult(INCONCLUSIVE, str(exc))
     return SweepResult(lam_grid=lam_grid, eigenvalues=eigenvalues, counts=counts,
                        pencil_counts=pencil_counts, crossings=crossings, n=n, l0=blocks0.l,
                        neg_a1=neg_a1, neg_a2=neg_a2, k_count=k_count, verdict=vres,

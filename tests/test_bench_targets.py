@@ -38,24 +38,40 @@ def test_every_traced_name_is_where_the_tracer_looks():
     assert missing == []
 
 
-def test_traced_run_counts_through_every_wrapped_layer(tmp_path):
-    # a wrapped name that the library no longer calls through reads 0 in the
-    # trace, silently: one traced mag-verdict child must count RK4 steps, field
-    # and profile points and the well's source terms, and one orbit pass for
-    # its one assembly
+def _traced_layers(workload, tmp_path):
+    """Per-layer metrics of one traced seed-0 child run of ``workload``."""
     result = tmp_path / "result.json"
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), str(result),
-                           "mag-verdict", "0", "1", "0", str(tmp_path)],
+                           workload, "0", "1", "0", str(tmp_path)],
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(result.read_text())
     assert out["ok"], out.get("error") or out.get("problems")
-    layers = out["layers"]
+    return out["layers"]
+
+
+def test_traced_run_counts_through_every_wrapped_layer(tmp_path):
+    # a wrapped name that the library no longer calls through reads 0 in the
+    # trace, silently: one traced mag-verdict child must count RK4 steps, field
+    # and profile points and the well's source terms, and one orbit pass for
+    # its one assembly
+    layers = _traced_layers("mag-verdict", tmp_path)
     for key in ("characteristics.rk4_steps", "equilibrium.b0_calls", "equilibrium.mu_points",
                 "equilibrium.source_term_calls"):
         assert layers[key] > 0, key
     assert layers["operators.node_moments_calls"] == layers["operators.assemble_calls"] == 1
+
+
+def test_homogeneous_run_traces_no_orbit(tmp_path):
+    # BENCHMARK.json calls homog-analyze the zero-orbit control: its small twin
+    # assembles, solves, bisects, evaluates the profile and exports the mode,
+    # and never steps an orbit or takes a node moment
+    layers = _traced_layers("homog-small", tmp_path)
+    for key in ("operators.assemble_calls", "spectra.eig_calls", "spectra.bisect_steps",
+                "equilibrium.mu_points", "growing_mode.export_bytes"):
+        assert layers[key] > 0, key
+    assert layers["characteristics.rk4_steps"] == layers["operators.node_moments_calls"] == 0
 
 
 # mag-sweep is not in BENCHMARK.json, but it is the only workload that runs

@@ -7,7 +7,7 @@ import pytest
 import vmspec as vm
 import vmspec.operators as ops
 from reference import ConservationError, PhasePoint, StepOptions, flow, species_plus_state
-from vmspec.characteristics import default_dt, rk4_step_arrays
+from vmspec.characteristics import rk4_step_arrays
 from vmspec.equilibrium import EquilibriumState
 
 SRC = Path(vm.__file__).resolve().parent
@@ -141,7 +141,7 @@ def test_one_rk4_marcher():
 def _periods(state, lanes, horizon):
     """The engine's period detector on (x, v1, v2) lanes, at unit weights."""
     x, v1, v2 = (np.array(c, dtype=float) for c in zip(*lanes))
-    return ops._orbit_periods_batch(state, x, v1, v2, default_dt(state), horizon)
+    return ops._orbit_periods_batch(state, x, v1, v2, horizon)
 
 
 def test_orbit_info_homogeneous(paper_state):

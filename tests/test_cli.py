@@ -99,6 +99,27 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, ke
     assert key in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_unusable_output_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                            command, via):
+    # the output directory is made right after the config is read, so a path
+    # below a regular file exits 2, naming the path, before the profile is read
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+
+    def never(*args, **kwargs):
+        raise AssertionError("validate_profile ran before the output directory was made")
+    monkeypatch.setattr(cli, "validate_profile", never)
+    monkeypatch.delenv("VMSPEC_OUT", raising=False)
+    flags = ["--out", out] if via == "flag" else []
+    if via == "env":
+        monkeypatch.setenv("VMSPEC_OUT", out)
+    assert cli.main(["--profile", "zero"] + flags + [command]) == cli.EXIT_CONFIG
+    assert out in json.loads(capsys.readouterr().err)["message"]
+
+
 def _readme_text():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         return " ".join(fh.read().split())

@@ -315,6 +315,17 @@ def test_find_center_amplitude_reports_positive_basin(aniso_profile, aniso_coars
     assert eps0 >= 0.5 or eps0 > 0.02
 
 
+def test_find_center_amplitude_bisects_below_the_cap(aniso_profile, aniso_coarse_quad):
+    # doubling from 0.05 closes at 0.8 and fails at 1.6, well below the cap of 2,
+    # so the result comes from bisecting [0.8, 1.6): 1.1 after 4 halvings and
+    # 1.1375 after 8, which must stay inside the 4-halving bracket
+    prof, _ = aniso_profile
+    coarse, fine = (vm.find_center_amplitude(prof, aniso_coarse_quad, eps_start=0.05,
+                                             eps_cap=2.0, iters=k) for k in (4, 8))
+    assert 0.8 <= coarse < 2.0
+    assert coarse <= fine < coarse + (1.6 - 0.8) / 2 ** 4
+
+
 def test_even_flags_wells_sampled_from_a_turning_point(aniso_profile, aniso_coarse_quad):
     # the well starts at its turning point x = 0, so psi0 is even about it;
     # the odd part of the samples is roundoff (2.4e-12 on the benchmark's

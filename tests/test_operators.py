@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ import vmspec.operators as ops
 from reference import (PhasePoint, SmoothingEvaluator, mu_species, species_mu_direct,
                        species_plus_state)
 from vmspec import characteristics, cli
-from vmspec.characteristics import default_dt
 from vmspec.discretization import (LOWER, UPPER, fold_quarters, ring_blocks,
                                    theta_reflect_permutation)
 from vmspec.errors import AssemblyError, VmspecError
@@ -82,10 +82,10 @@ def _orbit_average(state, k, *points):
     """The engine's lam = 0 average of k(x, v1, v2) over each point's orbit
     period (the horizon where it does not close), from species -."""
     x, v1, v2 = (np.array(c, dtype=float) for c in zip(*points))
-    dt, n = default_dt(state), EvalOptions().n_per_period
-    periods, _, _ = ops._orbit_periods_batch(state, x, v1, v2, dt,
+    n = EvalOptions().n_per_period
+    periods, _, _ = ops._orbit_periods_batch(state, x, v1, v2,
                                              ops.HORIZON_PERIODS * state.period)
-    samples = ops._orbit_stream(state, x, v1, v2, periods / n, n, dt)
+    samples = ops._orbit_stream(state, x, v1, v2, periods / n, n)
     return np.mean([k(xs % state.period, a, b) for xs, a, b in samples], axis=0)
 
 
@@ -144,7 +144,7 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
 def _resolved_lanes(state, quad, x):
     """The assembly's period detector on every node: (resolved, winding)."""
     _, resolved, winding = ops._orbit_periods_batch(
-        state, np.full(quad.n_nodes, x), quad.v1, quad.v2, default_dt(state),
+        state, np.full(quad.n_nodes, x), quad.v1, quad.v2,
         ops.HORIZON_PERIODS * state.period, weights=quad.w)
     return resolved, winding
 
@@ -157,9 +157,9 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
     calls = []
     stream = ops._orbit_stream
 
-    def keep(state, x0, v1, v2, h, n_samples, dt):
+    def keep(state, x0, v1, v2, h, n_samples):
         seen = []
-        for sample in stream(state, x0, v1, v2, h, n_samples, dt):
+        for sample in stream(state, x0, v1, v2, h, n_samples):
             seen.append(sample)
             yield sample
         calls.append((v1, v2, np.broadcast_to(h, v1.shape),
@@ -267,13 +267,13 @@ def test_grouped_detector_matches_per_point_runs(weak_state, aniso_coarse_quad):
     quad, N = aniso_coarse_quad, aniso_coarse_quad.n_nodes
     xs = np.array([0.1, 0.45, 0.8]) * weak_state.period
     weights = [quad.w, np.ones(N), quad.w]
-    dt, horizon = default_dt(weak_state), ops.HORIZON_PERIODS * weak_state.period
+    horizon = ops.HORIZON_PERIODS * weak_state.period
     got = ops._orbit_periods_batch(weak_state, np.repeat(xs, N), np.tile(quad.v1, 3),
-                                   np.tile(quad.v2, 3), dt, horizon,
+                                   np.tile(quad.v2, 3), horizon,
                                    weights=np.concatenate(weights),
                                    groups=np.repeat(np.arange(3), N))
     for i, x in enumerate(xs):
-        want = ops._orbit_periods_batch(weak_state, np.full(N, x), quad.v1, quad.v2, dt,
+        want = ops._orbit_periods_batch(weak_state, np.full(N, x), quad.v1, quad.v2,
                                         horizon, weights=weights[i])
         for a, b in zip(got, want):
             assert np.array_equal(a.reshape(3, N)[i], b), i
@@ -627,6 +627,23 @@ def test_library_takes_no_species():
     assert takers == [] and named == [], (takers, named)
     assert not hasattr(characteristics, "normalize_species")
     assert not hasattr(vm.EquilibriumProfile, "mu")
+
+
+def test_no_parameter_without_a_second_value_and_no_field_without_a_reader(weak_state):
+    # every caller stepped the engine at default_dt, built the radius-default rule
+    # and refined by 2; nothing read the verdict's copy of its own arguments, a
+    # profile's params or meta["period"], which repeats state.period
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert "dt" not in params(ops._orbit_periods_batch)
+    assert "dt" not in params(ops._orbit_stream)
+    assert "r_max" not in params(vm.build_velocity_quadrature)
+    assert params(vm.VelocityQuadrature.refined) == ["self"]
+    assert [f.name for f in dataclasses.fields(vm.VerdictResult)] == ["verdict", "reason"]
+    assert "params" not in {f.name for f in dataclasses.fields(vm.EquilibriumProfile)}
+    assert sorted(weak_state.meta) == sorted(["epsilon", "residual_inf", "period_delta",
+                                              "c1_norm", "critical_period"])
 
 
 def test_only_operators_and_the_mode_know_the_assembly_kernel():
