@@ -8,8 +8,7 @@ count forces a kernel.
 """
 
 from .discretization import (FourierBasis, VelocityQuadrature, build_fourier_basis,
-                             build_velocity_quadrature, integrate_spatial,
-                             integrate_velocity)
+                             build_velocity_quadrature, integrate_velocity)
 from .equilibrium import (CenterConditions, EquilibriumProfile, EquilibriumState,
                           MagneticPotential, ValidationReport, WeightSpec,
                           build_profile, check_center_conditions, find_center_amplitude,

@@ -84,6 +84,9 @@ class RunConfig:
             raise ConfigError("lambda.points must be at least 2")
         if not 0 < self.lambda_min < self.lambda_max < np.inf:
             raise ConfigError("lambda grid needs 0 < lambda.min < lambda.max < inf")
+        for name, v in self.profile_params.items():
+            if not np.isfinite(v):
+                raise ConfigError("profile.param.%s must be finite, got %r" % (name, v))
         if self.epsilon is not None and not 0 < self.epsilon < np.inf:
             raise ConfigError("state.epsilon must be finite and positive")
         if self.period is not None and not (np.isfinite(self.period) and self.period > 0):
@@ -321,8 +324,8 @@ def cmd_validate(cfg):
     rep = validate_profile(profile, weight, tol_validate=cfg.tol_validate)
     payload = {"config_hash": cfg.hash(), "profile": cfg.profile_name,
                "max_negativity": rep.max_negativity,
-               "max_decay_violation": rep.max_decay_violation,
-               "passed": rep.passed}
+               "max_decay_violation": rep.max_decay_violation, "tol": rep.tol,
+               "worst_decay_point": rep.worst_decay_point, "passed": rep.passed}
     _write_json(os.path.join(_outdir(cfg), "validate.json"), payload)
     print(rep.summary())
     return EXIT_OK if rep.passed else EXIT_NUMERICAL
@@ -361,8 +364,9 @@ def cmd_equilibrium(cfg):
 
 
 def cmd_assemble(cfg, lam):
-    if not 0.0 <= lam < np.inf:
-        raise ConfigError("--lam must be finite and not negative")
+    if not (lam == 0.0 or (lam > 0.0 and 0.0 < lam * lam < np.inf)):   # the assembly's rule
+        raise ConfigError("--lam must be 0, or positive with a finite nonzero square; got %r" % lam)
+    lam = abs(lam)                     # -0.0 names its files and manifest as 0
     profile, weight, quad = _build_inputs(cfg)
     state = _build_state(cfg, profile, quad)
     basis = build_fourier_basis(state.period, cfg.n_x)

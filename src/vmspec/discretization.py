@@ -297,9 +297,3 @@ def build_fourier_basis(period, n_modes):
     a = np.sqrt(2.0 / period)
     h = np.concatenate([[1.0 / np.sqrt(period)], np.tile([a, -1j * a], kmax)])
     return FourierBasis(period=float(period), n_modes=int(n_modes), x_grid=x, k_index=k_index, h=h)
-
-
-def integrate_spatial(basis, g):
-    """Trapezoid integral over one period; g is a callable or grid values."""
-    vals = g(basis.x_grid) if callable(g) else np.asarray(g, dtype=float)
-    return float(np.sum(vals) * basis.quad_weight)

@@ -32,10 +32,10 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise VmspecError("weight.c must be positive, got %r" % (self.c,))
-        if not self.alpha > 2.0:
-            raise VmspecError("weight.alpha must exceed 2, got %r" % (self.alpha,))
+        if not 0 < self.c < np.inf:
+            raise VmspecError("weight.c must be finite and positive, got %r" % (self.c,))
+        if not 2.0 < self.alpha < np.inf:
+            raise VmspecError("weight.alpha must be finite and exceed 2, got %r" % (self.alpha,))
 
     def __call__(self, e):
         return self.c * (1.0 + np.abs(e)) ** (-self.alpha)

@@ -17,8 +17,8 @@ class ConfigError(VmspecError):
 class ProfileEvaluationError(VmspecError):
     """A profile returned a non-finite value."""
 
-    def __init__(self, message, e=None, p=None):
-        super().__init__(message)
+    def __init__(self, message, e, p):
+        super().__init__("%s at (e, p) = (%r, %r)" % (message, e, p))
         self.e = e
         self.p = p
 

@@ -113,16 +113,13 @@ def _orbit_periods_batch(state, x0, v1, v2, horizon, weights=None, groups=None):
     ``groups`` labels each lane with its collocation point (0, 1, ...):
     each group stops on its own weight, so every lane ends exactly as in a
     run of its group alone.  Only live lanes are stepped.
-    Returns (periods, resolved, winding): winding is the direction (+1 or
-    -1) of a lane that closed by passing, 0 otherwise.  Lanes step at
-    ``default_dt(state)``.
+    Returns (periods, resolved).  Lanes step at ``default_dt(state)``.
     """
     n = x0.size
     P = state.period
     dt = default_dt(state)
     periods = np.full(n, horizon)
     resolved = np.zeros(n, dtype=bool)
-    winding = np.zeros(n, dtype=int)
     # per stepped lane; compacted together once most lanes are done
     lane = np.arange(n)
     g = np.zeros(n, dtype=int) if groups is None else np.asarray(groups)
@@ -165,7 +162,6 @@ def _orbit_periods_batch(state, x0, v1, v2, horizon, weights=None, groups=None):
             tau = _hermite_root(F0[hit], F1[hit], (s_dir * vh)[hit], (s_dir * vh_new)[hit], dt)
             periods[lane[hit]] = t + tau
             resolved[lane[hit]] = True
-            winding[lane[hit]] = s_dir[hit]
         # turning points: twice the spacing of consecutive turnings
         flip = live & (np.sign(un) != np.sign(u)) & (u != 0.0) & (un != 0.0)
         if flip.any():
@@ -184,7 +180,7 @@ def _orbit_periods_batch(state, x0, v1, v2, horizon, weights=None, groups=None):
             lane, g, wt, xs, x, u, w, t1, vh, du, b = (
                 a[live] for a in (lane, g, wt, xs, x, u, w, t1, vh, du, b))
             live = live[live]
-    return periods, resolved, winding
+    return periods, resolved
 
 
 def _orbit_stream(state, x0, v1, v2, h, n_samples):
@@ -344,10 +340,10 @@ def node_moments(state, lam, quad, kmax, x, opts=None):
     x0 = np.repeat(xs, N)[rep]
     v1, v2 = np.tile(quad.v1, M)[rep], np.tile(quad.v2, M)[rep]
     # a class is labeled by its lower point, which holds its representatives
-    periods, resolved, _ = _orbit_periods_batch(state, x0, v1, v2, horizon,
-                                                weights=np.tile(quad.w, M)[rep]
-                                                * np.where(paired, 2.0, 1.0),
-                                                groups=rep // N)
+    periods, resolved = _orbit_periods_batch(state, x0, v1, v2, horizon,
+                                             weights=np.tile(quad.w, M)[rep]
+                                             * np.where(paired, 2.0, 1.0),
+                                             groups=rep // N)
     m0 = np.empty((kmax + 1, rep.size), dtype=complex)
     m1 = np.empty_like(m0)
     mv1 = np.empty(rep.size)

@@ -30,7 +30,6 @@ PENCILS = ("electric", "magnetic")      # the order of ``assemble_M``'s blocks
 class EigenDecomposition:
     values: np.ndarray             # ascending
     vectors: np.ndarray            # orthonormal columns; None for values only
-    residual: float                # max |A v - value v|; None for values only
 
 
 def _fix_signs(vectors):
@@ -63,9 +62,8 @@ def symmetric_eigen(A, vectors=True):
     Eigenvalues come out ascending.  A near-degenerate cluster gets the one
     basis of its space that roundoff in ``A`` or the LAPACK driver cannot
     turn, and every vector's first significant coefficient is made
-    positive.  With
-    ``vectors=False`` only the eigenvalues are computed, and ``vectors``
-    and ``residual`` are None.
+    positive.  With ``vectors=False`` only the eigenvalues are computed,
+    and ``vectors`` is None.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -76,7 +74,7 @@ def symmetric_eigen(A, vectors=True):
         raise VmspecError("matrix asymmetry %.3e above tolerance" % defect)
     As = 0.5 * (A + A.T)
     if not vectors:
-        return EigenDecomposition(values=np.linalg.eigvalsh(As), vectors=None, residual=None)
+        return EigenDecomposition(values=np.linalg.eigvalsh(As), vectors=None)
     vals, vecs = np.linalg.eigh(As)
     i = 0
     while i < vals.size:
@@ -86,9 +84,7 @@ def symmetric_eigen(A, vectors=True):
         if j - i > 1:
             vecs[:, i:j] = _canonical_plane(vecs[:, i:j])
         i = j
-    vecs = _fix_signs(vecs)
-    residual = float(np.max(np.abs(As @ vecs - vecs * vals[None, :])))
-    return EigenDecomposition(values=vals, vectors=vecs, residual=residual)
+    return EigenDecomposition(values=vals, vectors=_fix_signs(vecs))
 
 
 @dataclass(frozen=True)
@@ -97,10 +93,6 @@ class CountReport:
     zero: int
     pos: int
     tol: float
-
-    @property
-    def total(self):
-        return self.neg + self.zero + self.pos
 
 
 def count_eigenvalues(values, tol_eig=None):

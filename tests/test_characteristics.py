@@ -147,12 +147,11 @@ def _periods(state, lanes, horizon):
 def test_orbit_info_homogeneous(paper_state):
     # a straight line closes after one period of x; a lane at rest never does
     horizon = ops.HORIZON_PERIODS * paper_state.period
-    periods, resolved, winding = _periods(paper_state, [(0.1, 0.6, 0.0), (0.1, 0.0, 0.4)],
-                                          horizon)
+    periods, resolved = _periods(paper_state, [(0.1, 0.6, 0.0), (0.1, 0.0, 0.4)], horizon)
     e = np.sqrt(1 + 0.36)
-    assert resolved[0] and winding[0] == 1
+    assert resolved[0]
     assert abs(periods[0] - paper_state.period / (0.6 / e)) <= 1e-12
-    assert not resolved[1] and periods[1] == horizon and winding[1] == 0
+    assert not resolved[1] and periods[1] == horizon
 
 
 def test_irreducible_drift_raises_with_the_values(weak_state):
@@ -167,20 +166,25 @@ def test_unresolved_orbit_is_reported(weak_state):
     # a grazing lane cannot close within a tight horizon; the start sits away
     # from the potential minimum so it is not a fixed point.  It is reported
     # as not closed, with the horizon for its period.
-    periods, resolved, winding = _periods(weak_state, [(1.0, 1e-4, 0.05)], 10.0)
-    assert not resolved[0] and periods[0] == 10.0 and winding[0] == 0
+    periods, resolved = _periods(weak_state, [(1.0, 1e-4, 0.05)], 10.0)
+    assert not resolved[0] and periods[0] == 10.0
 
 
 def test_orbit_info_weakfield_passing_and_trapped(weak_state):
-    start = PhasePoint(0.5, 0.01, 0.9)
-    periods, resolved, winding = _periods(
-        weak_state, [(1.0, 0.7, -0.4), (start.x, start.v1, start.v2)],
-        ops.HORIZON_PERIODS * weak_state.period)
+    # the invariants class each lane: v1^2 = e^2 - 1 - (p + psi0(x))^2 along
+    # the orbit vanishes somewhere in the period only on a trapped one
+    passing, trapped = PhasePoint(1.0, 0.7, -0.4), PhasePoint(0.5, 0.01, 0.9)
+    psi = weak_state.psi0(np.linspace(0.0, weak_state.period, 256, endpoint=False))
+    v1_sq_min = [np.min(pt.energy ** 2 - 1 - (pt.momentum(weak_state, "-") + psi) ** 2)
+                 for pt in (passing, trapped)]
+    assert v1_sq_min[0] > 0 > v1_sq_min[1]
+    periods, resolved = _periods(weak_state, [(pt.x, pt.v1, pt.v2) for pt in (passing, trapped)],
+                                 ops.HORIZON_PERIODS * weak_state.period)
     assert resolved.all()
-    assert winding[0] != 0                     # passing
-    assert winding[1] == 0                     # trapped
-    # self-consistency: two periods return the starting point
-    back = flow(weak_state, "-", start, 2.0 * periods[1], StepOptions(dt=0.005))
-    assert abs(back.x % weak_state.period - start.x) <= 1e-5
-    assert abs(back.v1 - start.v1) <= 1e-6
-    assert abs(back.v2 - start.v2) <= 1e-6
+    # self-consistency: the period (the passing lane's, backward) and twice
+    # the period (the trapped lane's, forward) return the starting point
+    for start, s in ((passing, -periods[0]), (trapped, 2.0 * periods[1])):
+        back = flow(weak_state, "-", start, s, StepOptions(dt=0.005))
+        assert abs(back.x % weak_state.period - start.x) <= 1e-5
+        assert abs(back.v1 - start.v1) <= 1e-6
+        assert abs(back.v2 - start.v2) <= 1e-6

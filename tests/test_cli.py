@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import resource
@@ -84,13 +85,20 @@ def test_unknown_config_key_is_rejected(tmp_path, key):
     ("profile.name = weakfield_family\nstate.epsilon = inf", ["analyze"], "state.epsilon"),
     ("disc.n = 2\ndisc.n_x = 8\nlambda.min = 1e-300\nlambda.max = 1e-299", ["analyze"],
      "lambda.min"),
+    ("weight.c = inf", ["analyze"], "weight.c"),
+    ("weight.alpha = inf", ["analyze"], "weight.alpha"),
+    ("profile.name = weakfield_family\nprofile.param.amp = nan", ["validate"],
+     "profile.param.amp"),
+    ("", ["assemble", "--lam", "1e-200"], "--lam"),
+    ("", ["assemble", "--lam", "1e200"], "--lam"),
 ], ids=["negative_n_r", "n_per_period_below_64", "odd_n_x", "n_above_n_x", "one_lambda_point",
         "period_and_epsilon", "negative_lam", "zero_period", "negative_period", "infinite_period",
         "negative_tol_eig", "negative_tol_kernel", "nan_lambda_min", "nan_epsilon",
         "emit_spectra_key", "fractional_n_r", "float_n_x", "fractional_lambda_points",
         "text_tol_eig", "text_profile_param", "maybe_find_mode", "unknown_profile_param",
         "param_on_zero_profile", "unknown_profile", "negative_weight_c", "nan_lam", "inf_lam",
-        "inf_lambda_max", "huge_lambda_max", "inf_epsilon", "underflowing_lambda_grid"])
+        "inf_lambda_max", "huge_lambda_max", "inf_epsilon", "underflowing_lambda_grid",
+        "inf_weight_c", "inf_weight_alpha", "nan_profile_param", "tiny_lam", "huge_lam"])
 def test_invalid_config_exits_2(tmp_path, monkeypatch, capsys, text, command, key):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text + "\n")
@@ -201,6 +209,20 @@ def test_validate_zero_profile(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     payload = json.loads((tmp_path / "out" / "validate.json").read_text())
     assert payload["passed"] is True
+
+
+def test_failed_validation_writes_where(tmp_path, monkeypatch):
+    # a weight a thousand times too small fails the decay bound; the report
+    # gives the tolerance and the (e, p) of the worst violation
+    cfg_path = tmp_path / "small_weight.cfg"
+    cfg_path.write_text("weight.c = 1e-3\n")
+    code = run(["--config", str(cfg_path), "validate"], tmp_path, monkeypatch)
+    assert code == cli.EXIT_NUMERICAL
+    payload = json.loads((tmp_path / "out" / "validate.json").read_text())
+    assert payload["passed"] is False and payload["tol"] == 1e-12
+    assert payload["max_decay_violation"] > payload["tol"]
+    e, p = payload["worst_decay_point"]
+    assert e >= 1.0 and math.isfinite(p)
 
 
 def _fast_analyze_args(extra=()):
@@ -369,6 +391,13 @@ def test_assemble_takes_its_rate(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     manifest = json.loads((tmp_path / "out" / "blocks_lam0.3_manifest.json").read_text())
     assert manifest["lambda"] == 0.3
+    # -0 is the rate 0: its files and manifest read 0, not -0
+    code = run(["--profile", "zero", "--n", "2", "--n-x", "8", "assemble", "--lam", "-0"],
+               tmp_path, monkeypatch)
+    assert code == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "blocks_lam0_manifest.json").read_text())
+    assert manifest["lambda"] == 0.0 and math.copysign(1.0, manifest["lambda"]) == 1.0
+    assert not list((tmp_path / "out").glob("blocks_lam-0*"))
 
 
 def test_analyze_unstable_family(tmp_path, monkeypatch, capsys):

@@ -109,6 +109,14 @@ def test_shallow_weight_is_rejected():
         weight_tail_radius(type("W", (), {"c": 1.0, "alpha": 1.5})(), 1e-8)
 
 
+def test_non_finite_weight_is_rejected():
+    # an infinite weight put its tail radius, so every node, at r = 0
+    for c, alpha, key in ((np.inf, 3.0, "weight.c"), (np.nan, 3.0, "weight.c"),
+                          (1.0, np.inf, "weight.alpha")):
+        with pytest.raises(VmspecError, match=key):
+            vm.WeightSpec(c=c, alpha=alpha)
+
+
 def test_odd_angle_count_is_rejected():
     # theta -> pi - theta maps nodes to nodes only on an even number of angles
     with pytest.raises(QuadratureError, match="n_theta must be even"):
@@ -164,7 +172,7 @@ def test_wavenumbers_set_the_phases():
 def test_sin_squared_integral():
     P = 11.0
     basis = vm.build_fourier_basis(P, 8)
-    got = vm.integrate_spatial(basis, lambda x: np.sin(2 * np.pi * x / P) ** 2)
+    got = np.sum(np.sin(2 * np.pi * basis.x_grid / P) ** 2) * basis.quad_weight
     assert abs(got - P / 2) <= 1e-12
 
 

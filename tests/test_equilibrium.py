@@ -50,6 +50,7 @@ def test_profile_evaluation_failure_carries_location():
     with pytest.raises(ProfileEvaluationError) as err:
         vm.validate_profile(bad, vm.WeightSpec(c=1.0, alpha=3.0))
     assert err.value.e > 5.0
+    assert "(e, p) = (%r, %r)" % (err.value.e, err.value.p) in str(err.value)
 
 
 def _dipped(prof):

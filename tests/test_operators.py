@@ -1,6 +1,8 @@
 import ast
 import copy
 import dataclasses
+import functools
+import importlib
 import inspect
 import os
 import subprocess
@@ -83,8 +85,7 @@ def _orbit_average(state, k, *points):
     period (the horizon where it does not close), from species -."""
     x, v1, v2 = (np.array(c, dtype=float) for c in zip(*points))
     n = EvalOptions().n_per_period
-    periods, _, _ = ops._orbit_periods_batch(state, x, v1, v2,
-                                             ops.HORIZON_PERIODS * state.period)
+    periods, _ = ops._orbit_periods_batch(state, x, v1, v2, ops.HORIZON_PERIODS * state.period)
     samples = ops._orbit_stream(state, x, v1, v2, periods / n, n)
     return np.mean([k(xs % state.period, a, b) for xs, a, b in samples], axis=0)
 
@@ -142,11 +143,9 @@ def test_projection_agrees_with_small_rate_smoothing(weak_state):
 # ---------------------------------------------------------------------------
 
 def _resolved_lanes(state, quad, x):
-    """The assembly's period detector on every node: (resolved, winding)."""
-    _, resolved, winding = ops._orbit_periods_batch(
-        state, np.full(quad.n_nodes, x), quad.v1, quad.v2,
-        ops.HORIZON_PERIODS * state.period, weights=quad.w)
-    return resolved, winding
+    """The assembly's period detector on every node: which lanes closed."""
+    return ops._orbit_periods_batch(state, np.full(quad.n_nodes, x), quad.v1, quad.v2,
+                                    ops.HORIZON_PERIODS * state.period, weights=quad.w)[1]
 
 
 def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, aniso_coarse_quad):
@@ -188,7 +187,7 @@ def test_generic_moments_match_fft_filter_reference(monkeypatch, weak_state, ani
         for got, ref in pairs:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += len(lanes)
-    assert checked == np.count_nonzero(_resolved_lanes(weak_state, quad, 0.7)[0])
+    assert checked == np.count_nonzero(_resolved_lanes(weak_state, quad, 0.7))
 
 
 def test_period_weights_are_real():
@@ -220,7 +219,7 @@ def test_node_moments_average_of_one_is_one(weak_state, aniso_coarse_quad):
     # m0[0] is the average of 1: the period weights and the backward window
     # of the lanes that did not close must each carry unit mass
     quad, x = aniso_coarse_quad, 0.7
-    assert not _resolved_lanes(weak_state, quad, x)[0].all()
+    assert not _resolved_lanes(weak_state, quad, x).all()
     for lam in (0.01 * 2 * np.pi / weak_state.period, 0.1):
         m0 = vm.node_moments(weak_state, lam, quad, 0, x)[0]
         assert np.max(np.abs(m0[0] - 1.0)) <= 1e-12, lam
@@ -231,7 +230,7 @@ def test_node_moments_report_invariant_drift(weak_state, aniso_coarse_quad):
     # every stream, the backward window of the lanes that did not close
     # included at lam > 0
     quad, x = aniso_coarse_quad, 0.7
-    assert not _resolved_lanes(weak_state, quad, x)[0].all()
+    assert not _resolved_lanes(weak_state, quad, x).all()
     for lam in (0.0, 0.4):
         drift = vm.node_moments(weak_state, lam, quad, 1, x).drift
         assert sorted(drift) == ["e", "p"]
@@ -631,8 +630,10 @@ def test_library_takes_no_species():
 
 def test_no_parameter_without_a_second_value_and_no_field_without_a_reader(weak_state):
     # every caller stepped the engine at default_dt, built the radius-default rule
-    # and refined by 2; nothing read the verdict's copy of its own arguments, a
-    # profile's params or meta["period"], which repeats state.period
+    # and refined by 2; nothing but tests read the verdict's copy of its own
+    # arguments, a profile's params, meta["period"], which repeats state.period,
+    # the engine's winding, an eigensolve's residual, a count's total or
+    # integrate_spatial
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -644,6 +645,40 @@ def test_no_parameter_without_a_second_value_and_no_field_without_a_reader(weak_
     assert "params" not in {f.name for f in dataclasses.fields(vm.EquilibriumProfile)}
     assert sorted(weak_state.meta) == sorted(["epsilon", "residual_inf", "period_delta",
                                               "c1_norm", "critical_period"])
+    lane = (np.array([c]) for c in (1.0, 1e-4, 0.05))
+    assert len(ops._orbit_periods_batch(weak_state, *lane, 10.0)) == 2
+    assert [f.name for f in dataclasses.fields(vm.EigenDecomposition)] == ["values", "vectors"]
+    assert not hasattr(vm.CountReport, "total")
+    assert not hasattr(vm, "integrate_spatial")
+
+
+def test_every_result_member_has_a_reader_outside_the_tests():
+    # every dataclass field and property of a library class is loaded as an
+    # attribute somewhere in the library, the benchmark or the demos; names are
+    # matched, not owners.  ResidualReport is exempt: its as_dict writes every field
+    library = dict(_library_trees())
+    trees = list(library.values())
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for folder in ("perfbench", "demos"):
+        for name in sorted(os.listdir(os.path.join(root, folder))):
+            if name.endswith(".py"):
+                with open(os.path.join(root, folder, name)) as fh:
+                    trees.append(ast.parse(fh.read()))
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module in (importlib.import_module("vmspec." + name[:-3]) for name in library
+                   if name != "__init__.py"):
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__ \
+                    or cls is vm.ResidualReport:
+                continue
+            names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) \
+                else []
+            names += [k for k, v in vars(cls).items()
+                      if isinstance(v, (property, functools.cached_property))]
+            unread += ["%s.%s" % (cls.__name__, n) for n in names if n not in loaded]
+    assert unread == []
 
 
 def test_only_operators_and_the_mode_know_the_assembly_kernel():
